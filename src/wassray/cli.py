@@ -50,10 +50,6 @@ def _vector(text: str):
         raise MeasureFileError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _float_list(text: str):
-    return _vector(text)
-
-
 def _time_pairs(text: str):
     pairs = []
     for chunk in text.split(","):
@@ -160,8 +156,8 @@ def _cmd_busemann(args) -> int:
 def _cmd_coray(args) -> int:
     ray = read_ray(args.ray)
     nu0 = read_measure(args.nu0)
-    schedule = _float_list(args.schedule) if args.schedule else None
-    test_times = _float_list(args.test_times) if args.test_times else None
+    schedule = _vector(args.schedule) if args.schedule else None
+    test_times = _vector(args.test_times) if args.test_times else None
     tol = args.tol if args.tol is not None else CORAY_TOL
     result = construct_coray(ray, nu0, schedule=schedule, test_times=test_times, tol=tol)
     print(f"steps {len(result.schedule)}")
@@ -206,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, help="tolerance override where applicable"
     )
     parser.add_argument("--seed", type=int, default=1, help="seed for the verify suites")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for script compatibility; solves run sequentially",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("dist", help="transport distance between two measure files")

@@ -1,13 +1,22 @@
 """Exact optimal transport between discrete measures on R^d.
 
 Transport cost is d(x, y)**p with p in (1, 16]; the upper cap keeps d**p
-representable in doubles at desk scale. Plans are found by solving the
-transportation linear program on the complete bipartite graph with the
-HiGHS simplex backend, which returns a basic (vertex) plan: marginals are
-reproduced to machine precision, the optimal value is exact in double
-arithmetic, and identical inputs give bit-identical plans. Entropic or
-otherwise approximate solvers would poison every downstream geometry
-check, so none is offered.
+representable in doubles at desk scale. ``solve_ot`` picks an exact method
+from the input alone:
+
+- a single-atom marginal has one feasible coupling, built directly;
+- uniform marginals of equal size (every weight of both measures equal)
+  have a permutation among their optimal plans (Birkhoff-von Neumann), and
+  the Jonker-Volgenant assignment solver finds one exactly;
+- everything else, including weighted measures, unequal sizes and merged
+  pushforwards whose weights are no longer equal, goes to the
+  transportation linear program on the complete bipartite graph, solved by
+  the HiGHS simplex backend, which returns a basic (vertex) plan.
+
+Either way marginals are reproduced to machine precision, the optimal
+value is exact in double arithmetic, and identical inputs give
+bit-identical plans. Entropic or otherwise approximate solvers would
+poison every downstream geometry check, so none is offered.
 
 ``brute_force_ot`` is the independent oracle: an exhaustive minimum over
 permutation matchings, valid for equal-size uniform marginals, sharing no
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DimensionMismatchError, EmptyMeasureError, InvalidExponentError
 from .measures import DiscreteMeasure
@@ -39,6 +48,15 @@ def check_exponent(p) -> float:
     if not P_MIN < p <= P_MAX:
         raise InvalidExponentError(f"transport order must lie in ({P_MIN}, {P_MAX}], got {p}")
     return p
+
+
+def p_mean(weights, lengths, p) -> float:
+    """Weighted p-mean (sum of w * l**p) ** (1/p) of nonnegative lengths.
+
+    Transport costs, geodesic lengths and ray speeds are all this one
+    expression, so values that must agree are computed bit-identically.
+    """
+    return float(np.sum(weights * lengths**p) ** (1.0 / p))
 
 
 def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -97,8 +115,7 @@ class Coupling:
             raise ValueError("row sums do not reproduce the left marginal")
         if np.max(np.abs(col - self.nu.weights)) > MARGINAL_ATOL:
             raise ValueError("column sums do not reproduce the right marginal")
-        d = np.linalg.norm(self.mu.atoms[left] - self.nu.atoms[right], axis=1)
-        recomputed = float(np.sum(masses * d**p) ** (1.0 / p))
+        recomputed = _entries_cost(self.mu, self.nu, left, right, masses, p)
         cost = float(self.cost)
         if abs(cost - recomputed) > COST_RTOL * max(recomputed, cost):
             raise ValueError(
@@ -127,7 +144,7 @@ def _entries_cost(
     mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses, p: float
 ) -> float:
     d = np.linalg.norm(mu.atoms[left] - nu.atoms[right], axis=1)
-    return float(np.sum(masses * d**p) ** (1.0 / p))
+    return p_mean(masses, d, p)
 
 
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
@@ -135,7 +152,12 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
 
     Deterministic: identical inputs produce bit-identical couplings. When
     either marginal is a single atom the unique feasible coupling is built
-    directly; otherwise the transportation LP is solved exactly.
+    directly. When both measures have the same number of atoms and every
+    weight of both equals ``mu.weights[0]`` exactly, the optimal
+    permutation is found by ``linear_sum_assignment``; otherwise the
+    transportation LP is solved exactly. Both reach the optimal cost; the
+    assignment plan can differ from the LP's only where the optimal
+    permutation is not unique.
     """
     p = _check_instance(mu, nu, p)
     m, n = len(mu), len(nu)
@@ -149,9 +171,14 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
         masses = mu.weights.copy()
     else:
         cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-        plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
-        left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
-        masses = plan[left, right]
+        w = mu.weights[0]
+        if m == n and np.all(mu.weights == w) and np.all(nu.weights == w):
+            left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
+            masses = mu.weights[left]
+        else:
+            plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
+            left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
+            masses = plan[left, right]
     cost = _entries_cost(mu, nu, left, right, masses, p)
     return Coupling(mu, nu, left, right, masses, p, cost)
 

@@ -26,7 +26,7 @@ from .errors import (
     UnitSpeedError,
 )
 from .measures import DiscreteMeasure, as_point, merge_atoms, position_key
-from .ot import Coupling, check_exponent, solve_ot, wasserstein_distance
+from .ot import Coupling, check_exponent, p_mean, solve_ot, wasserstein_distance
 
 OPTIMALITY_RTOL = 1e-8
 LENGTH_RTOL = 1e-10
@@ -38,8 +38,7 @@ DEFAULT_VALIDATION_PAIRS = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0), (0.0, 10.0))
 
 
 def _segment_cost(starts, ends, weights, p) -> float:
-    d = np.linalg.norm(ends - starts, axis=1)
-    return float(np.sum(weights * d**p) ** (1.0 / p))
+    return p_mean(weights, np.linalg.norm(ends - starts, axis=1), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +184,7 @@ class RayMeasure:
 
     @property
     def speed(self) -> float:
-        norms = np.linalg.norm(self.velocities, axis=1)
-        return float(np.sum(self.weights * norms**self.p) ** (1.0 / self.p))
+        return p_mean(self.weights, np.linalg.norm(self.velocities, axis=1), self.p)
 
     @property
     def dim(self) -> int:

@@ -3,14 +3,16 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import wassray as w
+from wassray import ot
 from wassray.errors import (
     DimensionMismatchError,
     EmptyMeasureError,
     InvalidExponentError,
 )
-from wassray.ot import Coupling
+from wassray.ot import BRUTE_FORCE_MAX_ATOMS, Coupling, _solve_lp, pairwise_distances
 
 from conftest import random_uniform_pair, uniform_pairs
 
@@ -207,3 +209,82 @@ def test_permutation_couplings_all_feasible():
     assert w.brute_force_ot(mu, nu, 2.0).cost == pytest.approx(
         min(costs) ** 0.5, rel=1e-12
     )
+
+
+def test_unit_interval_high_order_matches_sorted_plan():
+    # on the line the monotone (sorted) matching is optimal for convex costs;
+    # at p = 8 on [0, 1] the cost gaps fall below the LP's absolute 1e-7
+    # reduced-cost tolerance, so only an exact method finds this plan
+    rng = np.random.default_rng(0)
+    x, y = rng.random(8), rng.random(8)
+    plan = w.solve_ot(w.uniform_measure(x), w.uniform_measure(y), 8.0)
+    sorted_cost = np.mean(np.abs(np.sort(x) - np.sort(y)) ** 8.0) ** (1.0 / 8.0)
+    assert plan.cost == pytest.approx(sorted_cost, rel=1e-8)
+
+
+@given(
+    pair=uniform_pairs(max_atoms=BRUTE_FORCE_MAX_ATOMS),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+)
+def test_assignment_agrees_with_lp_and_exhaustive_oracle(pair, p):
+    # uniform pairs in a box of side 10: solve_ot takes the assignment path,
+    # and the LP, called directly, stays checked against the oracle
+    mu, nu = pair
+    fast = w.solve_ot(mu, nu, p)
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
+    plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
+    lp_cost = float(np.sum(plan * cost_matrix)) ** (1.0 / p)
+    slow = w.brute_force_ot(mu, nu, p)
+    assert fast.cost == pytest.approx(lp_cost, rel=1e-8, abs=1e-12)
+    assert fast.cost == pytest.approx(slow.cost, rel=1e-8, abs=1e-12)
+
+
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """Shapes of the cost matrices solve_ot hands to the LP."""
+    shapes = []
+
+    def spy(a, b, cost_matrix):
+        shapes.append(cost_matrix.shape)
+        return _solve_lp(a, b, cost_matrix)
+
+    monkeypatch.setattr(ot, "_solve_lp", spy)
+    return shapes
+
+
+def test_uniform_square_takes_assignment(lp_shapes):
+    rng = np.random.default_rng(3)
+    mu, nu = random_uniform_pair(rng, 6, 2)
+    plan = w.solve_ot(mu, nu, 2.0)
+    assert lp_shapes == []
+    assert np.array_equal(plan.left, np.arange(6))
+    assert sorted(plan.right) == list(range(6))
+    assert np.array_equal(plan.masses, mu.weights)
+
+
+def weighted_square():
+    mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.2, 0.3, 0.5])
+    return mu, w.uniform_measure([[2.0, 0.0], [2.0, 1.0], [3.0, 3.0]])
+
+
+def uniform_unequal_sizes():
+    mu = w.uniform_measure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return mu, w.uniform_measure([[2.0, 0.0], [2.0, 1.0]])
+
+
+def merged_pushforward():
+    # two target atoms coincide, so the endpoint section pools their mass:
+    # three atoms again, but with weights 1/2, 1/4, 1/4
+    mu = w.uniform_measure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    nu = w.uniform_measure([[4.0, 0.0], [4.0, 0.0], [5.0, 1.0], [5.0, 2.0]])
+    end = w.section(w.lift_geodesic(w.solve_ot(mu, nu, 2.0)), 100.0)
+    assert sorted(end.weights) == [0.25, 0.25, 0.5]
+    return end, w.uniform_measure([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build", [weighted_square, uniform_unequal_sizes, merged_pushforward])
+def test_other_instances_take_lp(lp_shapes, build):
+    mu, nu = build()
+    lp_shapes.clear()
+    w.solve_ot(mu, nu, 2.0)
+    assert lp_shapes == [(len(mu), len(nu))]
