@@ -27,6 +27,7 @@ from .errors import (
     MeasureFileError,
     MonotonicityError,
     NonOptimalCouplingError,
+    TransportSolveError,
     UnitSpeedError,
 )
 from .euclidean import AmbientRay, distance, interpolate, polyline_length, ray_point
@@ -77,6 +78,7 @@ __all__ = [
     "SubadditivityReport",
     "SubrayReport",
     "TailBoundReport",
+    "TransportSolveError",
     "UnitSpeedError",
     "ViscosityReport",
     "brute_force_ot",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import MonotonicityError
 from .measures import DiscreteMeasure
-from .ot import wasserstein_distance
+from .ot import solve_ot, wasserstein_distance
 from .paths import RayMeasure, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
@@ -75,14 +75,18 @@ def busemann_value(
         raise ValueError(f"stopping tolerance must be positive, got {tol}")
     if max_doublings < 1:
         raise ValueError(f"need at least one doubling, got {max_doublings}")
-    lower_bound = -wasserstein_distance(nu, ray_section(ray, 0.0), ray.p)
+    plan = solve_ot(nu, ray_section(ray, 0.0), ray.p)
+    lower_bound = -plan.cost
     schedule: list[tuple[float, float]] = []
     previous = None
     decrement = float("inf")
     converged = False
     for j in range(max_doublings + 1):
         t = t0 * 2.0**j
-        value = _truncation(ray, nu, t)
+        # consecutive sections differ little, so the last plan often stays
+        # optimal and its certificate spares the LP
+        plan = solve_ot(nu, ray_section(ray, t), ray.p, warm=plan)
+        value = plan.cost - t
         schedule.append((t, value))
         if previous is not None:
             decrement = previous - value

@@ -102,24 +102,28 @@ def construct_coray(
         if len(starts) != len(schedule):
             raise ValueError("need one start measure per schedule entry")
     origin_section = ray_section(mu, 0.0)
+    offset_of: dict[int, float] = {}  # one solve per distinct start object
     lengths = []
     offsets = []
     diagnostics = []
     previous_sections = None
+    movement_plans = [None] * len(test_times)
     final_coupling = None
     for t_n, start in zip(schedule, starts):
         coupling = solve_ot(start, ray_section(mu, t_n), mu.p)
         lengths.append(coupling.cost)
-        offsets.append(wasserstein_distance(start, origin_section, mu.p))
+        if id(start) not in offset_of:
+            offset_of[id(start)] = wasserstein_distance(start, origin_section, mu.p)
+        offsets.append(offset_of[id(start)])
         lift = lift_geodesic(coupling)
         sections = [section(lift, tau) for tau in test_times]
         if previous_sections is not None:
-            diagnostics.append(
-                max(
-                    wasserstein_distance(a, b, mu.p)
-                    for a, b in zip(previous_sections, sections)
-                )
-            )
+            # each test time's movement plan is the warm start for the next step
+            movement_plans = [
+                solve_ot(a, b, mu.p, warm=plan)
+                for a, b, plan in zip(previous_sections, sections, movement_plans)
+            ]
+            diagnostics.append(max(plan.cost for plan in movement_plans))
         previous_sections = sections
         final_coupling = coupling
     length = final_coupling.cost

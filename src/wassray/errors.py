@@ -31,3 +31,7 @@ class MonotonicityError(RuntimeError):
 
 class MeasureFileError(ValueError):
     """A measure or ray file failed to parse."""
+
+
+class TransportSolveError(RuntimeError):
+    """The transport LP solver stopped without an optimal plan."""

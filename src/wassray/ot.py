@@ -13,6 +13,14 @@ from the input alone:
   transportation linear program on the complete bipartite graph, solved by
   the HiGHS simplex backend, which returns a basic (vertex) plan.
 
+Schedules (Busemann doubling, co-ray diagnostics) solve a run of nearly
+identical instances whose optimal plan settles. ``solve_ot`` therefore
+takes an optional previous plan ``warm``: on the LP branch, when its sizes
+and weights equal the new instance's exactly, ``certify_support`` tests
+its support against the new cost matrix with dual potentials, and the LP
+runs only when that certificate fails. ``lift_geodesic`` uses the same
+certificate to accept a plan without re-solving.
+
 Either way marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
 bit-identical plans. Entropic or otherwise approximate solvers would
@@ -32,7 +40,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import DimensionMismatchError, EmptyMeasureError, InvalidExponentError
+from .errors import (
+    DimensionMismatchError,
+    EmptyMeasureError,
+    InvalidExponentError,
+    TransportSolveError,
+)
 from .measures import DiscreteMeasure
 
 P_MIN = 1.0
@@ -41,6 +54,7 @@ MARGINAL_ATOL = 1e-9
 COST_RTOL = 1e-10
 BRUTE_FORCE_MAX_ATOMS = 8
 TAIL_BOUND_SLACK = 1e-12
+CERTIFICATE_ROUNDINGS = 4
 
 
 def check_exponent(p) -> float:
@@ -81,9 +95,10 @@ class Coupling:
 
     ``left``/``right``/``masses`` list the nonzero entries (left atom
     index, right atom index, mass), sorted lexicographically. ``cost`` is
-    the transport value (sum of mass * d**p) ** (1/p); it is re-derived on
-    construction and must match the stored field to 1e-10 relative. Row
-    and column sums must reproduce the marginals within 1e-9 per atom.
+    the transport value (sum of mass * d**p) ** (1/p); it is derived on
+    construction when omitted, and a supplied value must match the derived
+    one to 1e-10 relative. Row and column sums must reproduce the
+    marginals within 1e-9 per atom.
     """
 
     mu: DiscreteMeasure
@@ -92,7 +107,7 @@ class Coupling:
     right: np.ndarray
     masses: np.ndarray
     p: float
-    cost: float
+    cost: float | None = None
 
     def __post_init__(self):
         left = np.atleast_1d(np.array(self.left, dtype=np.intp))
@@ -116,11 +131,14 @@ class Coupling:
         if np.max(np.abs(col - self.nu.weights)) > MARGINAL_ATOL:
             raise ValueError("column sums do not reproduce the right marginal")
         recomputed = _entries_cost(self.mu, self.nu, left, right, masses, p)
-        cost = float(self.cost)
-        if abs(cost - recomputed) > COST_RTOL * max(recomputed, cost):
-            raise ValueError(
-                f"stored cost {cost!r} does not match recomputed cost {recomputed!r}"
-            )
+        if self.cost is None:
+            cost = recomputed
+        else:
+            cost = float(self.cost)
+            if abs(cost - recomputed) > COST_RTOL * max(recomputed, cost):
+                raise ValueError(
+                    f"stored cost {cost!r} does not match recomputed cost {recomputed!r}"
+                )
         for arr in (left, right, masses):
             arr.setflags(write=False)
         object.__setattr__(self, "left", left)
@@ -147,7 +165,9 @@ def _entries_cost(
     return p_mean(masses, d, p)
 
 
-def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
+def solve_ot(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, p, warm: Coupling | None = None
+) -> Coupling:
     """Cost-minimal coupling of (mu, nu) for cost d(x, y)**p.
 
     Deterministic: identical inputs produce bit-identical couplings. When
@@ -158,6 +178,11 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     transportation LP is solved exactly. Both reach the optimal cost; the
     assignment plan can differ from the LP's only where the optimal
     permutation is not unique.
+
+    ``warm`` is an optional previous plan, used only where the LP would
+    run: its entries are returned instead when its marginals have the
+    same sizes and exactly the same weights as (mu, nu) and
+    ``certify_support`` proves its support optimal for the new costs.
     """
     p = _check_instance(mu, nu, p)
     m, n = len(mu), len(nu)
@@ -175,12 +200,69 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
         if m == n and np.all(mu.weights == w) and np.all(nu.weights == w):
             left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
             masses = mu.weights[left]
+        elif _warm_applies(warm, mu, nu, cost_matrix):
+            left, right, masses = warm.left, warm.right, warm.masses
         else:
             plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
             left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
             masses = plan[left, right]
-    cost = _entries_cost(mu, nu, left, right, masses, p)
-    return Coupling(mu, nu, left, right, masses, p, cost)
+    return Coupling(mu, nu, left, right, masses, p)
+
+
+def _warm_applies(
+    warm: Coupling | None, mu: DiscreteMeasure, nu: DiscreteMeasure, cost_matrix
+) -> bool:
+    return (
+        warm is not None
+        and len(warm.mu) == len(mu)
+        and len(warm.nu) == len(nu)
+        and np.array_equal(warm.mu.weights, mu.weights)
+        and np.array_equal(warm.nu.weights, nu.weights)
+        and certify_support(warm.left, warm.right, cost_matrix)
+    )
+
+
+def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
+    """Whether every feasible plan supported on the entries (left, right) is optimal.
+
+    The certificate is LP duality: the plan is optimal iff there are
+    potentials u (rows) and v (columns) with reduced costs
+    ``C[i, j] + u[i] - v[j]`` nonnegative everywhere and zero on the
+    support. They are shortest-path distances in the residual graph (an
+    arc i -> j of length C[i, j] for every cell, and j -> i of length
+    -C[i, j] for every support cell), found by Bellman-Ford from a virtual
+    source at distance 0 to every node; this needs no spanning tree, so
+    degenerate bases and forest supports (assignment plans, for one) are
+    handled alike. A negative cycle, i.e. a cheaper plan, keeps lowering
+    the distances and shows up as a violated reduced cost after m + n
+    rounds.
+
+    Whatever the potentials, the final test is itself the proof: if every
+    reduced cost is >= -tol and every support reduced cost is <= tol,
+    any plan y with the same marginals satisfies
+    <C, y> - <C, x> = <r, y> - <r, x> >= -2 tol, since both carry mass 1.
+    The tolerance ``tol = 4 (m + n) eps max|C|`` is the rounding error of
+    the largest cost entry (eps max|C|) once per addition along a path of
+    at most m + n residual arcs, with a margin of 4; an accepted plan is
+    thus within 8 (m + n) eps max|C| of optimal in summed d**p, the
+    resolution of the cost matrix itself and far below the LP's own
+    1e-7 dual feasibility tolerance.
+    """
+    m, n = cost_matrix.shape
+    scale = float(np.max(np.abs(cost_matrix)))
+    tol = CERTIFICATE_ROUNDINGS * (m + n) * np.finfo(float).eps * scale
+    support_cost = cost_matrix[left, right]
+    u = np.zeros(m)
+    v = np.zeros(n)
+    for _ in range(m + n):
+        v_next = np.minimum(v, np.min(u[:, None] + cost_matrix, axis=0))
+        u_next = u.copy()
+        np.minimum.at(u_next, left, v_next[right] - support_cost)
+        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
+            break
+        u, v = u_next, v_next
+    reduced = cost_matrix + u[:, None] - v[None, :]
+    return bool(reduced.min() >= -tol and reduced[left, right].max() <= tol)
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
@@ -201,7 +283,10 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> np.ndarr
         cost_matrix.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs"
     )
     if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise TransportSolveError(
+            f"transport LP failed with HiGHS status {res.status}: {res.message} "
+            f"(cost range [{cost_matrix.min():.6g}, {cost_matrix.max():.6g}])"
+        )
     return res.x.reshape(m, n)
 
 

@@ -26,7 +26,15 @@ from .errors import (
     UnitSpeedError,
 )
 from .measures import DiscreteMeasure, as_point, merge_atoms, position_key
-from .ot import Coupling, check_exponent, p_mean, solve_ot, wasserstein_distance
+from .ot import (
+    Coupling,
+    certify_support,
+    check_exponent,
+    p_mean,
+    pairwise_distances,
+    solve_ot,
+    wasserstein_distance,
+)
 
 OPTIMALITY_RTOL = 1e-8
 LENGTH_RTOL = 1e-10
@@ -106,16 +114,20 @@ def _lift_entries(pi: Coupling) -> GeodesicLift:
 def lift_geodesic(pi: Coupling) -> GeodesicLift:
     """Lift an optimal coupling to its displacement geodesic.
 
-    The instance is re-solved and ``pi`` is rejected when its cost is not
-    optimal within 1e-8 relative: lifting a non-optimal coupling does not
-    produce a geodesic, and every downstream check would silently test
-    nothing. A zero-cost coupling lifts to constant paths.
+    Lifting a non-optimal coupling does not produce a geodesic, and every
+    downstream check would silently test nothing, so ``pi`` must prove
+    itself: it is accepted when ``certify_support`` certifies its support
+    on its own cost matrix, and otherwise the instance is re-solved and
+    ``pi`` is rejected when its cost is not optimal within 1e-8 relative.
+    A zero-cost coupling lifts to constant paths.
     """
-    reference = solve_ot(pi.mu, pi.nu, pi.p)
-    if abs(pi.cost - reference.cost) > OPTIMALITY_RTOL * max(1.0, reference.cost):
-        raise NonOptimalCouplingError(
-            f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
-        )
+    cost_matrix = pairwise_distances(pi.mu.atoms, pi.nu.atoms) ** pi.p
+    if not certify_support(pi.left, pi.right, cost_matrix):
+        reference = solve_ot(pi.mu, pi.nu, pi.p)
+        if abs(pi.cost - reference.cost) > OPTIMALITY_RTOL * max(1.0, reference.cost):
+            raise NonOptimalCouplingError(
+                f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
+            )
     return _lift_entries(pi)
 
 

@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import wassray as w
+from wassray import ot
 
 settings.register_profile(
     "solver",
@@ -55,3 +56,17 @@ def uniform_pairs(draw, max_atoms=5, max_dim=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """Shapes of the cost matrices solve_ot hands to the LP, one per LP solve."""
+    shapes = []
+    solve_lp = ot._solve_lp
+
+    def spy(a, b, cost_matrix):
+        shapes.append(cost_matrix.shape)
+        return solve_lp(a, b, cost_matrix)
+
+    monkeypatch.setattr(ot, "_solve_lp", spy)
+    return shapes

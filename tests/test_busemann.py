@@ -108,3 +108,19 @@ def test_lipschitz_random_pairs(line_ray, rng):
     for _ in range(20):
         report = w.lipschitz_check(line_ray, random_measure(rng), random_measure(rng))
         assert report.passed
+
+
+def test_doubling_reuses_certified_plans(lp_shapes):
+    # weighted multi-atom translation ray: every solve of the schedule takes
+    # the LP branch, but once the plan settles its certificate holds at each
+    # later time, so nearly all of the 21 solves skip the LP
+    rng = np.random.default_rng(7)
+    mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    nu = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
+    ray = w.make_translation_ray(mu0, (1.0, 0.0))
+    est = w.busemann_value(ray, nu)
+    assert est.converged and len(est.schedule) == 20
+    assert len(lp_shapes) <= 3
+    # p = 2 closed form for a translation ray: <mean(mu0) - mean(nu), v>
+    closed = float((mu0.weights @ mu0.atoms - nu.weights @ nu.atoms)[0])
+    assert est.value == pytest.approx(closed, abs=1e-4)

@@ -102,6 +102,28 @@ def test_perturbed_starts_accepted(line_ray):
         w.construct_coray(line_ray, nu0, schedule=schedule, starts=starts[:3])
 
 
+def test_start_offsets_match_each_start(line_ray):
+    starts = [w.dirac((0.0, 1.0 + 0.5**n)) for n in range(1, 5)]
+    schedule = (2.0, 4.0, 8.0, 16.0)
+    result = w.construct_coray(line_ray, starts[0], schedule=schedule, starts=starts)
+    origin = w.ray_section(line_ray, 0.0)
+    assert result.start_offsets == tuple(
+        w.wasserstein_distance(start, origin, 2.0) for start in starts
+    )
+
+
+def test_construction_reuses_certified_plans(lp_shapes):
+    # 16 steps of weighted measures: 16 target solves, one start offset,
+    # and 75 section movements, most of them certified from the previous
+    # step's plan at the same test time; lifts certify without a solve
+    rng = np.random.default_rng(7)
+    mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
+    result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
+    assert result.converged
+    assert len(lp_shapes) <= 80
+
+
 def test_gradient_along_the_ray_itself(line_ray):
     report = w.coray_gradient_check(line_ray, line_ray, times=(0.0, 3.0))
     assert report.passed

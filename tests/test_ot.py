@@ -11,10 +11,11 @@ from wassray.errors import (
     DimensionMismatchError,
     EmptyMeasureError,
     InvalidExponentError,
+    TransportSolveError,
 )
 from wassray.ot import BRUTE_FORCE_MAX_ATOMS, Coupling, _solve_lp, pairwise_distances
 
-from conftest import random_uniform_pair, uniform_pairs
+from conftest import coords, random_uniform_pair, uniform_pairs
 
 
 def two_atom_instance():
@@ -239,19 +240,6 @@ def test_assignment_agrees_with_lp_and_exhaustive_oracle(pair, p):
     assert fast.cost == pytest.approx(slow.cost, rel=1e-8, abs=1e-12)
 
 
-@pytest.fixture
-def lp_shapes(monkeypatch):
-    """Shapes of the cost matrices solve_ot hands to the LP."""
-    shapes = []
-
-    def spy(a, b, cost_matrix):
-        shapes.append(cost_matrix.shape)
-        return _solve_lp(a, b, cost_matrix)
-
-    monkeypatch.setattr(ot, "_solve_lp", spy)
-    return shapes
-
-
 def test_uniform_square_takes_assignment(lp_shapes):
     rng = np.random.default_rng(3)
     mu, nu = random_uniform_pair(rng, 6, 2)
@@ -288,3 +276,117 @@ def test_other_instances_take_lp(lp_shapes, build):
     lp_shapes.clear()
     w.solve_ot(mu, nu, 2.0)
     assert lp_shapes == [(len(mu), len(nu))]
+
+
+def lp_cost(mu, nu, p):
+    """Optimal cost from the LP called directly, bypassing every fast path."""
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
+    plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
+    return float(np.sum(plan * cost_matrix)) ** (1.0 / p)
+
+
+@st.composite
+def weighted_schedule_steps(draw, max_atoms=4, dim=2):
+    """A weighted pair (mu, nu) and nu's atoms moved by a drawn displacement."""
+
+    def points(n, values=coords):
+        return np.asarray(
+            draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=n, max_size=n))
+        )
+
+    def weighted(n):
+        weights = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        return points(n), weights / weights.sum()
+
+    mu = w.DiscreteMeasure(*weighted(draw(st.integers(2, max_atoms))))
+    atoms, weights = weighted(draw(st.integers(2, max_atoms)))
+    scale = draw(st.sampled_from((0.0, 1e-3, 1.0, 1e3)))
+    moved = atoms + scale * points(len(atoms), st.floats(-1.0, 1.0))
+    return mu, w.DiscreteMeasure(atoms, weights), w.DiscreteMeasure(moved, weights)
+
+
+@given(step=weighted_schedule_steps(), p=st.sampled_from((1.5, 2.0, 3.0)))
+def test_warm_solve_matches_cold_lp(step, p):
+    # the previous plan is reused only when certified on the new costs, so
+    # the result is optimal whether or not the certificate held
+    mu, nu, moved = step
+    warm = w.solve_ot(mu, nu, p)
+    plan = w.solve_ot(mu, moved, p, warm=warm)
+    assert plan.cost == pytest.approx(lp_cost(mu, moved, p), rel=1e-8, abs=1e-12)
+
+
+def weighted_pair():
+    mu = w.DiscreteMeasure([[0.0], [1.0]], [0.4, 0.6])
+    nu = w.DiscreteMeasure([[2.0], [3.0]], [0.4, 0.6])
+    return mu, nu
+
+
+def test_certificate_accepts_optimal_and_rejects_crossing_support():
+    mu, nu = weighted_pair()
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** 2.0
+    assert ot.certify_support([0, 1], [0, 1], cost_matrix)
+    assert not ot.certify_support([0, 1, 1], [1, 0, 1], cost_matrix)
+
+
+def test_certificate_handles_forest_supports():
+    # assignment plans have n entries, not 2n - 1: a forest of n components
+    rng = np.random.default_rng(4)
+    mu, nu = random_uniform_pair(rng, 6, 2)
+    plan = w.solve_ot(mu, nu, 2.0)
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** 2.0
+    assert len(plan.left) == 6
+    assert ot.certify_support(plan.left, plan.right, cost_matrix)
+    swapped = plan.right.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    assert not ot.certify_support(plan.left, swapped, cost_matrix)
+
+
+def test_warm_crossing_plan_is_rejected(lp_shapes):
+    mu, nu = weighted_pair()
+    cost = (0.4 * 9.0 + 0.4 * 1.0 + 0.2 * 4.0) ** 0.5
+    crossing = Coupling(mu, nu, [0, 1, 1], [1, 0, 1], [0.4, 0.4, 0.2], 2.0, cost)
+    plan = w.solve_ot(mu, nu, 2.0, warm=crossing)
+    assert lp_shapes == [(2, 2)]
+    assert plan.cost == pytest.approx(2.0, abs=1e-12)
+    assert list(zip(plan.left, plan.right)) == [(0, 0), (1, 1)]
+
+
+def test_certified_warm_plan_skips_lp(lp_shapes):
+    mu, nu = weighted_pair()
+    warm = w.solve_ot(mu, nu, 2.0)
+    moved = w.DiscreteMeasure(nu.atoms + 0.5, nu.weights)
+    lp_shapes.clear()
+    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
+    assert lp_shapes == []
+    assert plan.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        w.DiscreteMeasure([[2.0], [3.0], [4.0]], [0.4, 0.3, 0.3]),  # wrong size
+        w.DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5]),  # other weights
+    ],
+)
+def test_mismatched_warm_plan_is_ignored(lp_shapes, other):
+    mu, nu = weighted_pair()
+    warm = w.solve_ot(mu, other, 2.0)
+    lp_shapes.clear()
+    plan = w.solve_ot(mu, nu, 2.0, warm=warm)
+    assert lp_shapes == [(2, 2)]
+    assert plan.cost == pytest.approx(2.0, abs=1e-12)
+
+
+def test_solver_failure_raises_typed_error():
+    # at p = 8 a section 1024 units out gives costs near 1.2e24, which
+    # HiGHS cannot solve; the error names the status and the cost range
+    mu0 = w.DiscreteMeasure(
+        [[0.1, -0.54], [0.36, 1.3], [0.95, -0.7]], [0.591, 0.296, 0.113]
+    )
+    nu = w.DiscreteMeasure(
+        [[-0.22, -1.25], [-0.73, -0.54], [-0.32, 0.41], [1.04, -0.13]],
+        [0.344, 0.304, 0.034, 0.318],
+    )
+    far = w.ray_section(w.make_translation_ray(mu0, [1, 0], p=8), 2**10)
+    with pytest.raises(TransportSolveError, match=r"HiGHS status \d+.*cost range \[1\.2"):
+        w.solve_ot(nu, far, 8)

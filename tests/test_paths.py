@@ -51,6 +51,17 @@ def test_lift_rejects_non_optimal_coupling():
         w.lift_geodesic(crossing_coupling())
 
 
+def test_lift_certifies_solver_plan_without_resolving(lp_shapes):
+    rng = np.random.default_rng(2)
+    mu = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    nu = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
+    plan = w.solve_ot(mu, nu, 2.0)
+    assert lp_shapes == [(4, 3)]
+    lift = w.lift_geodesic(plan)
+    assert lp_shapes == [(4, 3)]
+    assert lift.length == plan.cost
+
+
 def test_section_endpoints_reproduce_marginals():
     plan = two_atom_plan()
     lift = w.lift_geodesic(plan)
