@@ -32,6 +32,14 @@ def random_uniform_pair(rng, n, d):
     )
 
 
+def weighted_translation_setup():
+    """Weighted multi-atom mu0 and nu in the square [-1, 1]^2, and a unit v."""
+    rng = np.random.default_rng(11)
+    mu0 = w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    nu = w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(5, 2)), [0.3, 0.1, 0.25, 0.15, 0.2])
+    return mu0, nu, np.array([0.6, 0.8])
+
+
 @st.composite
 def small_measures(draw, max_atoms=4, dim=2):
     n = draw(st.integers(1, max_atoms))

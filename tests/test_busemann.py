@@ -4,7 +4,7 @@ import pytest
 import wassray as w
 from wassray.errors import UnitSpeedError
 
-from conftest import random_measure
+from conftest import random_measure, weighted_translation_setup
 
 
 @pytest.fixture
@@ -123,4 +123,16 @@ def test_doubling_reuses_certified_plans(lp_shapes):
     assert len(lp_shapes) <= 3
     # p = 2 closed form for a translation ray: <mean(mu0) - mean(nu), v>
     closed = float((mu0.weights @ mu0.atoms - nu.weights @ nu.atoms)[0])
+    assert est.value == pytest.approx(closed, abs=1e-4)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 8.0, 16.0])
+def test_high_order_translation_ray_matches_closed_form(p):
+    # far sections give costs far beyond 1e15, where HiGHS stops with
+    # status 4; b(nu) = <mean(mu0) - mean(nu), v> for a translation ray at
+    # every p
+    mu0, nu, v = weighted_translation_setup()
+    est = w.busemann_value(w.make_translation_ray(mu0, v, p=p), nu)
+    closed = float((mu0.weights @ mu0.atoms - nu.weights @ nu.atoms) @ v)
+    assert est.converged
     assert est.value == pytest.approx(closed, abs=1e-4)

@@ -4,7 +4,7 @@ import pytest
 import wassray as w
 from wassray.errors import UnitSpeedError
 
-from conftest import random_measure
+from conftest import random_measure, weighted_translation_setup
 
 LONG_SCHEDULE = tuple(2.0**n for n in range(1, 21))
 
@@ -115,13 +115,40 @@ def test_start_offsets_match_each_start(line_ray):
 def test_construction_reuses_certified_plans(lp_shapes):
     # 16 steps of weighted measures: 16 target solves, one start offset,
     # and 75 section movements, most of them certified from the previous
-    # step's plan at the same test time; lifts certify without a solve
+    # step's plan at the same test time, whose masses are rebuilt when the
+    # section weights differ by rounding; lifts certify without a solve
     rng = np.random.default_rng(7)
     mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
     assert result.converged
-    assert len(lp_shapes) <= 80
+    assert len(lp_shapes) <= 30
+
+
+def translated_start_gap(ray, nu0, v, times=(0.0, 1.0, 2.0, 4.0)):
+    """Bound on W_p between the ray's sections and nu0 + t v.
+
+    Each ray entry is paired with the nu0 atom nearest its origin; when the
+    pairs carry nu0's weights, the largest pair distance bounds W_p.
+    """
+    offsets = np.linalg.norm(ray.origins[:, None, :] - nu0.atoms[None, :, :], axis=2)
+    match = np.argmin(offsets, axis=1)
+    pooled = np.bincount(match, weights=ray.weights, minlength=len(nu0))
+    assert np.max(np.abs(pooled - nu0.weights)) <= 1e-9
+    drift = np.linalg.norm(ray.velocities - v, axis=1)
+    start = offsets[np.arange(len(match)), match]
+    return max(float(np.max(start + t * drift)) for t in times)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_high_order_translation_coray(p):
+    # the co-ray from nu0 toward a translation ray is nu0 translated along
+    # the ray; at p >= 3 the target sections' costs pass 1e15
+    mu0, nu0, v = weighted_translation_setup()
+    result = w.construct_coray(w.make_translation_ray(mu0, v, p=p), nu0, schedule=LONG_SCHEDULE)
+    assert result.converged
+    assert result.ray.p == p
+    assert translated_start_gap(result.ray, nu0, v) <= 1e-3
 
 
 def test_gradient_along_the_ray_itself(line_ray):

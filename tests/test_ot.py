@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, linprog
 
 import wassray as w
 from wassray import ot
@@ -229,11 +230,11 @@ def test_unit_interval_high_order_matches_sorted_plan():
 )
 def test_assignment_agrees_with_lp_and_exhaustive_oracle(pair, p):
     # uniform pairs in a box of side 10: solve_ot takes the assignment path,
-    # and the LP, called directly, stays checked against the oracle
+    # and HiGHS, called directly, stays checked against the oracle
     mu, nu = pair
     fast = w.solve_ot(mu, nu, p)
     cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
+    plan = highs_plan(mu.weights, nu.weights, cost_matrix)
     lp_cost = float(np.sum(plan * cost_matrix)) ** (1.0 / p)
     slow = w.brute_force_ot(mu, nu, p)
     assert fast.cost == pytest.approx(lp_cost, rel=1e-8, abs=1e-12)
@@ -278,10 +279,25 @@ def test_other_instances_take_lp(lp_shapes, build):
     assert lp_shapes == [(len(mu), len(nu))]
 
 
+def highs_plan(a, b, cost_matrix):
+    """Transport plan from HiGHS through linprog, with dense constraints."""
+    m, n = cost_matrix.shape
+    rows = np.kron(np.eye(m), np.ones(n))
+    cols = np.kron(np.ones(m), np.eye(n))
+    res = linprog(
+        cost_matrix.ravel(),
+        A_eq=np.vstack([rows, cols[:-1]]),
+        b_eq=np.concatenate([a, b[:-1]]),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.x.reshape(m, n)
+
+
 def lp_cost(mu, nu, p):
-    """Optimal cost from the LP called directly, bypassing every fast path."""
+    """Optimal cost from HiGHS called directly, bypassing every solve_ot path."""
     cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
+    plan = highs_plan(mu.weights, nu.weights, cost_matrix)
     return float(np.sum(plan * cost_matrix)) ** (1.0 / p)
 
 
@@ -377,9 +393,9 @@ def test_mismatched_warm_plan_is_ignored(lp_shapes, other):
     assert plan.cost == pytest.approx(2.0, abs=1e-12)
 
 
-def test_solver_failure_raises_typed_error():
-    # at p = 8 a section 1024 units out gives costs near 1.2e24, which
-    # HiGHS cannot solve; the error names the status and the cost range
+def far_section_instance():
+    # at p = 8 a section 1024 units out gives costs near 1.2e24, which HiGHS
+    # cannot solve (status 4)
     mu0 = w.DiscreteMeasure(
         [[0.1, -0.54], [0.36, 1.3], [0.95, -0.7]], [0.591, 0.296, 0.113]
     )
@@ -387,6 +403,160 @@ def test_solver_failure_raises_typed_error():
         [[-0.22, -1.25], [-0.73, -0.54], [-0.32, 0.41], [1.04, -0.13]],
         [0.344, 0.304, 0.034, 0.318],
     )
-    far = w.ray_section(w.make_translation_ray(mu0, [1, 0], p=8), 2**10)
-    with pytest.raises(TransportSolveError, match=r"HiGHS status \d+.*cost range \[1\.2"):
-        w.solve_ot(nu, far, 8)
+    return nu, w.ray_section(w.make_translation_ray(mu0, [1, 0], p=8), 2**10)
+
+
+@pytest.fixture
+def linprog_calls(monkeypatch):
+    """Results of every linprog call the solver makes."""
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(linprog(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(ot, "linprog", spy)
+    return results
+
+
+def test_far_section_high_order_solves_certified(linprog_calls):
+    nu, far = far_section_instance()
+    plan = w.solve_ot(nu, far, 8)
+    cost_matrix = pairwise_distances(nu.atoms, far.atoms) ** 8
+    assert cost_matrix.max() > 1e24
+    assert linprog_calls == []
+    assert ot.certify_support(plan.left, plan.right, cost_matrix)
+    # every atom moves about 1024 to the right, so W_8 is close to that
+    assert 1020.0 < plan.cost < 1028.0
+
+
+def weighted_instance(rng, m, n, d=2):
+    a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+    cost_matrix = pairwise_distances(rng.normal(size=(m, d)), rng.normal(size=(n, d))) ** 2
+    return a / a.sum(), b / b.sum(), cost_matrix
+
+
+def test_solver_failure_raises_typed_error(monkeypatch):
+    # an instance the simplex gives up on goes to HiGHS; a failed solve
+    # there raises an error naming the status and the cost range
+    a, b, cost_matrix = weighted_instance(np.random.default_rng(0), 6, 5)
+    monkeypatch.setattr(ot, "SIMPLEX_PIVOTS_PER_NODE", 0)
+    failed = OptimizeResult(status=4, message="HiGHS Status 4: Solve error", x=None)
+    monkeypatch.setattr(ot, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(TransportSolveError, match=r"HiGHS status 4.*cost range \[\d"):
+        _solve_lp(a, b, cost_matrix)
+
+
+@st.composite
+def transport_instances(draw, max_atoms=7):
+    """Weighted marginals and a cost matrix, often degenerate.
+
+    Kinds: atoms anywhere in the box; atoms on an integer grid, so costs
+    tie; some target atoms on source atoms, so costs vanish; and uniform
+    marginals of unequal sizes, whose plans split mass.
+    """
+    kind = draw(st.sampled_from(("box", "grid", "coincident", "uniform")))
+    m, n = draw(st.integers(2, max_atoms)), draw(st.integers(2, max_atoms))
+    d = draw(st.integers(1, 3))
+    values = st.integers(-2, 2).map(float) if kind == "grid" else coords
+
+    def points(k):
+        return np.asarray(
+            draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=k, max_size=k))
+        )
+
+    def weights(k):
+        if kind == "uniform":
+            return np.full(k, 1.0 / k)
+        raw = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+        return raw / raw.sum()
+
+    xs, ys = points(m), points(n)
+    if kind == "coincident":
+        shared = draw(st.integers(1, min(m, n)))
+        ys[:shared] = xs[:shared]
+    p = draw(st.sampled_from((1.5, 2.0, 3.0, 8.0)))
+    return weights(m), weights(n), pairwise_distances(xs, ys) ** p
+
+
+@settings(max_examples=100)
+@given(instance=transport_instances())
+def test_simplex_matches_highs(instance):
+    a, b, cost_matrix = instance
+    m, n = cost_matrix.shape
+    plan = ot._transport_simplex(a, b, cost_matrix)
+    assert plan is not None and plan.min() >= 0.0
+    assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-12
+    assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-12
+    left, right = np.nonzero(plan)
+    assert ot.certify_support(left, right, cost_matrix)
+    reference = float(np.sum(highs_plan(a, b, cost_matrix) * cost_matrix))
+    total = float(np.sum(plan * cost_matrix))
+    # certified to 8 (m + n) eps max|C|; HiGHS is within its own 1e-7
+    assert total <= reference + 8 * (m + n) * np.finfo(float).eps * cost_matrix.max()
+    assert total == pytest.approx(reference, rel=1e-8, abs=1e-7)
+
+
+@given(pair=uniform_pairs(max_atoms=BRUTE_FORCE_MAX_ATOMS), p=st.sampled_from((1.5, 2.0, 3.0)))
+def test_simplex_matches_exhaustive_oracle(pair, p):
+    mu, nu = pair
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
+    plan = ot._transport_simplex(mu.weights, nu.weights, cost_matrix)
+    cost = float(np.sum(plan * cost_matrix)) ** (1.0 / p)
+    assert cost == pytest.approx(w.brute_force_ot(mu, nu, p).cost, rel=1e-8, abs=1e-12)
+
+
+def test_simplex_is_deterministic():
+    a, b, cost_matrix = weighted_instance(np.random.default_rng(2), 9, 7)
+    first = ot._transport_simplex(a, b, cost_matrix)
+    assert np.array_equal(first, ot._transport_simplex(a, b, cost_matrix))
+
+
+def test_pivot_capped_simplex_falls_back_to_highs(monkeypatch, linprog_calls):
+    a, b, cost_matrix = weighted_instance(np.random.default_rng(3), 6, 5)
+    assert ot._transport_simplex(a, b, cost_matrix) is not None
+    monkeypatch.setattr(ot, "SIMPLEX_PIVOTS_PER_NODE", 0)
+    assert ot._transport_simplex(a, b, cost_matrix) is None
+    plan = _solve_lp(a, b, cost_matrix)
+    assert len(linprog_calls) == 1
+    total = float(np.sum(plan * cost_matrix))
+    assert total == pytest.approx(float(np.sum(highs_plan(a, b, cost_matrix) * cost_matrix)))
+
+
+def test_solved_simplex_skips_highs(linprog_calls):
+    a, b, cost_matrix = weighted_instance(np.random.default_rng(1), 40, 40)
+    _solve_lp(a, b, cost_matrix)
+    assert linprog_calls == []
+
+
+@pytest.mark.parametrize("drift", [2e-16, 3e-10])
+def test_warm_plan_takes_masses_from_rounded_weights(lp_shapes, drift):
+    # consecutive sections carry weights that differ by rounding: the warm
+    # support (a spanning tree here) is kept, with masses rebuilt to
+    # reproduce the new marginals
+    mu = w.DiscreteMeasure([[0.0], [1.0]], [0.4, 0.6])
+    warm = w.solve_ot(mu, w.DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5]), 2.0)
+    assert len(warm.masses) == 3
+    moved = w.DiscreteMeasure([[2.5], [3.5]], [0.5 + drift, 0.5 - drift])
+    lp_shapes.clear()
+    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
+    assert lp_shapes == []
+    assert np.array_equal(plan.left, warm.left) and np.array_equal(plan.right, warm.right)
+    rows = np.bincount(plan.left, weights=plan.masses, minlength=2)
+    columns = np.bincount(plan.right, weights=plan.masses, minlength=2)
+    assert np.max(np.abs(rows - mu.weights)) <= 1e-15
+    assert np.max(np.abs(columns - moved.weights)) <= 1e-15
+    assert plan.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
+
+
+def test_peeling_rejects_cycles_and_reports_imbalance():
+    a, b = np.array([0.5, 0.5]), np.array([0.5, 0.5])
+    masses, residual = ot._peel_masses(a, b, [0, 0, 1, 1], [0, 1, 0, 1])
+    assert masses is None
+    masses, residual = ot._peel_masses(a, np.array([0.3, 0.7]), [0, 1], [0, 1])
+    assert residual == pytest.approx(0.2)
+    masses, residual = ot._peel_masses(a, np.array([0.7, 0.3]), [0, 1, 1], [0, 0, 1])
+    assert residual <= 1e-15 and np.allclose(masses, [0.5, 0.2, 0.3])
+    # the same support cannot carry (0.3, 0.7): one mass comes out negative
+    masses, residual = ot._peel_masses(a, np.array([0.3, 0.7]), [0, 1, 1], [0, 0, 1])
+    assert residual <= 1e-15 and masses.min() < 0.0
