@@ -24,12 +24,10 @@ def describe(name, mu, nu0, schedule):
     print(f"--- {name} ---")
     print(f"{'t_n':>10} {'L_n':>14} {'|L/t - 1|':>12} {'offset/t':>12} {'movement':>12}")
     gaps = (float("nan"),) + result.diagnostics
-    for t_n, length, offset, gap in zip(
-        result.schedule, result.lengths, result.start_offsets, gaps
-    ):
+    for t_n, length, gap in zip(result.schedule, result.lengths, gaps):
         print(
             f"{t_n:>10.0f} {length:>14.6f} {abs(length / t_n - 1.0):>12.3e} "
-            f"{offset / t_n:>12.3e} {gap:>12.3e}"
+            f"{result.start_offset / t_n:>12.3e} {gap:>12.3e}"
         )
     print(f"converged: {result.converged}, candidate speed: {result.ray.speed:.12f}")
     gradient = w.coray_gradient_check(mu, result.ray)

@@ -30,7 +30,6 @@ from .errors import (
     TransportSolveError,
     UnitSpeedError,
 )
-from .euclidean import AmbientRay, distance, interpolate, polyline_length, ray_point
 from .io import read_measure, read_ray, write_measure, write_ray
 from .measures import DiscreteMeasure, dirac, merge_atoms, same_measure, uniform_measure
 from .ot import (
@@ -58,7 +57,6 @@ from .paths import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientRay",
     "BusemannEstimate",
     "CorayResult",
     "Coupling",
@@ -87,16 +85,12 @@ __all__ = [
     "construct_coray",
     "coray_gradient_check",
     "dirac",
-    "distance",
     "glue",
-    "interpolate",
     "lift_geodesic",
     "lipschitz_check",
     "make_dirac_ray",
     "make_translation_ray",
     "merge_atoms",
-    "polyline_length",
-    "ray_point",
     "ray_section",
     "read_measure",
     "read_ray",

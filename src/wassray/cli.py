@@ -66,11 +66,7 @@ def _time_pairs(text: str):
 def _cmd_dist(args) -> int:
     mu = read_measure(args.mu)
     nu = read_measure(args.nu)
-    plan = solve_ot(mu, nu, args.p)
-    print(_fmt(plan.cost))
-    if args.coupling:
-        for i, j, m in zip(plan.left, plan.right, plan.masses):
-            print(f"{i} {j} {_fmt(m)}")
+    print(_fmt(solve_ot(mu, nu, args.p).cost))
     return EXIT_OK
 
 
@@ -207,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dist", help="transport distance between two measure files")
     sp.add_argument("mu")
     sp.add_argument("nu")
-    sp.add_argument("--coupling", action="store_true", help="also print plan entries")
     sp.set_defaults(func=_cmd_dist)
 
     sp = sub.add_parser("couple", help="optimal coupling between two measure files")

@@ -49,8 +49,8 @@ DEFAULT_CHECK_TIMES = (0.0, 1.0, 2.0, 4.0)
 class CorayResult:
     """Outcome of the co-ray limit construction.
 
-    ``lengths`` holds the transport distance from each start measure to
-    its target section, ``start_offsets`` the distance from each start to
+    ``lengths`` holds the transport distance from the start measure to
+    each target section, ``start_offset`` the distance from the start to
     the ray's origin section (together they bound |length/t - 1|), and
     ``diagnostics`` the largest section movement between consecutive
     steps. ``converged`` distinguishes a stalled section family from an
@@ -61,7 +61,7 @@ class CorayResult:
     ray: RayMeasure
     schedule: tuple[float, ...]
     lengths: tuple[float, ...]
-    start_offsets: tuple[float, ...]
+    start_offset: float
     diagnostics: tuple[float, ...]
     converged: bool
 
@@ -72,15 +72,12 @@ def construct_coray(
     schedule=None,
     test_times=None,
     tol: float = DEFAULT_TOL,
-    starts=None,
 ) -> CorayResult:
     """Build the co-ray from ``nu0`` to the unit-speed ray ``mu``.
 
     ``schedule`` is the strictly increasing sequence of target times
     (default 2, 4, ..., 65536); ``test_times`` the evaluation times used
-    for the convergence diagnostics. ``starts`` optionally perturbs the
-    start measure per step for experiments with moving initial data; by
-    default every step starts from ``nu0``.
+    for the convergence diagnostics.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -95,26 +92,15 @@ def construct_coray(
         raise ValueError("the target schedule must be positive and strictly increasing")
     if not test_times or any(t < 0.0 for t in test_times):
         raise ValueError("test times must be nonnegative and nonempty")
-    if starts is None:
-        starts = [nu0] * len(schedule)
-    else:
-        starts = list(starts)
-        if len(starts) != len(schedule):
-            raise ValueError("need one start measure per schedule entry")
-    origin_section = ray_section(mu, 0.0)
-    offset_of: dict[int, float] = {}  # one solve per distinct start object
+    start_offset = wasserstein_distance(nu0, ray_section(mu, 0.0), mu.p)
     lengths = []
-    offsets = []
     diagnostics = []
     previous_sections = None
     movement_plans = [None] * len(test_times)
     final_coupling = None
-    for t_n, start in zip(schedule, starts):
-        coupling = solve_ot(start, ray_section(mu, t_n), mu.p)
+    for t_n in schedule:
+        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p)
         lengths.append(coupling.cost)
-        if id(start) not in offset_of:
-            offset_of[id(start)] = wasserstein_distance(start, origin_section, mu.p)
-        offsets.append(offset_of[id(start)])
         lift = lift_geodesic(coupling)
         sections = [section(lift, tau) for tau in test_times]
         if previous_sections is not None:
@@ -137,7 +123,7 @@ def construct_coray(
         ray=candidate,
         schedule=schedule,
         lengths=tuple(lengths),
-        start_offsets=tuple(offsets),
+        start_offset=start_offset,
         diagnostics=tuple(diagnostics),
         converged=diagnostics[-1] < tol,
     )

@@ -1,4 +1,4 @@
-"""Seeded verification suites behind the ``verify`` CLI subcommand.
+"""Seeded verification suites: the one implementation of every acceptance check.
 
 Each check exercises one property the library promises: solver exactness
 against the exhaustive oracle, metric axioms, the tail-mass bound, ray
@@ -7,6 +7,11 @@ closed forms of the Busemann function, and the co-ray construction with
 its gradient, subray, subadditivity, and viscosity checks. Checks are
 pure functions of the seed, and reports are formatted with fixed float
 precision, so one seed always produces one byte-identical report.
+
+The ``verify`` CLI subcommand prints these reports, and
+``tests/test_acceptance.py`` runs the same suites under pytest at more
+seeds, with wall-time bounds and a pin of the ``all`` report's bytes.
+Each bound lives here only.
 """
 
 from __future__ import annotations
@@ -251,7 +256,6 @@ def ray_checks(seed: int) -> list[CheckResult]:
         )
     )
 
-    glue_ok = True
     worst_glue = 0.0
     for _ in range(5):
         mu = _random_measure(rng, max_atoms=3)
@@ -264,11 +268,10 @@ def ray_checks(seed: int) -> list[CheckResult]:
         for i, _, m in joint:
             seg_mass[i] += m
         worst_glue = max(worst_glue, float(np.max(np.abs(seg_mass - alpha.weights))))
-        glue_ok = glue_ok and worst_glue <= 1e-9
     results.append(
         CheckResult(
             "glued joints project back onto the lift weights",
-            glue_ok,
+            worst_glue <= 1e-9,
             f"max projection residual {worst_glue:.6e} (limit 1e-09)",
         )
     )
@@ -420,33 +423,29 @@ def coray_checks(seed: int) -> list[CheckResult]:
         )
     )
 
-    ratio_ok = True
     worst_ratio = 0.0
     for result in (collinear, parallel, built):
-        for t_n, length, offset in zip(
-            result.schedule, result.lengths, result.start_offsets
-        ):
-            excess = abs(length / t_n - 1.0) - (offset / t_n + 1e-9)
+        for t_n, length in zip(result.schedule, result.lengths):
+            excess = abs(length / t_n - 1.0) - (result.start_offset / t_n + 1e-9)
             worst_ratio = max(worst_ratio, excess)
-            ratio_ok = ratio_ok and excess <= 0.0
     results.append(
         CheckResult(
             "geodesic lengths track target times within the start offset",
-            ratio_ok,
+            worst_ratio <= 0.0,
             f"max bound excess {worst_ratio:.6e} over all construction steps",
         )
     )
 
-    gradient_ok = True
-    worst_gradient = 0.0
-    for mu, result in ((mu_line, parallel), (mu_translation, built)):
-        report = coray_gradient_check(mu, result.ray)
-        gradient_ok = gradient_ok and report.passed
-        worst_gradient = max(worst_gradient, max(report.residuals))
+    # stricter than coray_gradient_check: no truncation slack on top of 1e-3;
+    # the detail's "plus slack" wording is part of the pinned report bytes
+    worst_gradient = max(
+        max(coray_gradient_check(mu, result.ray).residuals)
+        for mu, result in ((mu_line, parallel), (mu_translation, built))
+    )
     results.append(
         CheckResult(
             "Busemann values fall at unit rate along constructed co-rays",
-            gradient_ok,
+            worst_gradient <= 1e-3,
             f"max gradient residual {worst_gradient:.6e} (limit 1e-03 plus slack)",
         )
     )
@@ -488,7 +487,7 @@ def coray_checks(seed: int) -> list[CheckResult]:
     results.append(
         CheckResult(
             "value solves the metric eikonal fixed point",
-            report.passed,
+            report.passed and report.equality_residual <= 1e-3,
             f"min probe margin {report.min_margin:.6e}, equality residual "
             f"{report.equality_residual:.6e}",
         )

@@ -13,6 +13,7 @@ def files(tmp_path):
     specs = {
         "a": w.dirac((0.0, 0.0)),
         "b": w.dirac((3.0, 4.0)),
+        "c": w.dirac((1.0, 1.0)),
         "mu": w.uniform_measure([[0.0], [1.0]]),
         "nu": w.uniform_measure([[2.0], [3.0]]),
     }
@@ -43,10 +44,9 @@ def test_dist_two_atom_instance(files, capsys):
 
 
 def test_dist_twelve_significant_digits(files, capsys):
-    main(["dist", files["a"], files["b"], "--coupling"])
+    assert main(["couple", files["a"], files["c"]]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "5"
-    assert out[1].split() == ["0", "0", "1"]
+    assert out == ["cost 1.41421356237", "entries 1", "0 0 1"]
 
 
 def test_couple_prints_plan(files, capsys):

@@ -16,7 +16,7 @@ from wassray.errors import (
 )
 from wassray.ot import BRUTE_FORCE_MAX_ATOMS, Coupling, _solve_lp, pairwise_distances
 
-from conftest import coords, random_uniform_pair, uniform_pairs
+from conftest import coords, random_uniform_pair, small_measures, uniform_pairs
 
 
 def two_atom_instance():
@@ -189,7 +189,10 @@ def test_triangle_inequality(pair, extra):
     assert w_ml <= w_mn + w_nl + 1e-7
 
 
-@given(pair=uniform_pairs(max_atoms=4))
+@settings(max_examples=50)  # about 25 uniform and 25 weighted pairs
+@given(
+    pair=st.one_of(uniform_pairs(max_atoms=4), st.tuples(small_measures(), small_measures()))
+)
 def test_tail_bound_property(pair):
     mu, nu = pair
     plan = w.solve_ot(mu, nu, 2.0)
