@@ -1,4 +1,10 @@
-"""Finitely supported probability measures on R^d."""
+"""Finitely supported probability measures on R^d.
+
+Validation sits at one boundary: the public ``DiscreteMeasure``
+constructor converts and copies its input, and the sections and
+pushforwards the library builds itself skip only that conversion; both
+run the same checks, from one helper.
+"""
 
 from __future__ import annotations
 
@@ -39,6 +45,11 @@ class DiscreteMeasure:
     construction; negative weights or a weight sum off by more than 1e-12
     are rejected. Coincident atoms are kept as given: merging by position
     is the job of the pushforward helpers, not of the container.
+
+    The constructor converts and copies its input, then runs every check
+    (shape, finite atoms and weights, nonnegative weights, weight sum) in
+    ``_checked_measure``. Sections and pushforwards built by the library
+    run the same checks without the conversion.
     """
 
     atoms: np.ndarray
@@ -48,36 +59,7 @@ class DiscreteMeasure:
         atoms = np.array(self.atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms.reshape(-1, 1)  # flat input means atoms on the real line
-        if atoms.ndim != 2:
-            raise ValueError(f"atoms must form an (n, d) array, got shape {atoms.shape}")
-        if atoms.shape[0] == 0:
-            raise EmptyMeasureError("a discrete measure needs at least one atom")
-        if atoms.shape[1] == 0:
-            raise ValueError("ambient dimension must be at least 1")
-        weights = np.atleast_1d(np.array(self.weights, dtype=float))
-        if weights.shape != (atoms.shape[0],):
-            raise ValueError(
-                f"got {atoms.shape[0]} atoms but weight array of shape {weights.shape}"
-            )
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atom coordinates must be finite")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        keep = weights > 0.0
-        if not np.all(keep):
-            atoms = atoms[keep]
-            weights = weights[keep]
-        if atoms.shape[0] == 0:
-            raise EmptyMeasureError("every atom has zero mass")
-        total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        _checked_measure(atoms, np.atleast_1d(np.array(self.weights, dtype=float)), self)
 
     @property
     def dim(self) -> int:
@@ -94,6 +76,51 @@ class DiscreteMeasure:
                 f"translation vector has dimension {v.size}, measure has {self.dim}"
             )
         return DiscreteMeasure(self.atoms + v, self.weights)
+
+
+def _checked_measure(atoms: np.ndarray, weights: np.ndarray, measure=None) -> DiscreteMeasure:
+    """Run every ``DiscreteMeasure`` check on float64 arrays and freeze them into a measure.
+
+    The one implementation of the measure checks. The public constructor
+    converts and copies its input, then calls this with itself as
+    ``measure``; the library calls it directly, with no ``measure``, on
+    arrays it has just built (sections, pushforwards), so those skip only
+    the conversion and the copy. The arrays are made read-only in place.
+    """
+    if atoms.ndim != 2:
+        raise ValueError(f"atoms must form an (n, d) array, got shape {atoms.shape}")
+    if atoms.shape[0] == 0:
+        raise EmptyMeasureError("a discrete measure needs at least one atom")
+    if atoms.shape[1] == 0:
+        raise ValueError("ambient dimension must be at least 1")
+    if weights.shape != (atoms.shape[0],):
+        raise ValueError(
+            f"got {atoms.shape[0]} atoms but weight array of shape {weights.shape}"
+        )
+    # min and max propagate NaN, so these comparisons fail on NaN and inf alike
+    if not (-np.inf < atoms.min() and atoms.max() < np.inf):
+        raise ValueError("atom coordinates must be finite")
+    low = weights.min()
+    if not (-np.inf < low and weights.max() < np.inf):
+        raise ValueError("weights must be finite")
+    if low < 0.0:
+        raise ValueError("weights must be nonnegative")
+    if low == 0.0:
+        keep = weights > 0.0
+        atoms = atoms[keep]
+        weights = weights[keep]
+        if atoms.shape[0] == 0:
+            raise EmptyMeasureError("every atom has zero mass")
+    total = float(weights.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+    atoms.setflags(write=False)
+    weights.setflags(write=False)
+    if measure is None:
+        measure = object.__new__(DiscreteMeasure)
+    object.__setattr__(measure, "atoms", atoms)
+    object.__setattr__(measure, "weights", weights)
+    return measure
 
 
 def dirac(point) -> DiscreteMeasure:
@@ -118,23 +145,22 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
 
     Positions sharing a rounded key (MERGE_DECIMALS decimals) collapse to a
     single atom placed at the first occurrence's exact coordinates; output
-    order is first-occurrence order, so the result is deterministic.
+    order is first-occurrence order, so the result is deterministic. The
+    keys are ``position_key``'s, computed for all rows in one rounding.
     """
     positions = np.asarray(positions, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    index_of: dict[tuple[float, ...], int] = {}
-    out_pos: list[np.ndarray] = []
-    out_w: list[float] = []
-    for pos, w in zip(positions, weights):
-        key = position_key(pos)
-        at = index_of.get(key)
-        if at is None:
-            index_of[key] = len(out_pos)
-            out_pos.append(pos)
-            out_w.append(float(w))
-        else:
-            out_w[at] += float(w)
-    return np.array(out_pos), np.array(out_w)
+    first: dict[tuple[float, ...], int] = {}
+    owner = [
+        first.setdefault(tuple(key), k)
+        for k, key in enumerate(positions.round(MERGE_DECIMALS).tolist())
+    ]
+    if len(first) == len(owner):  # nothing coincides
+        return positions.copy(), weights.copy()
+    keep = list(first.values())
+    # bincount adds each atom's weight in input order, as a running sum would
+    pooled = np.bincount(owner, weights=weights, minlength=len(owner))
+    return positions[keep], pooled[keep]
 
 
 def same_measure(a: DiscreteMeasure, b: DiscreteMeasure, weight_atol: float = 1e-9) -> bool:

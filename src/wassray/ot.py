@@ -26,7 +26,10 @@ from the input alone, trying in order:
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
-bit-identical plans. Entropic or otherwise approximate solvers would
+bit-identical plans. Validation sits at one boundary: the public
+``Coupling`` constructor converts and copies its input, and the plans
+``solve_ot`` builds itself skip only that conversion; both run the same
+checks, from one helper. Entropic or otherwise approximate solvers would
 poison every downstream geometry check, so none is offered.
 
 ``brute_force_ot`` is the independent oracle: an exhaustive minimum over
@@ -74,12 +77,14 @@ def p_mean(weights, lengths, p) -> float:
     Transport costs, geodesic lengths and ray speeds are all this one
     expression, so values that must agree are computed bit-identically.
     """
-    return float(np.sum(weights * lengths**p) ** (1.0 / p))
+    return float(np.add.reduce(weights * lengths**p) ** (1.0 / p))
 
 
 def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Matrix of Euclidean distances between two atom arrays."""
-    return np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2)
+    # np.linalg.norm's own formula along an axis, without its dispatch
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=2))
 
 
 def _check_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:
@@ -103,6 +108,11 @@ class Coupling:
     construction when omitted, and a supplied value must match the derived
     one to 1e-10 relative. Row and column sums must reproduce the
     marginals within 1e-9 per atom.
+
+    The constructor converts and copies its input, then runs every check
+    (entry lengths, index ranges, finite positive masses, marginals, cost)
+    in ``_checked_coupling``. Plans built by ``solve_ot`` run the same
+    checks without the conversion.
     """
 
     mu: DiscreteMeasure
@@ -114,42 +124,11 @@ class Coupling:
     cost: float | None = None
 
     def __post_init__(self):
+        p = check_exponent(self.p)
         left = np.atleast_1d(np.array(self.left, dtype=np.intp))
         right = np.atleast_1d(np.array(self.right, dtype=np.intp))
         masses = np.atleast_1d(np.array(self.masses, dtype=float))
-        if not len(left) == len(right) == len(masses):
-            raise ValueError("entry arrays must have equal length")
-        if len(left) == 0:
-            raise ValueError("a coupling needs at least one entry")
-        if np.any(left < 0) or np.any(left >= len(self.mu)):
-            raise ValueError("left index out of range")
-        if np.any(right < 0) or np.any(right >= len(self.nu)):
-            raise ValueError("right index out of range")
-        if np.any(masses <= 0.0) or not np.all(np.isfinite(masses)):
-            raise ValueError("entry masses must be finite and positive")
-        p = check_exponent(self.p)
-        row = np.bincount(left, weights=masses, minlength=len(self.mu))
-        col = np.bincount(right, weights=masses, minlength=len(self.nu))
-        if np.max(np.abs(row - self.mu.weights)) > MARGINAL_ATOL:
-            raise ValueError("row sums do not reproduce the left marginal")
-        if np.max(np.abs(col - self.nu.weights)) > MARGINAL_ATOL:
-            raise ValueError("column sums do not reproduce the right marginal")
-        recomputed = _entries_cost(self.mu, self.nu, left, right, masses, p)
-        if self.cost is None:
-            cost = recomputed
-        else:
-            cost = float(self.cost)
-            if abs(cost - recomputed) > COST_RTOL * max(recomputed, cost):
-                raise ValueError(
-                    f"stored cost {cost!r} does not match recomputed cost {recomputed!r}"
-                )
-        for arr in (left, right, masses):
-            arr.setflags(write=False)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "cost", cost)
+        _checked_coupling(self.mu, self.nu, left, right, masses, p, self.cost, self)
 
     def pair_distances(self) -> np.ndarray:
         """Euclidean distance of each entry's atom pair."""
@@ -162,11 +141,72 @@ class Coupling:
         return plan
 
 
+def _checked_coupling(
+    mu: DiscreteMeasure,
+    nu: DiscreteMeasure,
+    left: np.ndarray,
+    right: np.ndarray,
+    masses: np.ndarray,
+    p: float,
+    cost=None,
+    coupling=None,
+) -> Coupling:
+    """Run every ``Coupling`` check on entry arrays and freeze them into a coupling.
+
+    The one implementation of the coupling checks. ``left``/``right`` are
+    1-D intp arrays, ``masses`` a 1-D float64 array and ``p`` an order
+    already passed through ``check_exponent``. The public constructor
+    converts and copies its input, then calls this with itself as
+    ``coupling``; ``solve_ot`` calls it directly, with no ``coupling``, on
+    the entries it has just built, so solver plans skip only the
+    conversion, the copy and the repeated exponent check. The arrays are
+    made read-only in place.
+    """
+    if not len(left) == len(right) == len(masses):
+        raise ValueError("entry arrays must have equal length")
+    if len(left) == 0:
+        raise ValueError("a coupling needs at least one entry")
+    if left.min() < 0 or left.max() >= len(mu):
+        raise ValueError("left index out of range")
+    if right.min() < 0 or right.max() >= len(nu):
+        raise ValueError("right index out of range")
+    # min and max propagate NaN, so the comparison fails on NaN and inf alike
+    if not (masses.min() > 0.0 and masses.max() < np.inf):
+        raise ValueError("entry masses must be finite and positive")
+    row = np.bincount(left, weights=masses, minlength=len(mu))
+    col = np.bincount(right, weights=masses, minlength=len(nu))
+    if np.abs(row - mu.weights).max() > MARGINAL_ATOL:
+        raise ValueError("row sums do not reproduce the left marginal")
+    if np.abs(col - nu.weights).max() > MARGINAL_ATOL:
+        raise ValueError("column sums do not reproduce the right marginal")
+    recomputed = _entries_cost(mu, nu, left, right, masses, p)
+    if cost is None:
+        cost = recomputed
+    else:
+        cost = float(cost)
+        if abs(cost - recomputed) > COST_RTOL * max(recomputed, cost):
+            raise ValueError(
+                f"stored cost {cost!r} does not match recomputed cost {recomputed!r}"
+            )
+    for arr in (left, right, masses):
+        arr.setflags(write=False)
+    if coupling is None:
+        coupling = object.__new__(Coupling)
+        object.__setattr__(coupling, "mu", mu)
+        object.__setattr__(coupling, "nu", nu)
+    object.__setattr__(coupling, "left", left)
+    object.__setattr__(coupling, "right", right)
+    object.__setattr__(coupling, "masses", masses)
+    object.__setattr__(coupling, "p", p)
+    object.__setattr__(coupling, "cost", cost)
+    return coupling
+
+
 def _entries_cost(
     mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses, p: float
 ) -> float:
-    d = np.linalg.norm(mu.atoms[left] - nu.atoms[right], axis=1)
-    return p_mean(masses, d, p)
+    diff = mu.atoms[left] - nu.atoms[right]
+    return p_mean(masses, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
 
 
 def solve_ot(
@@ -211,7 +251,7 @@ def solve_ot(
             plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
             left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
             masses = plan[left, right]
-    return Coupling(mu, nu, left, right, masses, p)
+    return _checked_coupling(mu, nu, left, right, masses, p)
 
 
 def _warm_entries(warm: Coupling | None, mu: DiscreteMeasure, nu: DiscreteMeasure, cost_matrix):

@@ -25,7 +25,7 @@ from .errors import (
     NonOptimalCouplingError,
     UnitSpeedError,
 )
-from .measures import DiscreteMeasure, as_point, merge_atoms, position_key
+from .measures import DiscreteMeasure, _checked_measure, as_point, merge_atoms, position_key
 from .ot import (
     Coupling,
     certify_support,
@@ -147,8 +147,7 @@ def section(lift: GeodesicLift, t) -> DiscreteMeasure:
         positions = lift.ends
     else:
         positions = lift.starts + (t / lift.length) * (lift.ends - lift.starts)
-    atoms, weights = merge_atoms(positions, lift.weights)
-    return DiscreteMeasure(atoms, weights)
+    return _checked_measure(*merge_atoms(positions, lift.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +221,7 @@ def ray_section(ray: RayMeasure, t) -> DiscreteMeasure:
     t = float(t)
     if t < 0.0:
         raise ValueError(f"ray time must be nonnegative, got {t}")
-    atoms, weights = merge_atoms(ray.positions(t), ray.weights)
-    return DiscreteMeasure(atoms, weights)
+    return _checked_measure(*merge_atoms(ray.positions(t), ray.weights))
 
 
 def make_dirac_ray(origin, velocity, p=2.0) -> RayMeasure:
@@ -305,8 +303,8 @@ def validate_ray(ray: RayMeasure, time_pairs=()) -> RayValidationReport:
         pos1 = ray.positions(t1)
         pos2 = ray.positions(t2)
         induced = _segment_cost(pos1, pos2, ray.weights, ray.p)
-        m1 = DiscreteMeasure(*merge_atoms(pos1, ray.weights))
-        m2 = DiscreteMeasure(*merge_atoms(pos2, ray.weights))
+        m1 = _checked_measure(*merge_atoms(pos1, ray.weights))
+        m2 = _checked_measure(*merge_atoms(pos2, ray.weights))
         optimal = wasserstein_distance(m1, m2, ray.p)
         gap = induced - optimal
         if optimal > 0.0:

@@ -523,14 +523,19 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int) -> list[CheckResult]:
-    """Run one named suite (or ``all``) with a fixed seed."""
+    """Run one named suite (or ``all``) with a fixed seed.
+
+    An unknown name raises ``KeyError`` naming the choices; this is the one
+    check of the suite name, and the CLI reports its message.
+    """
     if name == "all":
         results = []
         for suite in SUITE_NAMES:
             results.extend(_SUITES[suite](seed))
         return results
     if name not in _SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+        choices = ", ".join(SUITE_NAMES + ("all",))
+        raise KeyError(f"unknown suite {name!r}; choose from {choices}")
     return _SUITES[name](seed)
 
 

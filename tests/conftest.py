@@ -61,6 +61,11 @@ def uniform_pairs(draw, max_atoms=5, max_dim=3):
     return w.uniform_measure(np.asarray(xs)), w.uniform_measure(np.asarray(ys))
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, NaN equals itself."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -5,6 +5,7 @@ import pytest
 
 import wassray as w
 from wassray.cli import main
+from wassray.verify import run_suite
 
 
 @pytest.fixture
@@ -154,6 +155,18 @@ def test_coray_non_convergence_exits_4(files):
 
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nosuch"]) == 2
+
+
+def test_run_suite_rejects_unknown_name_and_names_the_choices(capsys):
+    with pytest.raises(KeyError) as raised:
+        run_suite("nosuch", 1)
+    message = raised.value.args[0]
+    assert "'nosuch'" in message
+    for name in ("ot", "ray", "busemann", "coray", "all"):
+        assert name in message
+    # the CLI reports the library's one message
+    assert main(["verify", "nosuch"]) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_verify_ot_writes_deterministic_report(files, capsys):

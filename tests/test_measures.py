@@ -7,7 +7,7 @@ import wassray as w
 from wassray.errors import DimensionMismatchError, EmptyMeasureError
 from wassray.measures import merge_atoms, position_key
 
-from conftest import coords
+from conftest import coords, same_bits
 
 
 def test_weights_must_sum_to_one():
@@ -41,6 +41,22 @@ def test_nonfinite_rejected():
         w.DiscreteMeasure([[np.inf]], [1.0])
     with pytest.raises(ValueError):
         w.DiscreteMeasure([[0.0]], [np.nan])
+
+
+def test_nan_atom_rejected():
+    with pytest.raises(ValueError, match="atom coordinates must be finite"):
+        w.DiscreteMeasure([[0.0, np.nan], [1.0, 1.0]], [0.5, 0.5])
+
+
+def test_infinite_weight_rejected():
+    with pytest.raises(ValueError, match="weights must be finite"):
+        w.DiscreteMeasure([[0.0], [1.0]], [np.inf, 0.5])
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.25, 0.25, 0.5], [[0.5, 0.5]]])
+def test_weights_of_wrong_shape_rejected(weights):
+    with pytest.raises(ValueError, match="weight array of shape"):
+        w.DiscreteMeasure([[0.0], [1.0]], weights)
 
 
 def test_flat_atom_input_means_real_line():
@@ -97,6 +113,54 @@ def test_same_measure_ignores_order_and_splitting():
     assert w.same_measure(a, b)
     c = w.DiscreteMeasure([[0.0], [2.0]], [0.5, 0.5])
     assert not w.same_measure(a, c)
+
+
+def merge_atoms_by_row(positions, weights):
+    """Reference pooling: one ``position_key`` per row, weights summed in order."""
+    index_of = {}
+    out_pos, out_w = [], []
+    for pos, wt in zip(np.asarray(positions, dtype=float), np.asarray(weights, dtype=float)):
+        key = position_key(pos)
+        if key in index_of:
+            out_w[index_of[key]] += float(wt)
+        else:
+            index_of[key] = len(out_pos)
+            out_pos.append(pos)
+            out_w.append(float(wt))
+    return np.array(out_pos), np.array(out_w)
+
+
+# rows that tie exactly, differ only in the sign of zero, or lie 1e-13
+# apart (some pairs share a 12-decimal key, some straddle a rounding edge)
+tricky_rows = st.sampled_from(
+    [
+        (0.0, 1.0),
+        (-0.0, 1.0),
+        (0.0, -0.0),
+        (0.1234567890125, 2.0),
+        (0.1234567890125 + 1e-13, 2.0),
+        (0.1234567890124, 2.0),
+        (3.0000000000001, -1.5),
+        (3.0, -1.5),
+    ]
+)
+
+
+@given(
+    positions=st.lists(
+        st.one_of(tricky_rows, st.tuples(coords, coords)), min_size=1, max_size=10
+    ),
+    raw=st.data(),
+)
+def test_merge_atoms_matches_per_row_keys(positions, raw):
+    n = len(positions)
+    weights = np.asarray(raw.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    positions = np.asarray(positions)
+    atoms, merged = merge_atoms(positions, weights)
+    ref_atoms, ref_merged = merge_atoms_by_row(positions, weights)
+    # compared by bits, so -0.0 and 0.0 count as different first-occurrence atoms
+    assert same_bits(atoms, ref_atoms)
+    assert same_bits(merged, ref_merged)
 
 
 @given(

@@ -16,7 +16,7 @@ from wassray.errors import (
 )
 from wassray.ot import BRUTE_FORCE_MAX_ATOMS, Coupling, _solve_lp, pairwise_distances
 
-from conftest import coords, random_uniform_pair, small_measures, uniform_pairs
+from conftest import coords, random_uniform_pair, same_bits, small_measures, uniform_pairs
 
 
 def two_atom_instance():
@@ -117,6 +117,63 @@ def test_coupling_rejects_nonpositive_mass():
         Coupling(mu, nu, [0, 1, 0], [0, 1, 1], [0.5, 0.5, 0.0], 2.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    ("left", "right", "match"),
+    [
+        ([0, 2], [0, 1], "left index out of range"),
+        ([-1, 1], [0, 1], "left index out of range"),
+        ([0, 1], [0, 2], "right index out of range"),
+        ([0, 1], [-1, 1], "right index out of range"),
+    ],
+)
+def test_coupling_rejects_index_out_of_range(left, right, match):
+    mu, nu = two_atom_instance()
+    with pytest.raises(ValueError, match=match):
+        Coupling(mu, nu, left, right, [0.5, 0.5], 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_coupling_rejects_nonfinite_mass(bad):
+    mu, nu = two_atom_instance()
+    with pytest.raises(ValueError, match="finite and positive"):
+        Coupling(mu, nu, [0, 1], [0, 1], [0.5, bad], 2.0)
+
+
+def test_coupling_rejects_unequal_entry_lengths():
+    mu, nu = two_atom_instance()
+    with pytest.raises(ValueError, match="equal length"):
+        Coupling(mu, nu, [0, 1], [0, 1], [1.0], 2.0)
+
+
+def test_coupling_rejects_no_entries():
+    mu, nu = two_atom_instance()
+    with pytest.raises(ValueError, match="at least one entry"):
+        Coupling(mu, nu, [], [], [], 2.0)
+
+
+@pytest.mark.parametrize("corrupt", ["offset", "nan"])
+def test_solver_plans_are_still_checked(monkeypatch, corrupt):
+    # solver-built plans skip only the conversions of the public
+    # constructor: a plan off its marginals is still rejected. A NaN entry
+    # fails ``plan > 0`` and is dropped, so the marginal check catches it.
+    simplex = ot._transport_simplex
+
+    def broken(a, b, cost_matrix):
+        plan = simplex(a, b, cost_matrix)
+        i, j = np.argwhere(plan > 0.0)[0]
+        if corrupt == "offset":
+            plan[i, j] += 1e-6
+        else:
+            plan[i, j] = np.nan
+        return plan
+
+    monkeypatch.setattr(ot, "_transport_simplex", broken)
+    mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.2, 0.3, 0.5])
+    nu = w.DiscreteMeasure([[1.0, 1.0], [2.0, 0.5]], [0.6, 0.4])
+    with pytest.raises(ValueError, match="row sums"):
+        w.solve_ot(mu, nu, 2.0)
+
+
 def test_solver_deterministic_bit_for_bit():
     rng = np.random.default_rng(7)
     mu, nu = random_uniform_pair(rng, 5, 2)
@@ -200,6 +257,24 @@ def test_tail_bound_property(pair):
         return
     for radius in (plan.cost / 2.0, plan.cost, 2.0 * plan.cost):
         assert w.tail_mass_bound_check(plan, radius).passed
+
+
+@settings(max_examples=50)  # about 25 uniform and 25 weighted pairs
+@given(
+    pair=st.one_of(uniform_pairs(max_atoms=5), st.tuples(small_measures(), small_measures())),
+    p=st.sampled_from((1.5, 2.0, 8.0)),
+)
+def test_solver_plans_match_public_constructor(pair, p):
+    # solve_ot checks its plans without the public constructor's conversions;
+    # the public constructor must rebuild them bit for bit, warm plans included
+    mu, nu = pair
+    cold = w.solve_ot(mu, nu, p)
+    for plan in (cold, w.solve_ot(mu, nu, p, warm=cold)):
+        public = Coupling(mu, nu, plan.left, plan.right, plan.masses, p)
+        for name in ("left", "right", "masses"):
+            assert same_bits(getattr(plan, name), getattr(public, name))
+            assert not getattr(plan, name).flags.writeable
+        assert plan.cost == public.cost and plan.p == public.p == p
 
 
 def test_permutation_couplings_all_feasible():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import wassray as w
 from wassray.errors import MarginalMismatchError, NonOptimalCouplingError
 from wassray.ot import Coupling
 
-from conftest import random_measure, uniform_pairs
+from conftest import random_measure, same_bits, small_measures, uniform_pairs
 
 
 def two_atom_plan():
@@ -275,3 +276,36 @@ def test_section_mass_conservation(pair):
     lift = w.lift_geodesic(w.solve_ot(mu, nu, 2.0))
     for t in (0.0, lift.length / 3.0, lift.length, lift.length + 1.0):
         assert abs(w.section(lift, t).weights.sum() - 1.0) <= 1e-12
+
+
+def same_measure_bits(a: w.DiscreteMeasure, b: w.DiscreteMeasure) -> bool:
+    return same_bits(a.atoms, b.atoms) and same_bits(a.weights, b.weights)
+
+
+@given(
+    pair=st.one_of(
+        uniform_pairs(max_atoms=4, max_dim=2), st.tuples(small_measures(), small_measures())
+    ),
+    p=st.sampled_from((1.5, 2.0, 8.0)),
+    fraction=st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5)),
+)
+def test_sections_match_public_constructor(pair, p, fraction):
+    # sections skip only the public constructor's conversions; building the
+    # same positions through DiscreteMeasure(*merge_atoms(...)) gives the same bits
+    mu, nu = pair
+    lift = w.lift_geodesic(w.solve_ot(mu, nu, p))
+    t = fraction * lift.length
+    if t == 0.0 or lift.length == 0.0:
+        positions = lift.starts
+    elif t >= lift.length:
+        positions = lift.ends
+    else:
+        positions = lift.starts + (t / lift.length) * (lift.ends - lift.starts)
+    built = w.section(lift, t)
+    assert same_measure_bits(built, w.DiscreteMeasure(*w.merge_atoms(positions, lift.weights)))
+    assert not built.atoms.flags.writeable and not built.weights.flags.writeable
+
+    ray = w.RayMeasure(lift.starts, lift.ends - lift.starts, lift.weights, p)
+    built = w.ray_section(ray, fraction)
+    public = w.DiscreteMeasure(*w.merge_atoms(ray.positions(fraction), ray.weights))
+    assert same_measure_bits(built, public)
