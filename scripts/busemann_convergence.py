@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Busemann truncation curves against their Euclidean closed forms.
+"""Busemann truncation curves against the exact value and the closed forms.
 
 For the unit-speed line ray t -> delta_{(t, 0)} in R^2 the Busemann value
 at delta_{(a, b)} is -a, which makes the truncation error directly
-observable. The script evaluates a few probes plus a translation-ray
-target, prints the convergence table, and writes one CSV per probe.
+observable. The script evaluates a few probes and a four-atom cloud,
+prints the doubling estimate beside ``busemann_exact`` (the limiting
+transport problem, solved once) and the closed form, and writes one CSV
+of the truncation curve per probe.
 
 Usage:
     python scripts/busemann_convergence.py --out-dir out/
@@ -34,18 +36,18 @@ def main() -> int:
     }
     rng = np.random.default_rng(11)
     cloud = w.DiscreteMeasure(rng.normal(size=(4, 2)), np.full(4, 0.25))
-    # closed form for a cloud against the line ray: -sum of w * x-coordinate
-    # does not hold in general; report the estimate and its bracket instead
-    probes["cloud"] = (cloud, None)
+    # a point ray takes every atom to its one atom, so the value of a cloud
+    # is minus its mean first coordinate, at every p
+    probes["cloud"] = (cloud, -float(cloud.weights @ cloud.atoms[:, 0]))
 
-    print(f"{'probe':>12} {'estimate':>16} {'closed form':>12} {'t_final':>10} "
-          f"{'last decrement':>15}")
-    for name, (nu, exact) in probes.items():
+    print(f"{'probe':>12} {'estimate':>16} {'exact':>16} {'closed form':>12} "
+          f"{'t_final':>10} {'last decrement':>15}")
+    for name, (nu, closed_form) in probes.items():
         est = w.busemann_value(ray, nu, tol=args.tol)
-        closed = f"{exact:.6f}" if exact is not None else "-"
+        exact = w.busemann_exact(ray, nu).value
         print(
-            f"{name:>12} {est.value:>16.9f} {closed:>12} {est.t_final:>10.0f} "
-            f"{est.last_decrement:>15.3e}"
+            f"{name:>12} {est.value:>16.9f} {exact:>16.9f} {closed_form:>12.6f} "
+            f"{est.t_final:>10.0f} {est.last_decrement:>15.3e}"
         )
         path = out_dir / f"busemann_{name}.csv"
         with open(path, "w") as fh:

@@ -1,12 +1,20 @@
 """Geometry of the order-p Wasserstein space over finitely supported measures on R^d.
 
 Exact discrete optimal transport, displacement geodesics carried by
-segment families, ray measures and their validation, the co-ray limit
-construction, and Busemann functions with monotone convergence
-certificates, plus a seeded verification harness and a CLI.
+segment families, ray measures and their validation, exact Busemann
+functions and co-rays from their limiting transport problem, the
+truncation and limit constructions kept as their oracles, plus a seeded
+verification harness and a CLI.
 """
 
-from .busemann import BusemannEstimate, LipschitzReport, busemann_value, lipschitz_check
+from .busemann import (
+    BusemannEstimate,
+    BusemannPlan,
+    LipschitzReport,
+    busemann_exact,
+    busemann_value,
+    lipschitz_check,
+)
 from .coray import (
     CorayResult,
     GradientReport,
@@ -15,6 +23,7 @@ from .coray import (
     ViscosityReport,
     busemann_subadditivity_check,
     construct_coray,
+    coray_exact,
     coray_gradient_check,
     subray_uniqueness_check,
     viscosity_check,
@@ -58,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BusemannEstimate",
+    "BusemannPlan",
     "CorayResult",
     "Coupling",
     "DimensionMismatchError",
@@ -80,9 +90,11 @@ __all__ = [
     "UnitSpeedError",
     "ViscosityReport",
     "brute_force_ot",
+    "busemann_exact",
     "busemann_subadditivity_check",
     "busemann_value",
     "construct_coray",
+    "coray_exact",
     "coray_gradient_check",
     "dirac",
     "glue",

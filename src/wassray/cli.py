@@ -8,9 +8,17 @@ One subcommand per core capability::
     wassray ray-new dirac --origin 0,0 --velocity 1,0 --out ray.txt
     wassray ray-new translation --measure mu.measure --velocity 1,0 --out ray.txt
     wassray ray-validate ray.txt
+    wassray busemann ray.txt nu.measure
     wassray busemann ray.txt nu.measure --out-csv curve.csv
     wassray coray ray.txt nu0.measure --out-ray coray.txt
+    wassray coray ray.txt nu0.measure --schedule 2,4,8,16 --out-ray coray.txt
     wassray verify all --report report.txt
+
+``busemann`` and ``coray`` compute the exact value and co-ray from the
+limiting transport problem; any of ``--t0``, ``--max-doublings`` or
+``--out-csv`` (busemann) and ``--schedule``, ``--test-times`` or
+``--out-csv`` (coray) selects the truncation or limit construction
+instead, which keeps the same output keys.
 
 Exit codes: 0 success, 1 a verification check failed, 2 input or parse
 error, 3 solver error, 4 non-convergence. Numeric output uses 12
@@ -22,9 +30,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .busemann import DEFAULT_MAX_DOUBLINGS, DEFAULT_T0, DEFAULT_TOL, busemann_value
+from .busemann import (
+    DEFAULT_MAX_DOUBLINGS,
+    DEFAULT_T0,
+    DEFAULT_TOL,
+    BusemannEstimate,
+    busemann_exact,
+    busemann_value,
+)
 from .coray import DEFAULT_TOL as CORAY_TOL
-from .coray import construct_coray
+from .coray import construct_coray, coray_exact
 from .errors import MeasureFileError
 from .io import read_measure, read_ray, write_measure, write_ray
 from .measures import dirac
@@ -131,10 +146,20 @@ def _cmd_ray_validate(args) -> int:
 def _cmd_busemann(args) -> int:
     ray = read_ray(args.ray)
     nu = read_measure(args.nu)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    estimate = busemann_value(
-        ray, nu, t0=args.t0, tol=tol, max_doublings=args.max_doublings
-    )
+    if args.t0 is None and args.max_doublings is None and args.out_csv is None:
+        exact = busemann_exact(ray, nu)
+        # the limit itself: no schedule, so nothing left to decrease
+        estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
+    else:
+        estimate = busemann_value(
+            ray,
+            nu,
+            t0=DEFAULT_T0 if args.t0 is None else args.t0,
+            tol=DEFAULT_TOL if args.tol is None else args.tol,
+            max_doublings=(
+                DEFAULT_MAX_DOUBLINGS if args.max_doublings is None else args.max_doublings
+            ),
+        )
     print(f"value {_fmt(estimate.value)}")
     print(f"t_final {_fmt(estimate.t_final)}")
     print(f"last_decrement {_fmt(estimate.last_decrement)}")
@@ -152,16 +177,22 @@ def _cmd_busemann(args) -> int:
 def _cmd_coray(args) -> int:
     ray = read_ray(args.ray)
     nu0 = read_measure(args.nu0)
-    schedule = _vector(args.schedule) if args.schedule else None
-    test_times = _vector(args.test_times) if args.test_times else None
-    tol = args.tol if args.tol is not None else CORAY_TOL
-    result = construct_coray(ray, nu0, schedule=schedule, test_times=test_times, tol=tol)
-    print(f"steps {len(result.schedule)}")
-    print(f"final_diagnostic {_fmt(result.diagnostics[-1])}")
-    print(f"speed {_fmt(result.ray.speed)}")
-    print(f"converged {'true' if result.converged else 'false'}")
+    if args.schedule is None and args.test_times is None and args.out_csv is None:
+        # exact: no schedule steps, nothing left to move
+        coray, steps, diagnostic, converged = coray_exact(ray, nu0), 0, 0.0, True
+    else:
+        schedule = _vector(args.schedule) if args.schedule else None
+        test_times = _vector(args.test_times) if args.test_times else None
+        tol = args.tol if args.tol is not None else CORAY_TOL
+        result = construct_coray(ray, nu0, schedule=schedule, test_times=test_times, tol=tol)
+        coray, steps = result.ray, len(result.schedule)
+        diagnostic, converged = result.diagnostics[-1], result.converged
+    print(f"steps {steps}")
+    print(f"final_diagnostic {_fmt(diagnostic)}")
+    print(f"speed {_fmt(coray.speed)}")
+    print(f"converged {'true' if converged else 'false'}")
     if args.out_ray:
-        write_ray(result.ray, args.out_ray)
+        write_ray(coray, args.out_ray)
         print(f"wrote {args.out_ray}")
     if args.out_csv:
         with open(args.out_csv, "w") as fh:
@@ -170,7 +201,7 @@ def _cmd_coray(args) -> int:
             for t, length, gap in zip(result.schedule, result.lengths, gaps):
                 fh.write(f"{_fmt(t)},{_fmt(length)},{gap}\n")
         print(f"wrote {args.out_csv}")
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_verify(args) -> int:
@@ -237,18 +268,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("busemann", help="Busemann value of a unit-speed ray at a measure")
     sp.add_argument("ray")
     sp.add_argument("nu")
-    sp.add_argument("--t0", type=float, default=DEFAULT_T0)
-    sp.add_argument("--max-doublings", type=int, default=DEFAULT_MAX_DOUBLINGS)
-    sp.add_argument("--out-csv", default=None, help="write the (t, truncation) schedule")
+    truncation = "; selects the doubling truncation instead of the exact value"
+    sp.add_argument(
+        "--t0", type=float, default=None, help=f"first time (default {DEFAULT_T0:g}){truncation}"
+    )
+    sp.add_argument(
+        "--max-doublings",
+        type=int,
+        default=None,
+        help=f"doubling cap (default {DEFAULT_MAX_DOUBLINGS}){truncation}",
+    )
+    sp.add_argument(
+        "--out-csv", default=None, help=f"write the (t, truncation) schedule{truncation}"
+    )
     sp.set_defaults(func=_cmd_busemann)
 
-    sp = sub.add_parser("coray", help="co-ray limit construction from a start measure")
+    sp = sub.add_parser("coray", help="co-ray from a start measure toward a unit-speed ray")
     sp.add_argument("ray")
     sp.add_argument("nu0")
-    sp.add_argument("--schedule", default=None, help="comma-separated target times")
-    sp.add_argument("--test-times", default=None, help="comma-separated evaluation times")
-    sp.add_argument("--out-ray", default=None, help="ray file for the constructed co-ray")
-    sp.add_argument("--out-csv", default=None, help="write (t, length, gap) diagnostics")
+    construction = "; selects the limit construction instead of the exact co-ray"
+    sp.add_argument(
+        "--schedule", default=None, help=f"comma-separated target times{construction}"
+    )
+    sp.add_argument(
+        "--test-times", default=None, help=f"comma-separated evaluation times{construction}"
+    )
+    sp.add_argument("--out-ray", default=None, help="ray file for the co-ray")
+    sp.add_argument(
+        "--out-csv", default=None, help=f"write (t, length, gap) diagnostics{construction}"
+    )
     sp.set_defaults(func=_cmd_coray)
 
     sp = sub.add_parser("verify", help="run a seeded verification suite")

@@ -1,7 +1,12 @@
 """Co-rays: limits of geodesics chased to infinity along a reference ray.
 
-Construction: fix a start measure, solve the transport to a far section of
-the reference ray, lift the optimal coupling, and record the lifted
+For a ray family in R^d the co-ray is exact: ``coray_exact`` reads it off
+the certified plan of the Busemann function's limiting transport problem
+(see ``busemann_exact``), and this is the default of the CLI.
+
+``construct_coray`` keeps the limit construction as an independent
+oracle: fix a start measure, solve the transport to a far section of the
+reference ray, lift the optimal coupling, and record the lifted
 geodesic's sections at a few test times (evaluation clamps at the
 geodesic's end, so small times are always meaningful). Repeat along an
 increasing target-time schedule and declare convergence once the section
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .busemann import BusemannEstimate, busemann_value
+from .busemann import BusemannEstimate, busemann_exact, busemann_value
 from .measures import DiscreteMeasure
 from .ot import solve_ot, wasserstein_distance
 from .paths import (
@@ -126,6 +131,26 @@ def construct_coray(
         start_offset=start_offset,
         diagnostics=tuple(diagnostics),
         converged=diagnostics[-1] < tol,
+    )
+
+
+def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:
+    """The co-ray from ``nu0`` to the unit-speed ray ``mu``, exactly.
+
+    ``busemann_exact`` gives b(nu0) = -S(pi) for an optimal plan pi of the
+    limiting transport problem, S(pi) = sum_ij pi_ij |v_j|^(p-2)
+    <x_i - o_j, v_j>. The co-ray is the family of rays (x_i, v_j) weighted
+    by pi_ij; its speed is 1, since sum_ij pi_ij |v_j|^p = sum_j w_j
+    |v_j|^p. Its section nu_s carries the plan (x_i + s v_j, j) with value
+    S(pi) + s, so b(nu_s) <= b(nu0) - s; and b is 1-Lipschitz, so
+    b(nu0) - b(nu_s) <= W_p(nu0, nu_s) <= s. Hence b(nu_s) = b(nu0) - s
+    exactly, and for r < s the same two bounds give W_p(nu_r, nu_s) =
+    s - r: the family is a ray along which b falls at unit rate, with no
+    schedule and no convergence flag.
+    """
+    plan = busemann_exact(mu, nu0)
+    return RayMeasure(
+        nu0.atoms[plan.left], mu.velocities[plan.right], plan.masses, mu.p
     )
 
 

@@ -146,9 +146,13 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     Positions sharing a rounded key (MERGE_DECIMALS decimals) collapse to a
     single atom placed at the first occurrence's exact coordinates; output
     order is first-occurrence order, so the result is deterministic. The
-    keys are ``position_key``'s, computed for all rows in one rounding.
+    keys are ``position_key``'s, computed for all rows in one rounding. A
+    flat position array means atoms on the real line, as in
+    ``DiscreteMeasure``.
     """
     positions = np.asarray(positions, dtype=float)
+    if positions.ndim == 1:
+        positions = positions.reshape(-1, 1)
     weights = np.asarray(weights, dtype=float)
     first: dict[tuple[float, ...], int] = {}
     owner = [

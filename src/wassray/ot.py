@@ -1,8 +1,10 @@
 """Exact optimal transport between discrete measures on R^d.
 
 Transport cost is d(x, y)**p with p in (1, 16]; the upper cap keeps d**p
-representable in doubles at desk scale. ``solve_ot`` picks an exact method
-from the input alone, trying in order:
+representable in doubles at desk scale. ``solve_ot`` builds that cost
+matrix and hands it to ``transport_plan``, which takes any real cost
+matrix (the exact Busemann function solves one with negative entries) and
+picks an exact method from the input alone, trying in order:
 
 - a single-atom marginal has one feasible coupling, built directly;
 - uniform marginals of equal size (every weight of both measures equal)
@@ -10,7 +12,7 @@ from the input alone, trying in order:
   the Jonker-Volgenant assignment solver finds one exactly;
 - a certified warm plan: schedules (Busemann doubling, co-ray diagnostics)
   solve a run of nearly identical instances whose optimal plan settles, so
-  ``solve_ot`` takes an optional previous plan ``warm``. When its sizes
+  ``transport_plan`` takes an optional previous plan ``warm``. When its sizes
   match and its weights equal the new instance's, exactly or within the
   coupling tolerance (masses are then rebuilt on its support from the new
   marginals), ``certify_support`` tests its support against the new cost
@@ -214,66 +216,84 @@ def solve_ot(
 ) -> Coupling:
     """Cost-minimal coupling of (mu, nu) for cost d(x, y)**p.
 
-    Deterministic: identical inputs produce bit-identical couplings. When
-    either marginal is a single atom the unique feasible coupling is built
-    directly. When both measures have the same number of atoms and every
-    weight of both equals ``mu.weights[0]`` exactly, the optimal
-    permutation is found by ``linear_sum_assignment``; otherwise the
-    transportation LP is solved exactly. Both reach the optimal cost; the
-    assignment plan can differ from the LP's only where the optimal
-    permutation is not unique.
-
-    ``warm`` is an optional previous plan, used only where the LP would
-    run: its support is kept instead when its marginals have the same
-    sizes as (mu, nu) and weights within 1e-9 of theirs, and
-    ``certify_support`` proves that support optimal for the new costs (see
-    ``_warm_entries``).
+    ``transport_plan`` picks the exact method (single atom, assignment,
+    certified ``warm`` plan, transportation simplex) on the cost matrix
+    ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries it
+    returns are checked and frozen into the coupling. Deterministic:
+    identical inputs produce bit-identical couplings.
     """
     p = _check_instance(mu, nu, p)
-    m, n = len(mu), len(nu)
-    if m == 1:
-        left = np.zeros(n, dtype=np.intp)
-        right = np.arange(n, dtype=np.intp)
-        masses = nu.weights.copy()
-    elif n == 1:
-        left = np.arange(m, dtype=np.intp)
-        right = np.zeros(m, dtype=np.intp)
-        masses = mu.weights.copy()
+    if len(mu) == 1 or len(nu) == 1:
+        # the one feasible plan ignores the costs; building them would add a
+        # quarter to these solves, which Busemann schedules on point rays
+        # make by the thousand
+        cost_matrix = np.zeros((len(mu), len(nu)))
     else:
         cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-        w = mu.weights[0]
-        if m == n and np.all(mu.weights == w) and np.all(nu.weights == w):
-            left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
-            masses = mu.weights[left]
-        elif (reused := _warm_entries(warm, mu, nu, cost_matrix)) is not None:
-            left, right, masses = reused
-        else:
-            plan = _solve_lp(mu.weights, nu.weights, cost_matrix)
-            left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
-            masses = plan[left, right]
+    left, right, masses = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
     return _checked_coupling(mu, nu, left, right, masses, p)
 
 
-def _warm_entries(warm: Coupling | None, mu: DiscreteMeasure, nu: DiscreteMeasure, cost_matrix):
-    """The warm plan's entries for (mu, nu) when certified optimal, else None.
+def transport_plan(
+    a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray, warm: Coupling | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (left, right, masses) of a minimum-cost plan between weights a and b.
+
+    ``a`` and ``b`` are the weight vectors of two probability measures and
+    ``cost_matrix`` any finite real (len(a), len(b)) matrix; negative
+    entries are fine, since no method below assumes a sign (optimality is
+    a statement about reduced costs, which a constant shift of the costs
+    leaves alone). Entries are the plan's positive masses, lexicographic in
+    (left, right). The method is picked from the input alone, in order:
+
+    - a single-atom marginal: its one feasible plan;
+    - equal sizes and every weight of both equal to ``a[0]`` exactly: the
+      optimal permutation from ``linear_sum_assignment``;
+    - ``warm``, a previous plan whose marginals have the same sizes and
+      weights within 1e-9 of (a, b), when ``certify_support`` proves its
+      support optimal for these costs (see ``_warm_entries``);
+    - the certified transportation simplex, and HiGHS only when the
+      simplex gives up.
+
+    The assignment plan can differ from the LP's only where the optimal
+    permutation is not unique.
+    """
+    m, n = len(a), len(b)
+    if cost_matrix.shape != (m, n):
+        raise ValueError(f"cost matrix has shape {cost_matrix.shape}, weights give {(m, n)}")
+    if m == 1:
+        return np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp), b.copy()
+    if n == 1:
+        return np.arange(m, dtype=np.intp), np.zeros(m, dtype=np.intp), a.copy()
+    w = a[0]
+    if m == n and np.all(a == w) and np.all(b == w):
+        left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
+        return left, right, a[left]
+    if (reused := _warm_entries(warm, a, b, cost_matrix)) is not None:
+        return reused
+    plan = _solve_lp(a, b, cost_matrix)
+    left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
+    return left, right, plan[left, right]
+
+
+def _warm_entries(warm: Coupling | None, a: np.ndarray, b: np.ndarray, cost_matrix):
+    """The warm plan's entries for weights (a, b) when certified optimal, else None.
 
     The warm plan must couple the same marginals: equal sizes, and weights
-    within the coupling tolerance 1e-9 of (mu, nu)'s. Exactly equal weights
+    within the coupling tolerance 1e-9 of (a, b). Exactly equal weights
     keep its masses; weights that differ by rounding (consecutive sections
     do) get masses rebuilt on its support from the new marginals, accepted
     only when all are nonnegative and reproduce the marginals within 1e-9.
     Either way the support must pass ``certify_support`` on the new costs.
     """
-    if warm is None or len(warm.mu) != len(mu) or len(warm.nu) != len(nu):
+    if warm is None or len(warm.mu) != len(a) or len(warm.nu) != len(b):
         return None
-    drift = max(
-        np.max(np.abs(warm.mu.weights - mu.weights)), np.max(np.abs(warm.nu.weights - nu.weights))
-    )
+    drift = max(np.max(np.abs(warm.mu.weights - a)), np.max(np.abs(warm.nu.weights - b)))
     if drift > MARGINAL_ATOL:
         return None
     left, right, masses = warm.left, warm.right, warm.masses
     if drift > 0.0:
-        masses, residual = _peel_masses(mu.weights, nu.weights, left, right)
+        masses, residual = _peel_masses(a, b, left, right)
         if masses is None or residual > MARGINAL_ATOL or np.any(masses < 0.0):
             return None
         positive = masses > 0.0

@@ -40,6 +40,62 @@ def weighted_translation_setup():
     return mu0, nu, np.array([0.6, 0.8])
 
 
+def unit_speed(origins, velocities, weights, p):
+    """The ray family with its velocities scaled to unit speed."""
+    family = w.RayMeasure(origins, velocities, weights, p)
+    return w.RayMeasure(family.origins, family.velocities / family.speed, family.weights, p)
+
+
+def comonotone_ray(rng, k, p):
+    """Unit-speed 1-D family of k rays whose origins and velocities increase together.
+
+    The rays never cross, so every induced pair coupling is the sorted
+    one, which is optimal for |x - y|**p: a genuine ray at every p.
+    Velocities are nonzero and of both signs, so no two rays are parallel
+    translates and the Busemann value is no mean shift.
+    """
+    origins = np.sort(rng.uniform(-2.0, 2.0, k))[:, None]
+    velocities = np.sort(rng.uniform(0.2, 2.0, k) * rng.choice([-1.0, 1.0], k))[:, None]
+    weights = rng.random(k) + 0.1
+    return unit_speed(origins, velocities, weights / weights.sum(), p)
+
+
+def psd_gradient_ray(rng, k):
+    """Unit-speed p = 2 family of k rays in the plane with velocities A o + c.
+
+    A is symmetric positive semidefinite, so x -> x + t (A x + c) is the
+    gradient of a convex function for every t >= 0, and so is the map
+    between any two sections: by Brenier every induced coupling is
+    optimal, a genuine ray.
+    """
+    B = rng.normal(size=(2, 2))
+    origins = rng.normal(size=(k, 2))
+    velocities = origins @ (B @ B.T) + rng.normal(size=2)
+    assert np.all(np.linalg.norm(velocities, axis=1) > 0.0)
+    weights = rng.random(k) + 0.1
+    return unit_speed(origins, velocities, weights / weights.sum(), 2.0)
+
+
+GENUINE_RAY_KINDS = [
+    ("comonotone", 1.5),
+    ("comonotone", 2.0),
+    ("comonotone", 3.0),
+    ("comonotone", 8.0),
+    ("psd-gradient", 2.0),
+]
+
+
+def genuine_ray_case(kind, p):
+    """A 3-ray genuine ray of the given kind and three weighted probes of 1-3 atoms."""
+    rng = np.random.default_rng(0)
+    ray = comonotone_ray(rng, 3, p) if kind == "comonotone" else psd_gradient_ray(rng, 3)
+    probes = []
+    for n in (1, 2, 3):
+        weights = rng.random(n) + 0.1
+        probes.append(w.DiscreteMeasure(rng.normal(size=(n, ray.dim)), weights / weights.sum()))
+    return ray, probes
+
+
 @st.composite
 def small_measures(draw, max_atoms=4, dim=2):
     n = draw(st.integers(1, max_atoms))

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 import wassray as w
-from wassray.errors import UnitSpeedError
+from wassray.errors import MonotonicityError, UnitSpeedError
 
-from conftest import random_measure, weighted_translation_setup
+from conftest import (
+    GENUINE_RAY_KINDS,
+    genuine_ray_case,
+    random_measure,
+    unit_speed,
+    weighted_translation_setup,
+)
 
 
 @pytest.fixture
@@ -136,3 +142,66 @@ def test_high_order_translation_ray_matches_closed_form(p):
     closed = float((mu0.weights @ mu0.atoms - nu.weights @ nu.atoms) @ v)
     assert est.converged
     assert est.value == pytest.approx(closed, abs=1e-4)
+
+
+@pytest.mark.parametrize("kind,p", GENUINE_RAY_KINDS)
+def test_exact_value_bounds_the_truncation(kind, p):
+    # the truncation decreases to the limit, and once stalled it is within
+    # its last decrement of it: the bound of the verify check
+    ray, probes = genuine_ray_case(kind, p)
+    assert w.validate_ray(ray).passed
+    for nu in probes:
+        exact = w.busemann_exact(ray, nu)
+        est = w.busemann_value(ray, nu)
+        assert est.converged
+        assert exact.value - 1e-9 <= est.value <= exact.value + est.last_decrement + 1e-9
+        assert exact.lower_bound == est.lower_bound
+
+
+@pytest.mark.parametrize("kind,p", GENUINE_RAY_KINDS)
+def test_exact_plan_attains_the_value(kind, p):
+    ray, probes = genuine_ray_case(kind, p)
+    for nu in probes:
+        exact = w.busemann_exact(ray, nu)
+        assert np.all(exact.masses > 0.0)
+        rows = np.bincount(exact.left, exact.masses, len(nu))
+        columns = np.bincount(exact.right, exact.masses, len(ray))
+        assert np.max(np.abs(rows - nu.weights)) <= 1e-12
+        assert np.max(np.abs(columns - ray.weights)) <= 1e-12
+        # S(pi) from the expansion, summed entry by entry
+        v = ray.velocities[exact.right]
+        offsets = nu.atoms[exact.left] - ray.origins[exact.right]
+        gain = np.linalg.norm(v, axis=1) ** (p - 2.0) * np.sum(offsets * v, axis=1)
+        assert exact.value == pytest.approx(-float(exact.masses @ gain), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_exact_value_with_a_resting_ray(p):
+    # a ray with v = 0 adds nothing to the limiting cost, also at p < 2
+    # where |v|**(p - 2) is infinite; half the mass, from 0.5, rides the ray
+    # leaving 1 at speed s = 2**(1/p), at cost -s**(p - 2) (0.5 - 1) s each
+    ray = unit_speed([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.5], p)
+    nu = w.DiscreteMeasure([[-1.0], [0.5]], [0.3, 0.7])
+    exact = w.busemann_exact(ray, nu)
+    assert exact.value == pytest.approx(0.25 * 2.0 ** ((p - 1.0) / p), abs=1e-15)
+    est = w.busemann_value(ray, nu)
+    assert exact.value - 1e-9 <= est.value
+    if p > 2.0:  # below p = 2 the truncation error decays only like t**(1 - p)
+        assert est.value <= exact.value + est.last_decrement + 1e-9
+
+
+def test_exact_value_along_the_ray_and_at_dirac_probes(line_ray):
+    for s in (0.0, 1.0, 5.0):
+        assert w.busemann_exact(line_ray, w.ray_section(line_ray, s)).value == -s
+    assert w.busemann_exact(line_ray, w.dirac((2.0, 5.0))).value == -2.0
+    assert w.busemann_exact(line_ray, w.dirac((3.0, 4.0))).lower_bound == -5.0
+
+
+def test_exact_value_rejects_non_rays_and_bad_input(line_ray):
+    crossing = w.RayMeasure([[0.0], [10.0]], [[1.0], [-1.0]], [0.5, 0.5], 2.0)
+    with pytest.raises(MonotonicityError):
+        w.busemann_exact(crossing, w.ray_section(crossing, 0.0))
+    with pytest.raises(UnitSpeedError):
+        w.busemann_exact(w.make_dirac_ray((0.0, 0.0), (2.0, 0.0)), w.dirac((0.0, 0.0)))
+    with pytest.raises(w.DimensionMismatchError):
+        w.busemann_exact(line_ray, w.dirac((0.0,)))

@@ -153,6 +153,62 @@ def test_coray_non_convergence_exits_4(files):
     assert main(["coray", files["ray"], str(nu0), "--schedule", "2,4"]) == 4
 
 
+def cli_fields(capsys):
+    return dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def test_busemann_defaults_to_the_exact_value(files, capsys):
+    assert main(["busemann", files["ray"], files["b"]]) == 0
+    assert cli_fields(capsys) == {
+        "value": "-3",
+        "t_final": "inf",
+        "last_decrement": "0",
+        "lower_bound": "-5",
+        "converged": "true",
+    }
+
+
+@pytest.mark.parametrize(
+    "option", [["--t0", "1"], ["--max-doublings", "24"], ["--out-csv", "curve.csv"]]
+)
+def test_busemann_truncation_options_select_the_doubling_schedule(files, capsys, option):
+    if option[0] == "--out-csv":
+        option = [option[0], str(files["dir"] / option[1])]
+    assert main(["busemann", files["ray"], files["b"], *option]) == 0
+    fields = cli_fields(capsys)
+    assert float(fields["t_final"]) < float("inf") and float(fields["last_decrement"]) > 0.0
+    assert float(fields["value"]) == pytest.approx(-3.0, abs=1e-4)
+
+
+def test_coray_defaults_to_the_exact_coray(files, capsys):
+    nu0 = files["dir"] / "offset.measure"
+    w.write_measure(w.dirac((0.0, 2.0)), nu0)
+    out_ray = files["dir"] / "coray.rays"
+    assert main(["coray", files["ray"], str(nu0), "--out-ray", str(out_ray)]) == 0
+    assert cli_fields(capsys) == {
+        "steps": "0",
+        "final_diagnostic": "0",
+        "speed": "1",
+        "converged": "true",
+        "wrote": str(out_ray),
+    }
+    coray = w.read_ray(out_ray)
+    assert coray.origins.tolist() == [[0.0, 2.0]] and coray.velocities.tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--schedule", "2,4,8,16"], ["--test-times", "0,1"], ["--out-csv", "diag.csv"]],
+)
+def test_coray_construction_options_select_the_limit_construction(files, capsys, option):
+    nu0 = files["dir"] / "origin.measure"
+    w.write_measure(w.dirac((0.0, 0.0)), nu0)
+    if option[0] == "--out-csv":
+        option = [option[0], str(files["dir"] / option[1])]
+    assert main(["coray", files["ray"], str(nu0), *option]) == 0
+    assert int(cli_fields(capsys)["steps"]) > 0
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nosuch"]) == 2
 

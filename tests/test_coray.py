@@ -4,7 +4,12 @@ import pytest
 import wassray as w
 from wassray.errors import UnitSpeedError
 
-from conftest import random_measure, weighted_translation_setup
+from conftest import (
+    GENUINE_RAY_KINDS,
+    genuine_ray_case,
+    random_measure,
+    weighted_translation_setup,
+)
 
 LONG_SCHEDULE = tuple(2.0**n for n in range(1, 21))
 
@@ -127,6 +132,30 @@ def test_high_order_translation_coray(p):
     assert result.converged
     assert result.ray.p == p
     assert translated_start_gap(result.ray, nu0, v) <= 1e-3
+
+
+@pytest.mark.parametrize("kind,p", GENUINE_RAY_KINDS)
+def test_exact_coray_is_a_ray_along_which_values_fall_at_unit_rate(kind, p):
+    ray, probes = genuine_ray_case(kind, p)
+    for nu0 in probes:
+        coray = w.coray_exact(ray, nu0)
+        assert coray.p == p
+        assert coray.speed == pytest.approx(1.0, abs=1e-12)
+        assert w.same_measure(w.ray_section(coray, 0.0), nu0, weight_atol=1e-12)
+        assert w.validate_ray(coray).passed
+        report = w.coray_gradient_check(ray, coray, tol=1e-8)
+        assert report.passed
+        assert max(report.residuals) <= 1e-8
+
+
+def test_exact_coray_from_an_offset_point_is_the_parallel_ray(line_ray, parallel):
+    coray = w.coray_exact(line_ray, w.dirac((0.0, 1.0)))
+    assert coray.origins.tolist() == [[0.0, 1.0]]
+    assert coray.velocities.tolist() == [[1.0, 0.0]]
+    # the limit construction approaches it from its last finite target
+    for t in (0.0, 1.0, 2.0, 4.0):
+        gap = w.wasserstein_distance(w.ray_section(parallel.ray, t), w.ray_section(coray, t), 2.0)
+        assert gap <= 1e-3
 
 
 def test_gradient_along_the_ray_itself(line_ray):

@@ -103,6 +103,13 @@ def test_merge_atoms_keeps_first_occurrence_order():
     assert np.allclose(weights, [0.4, 0.2, 0.4])
 
 
+def test_merge_atoms_reads_flat_positions_as_the_real_line():
+    positions, weights = merge_atoms(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+    assert positions.tolist() == [[0.0], [1.0]] and weights.tolist() == [0.5, 0.5]
+    positions, weights = merge_atoms(np.array([2.0, 2.0, 3.0]), np.array([0.25, 0.25, 0.5]))
+    assert positions.tolist() == [[2.0], [3.0]] and weights.tolist() == [0.5, 0.5]
+
+
 def test_position_key_treats_signed_zero_alike():
     assert position_key(np.array([-0.0])) == position_key(np.array([0.0]))
 

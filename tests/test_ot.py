@@ -14,7 +14,13 @@ from wassray.errors import (
     InvalidExponentError,
     TransportSolveError,
 )
-from wassray.ot import BRUTE_FORCE_MAX_ATOMS, Coupling, _solve_lp, pairwise_distances
+from wassray.ot import (
+    BRUTE_FORCE_MAX_ATOMS,
+    Coupling,
+    _solve_lp,
+    pairwise_distances,
+    transport_plan,
+)
 
 from conftest import coords, random_uniform_pair, same_bits, small_measures, uniform_pairs
 
@@ -638,3 +644,42 @@ def test_peeling_rejects_cycles_and_reports_imbalance():
     # the same support cannot carry (0.3, 0.7): one mass comes out negative
     masses, residual = ot._peel_masses(a, np.array([0.3, 0.7]), [0, 1, 1], [0, 0, 1])
     assert residual <= 1e-15 and masses.min() < 0.0
+
+
+@given(
+    pair=st.one_of(st.tuples(small_measures(), small_measures()), uniform_pairs()),
+    p=st.sampled_from((1.5, 2.0, 3.0, 8.0)),
+)
+def test_solve_ot_is_transport_plan_on_the_cost_matrix(pair, p):
+    # single-atom, assignment and simplex paths alike
+    mu, nu = pair
+    plan = w.solve_ot(mu, nu, p)
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
+    left, right, masses = transport_plan(mu.weights, nu.weights, cost_matrix)
+    assert same_bits(plan.left, left)
+    assert same_bits(plan.right, right)
+    assert same_bits(plan.masses, masses)
+
+
+@settings(max_examples=50)
+@given(instance=transport_instances(), shift=st.sampled_from((0.0, 0.5, 1.0)))
+def test_transport_plan_takes_negative_costs(instance, shift):
+    # C - shift * max C - mean C: all entries negative at shift 1, of both
+    # signs below; the plan minimises the shifted costs like HiGHS's
+    a, b, base = instance
+    cost_matrix = base - shift * base.max() - base.mean()
+    m, n = cost_matrix.shape
+    left, right, masses = transport_plan(a, b, cost_matrix)
+    assert masses.min() > 0.0
+    assert np.max(np.abs(np.bincount(left, masses, m) - a)) <= 1e-12
+    assert np.max(np.abs(np.bincount(right, masses, n) - b)) <= 1e-12
+    total = float(masses @ cost_matrix[left, right])
+    reference = float(np.sum(highs_plan(a, b, cost_matrix) * cost_matrix))
+    rounding = 8 * (m + n) * np.finfo(float).eps * np.abs(cost_matrix).max()
+    assert total <= reference + rounding
+    assert total == pytest.approx(reference, rel=1e-8, abs=1e-7)
+
+
+def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="shape"):
+        transport_plan(np.array([0.5, 0.5]), np.array([1.0]), np.zeros((2, 2)))
