@@ -582,6 +582,9 @@ def test_simplex_matches_highs(instance, shift):
     # certified to 8 (m + n) eps max|C|; HiGHS is within its own 1e-7
     assert total <= reference + 8 * (m + n) * np.finfo(float).eps * np.abs(cost_matrix).max()
     assert total == pytest.approx(reference, rel=1e-8, abs=1e-7)
+    # transport_plan, which may take the assignment path instead, agrees
+    left, right, masses = transport_plan(a, b, cost_matrix)
+    assert float(masses @ cost_matrix[left, right]) == pytest.approx(reference, rel=1e-8, abs=1e-7)
 
 
 @given(pair=uniform_pairs(max_atoms=BRUTE_FORCE_MAX_ATOMS), p=st.sampled_from((1.5, 2.0, 3.0)))
