@@ -36,6 +36,7 @@ from .errors import (
     MeasureFileError,
     MonotonicityError,
     NonOptimalCouplingError,
+    NotARayError,
     TransportSolveError,
     UnitSpeedError,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "MeasureFileError",
     "MonotonicityError",
     "NonOptimalCouplingError",
+    "NotARayError",
     "RayMeasure",
     "RayValidationReport",
     "SubadditivityReport",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityError
+from .errors import MonotonicityError, NotARayError
 from .measures import DiscreteMeasure
 from .ot import solve_ot, transport_plan, wasserstein_distance
 from .paths import RayMeasure, ray_section, require_unit_speed
@@ -159,9 +159,10 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     schedule, far section or convergence flag is involved; the truncation
     ``busemann_value`` is the independent oracle.
 
-    Raises ``MonotonicityError`` when the value falls below -W_p(nu, mu_0)
-    by more than 1e-9 max(1, W_p(nu, mu_0)): the triangle inequality
-    forbids it for a genuine ray, so the family is not one.
+    Raises ``NotARayError`` (a ``MonotonicityError`` and a ``ValueError``)
+    when the value falls below -W_p(nu, mu_0) by more than
+    1e-9 max(1, W_p(nu, mu_0)): the triangle inequality forbids it for a
+    genuine ray, and the plan is certified, so the family is not one.
     """
     require_unit_speed(ray, "the Busemann function")
     # the lower-bound solve also rejects a dimension mismatch
@@ -174,7 +175,7 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     left, right, masses = transport_plan(nu.weights, ray.weights, cost)
     value = float(np.add.reduce(masses * cost[left, right]))
     if value < lower_bound - LOWER_BOUND_ATOL * max(1.0, -lower_bound):
-        raise MonotonicityError(
+        raise NotARayError(
             f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
             "the ray family is not a ray"
         )

@@ -23,11 +23,16 @@ instead, which keeps the same output keys.
 Exit codes: 0 success, 1 a verification check failed, 2 input or parse
 error, 3 solver error, 4 non-convergence. Numeric output uses 12
 significant digits.
+
+``main(argv)`` is the supported in-process entry point: it returns the
+exit code, may be called any number of times, and builds its parser once
+per process, on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .busemann import (
@@ -307,8 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import; parse_args returns a
+    # fresh namespace each time, so one parser serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MeasureFileError as exc:

@@ -146,7 +146,8 @@ def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:
     b(nu0) - b(nu_s) <= W_p(nu0, nu_s) <= s. Hence b(nu_s) = b(nu0) - s
     exactly, and for r < s the same two bounds give W_p(nu_r, nu_s) =
     s - r: the family is a ray along which b falls at unit rate, with no
-    schedule and no convergence flag.
+    schedule and no convergence flag. Raises ``busemann_exact``'s
+    ``NotARayError`` when ``mu`` is not a ray.
     """
     plan = busemann_exact(mu, nu0)
     return RayMeasure(

@@ -29,6 +29,14 @@ class MonotonicityError(RuntimeError):
     """A provably monotone quantity came out non-monotone: solver defect."""
 
 
+class NotARayError(MonotonicityError, ValueError):
+    """A certified exact result breaks a bound every ray obeys: the input is no ray.
+
+    A ``MonotonicityError`` for callers that catch those, and a
+    ``ValueError`` because the cause is the input, not the solver.
+    """
+
+
 class MeasureFileError(ValueError):
     """A measure or ray file failed to parse."""
 

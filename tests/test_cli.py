@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import wassray as w
+from wassray import cli
 from wassray.cli import main
 from wassray.verify import run_suite
 
@@ -207,6 +208,74 @@ def test_coray_construction_options_select_the_limit_construction(files, capsys,
         option = [option[0], str(files["dir"] / option[1])]
     assert main(["coray", files["ray"], str(nu0), *option]) == 0
     assert int(cli_fields(capsys)["steps"]) > 0
+
+
+def test_busemann_and_coray_reject_a_crossing_family_as_input(files, capsys):
+    crossing = files["dir"] / "x.rays"
+    w.write_ray(w.RayMeasure([[0.0], [10.0]], [[1.0], [-1.0]], [0.5, 0.5], 2.0), crossing)
+    nu = files["dir"] / "x.measure"
+    w.write_measure(w.DiscreteMeasure([[0.0], [10.0]], [0.5, 0.5]), nu)
+    for command in ("busemann", "coray"):
+        assert main([command, str(crossing), str(nu)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "the ray family is not a ray" in err
+
+
+def test_busemann_truncation_defect_is_a_solver_error(files, capsys, monkeypatch):
+    def defective(*args, **kwargs):
+        raise w.MonotonicityError("truncation increased")
+
+    monkeypatch.setattr(cli, "busemann_value", defective)
+    assert main(["busemann", files["ray"], files["b"], "--t0", "1"]) == 3
+    assert capsys.readouterr().err == "solver error: truncation increased\n"
+
+
+def test_reused_parser_keeps_no_state_between_calls(files, capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser(build=cli.build_parser):
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    nu0 = files["dir"] / "origin.measure"
+    w.write_measure(w.dirac((0.0, 0.0)), nu0)
+
+    exhaust = ["--tol", "1e-15", "busemann", files["ray"], files["b"], "--max-doublings", "2"]
+    assert main(exhaust) == 4
+    assert main(["busemann", files["ray"], files["b"], "--t0", "1"]) == 0
+    assert float(cli_fields(capsys)["t_final"]) < float("inf")
+    assert main(["busemann", files["ray"], files["b"]]) == 0
+    assert cli_fields(capsys)["t_final"] == "inf"
+
+    assert main(["coray", files["ray"], str(nu0), "--schedule", "2,4"]) == 4
+    assert cli_fields(capsys)["steps"] == "2"
+    assert main(["coray", files["ray"], str(nu0)]) == 0
+    assert cli_fields(capsys)["steps"] == "0"
+
+    assert main(["--seed", "3", "verify", "ot"]) == 0
+    assert "seed: 3" in capsys.readouterr().out.splitlines()
+    assert main(["verify", "ot"]) == 0
+    assert "seed: 1" in capsys.readouterr().out.splitlines()
+
+    with pytest.raises(SystemExit) as usage_error:
+        main(["dist", files["a"]])
+    assert usage_error.value.code == 2
+    capsys.readouterr()
+    assert main(["dist", files["a"], files["b"]]) == 0
+    assert capsys.readouterr().out == "5\n"
+
+    assert len(builds) == 1
+
+
+def test_documented_verify_all_form_exits_0(capsys):
+    assert main(["--seed", "1", "verify", "all"]) == 0
+    assert "checks: 28 run, 0 failed" in capsys.readouterr().out.splitlines()
+    # global flags go before the subcommand
+    with pytest.raises(SystemExit) as usage_error:
+        main(["verify", "all", "--seed", "1"])
+    assert usage_error.value.code == 2
 
 
 def test_verify_unknown_suite_exits_2(capsys):
