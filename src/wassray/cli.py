@@ -18,7 +18,9 @@ One subcommand per core capability::
 limiting transport problem; any of ``--t0``, ``--max-doublings`` or
 ``--out-csv`` (busemann) and ``--schedule``, ``--test-times`` or
 ``--out-csv`` (coray) selects the truncation or limit construction
-instead, which keeps the same output keys.
+instead, which keeps the same output keys. The ``busemann`` truncation
+runs the exact solve first, so a family that is not a ray exits 2 on
+both paths.
 
 Exit codes: 0 success, 1 a verification check failed, 2 input or parse
 error, 3 solver error, 4 non-convergence. Numeric output uses 12
@@ -156,6 +158,9 @@ def _cmd_busemann(args) -> int:
         # the limit itself: no schedule, so nothing left to decrease
         estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
     else:
+        # the truncation alone can settle on a family that is no ray; the
+        # exact solve rejects one (NotARayError) before any output
+        busemann_exact(ray, nu)
         estimate = busemann_value(
             ray,
             nu,

@@ -98,10 +98,13 @@ def _checked_measure(atoms: np.ndarray, weights: np.ndarray, measure=None) -> Di
             f"got {atoms.shape[0]} atoms but weight array of shape {weights.shape}"
         )
     # min and max propagate NaN, so these comparisons fail on NaN and inf alike
-    if not (-np.inf < atoms.min() and atoms.max() < np.inf):
+    if not (
+        -np.inf < np.minimum.reduce(atoms, axis=None)
+        and np.maximum.reduce(atoms, axis=None) < np.inf
+    ):
         raise ValueError("atom coordinates must be finite")
-    low = weights.min()
-    if not (-np.inf < low and weights.max() < np.inf):
+    low = np.minimum.reduce(weights)
+    if not (-np.inf < low and np.maximum.reduce(weights) < np.inf):
         raise ValueError("weights must be finite")
     if low < 0.0:
         raise ValueError("weights must be nonnegative")
@@ -154,6 +157,8 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     if positions.ndim == 1:
         positions = positions.reshape(-1, 1)
     weights = np.asarray(weights, dtype=float)
+    if len(positions) == 1:  # one row: nothing can coincide
+        return positions.copy(), weights.copy()
     first: dict[tuple[float, ...], int] = {}
     owner = [
         first.setdefault(tuple(key), k)

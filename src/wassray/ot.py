@@ -41,6 +41,7 @@ code with the assignment, simplex or LP paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -107,14 +108,17 @@ class Coupling:
     ``left``/``right``/``masses`` list the nonzero entries (left atom
     index, right atom index, mass), sorted lexicographically. ``cost`` is
     the transport value (sum of mass * d**p) ** (1/p); it is derived on
-    construction when omitted, and a supplied value must match the derived
-    one to 1e-10 relative. Row and column sums must reproduce the
-    marginals within 1e-9 per atom.
+    construction when omitted, from the entries' atom pairs, and a supplied
+    value must match the derived one to 1e-10 relative. Row and column sums
+    must reproduce the marginals within 1e-9 per atom.
 
-    The constructor converts and copies its input, then runs every check
-    (entry lengths, index ranges, finite positive masses, marginals, cost)
-    in ``_checked_coupling``. Plans built by ``solve_ot`` run the same
-    checks without the conversion.
+    The constructor converts and copies its input, checks that each entry
+    array is one-dimensional, then runs every check (entry lengths, index
+    ranges, finite positive masses, marginals, cost) in
+    ``_checked_coupling``. Plans built by ``solve_ot`` run the same checks
+    without the conversion, and read the entries' d**p from the cost
+    matrix they were solved on instead of recomputing the distances; the
+    cost has the same bits either way.
     """
 
     mu: DiscreteMeasure
@@ -130,6 +134,8 @@ class Coupling:
         left = np.atleast_1d(np.array(self.left, dtype=np.intp))
         right = np.atleast_1d(np.array(self.right, dtype=np.intp))
         masses = np.atleast_1d(np.array(self.masses, dtype=float))
+        if not left.ndim == right.ndim == masses.ndim == 1:
+            raise ValueError("entry arrays must be one-dimensional")
         _checked_coupling(self.mu, self.nu, left, right, masses, p, self.cost, self)
 
     def pair_distances(self) -> np.ndarray:
@@ -152,6 +158,7 @@ def _checked_coupling(
     p: float,
     cost=None,
     coupling=None,
+    cost_matrix: np.ndarray | None = None,
 ) -> Coupling:
     """Run every ``Coupling`` check on entry arrays and freeze them into a coupling.
 
@@ -163,29 +170,49 @@ def _checked_coupling(
     the entries it has just built, so solver plans skip only the
     conversion, the copy and the repeated exponent check. The arrays are
     made read-only in place.
+
+    The cost is derived from the entries by ``_entries_cost``, or, when
+    ``solve_ot`` passes the matrix ``cost_matrix`` of d**p it solved on,
+    as the p-mean of the plan's entries of that matrix: the same values
+    raised to the same power, so the same bits, without recomputing the
+    distances. A supplied ``cost`` is compared with ``_entries_cost``.
+    Errors come in a fixed order: entry lengths, indices, masses,
+    marginals, cost.
     """
     if not len(left) == len(right) == len(masses):
         raise ValueError("entry arrays must have equal length")
     if len(left) == 0:
         raise ValueError("a coupling needs at least one entry")
-    if left.min() < 0 or left.max() >= len(mu):
+    # the upper bound is checked first because bincount sizes its output by
+    # the largest index; bincount itself rejects negative indices
+    if np.maximum.reduce(left) >= len(mu):
         raise ValueError("left index out of range")
-    if right.min() < 0 or right.max() >= len(nu):
+    try:
+        row = np.bincount(left, weights=masses, minlength=len(mu))
+    except ValueError:
+        raise ValueError("left index out of range") from None
+    if np.maximum.reduce(right) >= len(nu):
         raise ValueError("right index out of range")
+    try:
+        col = np.bincount(right, weights=masses, minlength=len(nu))
+    except ValueError:
+        raise ValueError("right index out of range") from None
     # min and max propagate NaN, so the comparison fails on NaN and inf alike
-    if not (masses.min() > 0.0 and masses.max() < np.inf):
+    if not (np.minimum.reduce(masses) > 0.0 and np.maximum.reduce(masses) < np.inf):
         raise ValueError("entry masses must be finite and positive")
-    row = np.bincount(left, weights=masses, minlength=len(mu))
-    col = np.bincount(right, weights=masses, minlength=len(nu))
-    if np.abs(row - mu.weights).max() > MARGINAL_ATOL:
+    if np.maximum.reduce(np.abs(row - mu.weights)) > MARGINAL_ATOL:
         raise ValueError("row sums do not reproduce the left marginal")
-    if np.abs(col - nu.weights).max() > MARGINAL_ATOL:
+    if np.maximum.reduce(np.abs(col - nu.weights)) > MARGINAL_ATOL:
         raise ValueError("column sums do not reproduce the right marginal")
-    recomputed = _entries_cost(mu, nu, left, right, masses, p)
     if cost is None:
-        cost = recomputed
+        if cost_matrix is None:
+            cost = _entries_cost(mu, nu, left, right, masses, p)
+        else:
+            # p_mean with the entries' d**p read from the matrix
+            cost = float(np.add.reduce(masses * cost_matrix[left, right]) ** (1.0 / p))
     else:
         cost = float(cost)
+        recomputed = _entries_cost(mu, nu, left, right, masses, p)
         if abs(cost - recomputed) > COST_RTOL * max(recomputed, cost):
             raise ValueError(
                 f"stored cost {cost!r} does not match recomputed cost {recomputed!r}"
@@ -230,6 +257,7 @@ def solve_ot(
     if entries is None:
         cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
         entries = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
+        return _checked_coupling(mu, nu, *entries, p, cost_matrix=cost_matrix)
     return _checked_coupling(mu, nu, *entries, p)
 
 
@@ -295,7 +323,10 @@ def _warm_entries(warm: Coupling | None, a: np.ndarray, b: np.ndarray, cost_matr
     """
     if warm is None or len(warm.mu) != len(a) or len(warm.nu) != len(b):
         return None
-    drift = max(np.max(np.abs(warm.mu.weights - a)), np.max(np.abs(warm.nu.weights - b)))
+    drift = max(
+        np.maximum.reduce(np.abs(warm.mu.weights - a)),
+        np.maximum.reduce(np.abs(warm.nu.weights - b)),
+    )
     if drift > MARGINAL_ATOL:
         return None
     left, right, masses = warm.left, warm.right, warm.masses
@@ -337,30 +368,40 @@ def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
     1e-7 dual feasibility tolerance.
     """
     m, n = cost_matrix.shape
+    tol = _certificate_tolerance(cost_matrix)
     support_cost = cost_matrix[left, right]
     u = np.zeros(m)
     v = np.zeros(n)
     for _ in range(m + n):
-        v_next = np.minimum(v, np.min(u[:, None] + cost_matrix, axis=0))
+        v_next = np.minimum(v, np.minimum.reduce(u[:, None] + cost_matrix, axis=0))
         u_next = u.copy()
         np.minimum.at(u_next, left, v_next[right] - support_cost)
         if np.array_equal(u_next, u) and np.array_equal(v_next, v):
             break
         u, v = u_next, v_next
-    return _dual_certificate(cost_matrix, u, v, left, right)[1]
+    return _dual_certificate(cost_matrix, u, v, left, right, tol)[1]
 
 
-def _dual_certificate(cost_matrix, u, v, left, right) -> tuple[np.ndarray, bool]:
+def _certificate_tolerance(cost_matrix: np.ndarray) -> float:
+    """The certificate's rounding allowance 4 (m + n) eps max|C|."""
+    m, n = cost_matrix.shape
+    largest = np.maximum.reduce(np.abs(cost_matrix), axis=None)
+    return CERTIFICATE_ROUNDINGS * (m + n) * np.finfo(float).eps * largest
+
+
+def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[np.ndarray, bool]:
     """Reduced costs C + u - v, and whether they certify the support optimal.
 
     The one definition of "certified optimal", shared by ``certify_support``
     and the transportation simplex: every reduced cost is >= -tol and every
-    support reduced cost <= tol, with tol = 4 (m + n) eps max|C|.
+    support reduced cost <= tol, with ``tol`` from ``_certificate_tolerance``
+    on the same matrix (computed once per solve, not once per pivot).
     """
-    m, n = cost_matrix.shape
-    tol = CERTIFICATE_ROUNDINGS * (m + n) * np.finfo(float).eps * np.max(np.abs(cost_matrix))
     reduced = cost_matrix + u[:, None] - v[None, :]
-    return reduced, bool(reduced.min() >= -tol and reduced[left, right].max() <= tol)
+    return reduced, bool(
+        np.minimum.reduce(reduced, axis=None) >= -tol
+        and np.maximum.reduce(reduced[left, right]) <= tol
+    )
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
@@ -434,6 +475,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
     """
     m, n = cost_matrix.shape
     cost = cost_matrix.tolist()
+    tol = _certificate_tolerance(cost_matrix)
     basis = _matrix_minimum_basis(a, b, cost_matrix)
     neighbours = [[] for _ in range(m + n)]
     for cell in basis:
@@ -460,7 +502,7 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
         left, right = np.divmod(cells, n)
         potential = np.array(potential)
         reduced, certified = _dual_certificate(
-            cost_matrix, potential[:m], potential[m:], left, right
+            cost_matrix, potential[:m], potential[m:], left, right, tol
         )
         if certified:
             masses, _ = _peel_masses(a, b, left, right)
@@ -583,12 +625,24 @@ def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:
     return solve_ot(mu, nu, p).cost
 
 
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """Read-only (n!, n) table of the permutations of range(n), in itertools order."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
+
+
 def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     """Exhaustive minimum over permutation matchings.
 
     Only valid for uniform measures on equal-size supports (at most 8
-    atoms), where some permutation matching is optimal. Ties go to the
-    lexicographically first permutation, so the result is deterministic.
+    atoms), where some permutation matching is optimal. Every permutation's
+    summed cost comes from one gather of the cost matrix over a cached
+    table of all permutations (40,320 x 8 indices, 2.6 MB, at 8 atoms),
+    each row summed along its contiguous axis as a single matching's 1-D
+    sum would be. ``argmin`` takes the first minimum, so ties go to the
+    lexicographically first permutation and the result is deterministic.
     """
     p = _check_instance(mu, nu, p)
     n = len(mu)
@@ -600,20 +654,11 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     if np.max(np.abs(mu.weights - w)) > 1e-12 or np.max(np.abs(nu.weights - w)) > 1e-12:
         raise ValueError("exhaustive search needs uniform weights")
     cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    rows = np.arange(n)
-    best_total = np.inf
-    best_perm: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n)):
-        total = float(cost_matrix[rows, perm].sum())
-        if total < best_total:
-            best_total = total
-            best_perm = perm
-    assert best_perm is not None
-    left = rows.astype(np.intp)
-    right = np.array(best_perm, dtype=np.intp)
-    masses = np.full(n, w)
-    cost = _entries_cost(mu, nu, left, right, masses, p)
-    return Coupling(mu, nu, left, right, masses, p, cost)
+    perms = _permutations(n)
+    rows = np.arange(n, dtype=np.intp)
+    totals = cost_matrix[rows, perms].sum(axis=1)
+    right = perms[np.argmin(totals)]
+    return Coupling(mu, nu, rows, right, np.full(n, w), p)
 
 
 @dataclass(frozen=True)

@@ -221,6 +221,25 @@ def test_busemann_and_coray_reject_a_crossing_family_as_input(files, capsys):
         assert err.startswith("input error: ") and "the ray family is not a ray" in err
 
 
+@pytest.mark.parametrize(
+    "option", [["--t0", "1"], ["--max-doublings", "24"], ["--out-csv", "curve.csv"]]
+)
+def test_busemann_truncation_rejects_a_crossing_family_as_input(files, capsys, option):
+    # the truncation alone settles at 0 on this family and would report it
+    # converged; the exact solve rejects the family before any output
+    crossing = files["dir"] / "x.rays"
+    w.write_ray(w.RayMeasure([[0.0], [10.0]], [[1.0], [-1.0]], [0.5, 0.5], 2.0), crossing)
+    nu = files["dir"] / "x.measure"
+    w.write_measure(w.DiscreteMeasure([[0.0], [10.0]], [0.5, 0.5]), nu)
+    csv = files["dir"] / "curve.csv"
+    if option[0] == "--out-csv":
+        option = [option[0], str(csv)]
+    assert main(["busemann", str(crossing), str(nu), *option]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and "not a ray" in err
+    assert not csv.exists()
+
+
 def test_busemann_truncation_defect_is_a_solver_error(files, capsys, monkeypatch):
     def defective(*args, **kwargs):
         raise w.MonotonicityError("truncation increased")

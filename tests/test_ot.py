@@ -130,6 +130,11 @@ def test_coupling_rejects_nonpositive_mass():
         ([-1, 1], [0, 1], "left index out of range"),
         ([0, 1], [0, 2], "right index out of range"),
         ([0, 1], [-1, 1], "right index out of range"),
+        # bincount sizes its output by the largest index, so a huge one must
+        # be rejected before it can ask for terabytes
+        ([2**40, 1], [0, 1], "left index out of range"),
+        ([0, 1], [0, 2**40], "right index out of range"),
+        ([-(2**40), 1], [0, 1], "left index out of range"),
     ],
 )
 def test_coupling_rejects_index_out_of_range(left, right, match):
@@ -138,17 +143,36 @@ def test_coupling_rejects_index_out_of_range(left, right, match):
         Coupling(mu, nu, left, right, [0.5, 0.5], 2.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
 def test_coupling_rejects_nonfinite_mass(bad):
     mu, nu = two_atom_instance()
     with pytest.raises(ValueError, match="finite and positive"):
         Coupling(mu, nu, [0, 1], [0, 1], [0.5, bad], 2.0)
 
 
+@pytest.mark.parametrize("left", [[-1, 1], [0, 2]])
+@pytest.mark.parametrize("bad", [np.nan, -0.5])
+def test_coupling_reports_a_bad_index_before_a_bad_mass(left, bad):
+    mu, nu = two_atom_instance()
+    with pytest.raises(ValueError, match="left index out of range"):
+        Coupling(mu, nu, left, [0, 1], [0.5, bad], 2.0)
+
+
 def test_coupling_rejects_unequal_entry_lengths():
     mu, nu = two_atom_instance()
     with pytest.raises(ValueError, match="equal length"):
         Coupling(mu, nu, [0, 1], [0, 1], [1.0], 2.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("field", ["left", "right", "masses"])
+def test_coupling_rejects_entry_arrays_that_are_not_one_dimensional(field, shape):
+    # bincount would reject them too, under a message about index range
+    mu, nu = two_atom_instance()
+    entries = {"left": [0, 1], "right": [0, 1], "masses": [0.5, 0.5]}
+    entries[field] = np.reshape(entries[field], shape)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Coupling(mu, nu, **entries, p=2.0)
 
 
 def test_coupling_rejects_no_entries():
@@ -281,6 +305,53 @@ def test_solver_plans_match_public_constructor(pair, p):
             assert same_bits(getattr(plan, name), getattr(public, name))
             assert not getattr(plan, name).flags.writeable
         assert plan.cost == public.cost and plan.p == public.p == p
+
+
+def reference_brute_force(mu, nu, p):
+    """The exhaustive oracle as a loop over permutations: its (right, cost).
+
+    Each permutation's total is its own 1-D sum and the first strictly
+    smaller total wins, so ties go to the lexicographically first one.
+    """
+    n = len(mu)
+    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
+    rows = np.arange(n)
+    best_total, best_perm = np.inf, None
+    for perm in itertools.permutations(range(n)):
+        total = float(cost_matrix[rows, perm].sum())
+        if total < best_total:
+            best_total, best_perm = total, perm
+    right = np.array(best_perm, dtype=np.intp)
+    return right, ot._entries_cost(mu, nu, rows, right, np.full(n, 1.0 / n), p)
+
+
+def test_brute_force_matches_the_permutation_loop_bit_for_bit():
+    # half the pairs sit on the grid {0, 1, 2}^d, where totals tie often
+    rng = np.random.default_rng(9)
+    for k in range(2 * BRUTE_FORCE_MAX_ATOMS):
+        n = 1 + k % BRUTE_FORCE_MAX_ATOMS
+        d = int(rng.integers(1, 4))
+        p = (1.5, 2.0, 3.0, 8.0)[k % 4]
+        if k % 2:
+            mu = w.uniform_measure(rng.integers(0, 3, size=(n, d)))
+            nu = w.uniform_measure(rng.integers(0, 3, size=(n, d)))
+        else:
+            mu, nu = random_uniform_pair(rng, n, d)
+        plan = w.brute_force_ot(mu, nu, p)
+        right, cost = reference_brute_force(mu, nu, p)
+        assert same_bits(plan.right, right)
+        assert same_bits(np.float64(plan.cost), np.float64(cost))
+        assert same_bits(plan.left, np.arange(n, dtype=np.intp))
+
+
+def test_brute_force_tie_goes_to_the_lexicographically_first_permutation():
+    # nu's atoms 1 and 2 coincide: the matchings (1, 2, 0) and (2, 1, 0)
+    # both cost 0 + 1 + 0, below every other, and (1, 2, 0) comes first
+    mu = w.uniform_measure([[0.0], [1.0], [5.0]])
+    nu = w.uniform_measure([[5.0], [0.0], [0.0]])
+    plan = w.brute_force_ot(mu, nu, 2.0)
+    assert plan.right.tolist() == [1, 2, 0]
+    assert plan.cost == (1.0 / 3.0) ** 0.5
 
 
 def test_permutation_couplings_all_feasible():
@@ -670,3 +741,39 @@ def test_solve_ot_is_transport_plan_on_the_cost_matrix(pair, p):
 def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         transport_plan(np.array([0.5, 0.5]), np.array([1.0]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
+def test_solver_cost_is_the_entries_cost_bit_for_bit(monkeypatch, p):
+    # solve_ot reads the entries' d**p from its cost matrix; the public
+    # constructor recomputes them from the atoms: the same bits, on every path
+    certified = []
+    certify = ot.certify_support
+
+    def spy(left, right, cost_matrix):
+        certified.append(certify(left, right, cost_matrix))
+        return certified[-1]
+
+    monkeypatch.setattr(ot, "certify_support", spy)
+    rng = np.random.default_rng(int(10 * p))
+    for d in (1, 2, 3):
+        for kind in ("uniform", "weighted", "unequal"):
+            scale = (1e-3, 1.0, 1e2)[int(rng.integers(0, 3))]
+
+            def measure(k):
+                atoms = rng.normal(size=(k, d)) * scale
+                if kind != "weighted":
+                    return w.uniform_measure(atoms)
+                weights = rng.random(k) + 0.1
+                return w.DiscreteMeasure(atoms, weights / weights.sum())
+
+            m = int(rng.integers(2, 7))
+            mu = measure(m)
+            nu = measure(m if kind != "unequal" else m + int(rng.integers(1, 3)))
+            cold = w.solve_ot(mu, nu, p)
+            moved = nu.translate(rng.normal(size=d) * 1e-3 * scale)
+            warm = w.solve_ot(mu, moved, p, warm=cold)
+            for plan, target in ((cold, nu), (warm, moved)):
+                entries = ot._entries_cost(mu, target, plan.left, plan.right, plan.masses, p)
+                assert same_bits(np.float64(plan.cost), np.float64(entries))
+    assert any(certified)  # some warm plans were reused
