@@ -29,6 +29,7 @@ from .coray import (
     viscosity_check,
 )
 from .errors import (
+    CostOverflowError,
     DimensionMismatchError,
     EmptyMeasureError,
     InvalidExponentError,
@@ -71,6 +72,7 @@ __all__ = [
     "BusemannPlan",
     "CorayResult",
     "Coupling",
+    "CostOverflowError",
     "DimensionMismatchError",
     "DiscreteMeasure",
     "EmptyMeasureError",

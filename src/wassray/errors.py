@@ -25,6 +25,10 @@ class UnitSpeedError(ValueError):
     """An operation defined only for unit-speed rays got a ray of other speed."""
 
 
+class CostOverflowError(ValueError):
+    """A transport cost overflowed double precision (d**p or a plan's cost)."""
+
+
 class MonotonicityError(RuntimeError):
     """A provably monotone quantity came out non-monotone: solver defect."""
 

@@ -77,6 +77,20 @@ def test_bad_exponent_exits_2(files):
     assert main(["--p", "1.0", "dist", files["a"], files["b"]]) == 2
 
 
+def test_overflowing_costs_exit_2(files, capsys, tmp_path):
+    far = tmp_path / "far.measure"
+    w.write_measure(w.uniform_measure([[3e20], [-1e20]]), far)
+    dirac = tmp_path / "dirac.measure"
+    w.write_measure(w.dirac((0.0,)), dirac)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["--p", "16", "dist", str(dirac), str(far)]) == 2
+    assert "overflows double precision at p = 16" in capsys.readouterr().err
+    # the same input shrunk below the overflow still solves
+    w.write_measure(w.uniform_measure([[3e17], [-1e17]]), far)
+    assert main(["--p", "16", "dist", str(dirac), str(far)]) == 0
+    assert float(capsys.readouterr().out) < float("inf")
+
+
 def test_geodesic_section_round_trips(files, capsys):
     out = files["dir"] / "mid.measure"
     assert main(["geodesic-section", files["mu"], files["nu"], "1.0", "--out", str(out)]) == 0

@@ -9,6 +9,7 @@ from scipy.optimize import OptimizeResult, linprog
 import wassray as w
 from wassray import ot
 from wassray.errors import (
+    CostOverflowError,
     DimensionMismatchError,
     EmptyMeasureError,
     InvalidExponentError,
@@ -777,3 +778,77 @@ def test_solver_cost_is_the_entries_cost_bit_for_bit(monkeypatch, p):
                 entries = ot._entries_cost(mu, target, plan.left, plan.right, plan.masses, p)
                 assert same_bits(np.float64(plan.cost), np.float64(entries))
     assert any(certified)  # some warm plans were reused
+
+
+def test_pairwise_distances_pins_the_kernel_summation_order():
+    # cdist sums the squared differences in order, as numpy's add.reduce does
+    # over fewer than 8 terms: bit for bit up to d = 7. Numpy sums 8 terms or
+    # more pairwise, so from d = 8 only rounding may differ. A scipy whose
+    # kernel sums in another order fails the first half.
+    rng = np.random.default_rng(2026)
+    eps = np.finfo(float).eps
+    for d in range(1, 21):
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            m, n = (int(k) for k in rng.integers(1, 41, size=2))
+            X = rng.normal(size=(m, d)) * scale
+            Y = rng.normal(size=(n, d)) * scale
+            diff = X[:, None, :] - Y[None, :, :]
+            reference = np.sqrt(np.add.reduce(diff * diff, axis=2))
+            distances = pairwise_distances(X, Y)
+            if d <= 7:
+                assert same_bits(distances, reference), (d, scale)
+            else:
+                assert distances.shape == reference.shape
+                assert np.all(np.abs(distances - reference) <= 2 * d * eps * reference)
+
+
+FAR = [[3e20], [-1e20]]  # d**16 passes the largest double: about 1.8e19 apart
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: w.solve_ot(w.uniform_measure([[0.0], [1e20]]), w.uniform_measure(FAR), 16),
+        lambda: w.solve_ot(
+            w.DiscreteMeasure([[0.0], [1e20]], [0.3, 0.7]), w.uniform_measure(FAR), 16
+        ),
+        lambda: w.brute_force_ot(w.uniform_measure([[0.0], [1e20]]), w.uniform_measure(FAR), 16),
+        lambda: w.solve_ot(w.dirac((0.0,)), w.uniform_measure(FAR), 16),
+    ],
+    ids=["uniform", "weighted", "brute_force", "single_atom"],
+)
+def test_overflowing_costs_raise_a_typed_error(solve):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(CostOverflowError, match="p = 16"):
+            solve()
+
+
+def test_costs_just_below_overflow_still_solve():
+    near = [[3e17], [-1e17]]
+    assert 0.0 < w.solve_ot(w.dirac((0.0,)), w.uniform_measure(near), 16).cost < np.inf
+    plan = w.solve_ot(w.uniform_measure([[0.0], [1e17]]), w.uniform_measure(near), 16)
+    assert 0.0 < plan.cost < np.inf
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_transport_plan_rejects_a_cost_matrix_that_is_not_finite(bad):
+    # the second has a single-atom marginal, whose plan ignores the costs
+    a = np.array([0.5, 0.5])
+    for b, cost_matrix in (
+        (a, np.array([[0.0, bad], [1.0, 0.0]])),
+        (np.array([1.0]), np.array([[bad], [0.0]])),
+    ):
+        with pytest.raises(CostOverflowError):
+            transport_plan(a, b, cost_matrix)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_coupling_rejects_a_stored_cost_that_is_not_finite(bad):
+    mu, nu = two_atom_instance()
+    with pytest.raises(CostOverflowError, match="stored cost"):
+        Coupling(mu, nu, [0, 1], [0, 1], [0.5, 0.5], 2.0, bad)
+
+
+def test_overflow_error_is_exported_as_an_input_error():
+    assert w.CostOverflowError is CostOverflowError
+    assert issubclass(CostOverflowError, ValueError)
