@@ -46,4 +46,4 @@ class MeasureFileError(ValueError):
 
 
 class TransportSolveError(RuntimeError):
-    """The transport LP solver stopped without an optimal plan."""
+    """The transportation simplex hit its rounding safety net without a certified plan."""

@@ -3,9 +3,10 @@
 Transport cost is d(x, y)**p with p in (1, 16]; the upper cap keeps d**p
 representable in doubles at desk scale. Past it (atoms about 1.8e19 apart
 at p = 16) a cost overflows to inf, and every path raises
-``CostOverflowError`` naming p instead of solving on it. ``solve_ot``
-builds that cost matrix on distances from scipy's compiled Euclidean
-kernel ``cdist``. The kernel adds the squared coordinate differences in
+``CostOverflowError`` naming p instead of solving on it; the distances
+are checked before they are raised to p, so numpy warns of nothing.
+``solve_ot`` builds that cost matrix on distances from scipy's compiled
+Euclidean kernel ``cdist``. The kernel adds the squared coordinate differences in
 order, as numpy's ``add.reduce`` does below 8 terms, so for d <= 7 its
 distances equal the numpy formula bit for bit (see
 ``pairwise_distances``). ``solve_ot`` hands the matrix to
@@ -29,9 +30,11 @@ method from the input alone, trying in order:
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
-  simplex solves it and stops on the same certificate; an instance the
-  simplex gives up on goes to the HiGHS simplex backend of ``linprog``.
-  Both return a basic (vertex) plan.
+  simplex solves it and stops on the same certificate. Orden's
+  perturbation of the marginals makes every basis nondegenerate, so it
+  cannot cycle; its pivot cap is only a safety net against rounding, and
+  reaching it raises ``TransportSolveError``. It returns a basic (vertex)
+  plan.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -43,7 +46,7 @@ poison every downstream geometry check, so none is offered.
 
 ``brute_force_ot`` is the independent oracle: an exhaustive minimum over
 permutation matchings, valid for equal-size uniform marginals, sharing no
-code with the assignment, simplex or LP paths.
+code with the assignment or simplex paths.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import (
@@ -74,6 +76,10 @@ BRUTE_FORCE_MAX_ATOMS = 8
 TAIL_BOUND_SLACK = 1e-12
 CERTIFICATE_ROUNDINGS = 4
 SIMPLEX_PIVOTS_PER_NODE = 20
+DBL_MAX = float(np.finfo(float).max)
+# distances within this relative margin of DBL_MAX ** (1/p) count as
+# overflowing: that close, rounding in pow and in the p-mean sum decides
+OVERFLOW_RTOL = 1e-9
 
 
 def check_exponent(p) -> float:
@@ -108,9 +114,27 @@ def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return cdist(X, Y)
 
 
+def _cost_matrix(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
+    """Matrix of d**p between two atom arrays, checked by ``_check_distances`` first."""
+    distances = pairwise_distances(X, Y)
+    _check_distances(np.maximum.reduce(distances, axis=None), p)
+    return distances**p
+
+
+def _check_distances(largest, p: float) -> None:
+    """Raise ``CostOverflowError`` unless d**p stays finite up to the distance ``largest``.
+
+    Compared with DBL_MAX ** (1/p), less the margin ``OVERFLOW_RTOL``, before
+    anything is raised to p, so the typed error comes without numpy's
+    overflow warning. NaN fails the comparison too.
+    """
+    if not largest < (1.0 - OVERFLOW_RTOL) * DBL_MAX ** (1.0 / p):
+        raise _cost_overflow(f"atoms {largest:.3g} apart", p)
+
+
 def _cost_overflow(what: str, p: float) -> CostOverflowError:
     """The typed error for a transport cost that is not finite at order p."""
-    limit = np.finfo(float).max ** (1.0 / p)
+    limit = DBL_MAX ** (1.0 / p)
     return CostOverflowError(
         f"transport cost overflows double precision at p = {p:g} ({what}): d**p "
         f"passes the largest double once atoms lie about {limit:.3g} apart"
@@ -203,8 +227,9 @@ def _checked_coupling(
     ``solve_ot`` passes the matrix ``cost_matrix`` of d**p it solved on,
     as the p-mean of the plan's entries of that matrix: for d <= 7 the
     same values raised to the same power, so the same bits, without
-    recomputing the distances. A supplied ``cost`` is compared with ``_entries_cost``. A
-    derived or supplied cost that is not finite (d**p overflowed) raises
+    recomputing the distances. A supplied ``cost`` is compared with
+    ``_entries_cost``. An entry distance whose d**p would overflow, or a
+    derived or supplied cost that is not finite, raises
     ``CostOverflowError``. Errors come in a fixed order: entry lengths,
     indices, masses, marginals, cost.
     """
@@ -267,7 +292,9 @@ def _entries_cost(
     mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses, p: float
 ) -> float:
     diff = mu.atoms[left] - nu.atoms[right]
-    return p_mean(masses, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
+    lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    _check_distances(np.maximum.reduce(lengths), p)
+    return p_mean(masses, lengths, p)
 
 
 def solve_ot(
@@ -279,8 +306,9 @@ def solve_ot(
     certified ``warm`` plan, transportation simplex) on the cost matrix
     ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries it
     returns are checked and frozen into the coupling. Deterministic:
-    identical inputs produce bit-identical couplings. Costs that overflow
-    (some d**p is inf) raise ``CostOverflowError``.
+    identical inputs produce bit-identical couplings. Costs that would
+    overflow (some d**p past the largest double) raise
+    ``CostOverflowError`` before any power is taken.
     """
     p = _check_instance(mu, nu, p)
     # the one feasible plan of a single atom ignores the costs; building them
@@ -288,11 +316,8 @@ def solve_ot(
     # rays make by the thousand
     entries = _single_atom_entries(mu.weights, nu.weights)
     if entries is None:
-        cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-        try:
-            entries = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
-        except CostOverflowError:
-            raise _cost_overflow("a cost matrix entry is inf", p) from None
+        cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
+        entries = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
         return _checked_coupling(mu, nu, *entries, p, cost_matrix=cost_matrix)
     return _checked_coupling(mu, nu, *entries, p)
 
@@ -315,8 +340,7 @@ def transport_plan(
     - ``warm``, a previous plan whose marginals have the same sizes and
       weights within 1e-9 of (a, b), when ``certify_support`` proves its
       support optimal for these costs (see ``_warm_entries``);
-    - the certified transportation simplex, and HiGHS only when the
-      simplex gives up.
+    - the certified transportation simplex ``_solve_lp``.
 
     The assignment plan can differ from the LP's only where the optimal
     permutation is not unique. A cost matrix with an infinite or NaN entry
@@ -344,9 +368,7 @@ def transport_plan(
         return left, right, a[left]
     if (reused := _warm_entries(warm, a, b, cost_matrix)) is not None:
         return reused
-    plan = _solve_lp(a, b, cost_matrix)
-    left, right = np.nonzero(plan > 0.0)  # row-major: lexicographic in (i, j)
-    return left, right, plan[left, right]
+    return _solve_lp(a, b, cost_matrix)
 
 
 def _single_atom_entries(a: np.ndarray, b: np.ndarray):
@@ -412,8 +434,7 @@ def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
     the largest cost entry (eps max|C|) once per addition along a path of
     at most m + n residual arcs, with a margin of 4; an accepted plan is
     thus within 8 (m + n) eps max|C| of optimal in summed d**p, the
-    resolution of the cost matrix itself and far below the LP's own
-    1e-7 dual feasibility tolerance.
+    resolution of the cost matrix itself.
     """
     m, n = cost_matrix.shape
     tol = _certificate_tolerance(cost_matrix)
@@ -452,74 +473,37 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[np.ndarray, 
     )
 
 
-def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> np.ndarray:
-    """Exact transportation LP; returns the (m, n) plan.
+def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
+    """Exact transportation LP; entries (left, right, masses) of an optimal plan.
 
-    The certified transportation simplex solves it; an instance the simplex
-    gives up on goes to HiGHS through ``linprog``. Measured cost, median ms
-    of the best of 3 runs on 5 weighted d = 2, p = 2 instances per size
-    (2 cores, Python 3.11, scipy 1.17; ``linprog`` includes the sparse
-    assembly below): the fixed cost of ``linprog`` dominates small
-    instances, and from 40x40 up the two stay within a factor of two of
-    each other (spot checks at 96x96 and 128x128).
+    A primal transportation simplex. The basis is a spanning tree of the
+    bipartite graph on m row and n column nodes, with m + n - 1 cells. It
+    starts from the matrix-minimum rule. Each pivot takes potentials from
+    a walk of the tree (v[j] = u[i] + C[i, j] on every basis cell, u = 0 at
+    row 0), enters the cell of most negative reduced cost C + u - v
+    (Dantzig's rule, first in row-major order on ties), and leaves the cell
+    of least mass among those losing mass on the cycle it closes (lowest
+    row-major index on ties, which rounding alone can make). It stops
+    on the certificate ``certify_support`` applies, so every plan it
+    returns is certified optimal to 8 (m + n) eps max|C| in summed d**p.
+    The masses of the final tree are rebuilt from the marginals by
+    ``_peel_masses``; entries come row-major, those that are not positive
+    dropped.
 
-    ======  =======  =======
-    size    simplex  linprog
-    ======  =======  =======
-    2x3     0.13     3.03
-    3x3     0.13     2.90
-    8x12    0.62     2.34
-    16x16   1.09     2.99
-    24x24   3.26     4.53
-    32x32   5.34     6.46
-    40x40   16.2     14.2
-    48x48   16.0     14.9
-    64x64   29.6     27.7
-    ======  =======  =======
-    """
-    plan = _transport_simplex(a, b, cost_matrix)
-    if plan is not None:
-        return plan
-    m, n = cost_matrix.shape
-    nvar = m * n
-    var = np.arange(nvar)
-    row_of = var // n
-    col_of = var % n
-    keep = col_of < n - 1  # last column constraint is redundant
-    rows = np.concatenate([row_of, m + col_of[keep]])
-    cols = np.concatenate([var, var[keep]])
-    A_eq = sparse.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(m + n - 1, nvar)
-    )
-    b_eq = np.concatenate([a, b[:-1]])
-    res = linprog(
-        cost_matrix.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs"
-    )
-    if res.status != 0:
-        raise TransportSolveError(
-            f"transport LP failed with HiGHS status {res.status}: {res.message} "
-            f"(cost range [{cost_matrix.min():.6g}, {cost_matrix.max():.6g}])"
-        )
-    return res.x.reshape(m, n)
-
-
-def _transport_simplex(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
-    """Primal transportation simplex; the (m, n) plan, or None when it gives up.
-
-    The basis is a spanning tree of the bipartite graph on m row and n
-    column nodes, with m + n - 1 cells. It starts from the matrix-minimum
-    rule. Each pivot takes potentials from a walk of the tree (v[j] =
-    u[i] + C[i, j] on every basis cell, u = 0 at row 0), enters the cell
-    of most negative reduced cost C + u - v (Dantzig's rule, first in
-    row-major order on ties), and leaves the cell of least mass among
-    those losing mass on the cycle it closes (lowest row-major index on
-    ties). It stops on the certificate ``certify_support`` applies, so
-    every plan it returns is certified optimal to 8 (m + n) eps max|C| in
-    summed d**p. The masses of the final tree are rebuilt from the
-    marginals by ``_peel_masses``, and entries that are not positive are
-    dropped. It gives up (None) after ``SIMPLEX_PIVOTS_PER_NODE`` (m + n)
-    pivots, or if the certificate fails with no cell left to enter
-    (rounding beyond its tolerance).
+    It cannot cycle (Orden's perturbation; Orden, "The transhipment
+    problem", Management Science 2, 1956). Every basis mass is a pair
+    (mass, eps) for the marginals a_i + eps on every row, b_j on every
+    column but the last, and b_n + m eps there. Cutting a tree cell splits
+    the tree in two, and the cell's eps coefficient is plus or minus the
+    number of rows on one side; it is zero only for the one cell of a
+    column that is a leaf, whose mass is b_j > 0. So no basis mass is
+    zero in the lexicographic order of the pairs, Python's tuple order,
+    every pivot moves a lexicographically positive amount at a negative
+    reduced cost, the perturbed cost falls strictly, and no basis comes
+    back. ``SIMPLEX_PIVOTS_PER_NODE`` (m + n) pivots is only a safety net
+    against rounding: reaching it, or a certificate that fails with no
+    cell left to enter (rounding beyond its tolerance), raises
+    ``TransportSolveError``.
     """
     m, n = cost_matrix.shape
     cost = cost_matrix.tolist()
@@ -553,14 +537,14 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
             cost_matrix, potential[:m], potential[m:], left, right, tol
         )
         if certified:
+            left, right = np.divmod(np.sort(cells), n)
             masses, _ = _peel_masses(a, b, left, right)
-            plan = np.zeros((m, n))
-            plan[left, right] = np.maximum(masses, 0.0)
-            return plan
+            positive = masses > 0.0
+            return left[positive], right[positive], masses[positive]
         entering = int(np.argmin(reduced))
         i, j = divmod(entering, n)
         if reduced[i, j] >= 0.0 or entering in basis:
-            return None  # no improving cell: a pivot would break the tree
+            raise _solve_failure("found no improving cell but no certificate", cost_matrix)
         # the tree path from row i to column j closes the cycle; its cells
         # alternately lose and gain mass, starting with a loss at row i
         x, y = i, m + j
@@ -574,8 +558,10 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
                 y = parent[y]
         path = from_row + from_col[::-1]
         theta, leaving = min((basis[cell], cell) for cell in path[0::2])
+        mass, eps = theta
         for k, cell in enumerate(path):
-            basis[cell] += theta if k % 2 else -theta
+            held, held_eps = basis[cell]
+            basis[cell] = (held + mass, held_eps + eps) if k % 2 else (held - mass, held_eps - eps)
         basis[entering] = theta
         del basis[leaving]
         r, c = divmod(leaving, n)
@@ -583,7 +569,16 @@ def _transport_simplex(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
         neighbours[m + c].remove(r)
         neighbours[i].append(m + j)
         neighbours[m + j].append(i)
-    return None
+    cap = SIMPLEX_PIVOTS_PER_NODE * (m + n)
+    raise _solve_failure(f"reached its pivot cap of {cap} pivots uncertified", cost_matrix)
+
+
+def _solve_failure(what: str, cost_matrix: np.ndarray) -> TransportSolveError:
+    """The typed error for a simplex run that ends without a certified plan."""
+    return TransportSolveError(
+        f"transportation simplex {what} (rounding beyond the certificate's tolerance; "
+        f"cost range [{cost_matrix.min():.6g}, {cost_matrix.max():.6g}])"
+    )
 
 
 def _cell(x: int, y: int, m: int, n: int) -> int:
@@ -592,16 +587,20 @@ def _cell(x: int, y: int, m: int, n: int) -> int:
 
 
 def _matrix_minimum_basis(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> dict:
-    """Start basis by the matrix-minimum rule: {row-major cell: mass}.
+    """Start basis by the matrix-minimum rule: {row-major cell: (mass, eps)}.
 
-    Cells are taken in order of increasing cost (row-major on ties); each
-    gets the lesser remaining marginal and closes exactly one line, its
-    row when that has no more left than its column. The last open row and
-    the last open column are never closed early, so the m + n - 1 cells
-    form a spanning tree.
+    Masses are pairs for Orden's perturbed marginals (see ``_solve_lp``):
+    a_i + eps on every row, b_n + m eps on the last column. Cells are taken
+    in order of increasing cost (row-major on ties); each gets the lesser
+    remaining marginal and closes exactly one line, its row when that has
+    no more left than its column, both in tuple order. The last open row
+    and the last open column are never closed early, so the m + n - 1
+    cells form a spanning tree.
     """
     m, n = cost_matrix.shape
-    row_left, col_left = a.tolist(), b.tolist()
+    row_left = [(x, 1) for x in a.tolist()]
+    col_left = [(x, 0) for x in b.tolist()]
+    col_left[-1] = (col_left[-1][0], m)
     row_open, col_open = [True] * m, [True] * n
     open_rows, open_cols = m, n
     basis = {}
@@ -614,8 +613,8 @@ def _matrix_minimum_basis(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray)
         if open_rows == 1 and open_cols == 1:
             break
         close_row = open_cols == 1 or (open_rows > 1 and row_left[i] <= col_left[j])
-        row_left[i] -= mass
-        col_left[j] -= mass
+        row_left[i] = (row_left[i][0] - mass[0], row_left[i][1] - mass[1])
+        col_left[j] = (col_left[j][0] - mass[0], col_left[j][1] - mass[1])
         if close_row:
             row_open[i] = False
             open_rows -= 1
@@ -701,7 +700,7 @@ def brute_force_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     w = 1.0 / n
     if np.max(np.abs(mu.weights - w)) > 1e-12 or np.max(np.abs(nu.weights - w)) > 1e-12:
         raise ValueError("exhaustive search needs uniform weights")
-    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
+    cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
     perms = _permutations(n)
     rows = np.arange(n, dtype=np.intp)
     totals = cost_matrix[rows, perms].sum(axis=1)

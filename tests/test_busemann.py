@@ -134,9 +134,9 @@ def test_doubling_reuses_certified_plans(lp_shapes):
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 8.0, 16.0])
 def test_high_order_translation_ray_matches_closed_form(p):
-    # far sections give costs far beyond 1e15, where HiGHS stops with
-    # status 4; b(nu) = <mean(mu0) - mean(nu), v> for a translation ray at
-    # every p
+    # far sections give costs far beyond 1e15, past the reach of a solver
+    # with absolute tolerances, which the certified simplex handles;
+    # b(nu) = <mean(mu0) - mean(nu), v> for a translation ray at every p
     mu0, nu, v = weighted_translation_setup()
     est = w.busemann_value(w.make_translation_ray(mu0, v, p=p), nu)
     closed = float((mu0.weights @ mu0.atoms - nu.weights @ nu.atoms) @ v)

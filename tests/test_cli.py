@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -82,9 +83,13 @@ def test_overflowing_costs_exit_2(files, capsys, tmp_path):
     w.write_measure(w.uniform_measure([[3e20], [-1e20]]), far)
     dirac = tmp_path / "dirac.measure"
     w.write_measure(w.dirac((0.0,)), dirac)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # one line on stderr, the input error: numpy warns of no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["--p", "16", "dist", str(dirac), str(far)]) == 2
-    assert "overflows double precision at p = 16" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "overflows double precision at p = 16" in err[0]
     # the same input shrunk below the overflow still solves
     w.write_measure(w.uniform_measure([[3e17], [-1e17]]), far)
     assert main(["--p", "16", "dist", str(dirac), str(far)]) == 0

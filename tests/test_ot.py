@@ -1,10 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 import wassray as w
 from wassray import ot
@@ -182,26 +183,26 @@ def test_coupling_rejects_no_entries():
         Coupling(mu, nu, [], [], [], 2.0)
 
 
-@pytest.mark.parametrize("corrupt", ["offset", "nan"])
-def test_solver_plans_are_still_checked(monkeypatch, corrupt):
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [("offset", "row sums"), ("nan", "finite and positive")],
+    ids=["offset", "nan"],
+)
+def test_solver_plans_are_still_checked(monkeypatch, corrupt, message):
     # solver-built plans skip only the conversions of the public
-    # constructor: a plan off its marginals is still rejected. A NaN entry
-    # fails ``plan > 0`` and is dropped, so the marginal check catches it.
-    simplex = ot._transport_simplex
+    # constructor: entries off their marginals, or with a NaN mass, are
+    # still rejected
+    solve_lp = ot._solve_lp
 
     def broken(a, b, cost_matrix):
-        plan = simplex(a, b, cost_matrix)
-        i, j = np.argwhere(plan > 0.0)[0]
-        if corrupt == "offset":
-            plan[i, j] += 1e-6
-        else:
-            plan[i, j] = np.nan
-        return plan
+        left, right, masses = solve_lp(a, b, cost_matrix)
+        masses[0] = masses[0] + 1e-6 if corrupt == "offset" else np.nan
+        return left, right, masses
 
-    monkeypatch.setattr(ot, "_transport_simplex", broken)
+    monkeypatch.setattr(ot, "_solve_lp", broken)
     mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.2, 0.3, 0.5])
     nu = w.DiscreteMeasure([[1.0, 1.0], [2.0, 0.5]], [0.6, 0.4])
-    with pytest.raises(ValueError, match="row sums"):
+    with pytest.raises(ValueError, match=message):
         w.solve_ot(mu, nu, 2.0)
 
 
@@ -550,8 +551,8 @@ def test_mismatched_warm_plan_is_ignored(lp_shapes, other):
 
 
 def far_section_instance():
-    # at p = 8 a section 1024 units out gives costs near 1.2e24, which HiGHS
-    # cannot solve (status 4)
+    # at p = 8 a section 1024 units out gives costs near 1.2e24, far past
+    # the reach of a solver with absolute tolerances
     mu0 = w.DiscreteMeasure(
         [[0.1, -0.54], [0.36, 1.3], [0.95, -0.7]], [0.591, 0.296, 0.113]
     )
@@ -562,25 +563,11 @@ def far_section_instance():
     return nu, w.ray_section(w.make_translation_ray(mu0, [1, 0], p=8), 2**10)
 
 
-@pytest.fixture
-def linprog_calls(monkeypatch):
-    """Results of every linprog call the solver makes."""
-    results = []
-
-    def spy(*args, **kwargs):
-        results.append(linprog(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(ot, "linprog", spy)
-    return results
-
-
-def test_far_section_high_order_solves_certified(linprog_calls):
+def test_far_section_high_order_solves_certified():
     nu, far = far_section_instance()
     plan = w.solve_ot(nu, far, 8)
     cost_matrix = pairwise_distances(nu.atoms, far.atoms) ** 8
     assert cost_matrix.max() > 1e24
-    assert linprog_calls == []
     assert ot.certify_support(plan.left, plan.right, cost_matrix)
     # every atom moves about 1024 to the right, so W_8 is close to that
     assert 1020.0 < plan.cost < 1028.0
@@ -593,25 +580,33 @@ def weighted_instance(rng, m, n, d=2):
 
 
 def test_solver_failure_raises_typed_error(monkeypatch):
-    # an instance the simplex gives up on goes to HiGHS; a failed solve
-    # there raises an error naming the status and the cost range
+    # the simplex cannot cycle, so its two ways to end uncertified are
+    # rounding faults: the pivot cap, and a certificate that fails with no
+    # improving cell; each raises an error naming it and the cost range
     a, b, cost_matrix = weighted_instance(np.random.default_rng(0), 6, 5)
-    monkeypatch.setattr(ot, "SIMPLEX_PIVOTS_PER_NODE", 0)
-    failed = OptimizeResult(status=4, message="HiGHS Status 4: Solve error", x=None)
-    monkeypatch.setattr(ot, "linprog", lambda *args, **kwargs: failed)
-    with pytest.raises(TransportSolveError, match=r"HiGHS status 4.*cost range \[\d"):
+    with monkeypatch.context() as patch:
+        patch.setattr(ot, "SIMPLEX_PIVOTS_PER_NODE", 0)
+        with pytest.raises(TransportSolveError, match=r"pivot cap.*cost range \[\d"):
+            _solve_lp(a, b, cost_matrix)
+    dual_certificate = ot._dual_certificate
+
+    def never_certified(*args):
+        return dual_certificate(*args)[0], False
+
+    monkeypatch.setattr(ot, "_dual_certificate", never_certified)
+    with pytest.raises(TransportSolveError, match=r"no improving cell.*cost range \[\d"):
         _solve_lp(a, b, cost_matrix)
 
 
 @st.composite
-def transport_instances(draw, max_atoms=7):
+def transport_instances(draw, max_atoms=7, kinds=("box", "grid", "coincident", "uniform")):
     """Weighted marginals and a cost matrix, often degenerate.
 
     Kinds: atoms anywhere in the box; atoms on an integer grid, so costs
     tie; some target atoms on source atoms, so costs vanish; and uniform
     marginals of unequal sizes, whose plans split mass.
     """
-    kind = draw(st.sampled_from(("box", "grid", "coincident", "uniform")))
+    kind = draw(st.sampled_from(kinds))
     m, n = draw(st.integers(2, max_atoms)), draw(st.integers(2, max_atoms))
     d = draw(st.integers(1, 3))
     values = st.integers(-2, 2).map(float) if kind == "grid" else coords
@@ -635,6 +630,16 @@ def transport_instances(draw, max_atoms=7):
     return weights(m), weights(n), pairwise_distances(xs, ys) ** p
 
 
+def assert_certified_entries(a, b, cost_matrix, entries):
+    """Entries of a plan of (a, b): row-major, positive, marginals to 1e-12, certified."""
+    left, right, masses = entries
+    m, n = cost_matrix.shape
+    assert np.all(np.diff(left * n + right) > 0) and masses.min() > 0.0
+    assert np.max(np.abs(np.bincount(left, masses, minlength=m) - a)) <= 1e-12
+    assert np.max(np.abs(np.bincount(right, masses, minlength=n) - b)) <= 1e-12
+    assert ot.certify_support(left, right, cost_matrix)
+
+
 @settings(max_examples=100)
 @given(instance=transport_instances(), shift=st.sampled_from((0.0, 0.5, 1.0)))
 def test_simplex_matches_highs(instance, shift):
@@ -643,14 +648,10 @@ def test_simplex_matches_highs(instance, shift):
     a, b, base = instance
     cost_matrix = base - shift * base.max() - base.mean()
     m, n = cost_matrix.shape
-    plan = ot._transport_simplex(a, b, cost_matrix)
-    assert plan is not None and plan.min() >= 0.0
-    assert np.max(np.abs(plan.sum(axis=1) - a)) <= 1e-12
-    assert np.max(np.abs(plan.sum(axis=0) - b)) <= 1e-12
-    left, right = np.nonzero(plan)
-    assert ot.certify_support(left, right, cost_matrix)
+    left, right, masses = entries = _solve_lp(a, b, cost_matrix)
+    assert_certified_entries(a, b, cost_matrix, entries)
     reference = float(np.sum(highs_plan(a, b, cost_matrix) * cost_matrix))
-    total = float(np.sum(plan * cost_matrix))
+    total = float(masses @ cost_matrix[left, right])
     # certified to 8 (m + n) eps max|C|; HiGHS is within its own 1e-7
     assert total <= reference + 8 * (m + n) * np.finfo(float).eps * np.abs(cost_matrix).max()
     assert total == pytest.approx(reference, rel=1e-8, abs=1e-7)
@@ -663,32 +664,43 @@ def test_simplex_matches_highs(instance, shift):
 def test_simplex_matches_exhaustive_oracle(pair, p):
     mu, nu = pair
     cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    plan = ot._transport_simplex(mu.weights, nu.weights, cost_matrix)
-    cost = float(np.sum(plan * cost_matrix)) ** (1.0 / p)
+    left, right, masses = _solve_lp(mu.weights, nu.weights, cost_matrix)
+    cost = float(masses @ cost_matrix[left, right]) ** (1.0 / p)
     assert cost == pytest.approx(w.brute_force_ot(mu, nu, p).cost, rel=1e-8, abs=1e-12)
 
 
 def test_simplex_is_deterministic():
     a, b, cost_matrix = weighted_instance(np.random.default_rng(2), 9, 7)
-    first = ot._transport_simplex(a, b, cost_matrix)
-    assert np.array_equal(first, ot._transport_simplex(a, b, cost_matrix))
+    first = _solve_lp(a, b, cost_matrix)
+    second = _solve_lp(a, b, cost_matrix)
+    assert all(same_bits(x, y) for x, y in zip(first, second))
 
 
-def test_pivot_capped_simplex_falls_back_to_highs(monkeypatch, linprog_calls):
-    a, b, cost_matrix = weighted_instance(np.random.default_rng(3), 6, 5)
-    assert ot._transport_simplex(a, b, cost_matrix) is not None
-    monkeypatch.setattr(ot, "SIMPLEX_PIVOTS_PER_NODE", 0)
-    assert ot._transport_simplex(a, b, cost_matrix) is None
-    plan = _solve_lp(a, b, cost_matrix)
-    assert len(linprog_calls) == 1
-    total = float(np.sum(plan * cost_matrix))
-    assert total == pytest.approx(float(np.sum(highs_plan(a, b, cost_matrix) * cost_matrix)))
+def uniform_instance(rng, m, n, d=2):
+    cost_matrix = pairwise_distances(rng.normal(size=(m, d)), rng.normal(size=(n, d))) ** 2
+    return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost_matrix
 
 
-def test_solved_simplex_skips_highs(linprog_calls):
-    a, b, cost_matrix = weighted_instance(np.random.default_rng(1), 40, 40)
-    _solve_lp(a, b, cost_matrix)
-    assert linprog_calls == []
+@pytest.mark.parametrize(
+    "build,m,n",
+    [(weighted_instance, 40, 40), (uniform_instance, 30, 45)],
+    ids=["weighted-40x40", "uniform-30x45"],
+)
+def test_large_instances_solve_certified(build, m, n):
+    a, b, cost_matrix = build(np.random.default_rng(1), m, n)
+    assert_certified_entries(a, b, cost_matrix, _solve_lp(a, b, cost_matrix))
+
+
+@settings(max_examples=100)
+@given(instance=transport_instances(kinds=("grid", "coincident", "uniform")))
+def test_start_basis_is_a_nondegenerate_tree(instance):
+    # under Orden's perturbation every basis mass is lexicographically
+    # positive, which makes every pivot strictly improving
+    a, b, cost_matrix = instance
+    m, n = cost_matrix.shape
+    basis = ot._matrix_minimum_basis(a, b, cost_matrix)
+    assert len(basis) == m + n - 1
+    assert all(mass > (0.0, 0) for mass in basis.values())
 
 
 @pytest.mark.parametrize("drift", [2e-16, 3e-10])
@@ -818,7 +830,9 @@ FAR = [[3e20], [-1e20]]  # d**16 passes the largest double: about 1.8e19 apart
     ids=["uniform", "weighted", "brute_force", "single_atom"],
 )
 def test_overflowing_costs_raise_a_typed_error(solve):
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the distances are checked before they are raised to p: no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(CostOverflowError, match="p = 16"):
             solve()
 
