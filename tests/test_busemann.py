@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wassray as w
-from wassray.errors import MonotonicityError, UnitSpeedError
+from wassray import busemann
+from wassray.errors import CostOverflowError, MonotonicityError, UnitSpeedError
 
 from conftest import (
     GENUINE_RAY_KINDS,
     genuine_ray_case,
     random_measure,
+    same_bits,
     unit_speed,
     weighted_translation_setup,
 )
@@ -207,3 +213,183 @@ def test_exact_value_rejects_non_rays_and_bad_input(line_ray):
         w.busemann_exact(w.make_dirac_ray((0.0, 0.0), (2.0, 0.0)), w.dirac((0.0, 0.0)))
     with pytest.raises(w.DimensionMismatchError):
         w.busemann_exact(line_ray, w.dirac((0.0,)))
+
+
+def reference_estimate(ray, nu, t0, tol, max_doublings, times=None):
+    """``busemann_value`` as one ``solve_ot`` per schedule step, with its stopping rule.
+
+    Appends each step's time to ``times`` before its solve, so a failing
+    step can be located.
+    """
+    times = [] if times is None else times
+    lower_bound = -w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p).cost
+    schedule = []
+    previous, decrement, converged = None, float("inf"), False
+    for j in range(max_doublings + 1):
+        t = t0 * 2.0**j
+        times.append(t)
+        value = w.solve_ot(nu, w.ray_section(ray, t), ray.p).cost - t
+        schedule.append((t, value))
+        if previous is not None:
+            decrement = previous - value
+            if decrement < -busemann.MONOTONE_ATOL:
+                raise MonotonicityError(
+                    f"truncation increased by {-decrement:.3e} at t={t}; "
+                    "it is provably non-increasing"
+                )
+            if decrement < tol:
+                converged = True
+                break
+        previous = value
+    t_final, value = schedule[-1]
+    if value < lower_bound - busemann.LOWER_BOUND_ATOL:
+        raise MonotonicityError(
+            f"truncation {value!r} fell below its lower bound {lower_bound!r}"
+        )
+    return w.BusemannEstimate(
+        value, t_final, max(decrement, 0.0), lower_bound, tuple(schedule), converged
+    )
+
+
+def outcome(run):
+    """('ok', result) or ('raised', exception type, message) of a call."""
+    try:
+        return ("ok", run())
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return ("raised", type(exc), str(exc))
+
+
+def assert_same_estimate(got, want):
+    fields = ("value", "t_final", "last_decrement", "lower_bound")
+    for name in fields:
+        assert same_bits(np.float64(getattr(got, name)), np.float64(getattr(want, name))), name
+    assert same_bits(np.array(got.schedule), np.array(want.schedule))
+    assert got.converged is want.converged
+
+
+@st.composite
+def single_ray_cases(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0, 8.0, 16.0]) | st.floats(1.0, 16.0, exclude_min=True))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    origin = np.array(draw(st.lists(unit, min_size=d, max_size=d))) * 10.0 ** draw(
+        st.integers(-3, 3)
+    )
+    velocity = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    if not np.linalg.norm(velocity) > 1e-3:
+        velocity[0] = 1.0
+    # a lone ray's weight need only be within 1e-12 of 1
+    weight = draw(st.sampled_from([1.0, 1.0 - 4e-13, 1.0 + 4e-13]))
+    ray = unit_speed(origin[None, :], velocity[None, :], [weight], p)
+    n = draw(st.integers(1, 6))
+    atoms = np.array(
+        draw(st.lists(st.lists(unit, min_size=d, max_size=d), min_size=n, max_size=n))
+    ) * 10.0 ** draw(st.integers(-3, 3))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    nu = w.DiscreteMeasure(atoms, weights / weights.sum())
+    t0 = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    tol = draw(st.sampled_from([1e-6, 1e-9]))
+    max_doublings = draw(st.sampled_from([1, 5, 24]))
+    return ray, nu, t0, tol, max_doublings
+
+
+@settings(max_examples=200)
+@given(single_ray_cases())
+def test_single_ray_schedule_has_the_bits_of_one_solve_per_step(case):
+    ray, nu, t0, tol, max_doublings = case
+    got = outcome(lambda: w.busemann_value(ray, nu, t0, tol, max_doublings))
+    want = outcome(lambda: reference_estimate(ray, nu, t0, tol, max_doublings))
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert_same_estimate(got[1], want[1])
+    else:
+        assert got == want
+
+
+@pytest.fixture
+def section_times(monkeypatch):
+    """Times of the sections ``busemann_value`` builds itself."""
+    times = []
+    ray_section = busemann.ray_section
+
+    def spy(ray, t):
+        times.append(t)
+        return ray_section(ray, t)
+
+    monkeypatch.setattr(busemann, "ray_section", spy)
+    return times
+
+
+@pytest.mark.parametrize(
+    "p,t0,nu_atom",
+    [
+        # stops at t = 2e13; d**16 overflows from t = 1e13 2^21 on
+        (16.0, 1e13, (-5.0, 0.0)),
+        # stops at t = 2e150; squared distances overflow from t = 1e150 2^14 on
+        (2.0, 1e150, (-5.0, 0.0)),
+    ],
+)
+def test_far_rows_past_the_stop_raise_and_warn_nothing(p, t0, nu_atom):
+    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=p)
+    nu = w.dirac(nu_atom)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = w.busemann_value(ray, nu, t0=t0)
+        want = reference_estimate(ray, nu, t0, busemann.DEFAULT_TOL, 24)
+    assert est.converged and len(est.schedule) == 2
+    assert_same_estimate(est, want)
+
+
+@pytest.mark.parametrize(
+    "p,t0,nu_atom,error",
+    [
+        # decrements stay large until d**16 overflows at t = 1e13 2^21
+        (16.0, 1e13, (0.0, 1e12), CostOverflowError),
+        # the squared distance overflows at t = 1e150 2^14: numpy's warning
+        (1.5, 1e150, (0.0, 1e149), RuntimeWarning),
+        # 0 * inf in the position: numpy's warning
+        (2.0, float("inf"), (0.0, 0.0), RuntimeWarning),
+        # NaN coordinates: the section's own error
+        (2.0, float("nan"), (0.0, 0.0), ValueError),
+        # d**16 overflows at the first step
+        (16.0, 1e20, (0.0, 0.0), CostOverflowError),
+    ],
+)
+def test_far_step_raises_as_the_section_solve_does(p, t0, nu_atom, error, section_times):
+    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=p)
+    nu = w.dirac(nu_atom)
+    times = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(lambda: w.busemann_value(ray, nu, t0=t0))
+        want = outcome(lambda: reference_estimate(ray, nu, t0, 1e-6, 24, times))
+    assert want[1] is error
+    assert got == want
+    if error is not CostOverflowError:  # the message names the distance, so the step
+        assert same_bits(np.float64(section_times[-1]), np.float64(times[-1]))
+
+
+@pytest.fixture
+def busemann_solves(monkeypatch):
+    calls = []
+    solve_ot = busemann.solve_ot
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve_ot(*args, **kwargs)
+
+    monkeypatch.setattr(busemann, "solve_ot", spy)
+    return calls
+
+
+def test_single_ray_makes_only_the_lower_bound_solve(line_ray, busemann_solves):
+    est = w.busemann_value(line_ray, w.DiscreteMeasure([[2.0, 5.0], [-1.0, 0.5]], [0.3, 0.7]))
+    assert len(est.schedule) > 10
+    assert len(busemann_solves) == 1
+
+
+def test_two_ray_family_solves_every_section(busemann_solves):
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.4, 0.6])
+    ray = w.make_translation_ray(mu0, (0.6, 0.8))
+    est = w.busemann_value(ray, w.dirac((2.0, -1.0)))
+    assert len(busemann_solves) == len(est.schedule) + 1
