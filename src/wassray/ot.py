@@ -20,13 +20,11 @@ method from the input alone, trying in order:
   the Jonker-Volgenant assignment solver finds one exactly;
 - a certified warm plan: schedules (Busemann doubling, co-ray diagnostics)
   solve a run of nearly identical instances whose optimal plan settles, so
-  ``transport_plan`` takes an optional previous plan ``warm``. When its sizes
-  match and its weights equal the new instance's, exactly or within the
-  coupling tolerance (masses are then rebuilt on its support from the new
-  marginals), ``certify_support`` tests its support against the new cost
-  matrix with dual potentials, and it is returned when the certificate
-  holds. ``lift_geodesic`` uses the same certificate to accept a plan
-  without re-solving;
+  ``transport_plan`` takes an optional previous plan ``warm``. When its
+  weights equal the new instance's exactly, ``certify_support`` tests its
+  support against the new cost matrix with dual potentials, and it is
+  returned when the certificate holds. ``lift_geodesic`` uses the same
+  certificate to accept a plan without re-solving;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
@@ -337,9 +335,9 @@ def transport_plan(
     - a single-atom marginal: its one feasible plan;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
       optimal permutation from ``linear_sum_assignment``;
-    - ``warm``, a previous plan whose marginals have the same sizes and
-      weights within 1e-9 of (a, b), when ``certify_support`` proves its
-      support optimal for these costs (see ``_warm_entries``);
+    - ``warm``, a previous plan whose marginals have exactly the weights
+      (a, b), when ``certify_support`` proves its support optimal for
+      these costs;
     - the certified transportation simplex ``_solve_lp``.
 
     The assignment plan can differ from the LP's only where the optimal
@@ -366,8 +364,13 @@ def transport_plan(
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left]
-    if (reused := _warm_entries(warm, a, b, cost_matrix)) is not None:
-        return reused
+    if (
+        warm is not None
+        and np.array_equal(warm.mu.weights, a)
+        and np.array_equal(warm.nu.weights, b)
+        and certify_support(warm.left, warm.right, cost_matrix)
+    ):
+        return warm.left, warm.right, warm.masses
     return _solve_lp(a, b, cost_matrix)
 
 
@@ -379,36 +382,6 @@ def _single_atom_entries(a: np.ndarray, b: np.ndarray):
     if n == 1:
         return np.arange(m, dtype=np.intp), np.zeros(m, dtype=np.intp), a.copy()
     return None
-
-
-def _warm_entries(warm: Coupling | None, a: np.ndarray, b: np.ndarray, cost_matrix):
-    """The warm plan's entries for weights (a, b) when certified optimal, else None.
-
-    The warm plan must couple the same marginals: equal sizes, and weights
-    within the coupling tolerance 1e-9 of (a, b). Exactly equal weights
-    keep its masses; weights that differ by rounding (consecutive sections
-    do) get masses rebuilt on its support from the new marginals, accepted
-    only when all are nonnegative and reproduce the marginals within 1e-9.
-    Either way the support must pass ``certify_support`` on the new costs.
-    """
-    if warm is None or len(warm.mu) != len(a) or len(warm.nu) != len(b):
-        return None
-    drift = max(
-        np.maximum.reduce(np.abs(warm.mu.weights - a)),
-        np.maximum.reduce(np.abs(warm.nu.weights - b)),
-    )
-    if drift > MARGINAL_ATOL:
-        return None
-    left, right, masses = warm.left, warm.right, warm.masses
-    if drift > 0.0:
-        masses, residual = _peel_masses(a, b, left, right)
-        if masses is None or residual > MARGINAL_ATOL or np.any(masses < 0.0):
-            return None
-        positive = masses > 0.0
-        left, right, masses = left[positive], right[positive], masses[positive]
-    if not certify_support(left, right, cost_matrix):
-        return None
-    return left, right, masses
 
 
 def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
@@ -538,7 +511,7 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
         )
         if certified:
             left, right = np.divmod(np.sort(cells), n)
-            masses, _ = _peel_masses(a, b, left, right)
+            masses = _peel_masses(a, b, left, right)
             positive = masses > 0.0
             return left[positive], right[positive], masses[positive]
         entering = int(np.argmin(reduced))
@@ -624,14 +597,12 @@ def _matrix_minimum_basis(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray)
     return basis
 
 
-def _peel_masses(a: np.ndarray, b: np.ndarray, left, right):
-    """Masses on a forest support that reproduce the marginals (a, b).
+def _peel_masses(a: np.ndarray, b: np.ndarray, left, right) -> np.ndarray:
+    """Masses on a spanning-tree support that reproduce the marginals (a, b).
 
-    Peels leaves off the forest: a leaf's one cell carries what remains of
+    Peels leaves off the tree: a leaf's one cell carries what remains of
     its marginal, which is then taken from the cell's other end. Returns
-    the masses in entry order and the largest marginal left unmatched,
-    which is zero in exact arithmetic exactly when a plan on this support
-    exists; (None, inf) when the support has a cycle.
+    the masses in entry order.
     """
     m = len(a)
     remaining = np.concatenate([a, b]).tolist()
@@ -644,27 +615,20 @@ def _peel_masses(a: np.ndarray, b: np.ndarray, left, right):
     degree = [len(cells) for cells in incident]
     done = [False] * len(ends)
     masses = [0.0] * len(ends)
-    residual = max((abs(remaining[x]) for x in range(len(degree)) if degree[x] == 0), default=0.0)
     leaves = [x for x in range(len(degree)) if degree[x] == 1]
-    peeled = 0
     for x in leaves:
         if degree[x] == 0:
-            continue  # the last node of a component: its cell is gone
+            continue  # the tree's last node: its cell is gone
         k = next(k for k in incident[x] if not done[k])
         y = ends[k][1] if ends[k][0] == x else ends[k][0]
         masses[k] = remaining[x]
         remaining[y] -= remaining[x]
         done[k] = True
-        peeled += 1
         degree[x] -= 1
         degree[y] -= 1
         if degree[y] == 1:
             leaves.append(y)
-        elif degree[y] == 0:
-            residual = max(residual, abs(remaining[y]))
-    if peeled < len(ends):
-        return None, np.inf
-    return np.array(masses), residual
+    return np.array(masses)
 
 
 def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:

@@ -28,10 +28,10 @@ from .errors import (
 from .measures import DiscreteMeasure, _checked_measure, as_point, merge_atoms, position_key
 from .ot import (
     Coupling,
+    _cost_matrix,
     certify_support,
     check_exponent,
     p_mean,
-    pairwise_distances,
     solve_ot,
     wasserstein_distance,
 )
@@ -119,9 +119,12 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
     itself: it is accepted when ``certify_support`` certifies its support
     on its own cost matrix, and otherwise the instance is re-solved and
     ``pi`` is rejected when its cost is not optimal within 1e-8 relative.
-    A zero-cost coupling lifts to constant paths.
+    A zero-cost coupling lifts to constant paths. The cost matrix is the
+    one ``solve_ot`` builds, so an off-support d**p that overflows raises
+    ``CostOverflowError`` there too, rather than making the certificate's
+    tolerance infinite.
     """
-    cost_matrix = pairwise_distances(pi.mu.atoms, pi.nu.atoms) ** pi.p
+    cost_matrix = _cost_matrix(pi.mu.atoms, pi.nu.atoms, pi.p)
     if not certify_support(pi.left, pi.right, cost_matrix):
         reference = solve_ot(pi.mu, pi.nu, pi.p)
         if abs(pi.cost - reference.cost) > OPTIMALITY_RTOL * max(1.0, reference.cost):

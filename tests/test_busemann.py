@@ -77,10 +77,13 @@ def test_non_unit_speed_rejected():
 
 def test_parameter_validation(line_ray):
     nu = w.dirac((0.0, 1.0))
-    with pytest.raises(ValueError):
-        w.busemann_value(line_ray, nu, t0=0.0)
-    with pytest.raises(ValueError):
-        w.busemann_value(line_ray, nu, tol=0.0)
+    # NaN fails the checks too, and each message names its argument
+    for t0 in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="t0"):
+            w.busemann_value(line_ray, nu, t0=t0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            w.busemann_value(line_ray, nu, tol=tol)
     with pytest.raises(ValueError):
         w.busemann_value(line_ray, nu, max_doublings=0)
 
@@ -218,9 +221,11 @@ def test_exact_value_rejects_non_rays_and_bad_input(line_ray):
 def reference_estimate(ray, nu, t0, tol, max_doublings, times=None):
     """``busemann_value`` as one ``solve_ot`` per schedule step, with its stopping rule.
 
-    Appends each step's time to ``times`` before its solve, so a failing
-    step can be located.
+    It checks t0 first, as ``busemann_value`` does. Appends each step's
+    time to ``times`` before its solve, so a failing step can be located.
     """
+    if not 0.0 < t0 < np.inf:
+        raise ValueError(f"initial time t0 must be positive and finite, got {t0}")
     times = [] if times is None else times
     lower_bound = -w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p).cost
     schedule = []
@@ -347,9 +352,8 @@ def test_far_rows_past_the_stop_raise_and_warn_nothing(p, t0, nu_atom):
         (16.0, 1e13, (0.0, 1e12), CostOverflowError),
         # the squared distance overflows at t = 1e150 2^14: numpy's warning
         (1.5, 1e150, (0.0, 1e149), RuntimeWarning),
-        # 0 * inf in the position: numpy's warning
-        (2.0, float("inf"), (0.0, 0.0), RuntimeWarning),
-        # NaN coordinates: the section's own error
+        # t0 must be positive and finite: refused before any section
+        (2.0, float("inf"), (0.0, 0.0), ValueError),
         (2.0, float("nan"), (0.0, 0.0), ValueError),
         # d**16 overflows at the first step
         (16.0, 1e20, (0.0, 0.0), CostOverflowError),
@@ -366,7 +370,7 @@ def test_far_step_raises_as_the_section_solve_does(p, t0, nu_atom, error, sectio
     assert want[1] is error
     assert got == want
     if error is not CostOverflowError:  # the message names the distance, so the step
-        assert same_bits(np.float64(section_times[-1]), np.float64(times[-1]))
+        assert same_bits(np.array(section_times[-1:]), np.array(times[-1:]))
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray.errors import MarginalMismatchError, NonOptimalCouplingError
+from wassray.errors import CostOverflowError, MarginalMismatchError, NonOptimalCouplingError
 from wassray.ot import Coupling
 
 from conftest import random_measure, same_bits, small_measures, uniform_pairs
@@ -50,6 +52,22 @@ def test_lift_two_atom_monotone():
 def test_lift_rejects_non_optimal_coupling():
     with pytest.raises(NonOptimalCouplingError):
         w.lift_geodesic(crossing_coupling())
+
+
+def test_lift_raises_on_an_overflowing_off_support_cost():
+    # the crossing plan's own entries are 1 apart (cost 0.975, the identity
+    # costs 0), but the atom at 1e20 puts d**16 past the largest double off
+    # its support: the certificate cannot judge the plan, so the lift
+    # raises as solve_ot does on the same instance, without numpy's warning
+    mu = w.uniform_measure([[0.0], [1.0], [1e20]])
+    crossing = Coupling(mu, mu, [0, 1, 2], [1, 0, 2], [1.0 / 3.0] * 3, 16.0)
+    assert crossing.cost == pytest.approx(0.975, abs=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CostOverflowError):
+            w.solve_ot(mu, mu, 16.0)
+        with pytest.raises(CostOverflowError):
+            w.lift_geodesic(crossing)
 
 
 def test_lift_certifies_solver_plan_without_resolving(lp_shapes):
