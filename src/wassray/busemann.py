@@ -43,7 +43,8 @@ DEFAULT_T0 = 1.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_DOUBLINGS = 24
 
-# Monotonicity holds exactly in theory; a violation beyond this signals a
+# Monotonicity holds exactly in theory; a violation beyond this floor, or
+# beyond the rounding of far truncations (``monotone_allowance``), signals a
 # defective transport solve rather than a property of the inputs.
 MONOTONE_ATOL = 1e-6
 LOWER_BOUND_ATOL = 1e-9
@@ -113,6 +114,41 @@ def _single_ray_truncations(ray, nu, t0, max_doublings):
             yield t, cost - t
 
 
+def monotone_allowance(ray: RayMeasure, nu: DiscreteMeasure, distances: float) -> float:
+    """Largest increase between two computed truncations that rounding explains.
+
+    ``distances`` is W + W', the sum of the two computed transport
+    distances W = value + t. A truncation is fl(W(t)) - t. With the unit
+    roundoff u = eps / 2, the computed W(t) has a relative error delta
+    bounded, to first order, by:
+
+    - 3u from the position o + t v and the difference x - (o + t v): one
+      rounding each of t v, of the sum and of the difference, each on a
+      term about as long as |x - o - t v| once t dominates the coordinates;
+    - (d / 2 + 1) u from the distance: d u for the d squares and their
+      sum, halved by the square root, and u for the root;
+    - (n + 4) u from the p-mean of n terms: 2u for each power d**p, u for
+      its weight and (n - 1) u for the sum, all divided by p > 1 under the
+      root, and 2u for the root itself.
+
+    So |delta| <= (d / 2 + n + 8) u = (d + 2n + 16) eps / 4, with n at most
+    len(nu) + len(ray) plan entries. Subtracting t is exact when
+    t/2 <= W <= 2t (Sterbenz), and one more rounding otherwise. The true
+    truncations do not increase, so two computed ones rise by at most
+    |delta| W + |delta'| W' and that rounding; the allowance is twice the
+    first-order bound, to cover both and the second-order terms:
+    (d + 2n + 16) eps (W + W') / 2. It grows with t, since W ~ t, and never
+    falls below ``MONOTONE_ATOL``: at t = 1.7e10 in d = 5 with three terms
+    it is about 7e-5, where the observed rises are a few 1e-6. A family of
+    two or more rays solves each section, and its certified plan may also
+    be suboptimal within the certificate's tolerance, which this bound
+    does not include.
+    """
+    terms = len(nu) + len(ray)
+    rounding = (nu.dim + 2 * terms + 16) * np.finfo(float).eps / 2.0
+    return max(MONOTONE_ATOL, rounding * distances)
+
+
 def busemann_value(
     ray: RayMeasure,
     nu: DiscreteMeasure,
@@ -126,8 +162,9 @@ def busemann_value(
     decrement between consecutive values drops below ``tol`` (converged)
     or after ``max_doublings`` doublings (schedule exhausted). Raises
     ``MonotonicityError`` if the recorded sequence increases by more than
-    1e-6 or falls below its lower bound: both are provably impossible, so
-    either indicates a solver defect.
+    ``monotone_allowance`` (1e-6, or the rounding of the two distances
+    when that is larger) or falls below its lower bound: both are provably
+    impossible, so either indicates a solver defect.
 
     The lower bound is one ``solve_ot`` call. A family of two or more rays
     then solves each section in turn, warm-started from the previous plan.
@@ -171,7 +208,8 @@ def busemann_value(
         schedule.append((t, value))
         if previous is not None:
             decrement = previous - value
-            if decrement < -MONOTONE_ATOL:
+            distances = (previous + schedule[-2][0]) + (value + t)
+            if decrement < -monotone_allowance(ray, nu, distances):
                 raise MonotonicityError(
                     f"truncation increased by {-decrement:.3e} at t={t}; "
                     "it is provably non-increasing"

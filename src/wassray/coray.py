@@ -84,31 +84,49 @@ def construct_coray(
 ) -> CorayResult:
     """Build the co-ray from ``nu0`` to the unit-speed ray ``mu``.
 
-    ``schedule`` is the strictly increasing sequence of target times
-    (default 2, 4, ..., 65536); ``test_times`` the evaluation times used
-    for the convergence diagnostics.
+    ``schedule`` is the strictly increasing sequence of finite positive
+    target times (default 2, 4, ..., 65536); ``test_times`` the finite
+    nonnegative evaluation times used for the convergence diagnostics, and
+    ``tol`` the positive bound on the last step's section movement below
+    which the construction counts as converged. Each is checked before any
+    solve, and a bad one raises ``ValueError`` naming it.
+
+    Consecutive target sections are translates of one another with the
+    same weights, and their optimal plan settles as the target time grows.
+    So each step's coupling starts from the previous step's plan (the
+    first from none), and each test time's movement plan from that test
+    time's plan of the step before: ``solve_ot`` returns a warm plan only
+    when its weights match exactly and ``certify_support`` proves its
+    support optimal on the new costs, and solves the transportation LP
+    otherwise.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
     test_times = tuple(
         float(t) for t in (DEFAULT_TEST_TIMES if test_times is None else test_times)
     )
+    tol = float(tol)
     if len(schedule) < 2:
         raise ValueError("the target schedule needs at least two entries")
-    if any(t <= 0.0 for t in schedule) or any(
-        b <= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("the target schedule must be positive and strictly increasing")
-    if not test_times or any(t < 0.0 for t in test_times):
-        raise ValueError("test times must be nonnegative and nonempty")
+    # the comparisons are written so that NaN fails them too
+    if not all(0.0 < t < np.inf for t in schedule):
+        raise ValueError(f"schedule entries must be positive and finite, got {schedule}")
+    if not all(a < b for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("the target schedule must be strictly increasing")
+    if not test_times or not all(0.0 <= t < np.inf for t in test_times):
+        raise ValueError(f"test times must be nonnegative and finite, got {test_times}")
+    if not tol > 0.0:
+        raise ValueError(f"convergence tolerance tol must be positive, got {tol}")
     start_offset = wasserstein_distance(nu0, ray_section(mu, 0.0), mu.p)
     lengths = []
     diagnostics = []
     previous_sections = None
     movement_plans = [None] * len(test_times)
-    final_coupling = None
+    coupling = None
     for t_n in schedule:
-        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p)
+        # consecutive targets are translates with the same weights, so the
+        # previous step's plan is the warm start of this one
+        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=coupling)
         lengths.append(coupling.cost)
         lift = lift_geodesic(coupling)
         sections = [section(lift, tau) for tau in test_times]
@@ -120,14 +138,13 @@ def construct_coray(
             ]
             diagnostics.append(max(plan.cost for plan in movement_plans))
         previous_sections = sections
-        final_coupling = coupling
-    length = final_coupling.cost
+    length = coupling.cost
     if length <= 0.0:
         raise ValueError("the final geodesic is degenerate; extend the schedule")
-    origins = final_coupling.mu.atoms[final_coupling.left]
-    targets = final_coupling.nu.atoms[final_coupling.right]
+    origins = coupling.mu.atoms[coupling.left]
+    targets = coupling.nu.atoms[coupling.right]
     velocities = (targets - origins) / length
-    candidate = RayMeasure(origins, velocities, final_coupling.masses, mu.p)
+    candidate = RayMeasure(origins, velocities, coupling.masses, mu.p)
     return CorayResult(
         ray=candidate,
         schedule=schedule,

@@ -18,8 +18,10 @@ method from the input alone, trying in order:
 - uniform marginals of equal size (every weight of both measures equal)
   have a permutation among their optimal plans (Birkhoff-von Neumann), and
   the Jonker-Volgenant assignment solver finds one exactly;
-- a certified warm plan: schedules (Busemann doubling, co-ray diagnostics)
-  solve a run of nearly identical instances whose optimal plan settles, so
+- a certified warm plan: schedules (Busemann doubling; in the co-ray
+  construction, each step's coupling to its target section and the
+  section movements between steps) solve a run of nearly identical
+  instances whose optimal plan settles, so
   ``transport_plan`` takes an optional previous plan ``warm``. When its
   weights equal the new instance's exactly, ``certify_support`` tests its
   support against the new cost matrix with dual potentials, and it is
@@ -418,7 +420,10 @@ def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
         v_next = np.minimum(v, np.minimum.reduce(u[:, None] + cost_matrix, axis=0))
         u_next = u.copy()
         np.minimum.at(u_next, left, v_next[right] - support_cost)
-        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
+        # both updates only lower the potentials, so they have converged when
+        # no entry moved; from the +0.0 start no -0.0 arises (u + C or v - C
+        # is -0.0 only when u or v already is), so that is equal bytes
+        if u_next.tobytes() == u.tobytes() and v_next.tobytes() == v.tobytes():
             break
         u, v = u_next, v_next
     return _dual_certificate(cost_matrix, u, v, left, right, tol)[1]

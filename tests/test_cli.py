@@ -173,6 +173,32 @@ def test_coray_non_convergence_exits_4(files):
     assert main(["coray", files["ray"], str(nu0), "--schedule", "2,4"]) == 4
 
 
+@pytest.mark.parametrize(
+    "option,named",
+    [
+        (["coray", "--schedule", "2,nan"], "schedule entries"),
+        (["coray", "--schedule", "2,inf"], "schedule entries"),
+        (["coray", "--schedule", "0,2"], "schedule entries"),
+        (["coray", "--test-times", "0,nan"], "test times"),
+        (["coray", "--test-times", "-1"], "test times"),
+        (["--tol", "nan", "coray", "--schedule", "2,4"], "tolerance tol"),
+        (["--tol", "-1", "coray", "--schedule", "2,4"], "tolerance tol"),
+    ],
+)
+def test_coray_construction_rejects_bad_times_and_tol_by_name(files, capsys, option, named):
+    # NaN and inf used to reach the sections (or, for tol, run every step
+    # and exit 4); now one input error names the parameter, with no warning
+    split = option.index("coray") + 1
+    argv = option[:split] + [files["ray"], files["a"]] + option[split:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    assert lines[0].startswith("input error: ") and named in lines[0]
+
+
 def cli_fields(capsys):
     return dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
 

@@ -660,6 +660,47 @@ def test_simplex_matches_highs(instance, shift):
     assert float(masses @ cost_matrix[left, right]) == pytest.approx(reference, rel=1e-8, abs=1e-7)
 
 
+def array_equal_certify_support(left, right, cost_matrix):
+    """``certify_support`` with its former convergence test, two ``np.array_equal`` calls."""
+    m, n = cost_matrix.shape
+    tol = ot._certificate_tolerance(cost_matrix)
+    support_cost = cost_matrix[left, right]
+    u = np.zeros(m)
+    v = np.zeros(n)
+    for _ in range(m + n):
+        v_next = np.minimum(v, np.minimum.reduce(u[:, None] + cost_matrix, axis=0))
+        u_next = u.copy()
+        np.minimum.at(u_next, left, v_next[right] - support_cost)
+        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
+            break
+        u, v = u_next, v_next
+    return ot._dual_certificate(cost_matrix, u, v, left, right, tol)[1]
+
+
+@settings(max_examples=200)
+@given(
+    instance=transport_instances(),
+    change=st.sampled_from(("none", "costs", "support")),
+    noise=st.sampled_from((1e-3, 0.1, 1.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_certificate_verdict_matches_the_array_equal_loop(instance, change, noise, seed):
+    # an optimal support on its own costs, the same support on perturbed
+    # costs (a warm plan after a schedule step), or a support with its
+    # columns permuted (usually not optimal)
+    a, b, cost_matrix = instance
+    left, right, _ = _solve_lp(a, b, cost_matrix)
+    rng = np.random.default_rng(seed)
+    if change == "costs":
+        cost_matrix = cost_matrix + rng.uniform(-noise, noise, cost_matrix.shape) * cost_matrix.std()
+    elif change == "support":
+        right = rng.permutation(cost_matrix.shape[1])[right]
+    verdict = ot.certify_support(left, right, cost_matrix)
+    assert verdict is array_equal_certify_support(left, right, cost_matrix)
+    if change == "none":
+        assert verdict
+
+
 @given(pair=uniform_pairs(max_atoms=BRUTE_FORCE_MAX_ATOMS), p=st.sampled_from((1.5, 2.0, 3.0)))
 def test_simplex_matches_exhaustive_oracle(pair, p):
     mu, nu = pair
