@@ -12,13 +12,6 @@ from it. ``busemann_value`` keeps the truncation as an independent
 oracle: it doubles t until the decrement stalls, returns an explicit
 upper bound bracketed by [lower_bound, value], and records the full
 schedule so callers can judge the truncation themselves.
-
-A family of one ray has one-atom sections, and a one-atom marginal has
-one feasible plan, so there W_p(nu, mu_t) is the p-mean of the distances
-from nu's atoms to the ray's position. ``busemann_value`` then forms the
-positions and distances of a run of schedule times in one numpy pass and
-takes each truncation from its row, with the arithmetic of
-``solve_ot``; families of two or more rays solve each section.
 """
 
 from __future__ import annotations
@@ -29,14 +22,7 @@ import numpy as np
 
 from .errors import MonotonicityError, NotARayError
 from .measures import DiscreteMeasure
-from .ot import (
-    _check_distances,
-    _cost_overflow,
-    p_mean,
-    solve_ot,
-    transport_plan,
-    wasserstein_distance,
-)
+from .ot import solve_ot, transport_plan, wasserstein_distance
 from .paths import RayMeasure, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
@@ -50,10 +36,6 @@ MONOTONE_ATOL = 1e-6
 LOWER_BOUND_ATOL = 1e-9
 # rounding allowed by the theorem checks whose inequality holds exactly
 CHECK_ATOL = 1e-9
-
-# schedule rows a single-ray pass forms at once; the default schedule has
-# DEFAULT_MAX_DOUBLINGS + 1 = 25 rows, so it takes one pass
-SINGLE_RAY_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -71,47 +53,6 @@ class BusemannEstimate:
     lower_bound: float
     schedule: tuple[tuple[float, float], ...]
     converged: bool
-
-
-def _section_truncations(ray, nu, t0, max_doublings, plan):
-    """Yield (t, W_p(nu, mu_t) - t) for t = t0 2^j, one section solve each."""
-    for j in range(max_doublings + 1):
-        t = t0 * 2.0**j
-        # consecutive sections differ little, so the last plan often stays
-        # optimal and its certificate spares the LP
-        plan = solve_ot(nu, ray_section(ray, t), ray.p, warm=plan)
-        yield t, plan.cost - t
-
-
-def _single_ray_truncations(ray, nu, t0, max_doublings):
-    """Yield (t, W_p(nu, mu_t) - t) for t = t0 2^j on a one-ray family, by rows.
-
-    See ``busemann_value`` for why each value equals the section solve's.
-    """
-    p = ray.p
-    # the masses of solve_ot's single-atom plan: nu's weights, or the ray's
-    # when nu is one atom too
-    masses = ray.weights if len(nu) == 1 else nu.weights
-    for first in range(0, max_doublings + 1, SINGLE_RAY_ROWS):
-        steps = np.arange(first, min(first + SINGLE_RAY_ROWS, max_doublings + 1))
-        # rows past the stop may overflow; only the rows walked below count
-        with np.errstate(all="ignore"):
-            times = np.ldexp(t0, steps)  # t0 * 2.0**j, exactly
-            positions = ray.origins + times[:, None] * ray.velocities
-            diff = nu.atoms - positions[:, None, :]
-            lengths = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        finite = np.isfinite(positions).all(axis=1) & np.isfinite(lengths).all(axis=1)
-        for j, row, ok in zip(steps.tolist(), lengths, finite.tolist()):
-            t = t0 * 2.0**j
-            if not ok:
-                # the section solve fails here, with its own error and warnings
-                yield t, solve_ot(nu, ray_section(ray, t), p).cost - t
-                continue
-            _check_distances(np.maximum.reduce(row), p)
-            cost = p_mean(masses, row, p)
-            if not cost < np.inf:
-                raise _cost_overflow(f"plan cost {cost!r}", p)
-            yield t, cost - t
 
 
 def monotone_allowance(ray: RayMeasure, nu: DiscreteMeasure, distances: float) -> float:
@@ -139,10 +80,10 @@ def monotone_allowance(ray: RayMeasure, nu: DiscreteMeasure, distances: float) -
     first-order bound, to cover both and the second-order terms:
     (d + 2n + 16) eps (W + W') / 2. It grows with t, since W ~ t, and never
     falls below ``MONOTONE_ATOL``: at t = 1.7e10 in d = 5 with three terms
-    it is about 7e-5, where the observed rises are a few 1e-6. A family of
-    two or more rays solves each section, and its certified plan may also
-    be suboptimal within the certificate's tolerance, which this bound
-    does not include.
+    it is about 7e-5, where the observed rises are a few 1e-6. When nu and
+    the ray both have two or more atoms, the certified plan may also be
+    suboptimal within the certificate's tolerance, which this bound does
+    not include.
     """
     terms = len(nu) + len(ray)
     rounding = (nu.dim + 2 * terms + 16) * np.finfo(float).eps / 2.0
@@ -166,23 +107,8 @@ def busemann_value(
     when that is larger) or falls below its lower bound: both are provably
     impossible, so either indicates a solver defect.
 
-    The lower bound is one ``solve_ot`` call. A family of two or more rays
-    then solves each section in turn, warm-started from the previous plan.
-    A family of one ray solves no section: its sections are one atom, whose
-    one feasible plan is the one ``solve_ot`` builds, so the truncation at
-    t is the p-mean of the distances from nu's atoms to the ray's position
-    at t. Those are formed for up to ``SINGLE_RAY_ROWS`` times in one numpy
-    pass, with the arithmetic of ``RayMeasure.positions`` and
-    ``ot._entries_cost``, so each value has the bits the section solve
-    gives (a test pins this). Each step the schedule reaches runs the
-    section solve's checks in its order: finite section coordinates, the
-    distance bound of ``ot._check_distances``, and a finite cost. A row
-    whose positions or distances are not finite is handed to
-    ``ray_section`` and ``solve_ot`` themselves, which raise there with
-    the same error and warnings. Rows past the stop are never checked, so
-    they raise and warn nothing. The plan's other checks hold by
-    construction: its masses are nu's validated weights (the ray's, when
-    nu is one atom too), which sum within 1e-12 of the section's weight 1.
+    The lower bound is one ``solve_ot`` call, and each schedule step one
+    more, warm-started from the previous step's plan.
     """
     require_unit_speed(ray, "the Busemann function")
     t0 = float(t0)
@@ -196,15 +122,16 @@ def busemann_value(
         raise ValueError(f"need at least one doubling, got {max_doublings}")
     plan = solve_ot(nu, ray_section(ray, 0.0), ray.p)
     lower_bound = -plan.cost
-    if len(ray) == 1:
-        truncations = _single_ray_truncations(ray, nu, t0, max_doublings)
-    else:
-        truncations = _section_truncations(ray, nu, t0, max_doublings, plan)
     schedule: list[tuple[float, float]] = []
     previous = None
     decrement = float("inf")
     converged = False
-    for t, value in truncations:
+    for j in range(max_doublings + 1):
+        t = t0 * 2.0**j
+        # consecutive sections differ little, so the last plan often stays
+        # optimal and its certificate spares the LP
+        plan = solve_ot(nu, ray_section(ray, t), ray.p, warm=plan)
+        value = plan.cost - t
         schedule.append((t, value))
         if previous is not None:
             decrement = previous - value

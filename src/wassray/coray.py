@@ -195,6 +195,9 @@ def coray_gradient_check(
     require_unit_speed(mu, "the gradient check")
     require_unit_speed(coray, "the gradient check")
     times = sorted(float(t) for t in times)
+    # written so that NaN fails the comparisons too
+    if not all(0.0 <= t < np.inf for t in times):
+        raise ValueError(f"check times must be nonnegative and finite, got {tuple(times)}")
     values = {t: busemann_exact(mu, ray_section(coray, t)).value for t in times}
     pairs = []
     residuals = []
@@ -261,11 +264,14 @@ def subray_uniqueness_check(
     require_unit_speed(mu, "the subray check")
     require_unit_speed(coray, "the subray check")
     tau = float(tau)
-    if tau <= 0.0:
-        raise ValueError(f"the subray shift must be positive, got {tau}")
+    # written so that NaN fails the comparisons too
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"the subray shift tau must be positive and finite, got {tau}")
     times = tuple(
         float(t) for t in (DEFAULT_TEST_TIMES if test_times is None else test_times)
     )
+    if not all(0.0 <= t < np.inf for t in times):
+        raise ValueError(f"test times must be nonnegative and finite, got {times}")
     rebuilt = coray_exact(mu, ray_section(coray, tau))
     gaps = tuple(
         wasserstein_distance(ray_section(rebuilt, t), ray_section(coray, t + tau), mu.p)

@@ -694,7 +694,7 @@ def tail_mass_bound_check(pi: Coupling, radius) -> TailBoundReport:
     own transport cost, so an optimal coupling always passes.
     """
     radius = float(radius)
-    if radius <= 0.0:
+    if not radius > 0.0:  # NaN fails too
         raise ValueError(f"radius must be positive, got {radius}")
     d = pi.pair_distances()
     tail = float(pi.masses[d > radius].sum())

@@ -49,6 +49,39 @@ def _segment_cost(starts, ends, weights, p) -> float:
     return p_mean(weights, np.linalg.norm(ends - starts, axis=1), p)
 
 
+def _checked_family(first, second, weights, p, item, arrays, data):
+    """Convert, check and freeze the arrays of a segment or ray family.
+
+    The checks ``GeodesicLift`` and ``RayMeasure`` share, in their order;
+    ``item``, ``arrays`` and ``data`` name a member, the array pair and its
+    coordinates in the messages. Zero-mass members are dropped.
+    """
+    first = np.atleast_2d(np.array(first, dtype=float))
+    second = np.atleast_2d(np.array(second, dtype=float))
+    weights = np.atleast_1d(np.array(weights, dtype=float))
+    if first.shape != second.shape:
+        raise ValueError(f"{arrays} arrays must have the same shape")
+    if first.ndim != 2 or first.shape[0] == 0:
+        raise ValueError(f"{item}s must form a nonempty (n, d) array pair")
+    if weights.shape != (first.shape[0],):
+        raise ValueError(f"one weight per {item} required")
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+        raise ValueError(f"{data} must be finite")
+    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
+        raise ValueError(f"{item} weights must be finite and nonnegative")
+    keep = weights > 0.0
+    if not np.all(keep):
+        first, second, weights = first[keep], second[keep], weights[keep]
+    if first.shape[0] == 0:
+        raise ValueError(f"every {item} has zero mass")
+    if abs(float(weights.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"{item} weights must sum to 1")
+    p = check_exponent(p)
+    for arr in (first, second, weights):
+        arr.setflags(write=False)
+    return first, second, weights, p
+
+
 @dataclass(frozen=True, eq=False)
 class GeodesicLift:
     """Weighted constant-speed segments carrying a geodesic of measures.
@@ -65,35 +98,16 @@ class GeodesicLift:
     length: float
 
     def __post_init__(self):
-        starts = np.atleast_2d(np.array(self.starts, dtype=float))
-        ends = np.atleast_2d(np.array(self.ends, dtype=float))
-        weights = np.atleast_1d(np.array(self.weights, dtype=float))
-        if starts.shape != ends.shape:
-            raise ValueError("start and end arrays must have the same shape")
-        if starts.ndim != 2 or starts.shape[0] == 0:
-            raise ValueError("segments must form a nonempty (n, d) array pair")
-        if weights.shape != (starts.shape[0],):
-            raise ValueError("one weight per segment required")
-        if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends))):
-            raise ValueError("segment endpoints must be finite")
-        if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-            raise ValueError("segment weights must be finite and nonnegative")
-        keep = weights > 0.0
-        if not np.all(keep):
-            starts, ends, weights = starts[keep], ends[keep], weights[keep]
-        if starts.shape[0] == 0:
-            raise ValueError("every segment has zero mass")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("segment weights must sum to 1")
-        p = check_exponent(self.p)
+        starts, ends, weights, p = _checked_family(
+            self.starts, self.ends, self.weights, self.p,
+            "segment", "start and end", "segment endpoints",
+        )
         length = float(self.length)
         cost = _segment_cost(starts, ends, weights, p)
         if abs(length - cost) > LENGTH_RTOL * max(1.0, cost):
             raise ValueError(
                 f"length {length!r} does not equal the endpoint transport cost {cost!r}"
             )
-        for arr in (starts, ends, weights):
-            arr.setflags(write=False)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "weights", weights)
@@ -142,8 +156,9 @@ def section(lift: GeodesicLift, t) -> DiscreteMeasure:
     same position are pooled.
     """
     t = float(t)
-    if t < 0.0:
-        raise ValueError(f"section time must be nonnegative, got {t}")
+    # written so that NaN fails; t = inf clamps to the endpoint
+    if not t >= 0.0:
+        raise ValueError(f"section time t must be nonnegative, got {t}")
     if t == 0.0 or lift.length == 0.0:
         positions = lift.starts
     elif t >= lift.length:
@@ -168,29 +183,10 @@ class RayMeasure:
     p: float
 
     def __post_init__(self):
-        origins = np.atleast_2d(np.array(self.origins, dtype=float))
-        velocities = np.atleast_2d(np.array(self.velocities, dtype=float))
-        weights = np.atleast_1d(np.array(self.weights, dtype=float))
-        if origins.shape != velocities.shape:
-            raise ValueError("origin and velocity arrays must have the same shape")
-        if origins.ndim != 2 or origins.shape[0] == 0:
-            raise ValueError("rays must form a nonempty (n, d) array pair")
-        if weights.shape != (origins.shape[0],):
-            raise ValueError("one weight per ray required")
-        if not (np.all(np.isfinite(origins)) and np.all(np.isfinite(velocities))):
-            raise ValueError("ray data must be finite")
-        if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-            raise ValueError("ray weights must be finite and nonnegative")
-        keep = weights > 0.0
-        if not np.all(keep):
-            origins, velocities, weights = origins[keep], velocities[keep], weights[keep]
-        if origins.shape[0] == 0:
-            raise ValueError("every ray has zero mass")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("ray weights must sum to 1")
-        p = check_exponent(self.p)
-        for arr in (origins, velocities, weights):
-            arr.setflags(write=False)
+        origins, velocities, weights, p = _checked_family(
+            self.origins, self.velocities, self.weights, self.p,
+            "ray", "origin and velocity", "ray data",
+        )
         object.__setattr__(self, "origins", origins)
         object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "weights", weights)
@@ -222,8 +218,9 @@ def require_unit_speed(ray: RayMeasure, what: str = "this operation") -> None:
 def ray_section(ray: RayMeasure, t) -> DiscreteMeasure:
     """Measure at time t of a ray family: the law of the random ray position."""
     t = float(t)
-    if t < 0.0:
-        raise ValueError(f"ray time must be nonnegative, got {t}")
+    # written so that NaN fails the comparisons too
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"ray time t must be nonnegative and finite, got {t}")
     return _checked_measure(*merge_atoms(ray.positions(t), ray.weights))
 
 
@@ -260,8 +257,8 @@ def restrict_to_geodesic(ray: RayMeasure, t1, t2) -> GeodesicLift:
     optimal and its length is (t2 - t1) times the ray speed.
     """
     t1, t2 = float(t1), float(t2)
-    if not 0.0 <= t1 < t2:
-        raise ValueError(f"need 0 <= t1 < t2, got ({t1}, {t2})")
+    if not 0.0 <= t1 < t2 < np.inf:
+        raise ValueError(f"need 0 <= t1 < t2 < inf, got ({t1}, {t2})")
     starts = ray.positions(t1)
     ends = ray.positions(t2)
     length = _segment_cost(starts, ends, ray.weights, ray.p)
@@ -296,8 +293,8 @@ def validate_ray(ray: RayMeasure, time_pairs=()) -> RayValidationReport:
         (float(t1), float(t2)) for t1, t2 in time_pairs
     )
     for t1, t2 in pairs:
-        if not 0.0 <= t1 < t2:
-            raise ValueError(f"time pairs need 0 <= t1 < t2, got ({t1}, {t2})")
+        if not 0.0 <= t1 < t2 < np.inf:
+            raise ValueError(f"time pairs need 0 <= t1 < t2 < inf, got ({t1}, {t2})")
     k = ray.speed
     gaps = []
     rel_gaps = []

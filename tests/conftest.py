@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import wassray as w
 from wassray import ot
+# the tests draw measures with verify's generator, the one copy of it
+from wassray.verify import _random_measure as random_measure  # noqa: F401
 
 settings.register_profile(
     "solver",
@@ -16,13 +18,6 @@ settings.register_profile(
 settings.load_profile("solver")
 
 coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
-
-
-def random_measure(rng, max_atoms=4, dim=2, scale=2.0):
-    n = int(rng.integers(1, max_atoms + 1))
-    atoms = rng.normal(scale=scale, size=(n, dim))
-    weights = rng.random(n) + 0.1
-    return w.DiscreteMeasure(atoms, weights / weights.sum())
 
 
 def random_uniform_pair(rng, n, d):

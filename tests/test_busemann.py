@@ -1,9 +1,8 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import wassray as w
 from wassray import busemann
@@ -13,7 +12,6 @@ from conftest import (
     GENUINE_RAY_KINDS,
     genuine_ray_case,
     random_measure,
-    same_bits,
     unit_speed,
     weighted_translation_setup,
 )
@@ -245,53 +243,13 @@ def test_an_increase_past_the_rounding_allowance_still_raises(monkeypatch):
     t = 1e3 * 2.0**24
     allowance = busemann.monotone_allowance(ray, nu, (t / 2 - 1.73) + (t - 1.73))
     assert busemann.MONOTONE_ATOL < allowance < 1e-4
-
-    def rising(ray, nu, t0, max_doublings):
-        yield t / 2, -1.73
-        yield t, -1.73 + 2.0 * allowance
-
-    monkeypatch.setattr(busemann, "_single_ray_truncations", rising)
-    with pytest.raises(MonotonicityError, match="truncation increased"):
-        w.busemann_value(ray, nu, t0=1e3, tol=1e-9)
-
-
-def reference_estimate(ray, nu, t0, tol, max_doublings, times=None):
-    """``busemann_value`` as one ``solve_ot`` per schedule step, with its stopping rule.
-
-    It checks t0 first, as ``busemann_value`` does. Appends each step's
-    time to ``times`` before its solve, so a failing step can be located.
-    """
-    if not 0.0 < t0 < np.inf:
-        raise ValueError(f"initial time t0 must be positive and finite, got {t0}")
-    times = [] if times is None else times
-    lower_bound = -w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p).cost
-    schedule = []
-    previous, decrement, converged = None, float("inf"), False
-    for j in range(max_doublings + 1):
-        t = t0 * 2.0**j
-        times.append(t)
-        value = w.solve_ot(nu, w.ray_section(ray, t), ray.p).cost - t
-        schedule.append((t, value))
-        if previous is not None:
-            decrement = previous - value
-            distances = (previous + schedule[-2][0]) + (value + t)
-            if decrement < -busemann.monotone_allowance(ray, nu, distances):
-                raise MonotonicityError(
-                    f"truncation increased by {-decrement:.3e} at t={t}; "
-                    "it is provably non-increasing"
-                )
-            if decrement < tol:
-                converged = True
-                break
-        previous = value
-    t_final, value = schedule[-1]
-    if value < lower_bound - busemann.LOWER_BOUND_ATOL:
-        raise MonotonicityError(
-            f"truncation {value!r} fell below its lower bound {lower_bound!r}"
-        )
-    return w.BusemannEstimate(
-        value, t_final, max(decrement, 0.0), lower_bound, tuple(schedule), converged
-    )
+    # the lower bound, then section distances whose truncations rise by
+    # twice the allowance from t / 2 to t
+    lower = w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p)
+    costs = iter([lower.cost, t / 2 - 1.73, t - 1.73 + 2.0 * allowance])
+    monkeypatch.setattr(busemann, "solve_ot", lambda *args, **kwargs: SimpleNamespace(cost=next(costs)))
+    with pytest.raises(MonotonicityError, match=f"truncation increased by .* at t={t}"):
+        w.busemann_value(ray, nu, t0=t / 2, tol=1e-9)
 
 
 def outcome(run):
@@ -300,53 +258,6 @@ def outcome(run):
         return ("ok", run())
     except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
         return ("raised", type(exc), str(exc))
-
-
-def assert_same_estimate(got, want):
-    fields = ("value", "t_final", "last_decrement", "lower_bound")
-    for name in fields:
-        assert same_bits(np.float64(getattr(got, name)), np.float64(getattr(want, name))), name
-    assert same_bits(np.array(got.schedule), np.array(want.schedule))
-    assert got.converged is want.converged
-
-
-@st.composite
-def single_ray_cases(draw):
-    d = draw(st.integers(1, 3))
-    p = draw(st.sampled_from([1.5, 2.0, 3.0, 8.0, 16.0]) | st.floats(1.0, 16.0, exclude_min=True))
-    unit = st.floats(-1.0, 1.0, allow_nan=False)
-    origin = np.array(draw(st.lists(unit, min_size=d, max_size=d))) * 10.0 ** draw(
-        st.integers(-3, 3)
-    )
-    velocity = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
-    if not np.linalg.norm(velocity) > 1e-3:
-        velocity[0] = 1.0
-    # a lone ray's weight need only be within 1e-12 of 1
-    weight = draw(st.sampled_from([1.0, 1.0 - 4e-13, 1.0 + 4e-13]))
-    ray = unit_speed(origin[None, :], velocity[None, :], [weight], p)
-    n = draw(st.integers(1, 6))
-    atoms = np.array(
-        draw(st.lists(st.lists(unit, min_size=d, max_size=d), min_size=n, max_size=n))
-    ) * 10.0 ** draw(st.integers(-3, 3))
-    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    nu = w.DiscreteMeasure(atoms, weights / weights.sum())
-    t0 = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    tol = draw(st.sampled_from([1e-6, 1e-9]))
-    max_doublings = draw(st.sampled_from([1, 5, 24]))
-    return ray, nu, t0, tol, max_doublings
-
-
-@settings(max_examples=200)
-@given(single_ray_cases())
-def test_single_ray_schedule_has_the_bits_of_one_solve_per_step(case):
-    ray, nu, t0, tol, max_doublings = case
-    got = outcome(lambda: w.busemann_value(ray, nu, t0, tol, max_doublings))
-    want = outcome(lambda: reference_estimate(ray, nu, t0, tol, max_doublings))
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        assert_same_estimate(got[1], want[1])
-    else:
-        assert got == want
 
 
 @pytest.fixture
@@ -361,26 +272,6 @@ def section_times(monkeypatch):
 
     monkeypatch.setattr(busemann, "ray_section", spy)
     return times
-
-
-@pytest.mark.parametrize(
-    "p,t0,nu_atom",
-    [
-        # stops at t = 2e13; d**16 overflows from t = 1e13 2^21 on
-        (16.0, 1e13, (-5.0, 0.0)),
-        # stops at t = 2e150; squared distances overflow from t = 1e150 2^14 on
-        (2.0, 1e150, (-5.0, 0.0)),
-    ],
-)
-def test_far_rows_past_the_stop_raise_and_warn_nothing(p, t0, nu_atom):
-    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=p)
-    nu = w.dirac(nu_atom)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        est = w.busemann_value(ray, nu, t0=t0)
-        want = reference_estimate(ray, nu, t0, busemann.DEFAULT_TOL, 24)
-    assert est.converged and len(est.schedule) == 2
-    assert_same_estimate(est, want)
 
 
 @pytest.mark.parametrize(
@@ -400,15 +291,18 @@ def test_far_rows_past_the_stop_raise_and_warn_nothing(p, t0, nu_atom):
 def test_far_step_raises_as_the_section_solve_does(p, t0, nu_atom, error, section_times):
     ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=p)
     nu = w.dirac(nu_atom)
-    times = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(lambda: w.busemann_value(ray, nu, t0=t0))
-        want = outcome(lambda: reference_estimate(ray, nu, t0, 1e-6, 24, times))
-    assert want[1] is error
-    assert got == want
-    if error is not CostOverflowError:  # the message names the distance, so the step
-        assert same_bits(np.array(section_times[-1:]), np.array(times[-1:]))
+        assert got[1] is error
+        if error is ValueError:
+            assert "initial time t0" in got[2] and section_times == []
+            return
+        # the last section built is a schedule step, and solving it alone
+        # raises the same error with the same message
+        t = section_times[-1]
+        assert t in [t0 * 2.0**j for j in range(busemann.DEFAULT_MAX_DOUBLINGS + 1)]
+        assert outcome(lambda: w.solve_ot(nu, w.ray_section(ray, t), p)) == got
 
 
 @pytest.fixture
@@ -424,14 +318,14 @@ def busemann_solves(monkeypatch):
     return calls
 
 
-def test_single_ray_makes_only_the_lower_bound_solve(line_ray, busemann_solves):
-    est = w.busemann_value(line_ray, w.DiscreteMeasure([[2.0, 5.0], [-1.0, 0.5]], [0.3, 0.7]))
-    assert len(est.schedule) > 10
-    assert len(busemann_solves) == 1
-
-
-def test_two_ray_family_solves_every_section(busemann_solves):
+def test_two_ray_family_solves_every_section(line_ray, busemann_solves):
+    """One solve per schedule step plus the lower bound, for one ray and for two."""
     mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.4, 0.6])
-    ray = w.make_translation_ray(mu0, (0.6, 0.8))
-    est = w.busemann_value(ray, w.dirac((2.0, -1.0)))
-    assert len(busemann_solves) == len(est.schedule) + 1
+    for ray, nu in (
+        (line_ray, w.DiscreteMeasure([[2.0, 5.0], [-1.0, 0.5]], [0.3, 0.7])),
+        (w.make_translation_ray(mu0, (0.6, 0.8)), w.dirac((2.0, -1.0))),
+    ):
+        busemann_solves.clear()
+        est = w.busemann_value(ray, nu)
+        assert len(est.schedule) > 10
+        assert len(busemann_solves) == len(est.schedule) + 1

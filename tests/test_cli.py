@@ -103,6 +103,24 @@ def test_geodesic_section_round_trips(files, capsys):
     assert w.same_measure(mid, w.DiscreteMeasure([[1.0], [2.0]], [0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "command,named",
+    [
+        (["geodesic-section", "mu", "nu", "nan"], "section time t"),
+        (["ray-validate", "ray", "--pairs", "0:inf"], "time pairs"),
+    ],
+)
+def test_nan_and_infinite_times_are_one_input_error(files, capsys, command, named):
+    argv = [files.get(arg, arg) for arg in command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1
+    assert lines[0].startswith("input error: ") and named in lines[0]
+
+
 def test_ray_new_and_validate(files, capsys):
     out = files["dir"] / "t.rays"
     assert main(

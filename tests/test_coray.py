@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,25 @@ def test_subray_translation(translation_setup):
 def test_subray_rejects_bad_tau(line_ray):
     with pytest.raises(ValueError):
         w.subray_uniqueness_check(line_ray, line_ray, tau=0.0)
+
+
+def test_nan_and_infinite_check_times_fail_by_name(line_ray):
+    nan, inf = float("nan"), float("inf")
+    calls = [
+        (lambda: w.coray_gradient_check(line_ray, line_ray, times=(0.0, nan)), "check times"),
+        (lambda: w.coray_gradient_check(line_ray, line_ray, times=(0.0, inf)), "check times"),
+        (lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=nan), "subray shift tau"),
+        (lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=inf), "subray shift tau"),
+        (
+            lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=1.0, test_times=(0.0, nan)),
+            "test times",
+        ),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, named in calls:
+            with pytest.raises(ValueError, match=named):
+                call()
 
 
 def test_checks_fail_a_ray_that_is_no_coray(line_ray):

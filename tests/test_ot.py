@@ -238,6 +238,11 @@ def test_tail_bound_rejects_bad_radius():
     plan = w.solve_ot(*two_atom_instance(), 2.0)
     with pytest.raises(ValueError):
         w.tail_mass_bound_check(plan, 0.0)
+    # NaN fails the bound by name rather than giving a failed report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius must be positive, got nan"):
+            w.tail_mass_bound_check(plan, float("nan"))
 
 
 @given(pair=uniform_pairs(max_atoms=5))

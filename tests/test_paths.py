@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +111,33 @@ def test_section_rejects_negative_time():
     lift = w.lift_geodesic(two_atom_plan())
     with pytest.raises(ValueError):
         w.section(lift, -0.1)
+
+
+def test_nan_and_infinite_times_fail_by_name():
+    """NaN fails every time bound by name, and inf every one but a lift section's.
+
+    The ray's zero velocity component would turn an infinite time into NaN
+    coordinates, with numpy's invalid-value warning, past the bound.
+    """
+    lift = w.lift_geodesic(two_atom_plan())
+    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0))
+    nan, inf = float("nan"), float("inf")
+    calls = [
+        (lambda: w.section(lift, nan), "section time t must be nonnegative, got nan"),
+        (lambda: w.ray_section(ray, nan), "ray time t must be nonnegative and finite, got nan"),
+        (lambda: w.ray_section(ray, inf), "ray time t must be nonnegative and finite, got inf"),
+        (lambda: w.restrict_to_geodesic(ray, 0.0, inf), "need 0 <= t1 < t2 < inf, got (0.0, inf)"),
+        (lambda: w.restrict_to_geodesic(ray, nan, 1.0), "need 0 <= t1 < t2 < inf, got (nan, 1.0)"),
+        (lambda: w.validate_ray(ray, [(0.0, inf)]), "time pairs need 0 <= t1 < t2 < inf"),
+        (lambda: w.validate_ray(ray, [(nan, 1.0)]), "time pairs need 0 <= t1 < t2 < inf"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+        at_end = w.section(lift, lift.length)
+        assert w.same_measure(w.section(lift, inf), at_end, weight_atol=0.0)
 
 
 def test_section_merges_colliding_atoms():
