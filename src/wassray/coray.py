@@ -39,13 +39,7 @@ import numpy as np
 from .busemann import CHECK_ATOL, busemann_exact
 from .measures import DiscreteMeasure
 from .ot import solve_ot, wasserstein_distance
-from .paths import (
-    RayMeasure,
-    lift_geodesic,
-    ray_section,
-    require_unit_speed,
-    section,
-)
+from .paths import RayMeasure, _lift_entries, ray_section, require_unit_speed, section
 
 DEFAULT_SCHEDULE = tuple(2.0**n for n in range(1, 17))
 DEFAULT_TEST_TIMES = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -98,7 +92,10 @@ def construct_coray(
     time's plan of the step before: ``solve_ot`` returns a warm plan only
     when its weights match exactly and ``certify_support`` proves its
     support optimal on the new costs, and solves the transportation LP
-    otherwise.
+    otherwise. Each step's coupling is lifted as ``solve_ot`` returns it,
+    without ``lift_geodesic``'s certificate: ``solve_ot`` has just proven it
+    optimal on the same cost matrix. The time-0 sections of consecutive
+    steps are often one measure, whose movement plan is the identity.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -128,7 +125,8 @@ def construct_coray(
         # previous step's plan is the warm start of this one
         coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=coupling)
         lengths.append(coupling.cost)
-        lift = lift_geodesic(coupling)
+        # solve_ot has just certified this plan optimal, so it lifts as it is
+        lift = _lift_entries(coupling)
         sections = [section(lift, tau) for tau in test_times]
         if previous_sections is not None:
             # each test time's movement plan is the warm start for the next step

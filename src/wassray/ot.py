@@ -18,6 +18,8 @@ method from the input alone, trying in order:
 - uniform marginals of equal size (every weight of both measures equal)
   have a permutation among their optimal plans (Birkhoff-von Neumann), and
   the Jonker-Volgenant assignment solver finds one exactly;
+- equal marginals on a nonnegative cost matrix with a zero diagonal, a
+  measure moved onto itself: the identity plan costs 0, so it is optimal;
 - a certified warm plan: schedules (Busemann doubling; in the co-ray
   construction, each step's coupling to its target section and the
   section movements between steps) solve a run of nearly identical
@@ -25,16 +27,18 @@ method from the input alone, trying in order:
   ``transport_plan`` takes an optional previous plan ``warm``. When its
   weights equal the new instance's exactly, ``certify_support`` tests its
   support against the new cost matrix with dual potentials, and it is
-  returned when the certificate holds. ``lift_geodesic`` uses the same
-  certificate to accept a plan without re-solving;
+  returned when the certificate holds, its entries already checked and
+  frozen, so only its cost is derived anew. ``lift_geodesic`` uses the
+  same certificate to accept a plan without re-solving;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
   simplex solves it and stops on the same certificate. Orden's
   perturbation of the marginals makes every basis nondegenerate, so it
   cannot cycle; its pivot cap is only a safety net against rounding, and
-  reaching it raises ``TransportSolveError``. It returns a basic (vertex)
-  plan.
+  reaching it raises ``TransportSolveError``. It keeps the basis tree and
+  its potentials between pivots, re-hanging only the subtree a pivot cuts
+  off. It returns a basic (vertex) plan.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -211,6 +215,7 @@ def _checked_coupling(
     cost=None,
     coupling=None,
     cost_matrix: np.ndarray | None = None,
+    warm: Coupling | None = None,
 ) -> Coupling:
     """Run every ``Coupling`` check on entry arrays and freeze them into a coupling.
 
@@ -232,32 +237,23 @@ def _checked_coupling(
     derived or supplied cost that is not finite, raises
     ``CostOverflowError``. Errors come in a fixed order: entry lengths,
     indices, masses, marginals, cost.
+
+    ``solve_ot`` also passes its ``warm`` coupling. When the entries are
+    that coupling's own read-only arrays and both measures' weights have
+    the bits of its marginals' weights, the entries passed these very
+    checks, against the same values, when ``warm`` was built; only the cost
+    is derived anew.
     """
-    if not len(left) == len(right) == len(masses):
-        raise ValueError("entry arrays must have equal length")
-    if len(left) == 0:
-        raise ValueError("a coupling needs at least one entry")
-    # the upper bound is checked first because bincount sizes its output by
-    # the largest index; bincount itself rejects negative indices
-    if np.maximum.reduce(left) >= len(mu):
-        raise ValueError("left index out of range")
-    try:
-        row = np.bincount(left, weights=masses, minlength=len(mu))
-    except ValueError:
-        raise ValueError("left index out of range") from None
-    if np.maximum.reduce(right) >= len(nu):
-        raise ValueError("right index out of range")
-    try:
-        col = np.bincount(right, weights=masses, minlength=len(nu))
-    except ValueError:
-        raise ValueError("right index out of range") from None
-    # min and max propagate NaN, so the comparison fails on NaN and inf alike
-    if not (np.minimum.reduce(masses) > 0.0 and np.maximum.reduce(masses) < np.inf):
-        raise ValueError("entry masses must be finite and positive")
-    if np.maximum.reduce(np.abs(row - mu.weights)) > MARGINAL_ATOL:
-        raise ValueError("row sums do not reproduce the left marginal")
-    if np.maximum.reduce(np.abs(col - nu.weights)) > MARGINAL_ATOL:
-        raise ValueError("column sums do not reproduce the right marginal")
+    reused = (
+        warm is not None
+        and left is warm.left
+        and right is warm.right
+        and masses is warm.masses
+        and mu.weights.tobytes() == warm.mu.weights.tobytes()
+        and nu.weights.tobytes() == warm.nu.weights.tobytes()
+    )
+    if not reused:
+        _check_entries(mu, nu, left, right, masses)
     if cost_matrix is None:
         derived = _entries_cost(mu, nu, left, right, masses, p)
     else:
@@ -286,6 +282,35 @@ def _checked_coupling(
     object.__setattr__(coupling, "p", p)
     object.__setattr__(coupling, "cost", cost)
     return coupling
+
+
+def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses) -> None:
+    """``_checked_coupling``'s entry checks, in order: lengths, indices, masses, marginals."""
+    if not len(left) == len(right) == len(masses):
+        raise ValueError("entry arrays must have equal length")
+    if len(left) == 0:
+        raise ValueError("a coupling needs at least one entry")
+    # the upper bound is checked first because bincount sizes its output by
+    # the largest index; bincount itself rejects negative indices
+    if np.maximum.reduce(left) >= len(mu):
+        raise ValueError("left index out of range")
+    try:
+        row = np.bincount(left, weights=masses, minlength=len(mu))
+    except ValueError:
+        raise ValueError("left index out of range") from None
+    if np.maximum.reduce(right) >= len(nu):
+        raise ValueError("right index out of range")
+    try:
+        col = np.bincount(right, weights=masses, minlength=len(nu))
+    except ValueError:
+        raise ValueError("right index out of range") from None
+    # min and max propagate NaN, so the comparison fails on NaN and inf alike
+    if not (np.minimum.reduce(masses) > 0.0 and np.maximum.reduce(masses) < np.inf):
+        raise ValueError("entry masses must be finite and positive")
+    if np.maximum.reduce(np.abs(row - mu.weights)) > MARGINAL_ATOL:
+        raise ValueError("row sums do not reproduce the left marginal")
+    if np.maximum.reduce(np.abs(col - nu.weights)) > MARGINAL_ATOL:
+        raise ValueError("column sums do not reproduce the right marginal")
 
 
 def _entries_cost(
@@ -318,7 +343,7 @@ def solve_ot(
     if entries is None:
         cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
         entries = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
-        return _checked_coupling(mu, nu, *entries, p, cost_matrix=cost_matrix)
+        return _checked_coupling(mu, nu, *entries, p, cost_matrix=cost_matrix, warm=warm)
     return _checked_coupling(mu, nu, *entries, p)
 
 
@@ -337,6 +362,8 @@ def transport_plan(
     - a single-atom marginal: its one feasible plan;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
       optimal permutation from ``linear_sum_assignment``;
+    - ``a`` equal to ``b``, no negative cost and a zero diagonal (a measure
+      moved onto itself): the identity plan, whose cost 0 nothing beats;
     - ``warm``, a previous plan whose marginals have exactly the weights
       (a, b), when ``certify_support`` proves its support optimal for
       these costs;
@@ -349,11 +376,9 @@ def transport_plan(
     m, n = len(a), len(b)
     if cost_matrix.shape != (m, n):
         raise ValueError(f"cost matrix has shape {cost_matrix.shape}, weights give {(m, n)}")
+    lowest = np.minimum.reduce(cost_matrix, axis=None)
     # min and max propagate NaN, so the comparison fails on NaN and inf alike
-    if not (
-        -np.inf < np.minimum.reduce(cost_matrix, axis=None)
-        and np.maximum.reduce(cost_matrix, axis=None) < np.inf
-    ):
+    if not (-np.inf < lowest and np.maximum.reduce(cost_matrix, axis=None) < np.inf):
         raise CostOverflowError("transport cost matrix has an infinite or NaN entry")
     if (entries := _single_atom_entries(a, b)) is not None:
         return entries
@@ -366,6 +391,15 @@ def transport_plan(
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left]
+    # a measure moved onto itself: the identity plan costs 0, and no plan
+    # costs less when no cost is negative
+    if (
+        m == n
+        and lowest >= 0.0
+        and not np.diagonal(cost_matrix).any()
+        and np.array_equal(a, b)
+    ):
+        return np.arange(n, dtype=np.intp), np.arange(n, dtype=np.intp), a.copy()
     if (
         warm is not None
         and np.array_equal(warm.mu.weights, a)
@@ -444,7 +478,9 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[np.ndarray, 
     support reduced cost <= tol, with ``tol`` from ``_certificate_tolerance``
     on the same matrix (computed once per solve, not once per pivot).
     """
-    reduced = cost_matrix + u[:, None] - v[None, :]
+    # subtracting in place rounds as C + u - v does, without a second m x n temporary
+    reduced = cost_matrix + u[:, None]
+    reduced -= v
     return reduced, bool(
         np.minimum.reduce(reduced, axis=None) >= -tol
         and np.maximum.reduce(reduced[left, right]) <= tol
@@ -456,14 +492,20 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
 
     A primal transportation simplex. The basis is a spanning tree of the
     bipartite graph on m row and n column nodes, with m + n - 1 cells. It
-    starts from the matrix-minimum rule. Each pivot takes potentials from
-    a walk of the tree (v[j] = u[i] + C[i, j] on every basis cell, u = 0 at
-    row 0), enters the cell of most negative reduced cost C + u - v
-    (Dantzig's rule, first in row-major order on ties), and leaves the cell
-    of least mass among those losing mass on the cycle it closes (lowest
-    row-major index on ties, which rounding alone can make). It stops
-    on the certificate ``certify_support`` applies, so every plan it
-    returns is certified optimal to 8 (m + n) eps max|C| in summed d**p.
+    starts from the matrix-minimum rule. The tree hangs from row 0: every
+    node keeps its parent, depth and potential (v[j] = u[i] + C[i, j] on
+    every basis cell, u = 0 at row 0) from pivot to pivot. A pivot re-hangs
+    only the subtree its leaving cell cuts off, below the entering cell;
+    each potential there is still its parent's plus or minus one cost, so
+    it has the bits a walk of the whole tree would give. The basis cells'
+    rows and columns stay in two index arrays, the entering cell taking the
+    leaving cell's slot. Each pivot enters the cell of most negative
+    reduced cost C + u - v (Dantzig's rule, first in row-major order on
+    ties), and leaves the cell of least mass among those losing mass on
+    the cycle it closes (lowest row-major index on ties, which rounding
+    alone can make). It stops on the certificate ``certify_support``
+    applies, so every plan it returns is certified optimal to
+    8 (m + n) eps max|C| in summed d**p.
     The masses of the final tree are rebuilt from the marginals by
     ``_peel_masses``; entries come row-major, those that are not positive
     dropped.
@@ -487,35 +529,24 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
     cost = cost_matrix.tolist()
     tol = _certificate_tolerance(cost_matrix)
     basis = _matrix_minimum_basis(a, b, cost_matrix)
+    slot = {cell: k for k, cell in enumerate(basis)}
+    left, right = np.divmod(np.fromiter(basis, dtype=np.intp, count=len(basis)), n)
     neighbours = [[] for _ in range(m + n)]
     for cell in basis:
         i, j = divmod(cell, n)
         neighbours[i].append(m + j)
         neighbours[m + j].append(i)
+    # the tree hangs from row 0, whose potential is 0
+    potential = [0.0] * (m + n)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    for y in neighbours[0]:
+        _hang(0, y, neighbours, parent, depth, potential, cost, m)
     for _ in range(SIMPLEX_PIVOTS_PER_NODE * (m + n)):
-        # walk the tree from row 0: potentials, parents and depths
-        potential = [0.0] * (m + n)
-        parent = [-1] * (m + n)
-        depth = [0] * (m + n)
-        order = [0]
-        for x in order:
-            for y in neighbours[x]:
-                if y != parent[x]:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    if x < m:
-                        potential[y] = potential[x] + cost[x][y - m]
-                    else:
-                        potential[y] = potential[x] - cost[y][x - m]
-                    order.append(y)
-        cells = np.fromiter(basis, dtype=np.intp, count=len(basis))
-        left, right = np.divmod(cells, n)
-        potential = np.array(potential)
-        reduced, certified = _dual_certificate(
-            cost_matrix, potential[:m], potential[m:], left, right, tol
-        )
+        u_v = np.array(potential)
+        reduced, certified = _dual_certificate(cost_matrix, u_v[:m], u_v[m:], left, right, tol)
         if certified:
-            left, right = np.divmod(np.sort(cells), n)
+            left, right = np.divmod(np.sort(left * n + right), n)
             masses = _peel_masses(a, b, left, right)
             positive = masses > 0.0
             return left[positive], right[positive], masses[positive]
@@ -542,13 +573,52 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
             basis[cell] = (held + mass, held_eps + eps) if k % 2 else (held - mass, held_eps - eps)
         basis[entering] = theta
         del basis[leaving]
+        k = slot.pop(leaving)
+        slot[entering] = k
+        left[k], right[k] = i, j
         r, c = divmod(leaving, n)
         neighbours[r].remove(m + c)
         neighbours[m + c].remove(r)
         neighbours[i].append(m + j)
         neighbours[m + j].append(i)
+        # the leaving cell cuts off the subtree holding the entering cell's
+        # end on its side of the cycle; only that subtree is hung anew
+        top, y = (m + j, i) if leaving in from_row else (i, m + j)
+        _hang(top, y, neighbours, parent, depth, potential, cost, m)
     cap = SIMPLEX_PIVOTS_PER_NODE * (m + n)
     raise _solve_failure(f"reached its pivot cap of {cap} pivots uncertified", cost_matrix)
+
+
+def _hang(top, y, neighbours, parent, depth, potential, cost, m) -> None:
+    """Hang node y and the tree beyond it below ``top``, a neighbour already placed.
+
+    Sets the parent, depth and potential of y and of every node reached
+    from y away from ``top``. A column's potential is its row's plus the cell
+    cost, a row's is its column's minus it, so a potential has the same
+    bits whatever order the tree is walked in and whichever pivot last
+    moved it.
+    """
+    parent[y] = top
+    depth[y] = depth[top] + 1
+    if top < m:
+        potential[y] = potential[top] + cost[top][y - m]
+    else:
+        potential[y] = potential[top] - cost[y][top - m]
+    order = [y]
+    for x in order:  # grows while it is walked
+        up, below, here = parent[x], depth[x] + 1, potential[x]
+        if x < m:
+            row = cost[x]
+            for z in neighbours[x]:
+                if z != up:
+                    parent[z], depth[z], potential[z] = x, below, here + row[z - m]
+                    order.append(z)
+        else:
+            c = x - m
+            for z in neighbours[x]:
+                if z != up:
+                    parent[z], depth[z], potential[z] = x, below, here - cost[z][c]
+                    order.append(z)
 
 
 def _solve_failure(what: str, cost_matrix: np.ndarray) -> TransportSolveError:

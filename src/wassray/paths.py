@@ -201,7 +201,11 @@ class RayMeasure:
         return self.origins.shape[1]
 
     def positions(self, t: float) -> np.ndarray:
+        """Positions at time t of every ray, one row each; t must be in [0, inf)."""
         t = float(t)
+        # written so that NaN fails the comparisons too
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"ray time t must be nonnegative and finite, got {t}")
         if t == 0.0:
             return self.origins.copy()
         return self.origins + t * self.velocities
@@ -216,11 +220,10 @@ def require_unit_speed(ray: RayMeasure, what: str = "this operation") -> None:
 
 
 def ray_section(ray: RayMeasure, t) -> DiscreteMeasure:
-    """Measure at time t of a ray family: the law of the random ray position."""
-    t = float(t)
-    # written so that NaN fails the comparisons too
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"ray time t must be nonnegative and finite, got {t}")
+    """Measure at time t of a ray family: the law of the random ray position.
+
+    ``RayMeasure.positions`` checks t: 0 <= t < inf, else ``ValueError``.
+    """
     return _checked_measure(*merge_atoms(ray.positions(t), ray.weights))
 
 

@@ -112,14 +112,16 @@ def test_construction_reuses_certified_plans(lp_shapes):
     # 16 steps of weighted measures: 16 target couplings, one start offset,
     # and 75 section movements, each certified from the previous step's plan
     # (at the same test time, for movements) when it stays optimal; lifts
-    # certify without a solve. Solving every target coupling cold took 23
-    # LP solves: 1 offset, 16 targets and 6 movements.
+    # take the solver's certified plan as it is, and a time-0 section that
+    # equals the one before moves by the identity plan with no solve.
+    # Solving every target coupling cold took 23 LP solves: 1 offset, 16
+    # targets and 6 movements.
     rng = np.random.default_rng(7)
     mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
     assert result.converged
-    assert len(lp_shapes) == 8
+    assert len(lp_shapes) == 7
 
 
 def translated_start_gap(ray, nu0, v, times=(0.0, 1.0, 2.0, 4.0)):

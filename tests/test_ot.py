@@ -539,6 +539,40 @@ def test_certified_warm_plan_skips_lp(lp_shapes):
     assert plan.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
 
 
+def test_certified_warm_plan_keeps_its_entries_and_passes_the_public_constructor():
+    # a warm hit hands back the warm plan's own frozen entries with the cost
+    # derived anew on the new costs; the public constructor, which runs
+    # every entry check again, accepts them with that cost
+    mu, nu = weighted_pair()
+    warm = w.solve_ot(mu, nu, 2.0)
+    moved = w.DiscreteMeasure(nu.atoms + 0.5, nu.weights)
+    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
+    assert plan.left is warm.left and plan.right is warm.right and plan.masses is warm.masses
+    assert plan.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
+    public = Coupling(mu, moved, plan.left, plan.right, plan.masses, 2.0, plan.cost)
+    assert public.cost == plan.cost
+
+
+def test_measure_onto_itself_takes_the_identity(lp_shapes):
+    # weighted, so not the assignment path; the identity costs exactly 0
+    mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.2, 0.5, 0.3])
+    plan = w.solve_ot(mu, mu, 3.0)
+    assert lp_shapes == []
+    assert plan.left.tolist() == plan.right.tolist() == [0, 1, 2]
+    assert same_bits(plan.masses, mu.weights)
+    assert plan.cost == 0.0
+
+
+def test_identity_needs_nonnegative_costs():
+    # a zero diagonal with one negative cost: moving mass from row 0 to
+    # column 1 and back pays -1 + 0.5 per unit, so the identity is not optimal
+    a = np.array([0.4, 0.6])
+    cost_matrix = np.array([[0.0, -1.0], [0.5, 0.0]])
+    left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+    assert not np.array_equal(left, right)
+    assert float(masses @ cost_matrix[left, right]) == pytest.approx(-0.2, abs=1e-15)
+
+
 @pytest.mark.parametrize(
     "other",
     [
@@ -727,6 +761,55 @@ def uniform_instance(rng, m, n, d=2):
     return np.full(m, 1.0 / m), np.full(n, 1.0 / n), cost_matrix
 
 
+def walked_potentials(cost_matrix, left, right):
+    """Potentials (u, v) from a walk of the whole basis tree from row 0.
+
+    The simplex's former loop, which rebuilt every potential on every pivot.
+    """
+    m, n = cost_matrix.shape
+    cost = cost_matrix.tolist()
+    neighbours = [[] for _ in range(m + n)]
+    for i, j in zip(left.tolist(), right.tolist()):
+        neighbours[i].append(m + j)
+        neighbours[m + j].append(i)
+    potential = [0.0] * (m + n)
+    parent = [-1] * (m + n)
+    order = [0]
+    for x in order:
+        for y in neighbours[x]:
+            if y != parent[x]:
+                parent[y] = x
+                if x < m:
+                    potential[y] = potential[x] + cost[x][y - m]
+                else:
+                    potential[y] = potential[x] - cost[y][x - m]
+                order.append(y)
+    assert len(order) == m + n  # the basis spans every row and column
+    return np.array(potential)
+
+
+def assert_kept_potentials_are_walked(a, b, cost_matrix):
+    """Every pivot's kept potentials have the bits of a walk of its whole basis tree."""
+    pivots = []
+    dual_certificate = ot._dual_certificate
+
+    def spy(cost_matrix, u, v, left, right, tol):
+        walked = walked_potentials(cost_matrix, left, right)
+        pivots.append(same_bits(np.concatenate([u, v]), walked))
+        return dual_certificate(cost_matrix, u, v, left, right, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ot, "_dual_certificate", spy)
+        _solve_lp(a, b, cost_matrix)
+    assert pivots and all(pivots)
+
+
+@settings(max_examples=50)
+@given(instance=transport_instances(max_atoms=12))
+def test_kept_potentials_have_the_bits_of_a_full_walk(instance):
+    assert_kept_potentials_are_walked(*instance)
+
+
 @pytest.mark.parametrize(
     "build,m,n",
     [(weighted_instance, 40, 40), (uniform_instance, 30, 45)],
@@ -735,6 +818,7 @@ def uniform_instance(rng, m, n, d=2):
 def test_large_instances_solve_certified(build, m, n):
     a, b, cost_matrix = build(np.random.default_rng(1), m, n)
     assert_certified_entries(a, b, cost_matrix, _solve_lp(a, b, cost_matrix))
+    assert_kept_potentials_are_walked(a, b, cost_matrix)
 
 
 @settings(max_examples=100)

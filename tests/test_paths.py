@@ -117,7 +117,8 @@ def test_nan_and_infinite_times_fail_by_name():
     """NaN fails every time bound by name, and inf every one but a lift section's.
 
     The ray's zero velocity component would turn an infinite time into NaN
-    coordinates, with numpy's invalid-value warning, past the bound.
+    coordinates, with numpy's invalid-value warning, past the bound; the
+    public ``RayMeasure.positions`` holds the bound itself.
     """
     lift = w.lift_geodesic(two_atom_plan())
     ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0))
@@ -126,6 +127,9 @@ def test_nan_and_infinite_times_fail_by_name():
         (lambda: w.section(lift, nan), "section time t must be nonnegative, got nan"),
         (lambda: w.ray_section(ray, nan), "ray time t must be nonnegative and finite, got nan"),
         (lambda: w.ray_section(ray, inf), "ray time t must be nonnegative and finite, got inf"),
+        (lambda: ray.positions(nan), "ray time t must be nonnegative and finite, got nan"),
+        (lambda: ray.positions(inf), "ray time t must be nonnegative and finite, got inf"),
+        (lambda: ray.positions(-1.0), "ray time t must be nonnegative and finite, got -1.0"),
         (lambda: w.restrict_to_geodesic(ray, 0.0, inf), "need 0 <= t1 < t2 < inf, got (0.0, inf)"),
         (lambda: w.restrict_to_geodesic(ray, nan, 1.0), "need 0 <= t1 < t2 < inf, got (nan, 1.0)"),
         (lambda: w.validate_ray(ray, [(0.0, inf)]), "time pairs need 0 <= t1 < t2 < inf"),
