@@ -94,8 +94,13 @@ def construct_coray(
     support optimal on the new costs, and solves the transportation LP
     otherwise. Each step's coupling is lifted as ``solve_ot`` returns it,
     without ``lift_geodesic``'s certificate: ``solve_ot`` has just proven it
-    optimal on the same cost matrix. The time-0 sections of consecutive
-    steps are often one measure, whose movement plan is the identity.
+    optimal on the same cost matrix. Section movements keep their weights,
+    so ``solve_ot`` often answers them with the identity plan (see
+    ``transport_plan``). When a warm hit hands back the previous step's own
+    plan entries, the time-0 section, nu0's atoms pooled by those masses,
+    is the previous step's section object, and it is kept; once a time-0
+    movement plan maps that very object onto itself, it is kept too, with
+    no solve.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -121,17 +126,30 @@ def construct_coray(
     movement_plans = [None] * len(test_times)
     coupling = None
     for t_n in schedule:
+        previous = coupling
         # consecutive targets are translates with the same weights, so the
         # previous step's plan is the warm start of this one
-        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=coupling)
+        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=previous)
         lengths.append(coupling.cost)
         # solve_ot has just certified this plan optimal, so it lifts as it is
         lift = _lift_entries(coupling)
-        sections = [section(lift, tau) for tau in test_times]
+        # a warm hit hands back the previous plan's own entries, whose time-0
+        # section, nu0's atoms pooled by those masses, is the previous one
+        kept = (
+            previous is not None
+            and coupling.left is previous.left
+            and coupling.masses is previous.masses
+        )
+        sections = [
+            previous_sections[k] if kept and tau == 0.0 else section(lift, tau)
+            for k, tau in enumerate(test_times)
+        ]
         if previous_sections is not None:
-            # each test time's movement plan is the warm start for the next step
+            # each test time's movement plan is the warm start for the next
+            # step; a plan of one section object onto itself is kept as it is
             movement_plans = [
-                solve_ot(a, b, mu.p, warm=plan)
+                plan if plan is not None and plan.mu is plan.nu is a is b
+                else solve_ot(a, b, mu.p, warm=plan)
                 for a, b, plan in zip(previous_sections, sections, movement_plans)
             ]
             diagnostics.append(max(plan.cost for plan in movement_plans))

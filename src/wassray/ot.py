@@ -18,8 +18,6 @@ method from the input alone, trying in order:
 - uniform marginals of equal size (every weight of both measures equal)
   have a permutation among their optimal plans (Birkhoff-von Neumann), and
   the Jonker-Volgenant assignment solver finds one exactly;
-- equal marginals on a nonnegative cost matrix with a zero diagonal, a
-  measure moved onto itself: the identity plan costs 0, so it is optimal;
 - a certified warm plan: schedules (Busemann doubling; in the co-ray
   construction, each step's coupling to its target section and the
   section movements between steps) solve a run of nearly identical
@@ -30,6 +28,13 @@ method from the input alone, trying in order:
   returned when the certificate holds, its entries already checked and
   frozen, so only its cost is derived anew. ``lift_geodesic`` uses the
   same certificate to accept a plan without re-solving;
+- equal marginals, a measure moved a little with its weights unchanged
+  (the co-ray construction's section movements): the identity plan, when
+  it costs 0 on a nonnegative matrix with a zero diagonal, or when
+  ``certify_support`` proves it optimal and the certificate's bound is
+  finer than 1e-10 of the identity's own cost. At high p the bound can
+  dwarf that cost, and the certificate would then accept an identity far
+  from optimal; such instances go on to the simplex;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
@@ -328,7 +333,8 @@ def solve_ot(
     """Cost-minimal coupling of (mu, nu) for cost d(x, y)**p.
 
     ``transport_plan`` picks the exact method (single atom, assignment,
-    certified ``warm`` plan, transportation simplex) on the cost matrix
+    certified ``warm`` plan, identity between equal marginals,
+    transportation simplex) on the cost matrix
     ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries it
     returns are checked and frozen into the coupling. Deterministic:
     identical inputs produce bit-identical couplings. Costs that would
@@ -362,16 +368,23 @@ def transport_plan(
     - a single-atom marginal: its one feasible plan;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
       optimal permutation from ``linear_sum_assignment``;
-    - ``a`` equal to ``b``, no negative cost and a zero diagonal (a measure
-      moved onto itself): the identity plan, whose cost 0 nothing beats;
     - ``warm``, a previous plan whose marginals have exactly the weights
       (a, b), when ``certify_support`` proves its support optimal for
       these costs;
+    - ``a`` equal to ``b``: the identity plan (i -> i with mass a[i]),
+      either when no cost is negative and the diagonal is zero (a measure
+      moved onto itself, whose cost 0 nothing beats), or when
+      ``certify_support`` proves the identity optimal and the bound the
+      certificate gives, 2 ``_certificate_tolerance`` in summed cost, is
+      at most ``COST_RTOL`` times the identity's own summed cost. Without
+      that guard a vacuous high-p certificate (tolerance near 1e3 on costs
+      near 1e16) would accept an identity worse than the LP's plan;
     - the certified transportation simplex ``_solve_lp``.
 
-    The assignment plan can differ from the LP's only where the optimal
-    permutation is not unique. A cost matrix with an infinite or NaN entry
-    raises ``CostOverflowError``.
+    The assignment and identity plans can differ from the LP's only where
+    the optimal plan is not unique; at such ties the summed cost still
+    agrees to rounding. A cost matrix with an infinite or NaN entry raises
+    ``CostOverflowError``.
     """
     m, n = len(a), len(b)
     if cost_matrix.shape != (m, n):
@@ -391,15 +404,6 @@ def transport_plan(
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left]
-    # a measure moved onto itself: the identity plan costs 0, and no plan
-    # costs less when no cost is negative
-    if (
-        m == n
-        and lowest >= 0.0
-        and not np.diagonal(cost_matrix).any()
-        and np.array_equal(a, b)
-    ):
-        return np.arange(n, dtype=np.intp), np.arange(n, dtype=np.intp), a.copy()
     if (
         warm is not None
         and np.array_equal(warm.mu.weights, a)
@@ -407,6 +411,18 @@ def transport_plan(
         and certify_support(warm.left, warm.right, cost_matrix)
     ):
         return warm.left, warm.right, warm.masses
+    if m == n and np.array_equal(a, b):
+        identity = np.arange(n, dtype=np.intp)
+        diagonal = np.diagonal(cost_matrix)
+        # a measure moved onto itself costs 0, which nothing beats on
+        # nonnegative costs; otherwise the certificate's bound of 2 tol in
+        # summed cost must resolve the identity's own cost, which at high p
+        # it can exceed many times over
+        if (lowest >= 0.0 and not diagonal.any()) or (
+            2.0 * _certificate_tolerance(cost_matrix) <= COST_RTOL * float(a @ diagonal)
+            and certify_support(identity, identity, cost_matrix)
+        ):
+            return identity, identity, a.copy()
     return _solve_lp(a, b, cost_matrix)
 
 

@@ -112,8 +112,10 @@ def test_construction_reuses_certified_plans(lp_shapes):
     # 16 steps of weighted measures: 16 target couplings, one start offset,
     # and 75 section movements, each certified from the previous step's plan
     # (at the same test time, for movements) when it stays optimal; lifts
-    # take the solver's certified plan as it is, and a time-0 section that
-    # equals the one before moves by the identity plan with no solve.
+    # take the solver's certified plan as it is, and a movement between
+    # sections of equal weights takes the certified identity plan. The 3
+    # LPs left are the offset, the first target coupling and one movement
+    # between sections of different sizes.
     # Solving every target coupling cold took 23 LP solves: 1 offset, 16
     # targets and 6 movements.
     rng = np.random.default_rng(7)
@@ -121,7 +123,34 @@ def test_construction_reuses_certified_plans(lp_shapes):
     nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
     assert result.converged
-    assert len(lp_shapes) == 7
+    assert len(lp_shapes) == 3
+
+
+def test_kept_time0_section_moves_again_when_the_plan_changes():
+    # at p = 3 the warm plan from this far start holds for ten steps, so the
+    # time-0 section and its movement plan are kept, and then changes at the
+    # last step, whose movement must be solved again. The reference runs
+    # the same warm schedule with every section pooled and every movement
+    # solved, so the gaps agree to the bit
+    mu0 = w.DiscreteMeasure(
+        [[9.6, -0.1], [-4.7, -3.0], [-0.5, -5.5], [10.8, 1.3]], [0.25, 0.35, 0.1, 0.3]
+    )
+    nu0 = w.DiscreteMeasure([[-5.2, -8.7], [10.7, -9.6], [-10.9, 15.7]], [0.45, 0.38, 0.17])
+    ray = w.make_translation_ray(mu0, (-0.28, 0.96), p=3.0)
+    schedule = tuple(2.0**k for k in range(1, 13))
+    result = w.construct_coray(ray, nu0, schedule=schedule, test_times=(0.0,))
+    coupling = movement = previous = None
+    gaps = []
+    for t in schedule:
+        coupling = w.solve_ot(nu0, w.ray_section(ray, t), 3.0, warm=coupling)
+        start = w.section(w.lift_geodesic(coupling), 0.0)
+        if previous is not None:
+            movement = w.solve_ot(previous, start, 3.0, warm=movement)
+            gaps.append(movement.cost)
+        previous = start
+    assert result.diagnostics == tuple(gaps)
+    assert result.diagnostics[:-1] == (0.0,) * 10
+    assert result.diagnostics[-1] > 1e-5
 
 
 def translated_start_gap(ray, nu0, v, times=(0.0, 1.0, 2.0, 4.0)):

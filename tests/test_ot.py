@@ -519,14 +519,34 @@ def test_certificate_handles_forest_supports():
     assert not ot.certify_support(plan.left, swapped, cost_matrix)
 
 
+def unequal_pair():
+    """``weighted_pair`` with other target weights, so no identity plan is feasible."""
+    mu = w.DiscreteMeasure([[0.0], [1.0]], [0.4, 0.6])
+    nu = w.DiscreteMeasure([[2.0], [3.0]], [0.3, 0.7])
+    return mu, nu
+
+
 def test_warm_crossing_plan_is_rejected(lp_shapes):
+    # the sorted plan moves 0.3 by 2, 0.1 by 3 and 0.6 by 2: W_2**2 = 4.5
+    mu, nu = unequal_pair()
+    cost = (0.4 * 9.0 + 0.3 * 1.0 + 0.3 * 4.0) ** 0.5
+    crossing = Coupling(mu, nu, [0, 1, 1], [1, 0, 1], [0.4, 0.3, 0.3], 2.0, cost)
+    plan = w.solve_ot(mu, nu, 2.0, warm=crossing)
+    assert lp_shapes == [(2, 2)]
+    assert plan.cost == pytest.approx(4.5**0.5, abs=1e-12)
+    assert list(zip(plan.left, plan.right)) == [(0, 0), (0, 1), (1, 1)]
+
+
+def test_warm_crossing_plan_gives_way_to_the_identity(lp_shapes):
+    # equal marginals: the rejected warm plan leaves the certified identity
     mu, nu = weighted_pair()
     cost = (0.4 * 9.0 + 0.4 * 1.0 + 0.2 * 4.0) ** 0.5
     crossing = Coupling(mu, nu, [0, 1, 1], [1, 0, 1], [0.4, 0.4, 0.2], 2.0, cost)
     plan = w.solve_ot(mu, nu, 2.0, warm=crossing)
-    assert lp_shapes == [(2, 2)]
+    assert lp_shapes == []
     assert plan.cost == pytest.approx(2.0, abs=1e-12)
     assert list(zip(plan.left, plan.right)) == [(0, 0), (1, 1)]
+    assert same_bits(plan.masses, mu.weights)
 
 
 def test_certified_warm_plan_skips_lp(lp_shapes):
@@ -573,19 +593,140 @@ def test_identity_needs_nonnegative_costs():
     assert float(masses @ cost_matrix[left, right]) == pytest.approx(-0.2, abs=1e-15)
 
 
+@given(
+    n=st.integers(2, 12),
+    d=st.integers(1, 3),
+    p=st.sampled_from((1.5, 2.0, 3.0, 8.0)),
+    scale=st.floats(-6.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equal_marginal_plan_has_the_bits_of_the_lp(n, d, p, scale, seed):
+    # a weighted measure in a box of side 10 and a copy moved by normal steps
+    # of 1e-6 to 1 box sides: seeded continuous data, so no costs tie and the
+    # optimal plan is unique; the certified identity, when taken, is the LP's
+    rng = np.random.default_rng(seed)
+    xs = 10.0 * rng.random((n, d))
+    ys = xs + 10.0 * 10.0**scale * rng.normal(size=(n, d))
+    a = rng.random(n) + 0.05
+    a /= a.sum()
+    cost_matrix = ot._cost_matrix(xs, ys, p)
+    plan = transport_plan(a, a.copy(), cost_matrix)
+    for fast, lp in zip(plan, _solve_lp(a, a.copy(), cost_matrix)):
+        assert same_bits(fast, lp)
+
+
 @pytest.mark.parametrize(
-    "other",
+    "cost_matrix",
     [
-        w.DiscreteMeasure([[2.0], [3.0], [4.0]], [0.4, 0.3, 0.3]),  # wrong size
-        w.DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5]),  # other weights
+        # the atoms 0 and 1 against 1.1 and -0.1: the identity crosses
+        pairwise_distances([[0.0], [1.0]], [[1.1], [-0.1]]) ** 2.0,
+        # a Busemann-like matrix with a negative entry and a positive
+        # diagonal: moving s from the diagonal saves 3.5 s
+        np.array([[1.0, -1.0], [0.5, 2.0]]),
     ],
 )
+def test_identity_that_is_not_optimal_goes_to_the_lp(lp_shapes, cost_matrix):
+    a = np.array([0.4, 0.6])
+    left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+    assert lp_shapes == [(2, 2)]
+    assert not np.array_equal(left, right)
+    assert float(masses @ cost_matrix[left, right]) < float(a @ np.diagonal(cost_matrix))
+
+
+def sorted_plan_cost(x, a, y, b, p):
+    """Summed |x - y|**p of the sorted (north-west corner) plan on the line: optimal for p >= 1."""
+    rows, cols = np.argsort(x), np.argsort(y)
+    x, y, a, b = x[rows], y[cols], a[rows].tolist(), b[cols].tolist()
+    i = j = 0
+    total = 0.0
+    while i < len(a) and j < len(b):
+        mass = min(a[i], b[j])
+        total += mass * abs(x[i] - y[j]) ** p
+        a[i] -= mass
+        b[j] -= mass
+        if a[i] <= b[j]:
+            i += 1
+        else:
+            j += 1
+    return total
+
+
+def test_identity_needs_an_informative_certificate():
+    # d = 1 atoms in a box of side 10 moved by N(0, 0.3) at p = 12 and 16:
+    # the largest cost is near 1e16, so the certificate's tolerance (about
+    # 1e3) dwarfs the identity's own summed cost. The certificate then
+    # accepts identities that cost more than the LP's plan; the guard keeps
+    # those instances on the LP, so the plan is never farther from the
+    # sorted-plan optimum than the LP's
+    accepted_but_worse = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        p = (12.0, 16.0)[seed % 2]
+        x = 10.0 * rng.random(24)
+        y = x + rng.normal(0.0, 0.3, 24)
+        a = rng.random(24) + 0.05
+        a /= a.sum()
+        cost_matrix = ot._cost_matrix(x[:, None], y[:, None], p)
+        identity = np.arange(24)
+        identity_cost = float(a @ np.diagonal(cost_matrix))
+        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
+        if ot.certify_support(identity, identity, cost_matrix) and identity_cost > lp_cost:
+            accepted_but_worse += 1
+        left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+        cost = float(masses @ cost_matrix[left, right])
+        optimum = sorted_plan_cost(x, a, y, a, p)
+        assert cost - optimum <= lp_cost - optimum + 1e-12 * optimum
+    assert accepted_but_worse > 0
+
+
+def test_integer_grid_ties_keep_the_lp_cost():
+    # atoms on an integer grid, moved by integer steps: costs tie, so the
+    # identity may be a different optimal plan than the LP's, at its cost
+    rng = np.random.default_rng(5)
+    differ = 0
+    for _ in range(300):
+        n, d = rng.integers(2, 13), rng.integers(1, 4)
+        p = float(rng.choice((1.5, 2.0, 3.0, 8.0)))
+        xs = rng.integers(-2, 3, size=(n, d)).astype(float)
+        ys = xs + rng.integers(-1, 2, size=(n, d))
+        a = rng.random(n) + 0.05
+        a /= a.sum()
+        cost_matrix = ot._cost_matrix(xs, ys, p)
+        left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
+        cost = float(masses @ cost_matrix[left, right])
+        assert abs(cost - lp_cost) <= 1e-15 * lp_cost
+        differ += not np.array_equal(left * n + right, lp_left * n + lp_right)
+    assert differ > 0
+
+
+# warm plans whose target differs from both pairs' targets
+MISMATCHED_WARM_TARGETS = [
+    w.DiscreteMeasure([[2.0], [3.0], [4.0]], [0.4, 0.3, 0.3]),  # wrong size
+    w.DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5]),  # other weights
+]
+
+
+@pytest.mark.parametrize("other", MISMATCHED_WARM_TARGETS)
 def test_mismatched_warm_plan_is_ignored(lp_shapes, other):
-    mu, nu = weighted_pair()
+    mu, nu = unequal_pair()
     warm = w.solve_ot(mu, other, 2.0)
     lp_shapes.clear()
     plan = w.solve_ot(mu, nu, 2.0, warm=warm)
     assert lp_shapes == [(2, 2)]
+    assert plan.cost == pytest.approx(4.5**0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("other", MISMATCHED_WARM_TARGETS)
+def test_mismatched_warm_plan_gives_way_to_the_identity(lp_shapes, other):
+    mu, nu = weighted_pair()
+    warm = w.solve_ot(mu, other, 2.0)
+    lp_shapes.clear()
+    plan = w.solve_ot(mu, nu, 2.0, warm=warm)
+    assert lp_shapes == []
+    assert plan.left.tolist() == plan.right.tolist() == [0, 1]
     assert plan.cost == pytest.approx(2.0, abs=1e-12)
 
 

@@ -2,7 +2,8 @@
 
 The verify report's hash pins what ``verify all`` computes, but verify
 runs ``construct_coray`` only on Dirac and translation rays and never
-hands the transportation simplex a weighted instance with ties. These two
+hands the transportation simplex a weighted instance with ties; its
+equal-marginal transports come only from its co-ray constructions. These
 seeded corpora pin those outputs to the bit, so a speed-up that changes a
 plan at a tie, or a step of the construction, shows here by name. A
 change that moves a digest on purpose names the instances it changes and
@@ -20,6 +21,7 @@ from conftest import comonotone_ray, psd_gradient_ray
 
 LP_CORPUS_SHA256 = "5e6525a3cf2a729decd3256b5b56e9685edd24aa80831d8ea80cc20b58c0fabc"
 CORAY_CORPUS_SHA256 = "8201a5db7bcfa99c369221a62298ae3db5dcd0ec95ad43d1bdcb5d92206df66f"
+EQUAL_MARGINAL_CORPUS_SHA256 = "bb9a2546504c7d125d185f742a8c917c60ebfb00d4b56bfa1c0889418e470e39"
 
 
 def lp_corpus():
@@ -45,6 +47,25 @@ def lp_corpus():
                 xs[-1] = xs[0]
             a, b = rng.random(m) + 0.05, rng.random(n) + 0.05
             yield a / a.sum(), b / b.sum(), ot._cost_matrix(xs, ys, p)
+
+
+def equal_marginal_corpus():
+    """Weighted measures and moved copies with the same weights, p in {1.5, 2, 3, 8}.
+
+    2-12 atoms in d = 1-3, in a box of side 10, each copy moved by normal
+    steps of scale 1e-6 to 1. Data are continuous, so no costs tie; small
+    steps keep the identity plan optimal, large ones do not.
+    """
+    rng = np.random.default_rng(2018)
+    for _ in range(300):
+        n, d = rng.integers(2, 13), rng.integers(1, 4)
+        p = float(rng.choice((1.5, 2.0, 3.0, 8.0)))
+        scale = float(rng.choice((1e-6, 1e-3, 0.1, 1.0)))
+        xs = 10.0 * rng.random((n, d))
+        weights = rng.random(n) + 0.05
+        weights /= weights.sum()
+        moved = xs + scale * rng.normal(size=(n, d))
+        yield w.DiscreteMeasure(xs, weights), w.DiscreteMeasure(moved, weights), p
 
 
 def coray_corpus():
@@ -76,6 +97,16 @@ def test_weighted_simplex_plans_are_pinned():
             yield from (left.astype(np.int64), right.astype(np.int64), masses)
 
     assert digest(entries()) == LP_CORPUS_SHA256
+
+
+def test_equal_marginal_plans_are_pinned():
+    def entries():
+        for mu, nu, p in equal_marginal_corpus():
+            plan = w.solve_ot(mu, nu, p)
+            yield from (plan.left.astype(np.int64), plan.right.astype(np.int64), plan.masses)
+            yield np.array([plan.cost])
+
+    assert digest(entries()) == EQUAL_MARGINAL_CORPUS_SHA256
 
 
 def test_coray_constructions_are_pinned():
