@@ -85,6 +85,11 @@ def construct_coray(
     which the construction counts as converged. Each is checked before any
     solve, and a bad one raises ``ValueError`` naming it.
 
+    Every step's geodesic starts at nu0, so its time-0 section is nu0 at
+    every step and moves by exactly 0: a test time of 0 adds 0.0 to each
+    step's diagnostic, and only the positive test times are sectioned and
+    solved (with none, every diagnostic is 0.0).
+
     Consecutive target sections are translates of one another with the
     same weights, and their optimal plan settles as the target time grows.
     So each step's coupling starts from the previous step's plan (the
@@ -96,11 +101,7 @@ def construct_coray(
     without ``lift_geodesic``'s certificate: ``solve_ot`` has just proven it
     optimal on the same cost matrix. Section movements keep their weights,
     so ``solve_ot`` often answers them with the identity plan (see
-    ``transport_plan``). When a warm hit hands back the previous step's own
-    plan entries, the time-0 section, nu0's atoms pooled by those masses,
-    is the previous step's section object, and it is kept; once a time-0
-    movement plan maps that very object onto itself, it is kept too, with
-    no solve.
+    ``transport_plan``).
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -120,39 +121,28 @@ def construct_coray(
     if not tol > 0.0:
         raise ValueError(f"convergence tolerance tol must be positive, got {tol}")
     start_offset = wasserstein_distance(nu0, ray_section(mu, 0.0), mu.p)
+    # every step's time-0 section is nu0, so only positive times can move
+    moving_times = [tau for tau in test_times if tau > 0.0]
     lengths = []
     diagnostics = []
     previous_sections = None
-    movement_plans = [None] * len(test_times)
+    movement_plans = [None] * len(moving_times)
     coupling = None
     for t_n in schedule:
-        previous = coupling
         # consecutive targets are translates with the same weights, so the
         # previous step's plan is the warm start of this one
-        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=previous)
+        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=coupling)
         lengths.append(coupling.cost)
         # solve_ot has just certified this plan optimal, so it lifts as it is
         lift = _lift_entries(coupling)
-        # a warm hit hands back the previous plan's own entries, whose time-0
-        # section, nu0's atoms pooled by those masses, is the previous one
-        kept = (
-            previous is not None
-            and coupling.left is previous.left
-            and coupling.masses is previous.masses
-        )
-        sections = [
-            previous_sections[k] if kept and tau == 0.0 else section(lift, tau)
-            for k, tau in enumerate(test_times)
-        ]
+        sections = [section(lift, tau) for tau in moving_times]
         if previous_sections is not None:
-            # each test time's movement plan is the warm start for the next
-            # step; a plan of one section object onto itself is kept as it is
+            # each test time's movement plan is the warm start for the next step
             movement_plans = [
-                plan if plan is not None and plan.mu is plan.nu is a is b
-                else solve_ot(a, b, mu.p, warm=plan)
+                solve_ot(a, b, mu.p, warm=plan)
                 for a, b, plan in zip(previous_sections, sections, movement_plans)
             ]
-            diagnostics.append(max(plan.cost for plan in movement_plans))
+            diagnostics.append(max((plan.cost for plan in movement_plans), default=0.0))
         previous_sections = sections
     length = coupling.cost
     if length <= 0.0:

@@ -103,7 +103,10 @@ def p_mean(weights, lengths, p) -> float:
 
     Transport costs, geodesic lengths and ray speeds are all this one
     expression, so values that must agree are computed bit-identically.
+    The largest length goes through ``_check_distances`` first, so a
+    length whose p-th power overflows raises ``CostOverflowError``.
     """
+    _check_distances(np.maximum.reduce(lengths), p)
     return float(np.add.reduce(weights * lengths**p) ** (1.0 / p))
 
 
@@ -322,9 +325,7 @@ def _entries_cost(
     mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses, p: float
 ) -> float:
     diff = mu.atoms[left] - nu.atoms[right]
-    lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    _check_distances(np.maximum.reduce(lengths), p)
-    return p_mean(masses, lengths, p)
+    return p_mean(masses, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
 
 
 def solve_ot(

@@ -63,6 +63,8 @@ def _checked_family(first, second, weights, p, item, arrays, data):
         raise ValueError(f"{arrays} arrays must have the same shape")
     if first.ndim != 2 or first.shape[0] == 0:
         raise ValueError(f"{item}s must form a nonempty (n, d) array pair")
+    if first.shape[1] == 0:
+        raise ValueError("ambient dimension must be at least 1")
     if weights.shape != (first.shape[0],):
         raise ValueError(f"one weight per {item} required")
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):

@@ -88,6 +88,13 @@ def test_parse_rejects_truncated_ray_file():
         parse_ray("rays\ndim 2\n")
 
 
+def test_read_rejects_rays_in_dimension_zero(tmp_path):
+    path = tmp_path / "flat.rays"
+    path.write_text("rays\ndim 0\np 2\nentries 1\n1.0\n")
+    with pytest.raises(MeasureFileError, match="ambient dimension must be at least 1"):
+        read_ray(path)
+
+
 def test_ray_format_keeps_exponent():
     ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=1.5)
     assert parse_ray(format_ray(ray)).p == 1.5

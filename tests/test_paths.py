@@ -71,6 +71,28 @@ def test_lift_raises_on_an_overflowing_off_support_cost():
             w.lift_geodesic(crossing)
 
 
+def test_overflowing_lengths_raise_before_the_power():
+    # a segment or velocity 1e20 long has a 16th power past the largest
+    # double: each p-mean raises the typed error, where it once returned a
+    # length or speed of inf under numpy's overflow warning
+    ray = w.make_dirac_ray((0.0,), (1.0,), p=16.0)
+    with pytest.raises(CostOverflowError, match="p = 16"):
+        w.restrict_to_geodesic(ray, 0.0, 1e20)
+    with pytest.raises(CostOverflowError, match="p = 16"):
+        w.GeodesicLift([[0.0]], [[1e20]], [1.0], 16.0, np.inf)
+    fast = w.RayMeasure([[0.0]], [[1e20]], [1.0], 16.0)
+    with pytest.raises(CostOverflowError, match="p = 16"):
+        fast.speed
+
+
+def test_families_in_dimension_zero_are_rejected():
+    empty = np.zeros((1, 0))
+    with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
+        w.RayMeasure(empty, empty, [1.0], 2.0)
+    with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
+        w.GeodesicLift(empty, empty, [1.0], 2.0, 0.0)
+
+
 def test_lift_certifies_solver_plan_without_resolving(lp_shapes):
     rng = np.random.default_rng(2)
     mu = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
