@@ -100,8 +100,9 @@ def construct_coray(
     otherwise. Each step's coupling is lifted as ``solve_ot`` returns it,
     without ``lift_geodesic``'s certificate: ``solve_ot`` has just proven it
     optimal on the same cost matrix. Section movements keep their weights,
-    so ``solve_ot`` often answers them with the identity plan (see
-    ``transport_plan``).
+    so ``solve_ot`` often answers them with the identity plan, which the
+    assignment solver proves optimal before any warm certificate is tried
+    (see ``transport_plan``).
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))

@@ -18,6 +18,12 @@ method from the input alone, trying in order:
 - uniform marginals of equal size (every weight of both measures equal)
   have a permutation among their optimal plans (Birkhoff-von Neumann), and
   the Jonker-Volgenant assignment solver finds one exactly;
+- equal marginals, a measure moved a little with its weights unchanged
+  (the co-ray construction's section movements): the identity plan, when
+  it costs 0 on a nonnegative matrix with a zero diagonal, or when the
+  assignment solver returns the identity permutation. With positive
+  weights the identity is optimal for (a, a) exactly when it is an
+  optimal assignment, whatever the weights, so this is exact at every p;
 - a certified warm plan: schedules (Busemann doubling; in the co-ray
   construction, each step's coupling to its target section and the
   section movements between steps) solve a run of nearly identical
@@ -26,15 +32,9 @@ method from the input alone, trying in order:
   weights equal the new instance's exactly, ``certify_support`` tests its
   support against the new cost matrix with dual potentials, and it is
   returned when the certificate holds, its entries already checked and
-  frozen, so only its cost is derived anew. ``lift_geodesic`` uses the
+  frozen, so only its cost is derived anew (a warm identity the branch
+  above accepts comes back the same way). ``lift_geodesic`` uses the
   same certificate to accept a plan without re-solving;
-- equal marginals, a measure moved a little with its weights unchanged
-  (the co-ray construction's section movements): the identity plan, when
-  it costs 0 on a nonnegative matrix with a zero diagonal, or when
-  ``certify_support`` proves it optimal and the certificate's bound is
-  finer than 1e-10 of the identity's own cost. At high p the bound can
-  dwarf that cost, and the certificate would then accept an identity far
-  from optimal; such instances go on to the simplex;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
@@ -334,7 +334,7 @@ def solve_ot(
     """Cost-minimal coupling of (mu, nu) for cost d(x, y)**p.
 
     ``transport_plan`` picks the exact method (single atom, assignment,
-    certified ``warm`` plan, identity between equal marginals,
+    identity between equal marginals, certified ``warm`` plan,
     transportation simplex) on the cost matrix
     ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries it
     returns are checked and frozen into the coupling. Deterministic:
@@ -369,17 +369,19 @@ def transport_plan(
     - a single-atom marginal: its one feasible plan;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
       optimal permutation from ``linear_sum_assignment``;
-    - ``warm``, a previous plan whose marginals have exactly the weights
-      (a, b), when ``certify_support`` proves its support optimal for
-      these costs;
     - ``a`` equal to ``b``: the identity plan (i -> i with mass a[i]),
       either when no cost is negative and the diagonal is zero (a measure
       moved onto itself, whose cost 0 nothing beats), or when
-      ``certify_support`` proves the identity optimal and the bound the
-      certificate gives, 2 ``_certificate_tolerance`` in summed cost, is
-      at most ``COST_RTOL`` times the identity's own summed cost. Without
-      that guard a vacuous high-p certificate (tolerance near 1e3 on costs
-      near 1e16) would accept an identity worse than the LP's plan;
+      ``linear_sum_assignment`` returns the identity permutation. With
+      every a[i] > 0 the identity is optimal for (a, a) exactly when some
+      potentials are tight on the whole diagonal, which is also the test
+      of an optimal assignment (Birkhoff-von Neumann): a proof at any p,
+      unlike ``certify_support``, whose tolerance grows with the largest cost.
+      When ``warm`` is that identity on the same weights, its own frozen
+      arrays are returned;
+    - ``warm``, a previous plan whose marginals have exactly the weights
+      (a, b), when ``certify_support`` proves its support optimal for
+      these costs;
     - the certified transportation simplex ``_solve_lp``.
 
     The assignment and identity plans can differ from the LP's only where
@@ -405,25 +407,24 @@ def transport_plan(
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left]
-    if (
+    warm_fits = (
         warm is not None
         and np.array_equal(warm.mu.weights, a)
         and np.array_equal(warm.nu.weights, b)
-        and certify_support(warm.left, warm.right, cost_matrix)
-    ):
-        return warm.left, warm.right, warm.masses
+    )
     if m == n and np.array_equal(a, b):
         identity = np.arange(n, dtype=np.intp)
-        diagonal = np.diagonal(cost_matrix)
         # a measure moved onto itself costs 0, which nothing beats on
-        # nonnegative costs; otherwise the certificate's bound of 2 tol in
-        # summed cost must resolve the identity's own cost, which at high p
-        # it can exceed many times over
-        if (lowest >= 0.0 and not diagonal.any()) or (
-            2.0 * _certificate_tolerance(cost_matrix) <= COST_RTOL * float(a @ diagonal)
-            and certify_support(identity, identity, cost_matrix)
+        # nonnegative costs; else the identity must be an optimal assignment
+        if (lowest >= 0.0 and not np.diagonal(cost_matrix).any()) or np.array_equal(
+            linear_sum_assignment(cost_matrix)[1], identity
         ):
+            # a warm identity hands back its frozen arrays, which skip the re-check
+            if warm_fits and all(np.array_equal(e, identity) for e in (warm.left, warm.right)):
+                return warm.left, warm.right, warm.masses
             return identity, identity, a.copy()
+    if warm_fits and certify_support(warm.left, warm.right, cost_matrix):
+        return warm.left, warm.right, warm.masses
     return _solve_lp(a, b, cost_matrix)
 
 

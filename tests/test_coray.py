@@ -175,6 +175,30 @@ def translated_start_gap(ray, nu0, v, times=(0.0, 1.0, 2.0, 4.0)):
     return max(float(np.max(start + t * drift)) for t in times)
 
 
+def test_high_order_movement_gaps_halve_to_convergence():
+    # p = 8 on the line: a weighted 6-atom translation ray and a weighted
+    # 7-atom start. The section movements keep their weights and their
+    # identity plan stays optimal, so each step's gap is about half the
+    # last. A certificate whose tolerance grows with the largest cost cannot
+    # tell such an identity from a wrong plan at p = 8: accepting wrong
+    # movement plans, the gaps stalled at 1.58e-3 from t = 2048 on
+    mu0 = w.DiscreteMeasure(
+        [[0.242], [0.442], [-0.968], [0.351], [0.82], [-0.728]],
+        [0.147, 0.255, 0.066, 0.346, 0.054, 0.132],
+    )
+    nu0 = w.DiscreteMeasure(
+        [[0.567], [0.569], [-0.833], [0.23], [-0.377], [-0.26], [0.988]],
+        [0.157, 0.075, 0.122, 0.105, 0.179, 0.144, 0.218],
+    )
+    ray = w.make_translation_ray(mu0, (-1.0,), p=8)
+    result = w.construct_coray(ray, nu0, schedule=LONG_SCHEDULE)
+    gaps = result.diagnostics
+    assert result.converged
+    assert gaps[-1] == pytest.approx(2.0e-6, rel=0.01)
+    for before, after in zip(gaps[-4:], gaps[-3:]):
+        assert 0.45 < after / before < 0.55
+
+
 @pytest.mark.parametrize("p", [3.0, 4.0])
 def test_high_order_translation_coray(p):
     # the co-ray from nu0 toward a translation ray is nu0 translated along

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -573,6 +574,22 @@ def test_certified_warm_plan_keeps_its_entries_and_passes_the_public_constructor
     assert public.cost == plan.cost
 
 
+def test_warm_identity_hands_back_its_own_arrays(lp_shapes, monkeypatch):
+    # a section movement's identity plan is the warm start of the next
+    # movement: when the identity is still optimal, the warm plan's frozen
+    # arrays come back, so solve_ot re-checks none of its entries
+    mu = w.DiscreteMeasure([[0.0], [1.0], [3.0]], [0.2, 0.5, 0.3])
+    warm = w.solve_ot(mu, w.DiscreteMeasure(mu.atoms + 0.1, mu.weights), 2.0)
+    assert warm.left.tolist() == warm.right.tolist() == [0, 1, 2]
+    checked = []
+    monkeypatch.setattr(ot, "_check_entries", lambda *args: checked.append(args))
+    moved = w.DiscreteMeasure(mu.atoms + 0.2, mu.weights)
+    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
+    assert plan.left is warm.left and plan.right is warm.right and plan.masses is warm.masses
+    assert lp_shapes == [] and checked == []
+    assert plan.cost == pytest.approx(0.2, rel=1e-12)
+
+
 def test_measure_onto_itself_takes_the_identity(lp_shapes):
     # weighted, so not the assignment path; the identity costs exactly 0
     mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.2, 0.5, 0.3])
@@ -593,26 +610,80 @@ def test_identity_needs_nonnegative_costs():
     assert float(masses @ cost_matrix[left, right]) == pytest.approx(-0.2, abs=1e-15)
 
 
-@given(
+def moved_copy(n, d, p, scale, seed):
+    """Weights and d**p costs of a weighted measure in a box of side 10 and a moved copy.
+
+    The copy is moved by normal steps of 10**scale box sides: seeded
+    continuous data, so no costs tie and the optimal plan is unique.
+    """
+    rng = np.random.default_rng(seed)
+    xs = 10.0 * rng.random((n, d))
+    ys = xs + 10.0 * 10.0**scale * rng.normal(size=(n, d))
+    a = rng.random(n) + 0.05
+    a /= a.sum()
+    return a, ot._cost_matrix(xs, ys, p)
+
+
+def is_identity(left, right, n):
+    return np.array_equal(left, np.arange(n)) and np.array_equal(right, np.arange(n))
+
+
+MOVED_COPIES = dict(
     n=st.integers(2, 12),
     d=st.integers(1, 3),
     p=st.sampled_from((1.5, 2.0, 3.0, 8.0)),
     scale=st.floats(-6.0, 0.0),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@given(**MOVED_COPIES)
 def test_equal_marginal_plan_has_the_bits_of_the_lp(n, d, p, scale, seed):
-    # a weighted measure in a box of side 10 and a copy moved by normal steps
-    # of 1e-6 to 1 box sides: seeded continuous data, so no costs tie and the
-    # optimal plan is unique; the certified identity, when taken, is the LP's
-    rng = np.random.default_rng(seed)
-    xs = 10.0 * rng.random((n, d))
-    ys = xs + 10.0 * 10.0**scale * rng.normal(size=(n, d))
-    a = rng.random(n) + 0.05
-    a /= a.sum()
-    cost_matrix = ot._cost_matrix(xs, ys, p)
+    # moves of 1e-6 to 1 box sides: the identity, when taken, is the LP's plan
+    a, cost_matrix = moved_copy(n, d, p, scale, seed)
     plan = transport_plan(a, a.copy(), cost_matrix)
     for fast, lp in zip(plan, _solve_lp(a, a.copy(), cost_matrix)):
         assert same_bits(fast, lp)
+
+
+def certified_identity(a, cost_matrix):
+    """The identity rule ``transport_plan`` used before it asked the assignment solver.
+
+    A zero diagonal on nonnegative costs, or ``certify_support`` on the
+    identity when its bound, 2 ``_certificate_tolerance`` in summed cost,
+    is at most ``COST_RTOL`` of the identity's own summed cost.
+    """
+    identity = np.arange(len(a))
+    diagonal = np.diagonal(cost_matrix)
+    return bool(cost_matrix.min() >= 0.0 and not diagonal.any()) or (
+        2.0 * ot._certificate_tolerance(cost_matrix) <= ot.COST_RTOL * float(a @ diagonal)
+        and ot.certify_support(identity, identity, cost_matrix)
+    )
+
+
+@settings(max_examples=300)
+@given(**MOVED_COPIES)
+def test_every_certified_identity_is_still_taken(n, d, p, scale, seed):
+    # about one instance in six passes the old rule; each is decided
+    # before the LP, by the assignment solver or the zero-cost rule
+    a, cost_matrix = moved_copy(n, d, p, scale, seed)
+    if certified_identity(a, cost_matrix):
+        with mock.patch.object(ot, "_solve_lp", side_effect=AssertionError("reached the LP")):
+            left, right, _ = transport_plan(a, a.copy(), cost_matrix)
+        assert is_identity(left, right, n)
+
+
+@settings(max_examples=300)
+@given(**{**MOVED_COPIES, "p": st.sampled_from((1.5, 2.0, 3.0))})
+def test_identity_costs_no_more_than_the_lp_plan(n, d, p, scale, seed):
+    # at p <= 3 the LP's certificate resolves these costs, so its plan is a
+    # fair yardstick for the identity the assignment solver accepts
+    a, cost_matrix = moved_copy(n, d, p, scale, seed)
+    left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+    if is_identity(left, right, n):
+        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
+        assert float(masses @ cost_matrix[left, right]) <= lp_cost * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -651,33 +722,38 @@ def sorted_plan_cost(x, a, y, b, p):
     return total
 
 
-def test_identity_needs_an_informative_certificate():
-    # d = 1 atoms in a box of side 10 moved by N(0, 0.3) at p = 12 and 16:
-    # the largest cost is near 1e16, so the certificate's tolerance (about
-    # 1e3) dwarfs the identity's own summed cost. The certificate then
-    # accepts identities that cost more than the LP's plan; the guard keeps
-    # those instances on the LP, so the plan is never farther from the
-    # sorted-plan optimum than the LP's
-    accepted_but_worse = 0
-    for seed in range(12):
+def test_high_order_identity_follows_the_sorted_order(lp_shapes):
+    # d = 1 atoms in a box of side 10 moved by N(0, 1e-3) or N(0, 1e-2) at
+    # p = 12 and 16: the largest cost is near 1e16, so the certificate's
+    # tolerance (about 1e3) dwarfs the identity's own summed cost and cannot
+    # decide it. On the line the sorted plan is the one optimal plan, so the
+    # identity is optimal exactly when the move keeps the atoms' order. The
+    # assignment solver decides just that: it takes the identity, at the
+    # sorted plan's cost, exactly then, and leaves every other instance to
+    # the LP. No plan is farther from the optimum than the LP's
+    taken = 0
+    for seed in range(96):
         rng = np.random.default_rng(seed)
         p = (12.0, 16.0)[seed % 2]
         x = 10.0 * rng.random(24)
-        y = x + rng.normal(0.0, 0.3, 24)
+        y = x + rng.normal(0.0, (1e-3, 1e-2)[seed // 2 % 2], 24)
         a = rng.random(24) + 0.05
         a /= a.sum()
         cost_matrix = ot._cost_matrix(x[:, None], y[:, None], p)
-        identity = np.arange(24)
-        identity_cost = float(a @ np.diagonal(cost_matrix))
-        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
-        lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
-        if ot.certify_support(identity, identity, cost_matrix) and identity_cost > lp_cost:
-            accepted_but_worse += 1
+        lp_shapes.clear()
         left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+        order_kept = np.array_equal(np.argsort(x), np.argsort(y))
+        assert (lp_shapes == []) == order_kept
         cost = float(masses @ cost_matrix[left, right])
         optimum = sorted_plan_cost(x, a, y, a, p)
+        if order_kept:
+            taken += 1
+            assert is_identity(left, right, 24)
+            assert abs(cost - optimum) <= 1e-12 * optimum
+        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
         assert cost - optimum <= lp_cost - optimum + 1e-12 * optimum
-    assert accepted_but_worse > 0
+    assert 0 < taken < 96
 
 
 def test_integer_grid_ties_keep_the_lp_cost():
