@@ -359,7 +359,8 @@ def transport_plan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries (left, right, masses) of a minimum-cost plan between weights a and b.
 
-    ``a`` and ``b`` are the weight vectors of two probability measures and
+    ``a`` and ``b`` are the float64 weight vectors of two probability
+    measures, finite and positive as validated measures hold them, and
     ``cost_matrix`` any finite real (len(a), len(b)) matrix; negative
     entries are fine, since no method below assumes a sign (optimality is
     a statement about reduced costs, which a constant shift of the costs
@@ -384,6 +385,12 @@ def transport_plan(
       these costs;
     - the certified transportation simplex ``_solve_lp``.
 
+    Weights (``a`` against ``b`` and against ``warm``'s marginals) and
+    permutations (the assignment's against the identity, ``warm``'s entries)
+    are compared bit for bit. For positive finite weights and intp indices
+    that is value equality: only -0.0 and NaN could tell the two apart, and
+    neither is a weight.
+
     The assignment and identity plans can differ from the LP's only where
     the optimal plan is not unique; at such ties the summed cost still
     agrees to rounding. A cost matrix with an infinite or NaN entry raises
@@ -407,20 +414,25 @@ def transport_plan(
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left]
+    # bytes compare as values here: the weights are finite and positive, so
+    # no -0.0 or NaN, and the index arrays below are all intp
+    a_bytes = a.tobytes()
+    b_bytes = b.tobytes()
     warm_fits = (
         warm is not None
-        and np.array_equal(warm.mu.weights, a)
-        and np.array_equal(warm.nu.weights, b)
+        and warm.mu.weights.tobytes() == a_bytes
+        and warm.nu.weights.tobytes() == b_bytes
     )
-    if m == n and np.array_equal(a, b):
+    if m == n and a_bytes == b_bytes:
         identity = np.arange(n, dtype=np.intp)
+        identity_bytes = identity.tobytes()
         # a measure moved onto itself costs 0, which nothing beats on
         # nonnegative costs; else the identity must be an optimal assignment
-        if (lowest >= 0.0 and not np.diagonal(cost_matrix).any()) or np.array_equal(
-            linear_sum_assignment(cost_matrix)[1], identity
+        if (lowest >= 0.0 and not np.diagonal(cost_matrix).any()) or (
+            linear_sum_assignment(cost_matrix)[1].tobytes() == identity_bytes
         ):
             # a warm identity hands back its frozen arrays, which skip the re-check
-            if warm_fits and all(np.array_equal(e, identity) for e in (warm.left, warm.right)):
+            if warm_fits and warm.left.tobytes() == identity_bytes == warm.right.tobytes():
                 return warm.left, warm.right, warm.masses
             return identity, identity, a.copy()
     if warm_fits and certify_support(warm.left, warm.right, cost_matrix):

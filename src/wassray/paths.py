@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EmptyMeasureError,
     MarginalMismatchError,
     NonOptimalCouplingError,
     UnitSpeedError,
@@ -46,36 +47,63 @@ DEFAULT_VALIDATION_PAIRS = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0), (0.0, 10.0))
 
 
 def _segment_cost(starts, ends, weights, p) -> float:
-    return p_mean(weights, np.linalg.norm(ends - starts, axis=1), p)
+    diff = ends - starts
+    # np.linalg.norm(diff, axis=1)'s own formula, so lengths keep its bits
+    return p_mean(weights, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
+
+
+def _family_arrays(first, second, weights):
+    """Convert a family's input to fresh float64 arrays: (n, d), (n, d) and (n,).
+
+    The conversion ``GeodesicLift`` and ``RayMeasure`` run before
+    ``_checked_family``. A flat coordinate list is one member; an empty
+    one is a family without members, not one member in R^0.
+    """
+    first, second = (np.array(arr, dtype=float) for arr in (first, second))
+    if first.shape == second.shape == (0,):
+        first, second = first.reshape(0, 0), second.reshape(0, 0)
+    weights = np.atleast_1d(np.array(weights, dtype=float))
+    return np.atleast_2d(first), np.atleast_2d(second), weights
 
 
 def _checked_family(first, second, weights, p, item, arrays, data):
-    """Convert, check and freeze the arrays of a segment or ray family.
+    """Check and freeze the float64 arrays of a segment or ray family.
 
-    The checks ``GeodesicLift`` and ``RayMeasure`` share, in their order;
-    ``item``, ``arrays`` and ``data`` name a member, the array pair and its
-    coordinates in the messages. Zero-mass members are dropped.
+    The one implementation of the checks ``GeodesicLift`` and
+    ``RayMeasure`` share, in their order; ``item``, ``arrays`` and ``data``
+    name a member, the array pair and its coordinates in the messages. The
+    public constructors convert and copy their input with
+    ``_family_arrays`` first; lifts the library builds from a checked
+    coupling's entries (``_lift_entries``) skip only that conversion.
+    Zero-mass members are dropped; the arrays kept are made read-only in
+    place.
     """
-    first = np.atleast_2d(np.array(first, dtype=float))
-    second = np.atleast_2d(np.array(second, dtype=float))
-    weights = np.atleast_1d(np.array(weights, dtype=float))
     if first.shape != second.shape:
         raise ValueError(f"{arrays} arrays must have the same shape")
-    if first.ndim != 2 or first.shape[0] == 0:
+    if first.ndim != 2:
         raise ValueError(f"{item}s must form a nonempty (n, d) array pair")
+    if first.shape[0] == 0:
+        raise EmptyMeasureError(f"a {item} family needs at least one {item}")
     if first.shape[1] == 0:
         raise ValueError("ambient dimension must be at least 1")
     if weights.shape != (first.shape[0],):
         raise ValueError(f"one weight per {item} required")
-    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+    # min and max propagate NaN, so these comparisons fail on NaN and inf alike
+    if not (
+        -np.inf < np.minimum.reduce(first, axis=None)
+        and np.maximum.reduce(first, axis=None) < np.inf
+        and -np.inf < np.minimum.reduce(second, axis=None)
+        and np.maximum.reduce(second, axis=None) < np.inf
+    ):
         raise ValueError(f"{data} must be finite")
-    if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
+    low = np.minimum.reduce(weights)
+    if not (0.0 <= low and np.maximum.reduce(weights) < np.inf):
         raise ValueError(f"{item} weights must be finite and nonnegative")
-    keep = weights > 0.0
-    if not np.all(keep):
+    if low == 0.0:
+        keep = weights > 0.0
         first, second, weights = first[keep], second[keep], weights[keep]
-    if first.shape[0] == 0:
-        raise ValueError(f"every {item} has zero mass")
+        if first.shape[0] == 0:
+            raise EmptyMeasureError(f"every {item} has zero mass")
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValueError(f"{item} weights must sum to 1")
     p = check_exponent(p)
@@ -100,29 +128,49 @@ class GeodesicLift:
     length: float
 
     def __post_init__(self):
-        starts, ends, weights, p = _checked_family(
-            self.starts, self.ends, self.weights, self.p,
-            "segment", "start and end", "segment endpoints",
-        )
-        length = float(self.length)
-        cost = _segment_cost(starts, ends, weights, p)
-        if abs(length - cost) > LENGTH_RTOL * max(1.0, cost):
-            raise ValueError(
-                f"length {length!r} does not equal the endpoint transport cost {cost!r}"
-            )
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "length", length)
+        starts, ends, weights = _family_arrays(self.starts, self.ends, self.weights)
+        _checked_lift(starts, ends, weights, self.p, self.length, self)
 
     @property
     def dim(self) -> int:
         return self.starts.shape[1]
 
 
+def _checked_lift(starts, ends, weights, p, length, lift=None) -> GeodesicLift:
+    """Run every ``GeodesicLift`` check on float64 arrays and freeze them into a lift.
+
+    The public constructor converts its input, then calls this with itself
+    as ``lift``; ``_lift_entries`` calls it with no ``lift``.
+    """
+    starts, ends, weights, p = _checked_family(
+        starts, ends, weights, p, "segment", "start and end", "segment endpoints"
+    )
+    length = float(length)
+    cost = _segment_cost(starts, ends, weights, p)
+    if abs(length - cost) > LENGTH_RTOL * max(1.0, cost):
+        raise ValueError(
+            f"length {length!r} does not equal the endpoint transport cost {cost!r}"
+        )
+    if lift is None:
+        lift = object.__new__(GeodesicLift)
+    object.__setattr__(lift, "starts", starts)
+    object.__setattr__(lift, "ends", ends)
+    object.__setattr__(lift, "weights", weights)
+    object.__setattr__(lift, "p", p)
+    object.__setattr__(lift, "length", length)
+    return lift
+
+
 def _lift_entries(pi: Coupling) -> GeodesicLift:
-    return GeodesicLift(
+    """The segments of a checked coupling's entries, as a lift.
+
+    The same checks as ``GeodesicLift(pi.mu.atoms[pi.left],
+    pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost)``, with the same
+    result bits, skipping only the conversion: the endpoint arrays are
+    fresh float64 gathers, and the lift's weights are the coupling's own
+    read-only ``masses``.
+    """
+    return _checked_lift(
         pi.mu.atoms[pi.left], pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost
     )
 
@@ -186,7 +234,7 @@ class RayMeasure:
 
     def __post_init__(self):
         origins, velocities, weights, p = _checked_family(
-            self.origins, self.velocities, self.weights, self.p,
+            *_family_arrays(self.origins, self.velocities, self.weights), self.p,
             "ray", "origin and velocity", "ray data",
         )
         object.__setattr__(self, "origins", origins)

@@ -95,6 +95,14 @@ def test_read_rejects_rays_in_dimension_zero(tmp_path):
         read_ray(path)
 
 
+def test_read_rejects_an_empty_ray_family(tmp_path):
+    # no entry lines is a family without members, not one member in R^0
+    path = tmp_path / "empty.rays"
+    path.write_text("rays\ndim 2\np 2\nentries 0\n")
+    with pytest.raises(MeasureFileError, match="a ray family needs at least one ray"):
+        read_ray(path)
+
+
 def test_ray_format_keeps_exponent():
     ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=1.5)
     assert parse_ray(format_ray(ray)).p == 1.5

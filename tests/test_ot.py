@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 import wassray as w
 from wassray import ot
@@ -684,6 +684,76 @@ def test_identity_costs_no_more_than_the_lp_plan(n, d, p, scale, seed):
         lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
         lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
         assert float(masses @ cost_matrix[left, right]) <= lp_cost * (1.0 + 1e-12)
+
+
+def array_equal_plan(a, b, cost_matrix, warm):
+    """``transport_plan`` past its uniform branch, with its former ``np.array_equal`` tests."""
+    m, n = len(a), len(b)
+    warm_fits = (
+        warm is not None
+        and np.array_equal(warm.mu.weights, a)
+        and np.array_equal(warm.nu.weights, b)
+    )
+    if m == n and np.array_equal(a, b):
+        identity = np.arange(n, dtype=np.intp)
+        if (cost_matrix.min() >= 0.0 and not np.diagonal(cost_matrix).any()) or np.array_equal(
+            linear_sum_assignment(cost_matrix)[1], identity
+        ):
+            if warm_fits and all(np.array_equal(e, identity) for e in (warm.left, warm.right)):
+                return warm.left, warm.right, warm.masses
+            return identity, identity, a.copy()
+    if warm_fits and ot.certify_support(warm.left, warm.right, cost_matrix):
+        return warm.left, warm.right, warm.masses
+    return ot._solve_lp(a, b, cost_matrix)
+
+
+def warm_plan(kind, a, d, p, seed):
+    """A warm plan of the given kind for weights ``a``, or None."""
+    if kind == "none":
+        return None
+    rng = np.random.default_rng(seed)
+    n = len(a)
+    other = a * rng.uniform(0.5, 1.5, n)
+    other /= other.sum()
+    weights = other if kind.endswith("on other weights") else a
+    mu = w.DiscreteMeasure(10.0 * rng.random((n, d)), weights)
+    nu_weights = other if kind == "plan to other weights" else weights
+    nu = w.DiscreteMeasure(10.0 * rng.random((n, d)), nu_weights)
+    if kind.startswith("identity"):
+        return Coupling(mu, nu, np.arange(n), np.arange(n), weights, p)
+    return w.solve_ot(mu, nu, p)
+
+
+WARM_KINDS = (
+    "none",
+    "identity",
+    "plan",
+    "identity on other weights",
+    "plan on other weights",
+    "plan to other weights",
+)
+
+
+@settings(max_examples=300)
+@given(**MOVED_COPIES, kind=st.sampled_from(WARM_KINDS))
+def test_byte_comparisons_pick_the_branch_of_array_equal(n, d, p, scale, seed, kind):
+    # weights and permutations compared as bytes pick the branch the
+    # np.array_equal tests picked, with the same bits, and a warm identity
+    # hit still hands back the warm plan's own arrays
+    a, cost_matrix = moved_copy(n, d, p, scale, seed)
+    warm = warm_plan(kind, a, d, p, seed)
+    results = []
+    for plan in (transport_plan, array_equal_plan):
+        with mock.patch.object(ot, "_solve_lp", wraps=ot._solve_lp) as lp:
+            entries = plan(a, a.copy(), cost_matrix, warm)
+        results.append((entries, lp.call_count))
+    (new, new_lps), (old, old_lps) = results
+    assert new_lps == old_lps
+    for fast, reference in zip(new, old):
+        assert same_bits(fast, reference)
+    if warm is not None:
+        own = (warm.left, warm.right, warm.masses)
+        assert [x is y for x, y in zip(new, own)] == [x is y for x, y in zip(old, own)]
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray.errors import CostOverflowError, MarginalMismatchError, NonOptimalCouplingError
-from wassray.ot import Coupling
+from wassray.errors import (
+    CostOverflowError,
+    EmptyMeasureError,
+    MarginalMismatchError,
+    NonOptimalCouplingError,
+)
+from wassray.ot import Coupling, p_mean
+from wassray.paths import _checked_lift, _lift_entries, _segment_cost
 
 from conftest import random_measure, same_bits, small_measures, uniform_pairs
 
@@ -91,6 +97,100 @@ def test_families_in_dimension_zero_are_rejected():
         w.RayMeasure(empty, empty, [1.0], 2.0)
     with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
         w.GeodesicLift(empty, empty, [1.0], 2.0, 0.0)
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 2))])
+def test_empty_families_are_rejected_as_empty(empty):
+    # an empty list once became one member in R^0 and was reported as a
+    # dimension error; a family without members fails as an empty one
+    with pytest.raises(EmptyMeasureError, match="a ray family needs at least one ray"):
+        w.RayMeasure(empty, empty, [], 2.0)
+    with pytest.raises(EmptyMeasureError, match="a segment family needs at least one segment"):
+        w.GeodesicLift(empty, empty, [], 2.0, 0.0)
+
+
+def lift_fields(lift):
+    return (lift.starts, lift.ends, lift.weights, np.float64(lift.length), np.float64(lift.p))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
+def test_library_lift_has_the_bits_of_the_public_constructor(d, p):
+    # solver plans of every path: weighted LP, uniform assignment, equal
+    # marginals moved a little (the identity), single atom
+    rng = np.random.default_rng([d, int(10 * p)])
+    mu = random_measure(rng, max_atoms=6, dim=d)
+    pairs = [
+        (mu, random_measure(rng, max_atoms=6, dim=d)),
+        (w.uniform_measure(rng.normal(size=(5, d))), w.uniform_measure(rng.normal(size=(5, d)))),
+        (mu, w.DiscreteMeasure(mu.atoms + 1e-3 * rng.normal(size=mu.atoms.shape), mu.weights)),
+        (w.dirac(rng.normal(size=d)), mu),
+    ]
+    for left, right in pairs:
+        pi = w.solve_ot(left, right, p)
+        fast = _lift_entries(pi)
+        public = w.GeodesicLift(
+            pi.mu.atoms[pi.left], pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost
+        )
+        assert type(fast) is w.GeodesicLift
+        for x, y in zip(lift_fields(fast), lift_fields(public)):
+            assert same_bits(x, y)
+        for arr in (fast.starts, fast.ends, fast.weights):
+            assert not arr.flags.writeable
+        # the length check's formula is np.linalg.norm's, bit for bit
+        reference = p_mean(fast.weights, np.linalg.norm(fast.ends - fast.starts, axis=1), p)
+        assert same_bits(
+            np.float64(_segment_cost(fast.starts, fast.ends, fast.weights, p)),
+            np.float64(reference),
+        )
+
+
+def public_lift(first, second, weights):
+    return w.GeodesicLift(first, second, weights, 2.0, 0.0)
+
+
+def library_lift(first, second, weights):
+    first, second, weights = (np.array(x, dtype=float) for x in (first, second, weights))
+    return _checked_lift(first, second, weights, 2.0, 0.0)
+
+
+def public_rays(first, second, weights):
+    return w.RayMeasure(first, second, weights, 2.0)
+
+
+BAD_FAMILIES = [
+    ([[0.0], [np.nan]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
+    ([[0.0], [0.0]], [[np.inf], [0.0]], [0.5, 0.5], "{data} must be finite"),
+    ([[0.0], [0.0]], [[0.0], [-np.inf]], [0.5, 0.5], "{data} must be finite"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [-0.5, 1.5], "{item} weights must be finite and nonnegative"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [np.nan, 1.0], "{item} weights must be finite and nonnegative"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [np.inf, 1.0], "{item} weights must be finite and nonnegative"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.6], "{item} weights must sum to 1"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [0.0, 0.0], "every {item} has zero mass"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, item, data",
+    [
+        (public_lift, "segment", "segment endpoints"),
+        (library_lift, "segment", "segment endpoints"),
+        (public_rays, "ray", "ray data"),
+    ],
+)
+def test_every_family_check_keeps_its_message(build, item, data):
+    # the same messages on the public and the library path, with no numpy
+    # warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first, second, weights, message in BAD_FAMILIES:
+            message = message.format(item=item, data=data)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(first, second, weights)
+        # zero-mass members are dropped, not rejected
+        family = build([[0.0], [1.0]], [[0.0], [1.0]], [0.0, 1.0])
+        weights = family.weights
+        assert weights.tolist() == [1.0] and not weights.flags.writeable
 
 
 def test_lift_certifies_solver_plan_without_resolving(lp_shapes):
