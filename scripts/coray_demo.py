@@ -5,9 +5,10 @@ Setup A: line ray t -> delta_{(t, 0)} with start delta_{(0, 1)}; the limit
 is the parallel line through (0, 1). Setup B: a translation ray with a
 random three-atom start; the limit is the start measure translated at unit
 speed. The script prints per-step diagnostics (length over target time,
-the ratio bound, section movement) and the gradient residuals of the
-constructed co-rays, and how far the co-ray rebuilt exactly from the
-constructed one's section at time one lies from its shifted sections.
+the ratio bound, the bound on the section movement) and the gradient
+residuals of the constructed co-rays, and how far the co-ray rebuilt
+exactly from the constructed one's section at time one lies from its
+shifted sections.
 
 Usage:
     python scripts/coray_demo.py --steps 18
@@ -23,12 +24,14 @@ import wassray as w
 def describe(name, mu, nu0, schedule):
     result = w.construct_coray(mu, nu0, schedule=schedule)
     print(f"--- {name} ---")
-    print(f"{'t_n':>10} {'L_n':>14} {'|L/t - 1|':>12} {'offset/t':>12} {'movement':>12}")
+    print(
+        f"{'t_n':>10} {'L_n':>14} {'|L/t - 1|':>12} {'offset/t':>12} {'movement bound':>14}"
+    )
     gaps = (float("nan"),) + result.diagnostics
     for t_n, length, gap in zip(result.schedule, result.lengths, gaps):
         print(
             f"{t_n:>10.0f} {length:>14.6f} {abs(length / t_n - 1.0):>12.3e} "
-            f"{result.start_offset / t_n:>12.3e} {gap:>12.3e}"
+            f"{result.start_offset / t_n:>12.3e} {gap:>14.3e}"
         )
     print(f"converged: {result.converged}, candidate speed: {result.ray.speed:.12f}")
     gradient = w.coray_gradient_check(mu, result.ray)

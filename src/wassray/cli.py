@@ -305,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--out-ray", default=None, help="ray file for the co-ray")
     sp.add_argument(
-        "--out-csv", default=None, help=f"write (t, length, gap) diagnostics{construction}"
+        "--out-csv",
+        default=None,
+        help="write (t, length, gap) diagnostics, each gap an upper bound on the section "
+        f"movement{construction}",
     )
     sp.set_defaults(func=_cmd_coray)
 

@@ -6,15 +6,15 @@ the certified plan of the Busemann function's limiting transport problem
 
 ``construct_coray`` keeps the limit construction as an independent
 oracle: fix a start measure, solve the transport to a far section of the
-reference ray, lift the optimal coupling, and record the lifted
-geodesic's sections at a few test times (evaluation clamps at the
-geodesic's end, so small times are always meaningful). Repeat along an
-increasing target-time schedule and declare convergence once the section
-family stops moving between consecutive steps. The final coupling's
-segments, reparameterized to unit speed and extended to straight rays,
-form the candidate limit: in R^d the segment directions of the
-approximating geodesics are the natural estimator of the limit ray's
-atoms. When optimal couplings are non-unique the deterministic solver
+reference ray, and follow the lifted geodesic of the optimal coupling
+at a few test times (evaluation clamps at the geodesic's end, so small
+times are always meaningful). Repeat along an increasing target-time
+schedule and declare convergence once the coupling glued between
+consecutive steps shows the section family no longer moving. The final
+coupling's segments, reparameterized to unit speed and extended to
+straight rays, form the candidate limit: in R^d the segment directions
+of the approximating geodesics are the natural estimator of the limit
+ray's atoms. When optimal couplings are non-unique the deterministic solver
 follows one branch; the diagnostics and the theorem checks below, not the
 atom list itself, are the evidence that the output is a co-ray.
 
@@ -38,8 +38,8 @@ import numpy as np
 
 from .busemann import CHECK_ATOL, busemann_exact
 from .measures import DiscreteMeasure
-from .ot import solve_ot, wasserstein_distance
-from .paths import RayMeasure, _lift_entries, ray_section, require_unit_speed, section
+from .ot import Coupling, p_mean, solve_ot, wasserstein_distance
+from .paths import RayMeasure, ray_section, require_unit_speed
 
 DEFAULT_SCHEDULE = tuple(2.0**n for n in range(1, 17))
 DEFAULT_TEST_TIMES = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -55,10 +55,11 @@ class CorayResult:
     ``lengths`` holds the transport distance from the start measure to
     each target section, ``start_offset`` the distance from the start to
     the ray's origin section (together they bound |length/t - 1|), and
-    ``diagnostics`` the largest section movement between consecutive
-    steps. ``converged`` distinguishes a stalled section family from an
-    exhausted schedule; only a subsequence is guaranteed to converge in
-    general, so exhaustion is reported rather than raised.
+    ``diagnostics`` an upper bound on the largest section movement
+    between consecutive steps. ``converged`` distinguishes a stalled
+    section family from an exhausted schedule; only a subsequence is
+    guaranteed to converge in general, so exhaustion is reported rather
+    than raised.
     """
 
     ray: RayMeasure
@@ -81,28 +82,25 @@ def construct_coray(
     ``schedule`` is the strictly increasing sequence of finite positive
     target times (default 2, 4, ..., 65536); ``test_times`` the finite
     nonnegative evaluation times used for the convergence diagnostics, and
-    ``tol`` the positive bound on the last step's section movement below
+    ``tol`` the positive bound on the last step's diagnostic below
     which the construction counts as converged. Each is checked before any
     solve, and a bad one raises ``ValueError`` naming it.
 
-    Every step's geodesic starts at nu0, so its time-0 section is nu0 at
-    every step and moves by exactly 0: a test time of 0 adds 0.0 to each
-    step's diagnostic, and only the positive test times are sectioned and
-    solved (with none, every diagnostic is 0.0).
+    Every step's geodesic starts at nu0, and so does the step before's.
+    Gluing the two plans at nu0's atoms (``_glued_movement``) couples their
+    sections at every test time with no transport problem to solve, so a
+    step's diagnostic is that coupling's cost, taken at the worst test
+    time: an upper bound on the movement of the step's section family. At
+    time 0 both sections are nu0 and the glued coupling moves nothing, so a
+    test time of 0 adds 0.0 to each step's diagnostic (with no positive
+    test time, every diagnostic is 0.0).
 
     Consecutive target sections are translates of one another with the
     same weights, and their optimal plan settles as the target time grows.
     So each step's coupling starts from the previous step's plan (the
-    first from none), and each test time's movement plan from that test
-    time's plan of the step before: ``solve_ot`` returns a warm plan only
-    when its weights match exactly and ``certify_support`` proves its
-    support optimal on the new costs, and solves the transportation LP
-    otherwise. Each step's coupling is lifted as ``solve_ot`` returns it,
-    without ``lift_geodesic``'s certificate: ``solve_ot`` has just proven it
-    optimal on the same cost matrix. Section movements keep their weights,
-    so ``solve_ot`` often answers them with the identity plan, which the
-    assignment solver proves optimal before any warm certificate is tried
-    (see ``transport_plan``).
+    first from none): ``solve_ot`` returns a warm plan only when its
+    weights match exactly and ``certify_support`` proves its support
+    optimal on the new costs, and solves the transportation LP otherwise.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -123,28 +121,18 @@ def construct_coray(
         raise ValueError(f"convergence tolerance tol must be positive, got {tol}")
     start_offset = wasserstein_distance(nu0, ray_section(mu, 0.0), mu.p)
     # every step's time-0 section is nu0, so only positive times can move
-    moving_times = [tau for tau in test_times if tau > 0.0]
+    moving_times = np.array([tau for tau in test_times if tau > 0.0])
     lengths = []
     diagnostics = []
-    previous_sections = None
-    movement_plans = [None] * len(moving_times)
     coupling = None
     for t_n in schedule:
+        previous = coupling
         # consecutive targets are translates with the same weights, so the
         # previous step's plan is the warm start of this one
-        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=coupling)
+        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=previous)
         lengths.append(coupling.cost)
-        # solve_ot has just certified this plan optimal, so it lifts as it is
-        lift = _lift_entries(coupling)
-        sections = [section(lift, tau) for tau in moving_times]
-        if previous_sections is not None:
-            # each test time's movement plan is the warm start for the next step
-            movement_plans = [
-                solve_ot(a, b, mu.p, warm=plan)
-                for a, b, plan in zip(previous_sections, sections, movement_plans)
-            ]
-            diagnostics.append(max((plan.cost for plan in movement_plans), default=0.0))
-        previous_sections = sections
+        if previous is not None:
+            diagnostics.append(_glued_movement(previous, coupling, moving_times))
     length = coupling.cost
     if length <= 0.0:
         raise ValueError("the final geodesic is degenerate; extend the schedule")
@@ -160,6 +148,74 @@ def construct_coray(
         diagnostics=tuple(diagnostics),
         converged=diagnostics[-1] < tol,
     )
+
+
+def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) -> float:
+    """Largest cost over ``times`` of a coupling between two steps' sections.
+
+    Both plans run from nu0, lexicographic in (left, right), so the
+    entries leaving each nu0 atom are contiguous in both. At every atom
+    the two plans' entries are paired north-west on their raw masses: an
+    entry of one plan meets the entries of the other in order, each pair
+    taking the smaller remaining mass. An entry is paired only within its
+    own atom, so a rounding-level remainder at the end of an atom's
+    entries, where the two plans' sums differ in the last bits, is
+    dropped rather than carried to the next atom (at p = 8 a mass of 1e-16
+    carried across atoms 1 apart would add 1e-2). A plan that did not
+    change pairs every entry with itself at its own mass.
+
+    Sectioned at time tau, each pair couples the two entries' positions,
+    clamped at their plan's length as ``section`` clamps a lift; the
+    pairs' p-mean distance bounds the W_p distance of the two sections
+    from above, up to the rounding-level mass dropped.
+    """
+    atoms_a, atoms_b = previous.left.tolist(), current.left.tolist()
+    mass_a, mass_b = previous.masses.tolist(), current.masses.tolist()
+    rows, cols, masses = [], [], []
+    k = l = 0
+    rest_a, rest_b = mass_a[0], mass_b[0]
+    while True:
+        if atoms_a[k] == atoms_b[l]:
+            mass = min(rest_a, rest_b)
+            rows.append(k)
+            cols.append(l)
+            masses.append(mass)
+            rest_a -= mass
+            rest_b -= mass
+        # the other plan has left this atom: the remainder pairs with nothing
+        elif atoms_a[k] < atoms_b[l]:
+            rest_a = 0.0
+        else:
+            rest_b = 0.0
+        if rest_a == 0.0:
+            k += 1
+            if k == len(atoms_a):
+                break
+            rest_a = mass_a[k]
+        if rest_b == 0.0:
+            l += 1
+            if l == len(atoms_b):
+                break
+            rest_b = mass_b[l]
+    gap = _positions(previous, rows, times) - _positions(current, cols, times)
+    # np.linalg.norm's own formula, as for lift lengths
+    distances = np.sqrt(np.add.reduce(gap * gap, axis=2))
+    masses = np.array(masses)
+    return max((p_mean(masses, row, current.p) for row in distances), default=0.0)
+
+
+def _positions(plan: Coupling, entries: list[int], times: np.ndarray) -> np.ndarray:
+    """Positions at each of ``times`` of the plan's entries on its lifted geodesic, (T, K, d).
+
+    The geodesic runs at unit speed for the plan's cost and clamps at the
+    end, with ``section``'s expression, so the positions have its bits.
+    """
+    starts = plan.mu.atoms[plan.left[entries]]
+    ends = plan.nu.atoms[plan.right[entries]]
+    if plan.cost == 0.0:
+        return np.broadcast_to(starts, (len(times),) + starts.shape)
+    moved = starts + (times / plan.cost)[:, None, None] * (ends - starts)
+    return np.where((times >= plan.cost)[:, None, None], ends, moved)
 
 
 def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:

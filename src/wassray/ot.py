@@ -19,15 +19,15 @@ method from the input alone, trying in order:
   have a permutation among their optimal plans (Birkhoff-von Neumann), and
   the Jonker-Volgenant assignment solver finds one exactly;
 - equal marginals, a measure moved a little with its weights unchanged
-  (the co-ray construction's section movements): the identity plan, when
-  it costs 0 on a nonnegative matrix with a zero diagonal, or when the
-  assignment solver returns the identity permutation. With positive
-  weights the identity is optimal for (a, a) exactly when it is an
-  optimal assignment, whatever the weights, so this is exact at every p;
+  (two sections of one ray, as ray validation compares them): the
+  identity plan, when it costs 0 on a nonnegative matrix with a zero
+  diagonal, or when the assignment solver returns the identity
+  permutation. With positive weights the identity is optimal for (a, a)
+  exactly when it is an optimal assignment, whatever the weights, so this
+  is exact at every p;
 - a certified warm plan: schedules (Busemann doubling; in the co-ray
-  construction, each step's coupling to its target section and the
-  section movements between steps) solve a run of nearly identical
-  instances whose optimal plan settles, so
+  construction, each step's coupling to its target section) solve a run
+  of nearly identical instances whose optimal plan settles, so
   ``transport_plan`` takes an optional previous plan ``warm``. When its
   weights equal the new instance's exactly, ``certify_support`` tests its
   support against the new cost matrix with dual potentials, and it is

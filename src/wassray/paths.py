@@ -81,7 +81,7 @@ def _checked_family(first, second, weights, p, item, arrays, data):
     if first.shape != second.shape:
         raise ValueError(f"{arrays} arrays must have the same shape")
     if first.ndim != 2:
-        raise ValueError(f"{item}s must form a nonempty (n, d) array pair")
+        raise ValueError(f"{item}s must form an (n, d) array pair, got shape {first.shape}")
     if first.shape[0] == 0:
         raise EmptyMeasureError(f"a {item} family needs at least one {item}")
     if first.shape[1] == 0:

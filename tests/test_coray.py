@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import wassray as w
+from wassray.coray import DEFAULT_SCHEDULE, DEFAULT_TEST_TIMES, DEFAULT_TOL, _glued_movement
 from wassray.errors import UnitSpeedError
 
 from conftest import (
     GENUINE_RAY_KINDS,
+    comonotone_ray,
     genuine_ray_case,
+    psd_gradient_ray,
     random_measure,
     weighted_translation_setup,
 )
@@ -109,21 +112,166 @@ def test_schedule_validation(line_ray):
 
 
 def test_construction_reuses_certified_plans(lp_shapes):
-    # 16 steps of weighted measures: 16 target couplings, one start offset,
-    # and 75 section movements, each certified from the previous step's plan
-    # (at the same test time, for movements) when it stays optimal; lifts
-    # take the solver's certified plan as it is, and a movement between
-    # sections of equal weights takes the certified identity plan. The 3
-    # LPs left are the offset, the first target coupling and one movement
-    # between sections of different sizes.
-    # Solving every target coupling cold took 23 LP solves: 1 offset, 16
-    # targets and 6 movements.
+    # 16 steps of weighted measures: 16 target couplings and one start
+    # offset, each target certified from the previous step's plan when it
+    # stays optimal. The movement between steps is read off the two plans
+    # glued at nu0's atoms, with no transport problem. The 2 LPs left are
+    # the offset and the first target coupling.
+    # Solving every target coupling cold took 17 LP solves: 1 offset and
+    # 16 targets.
     rng = np.random.default_rng(7)
     mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
     assert result.converged
-    assert len(lp_shapes) == 3
+    assert len(lp_shapes) == 2
+
+
+MOVING_TIMES = tuple(tau for tau in DEFAULT_TEST_TIMES if tau > 0.0)
+
+
+def construction_steps(ray, nu0, schedule):
+    """Each step's plan and its lifted geodesic's sections at the positive test times.
+
+    The plans are ``construct_coray``'s: each warm-started from the one
+    before. The lift is built as it stands, since at high p the plan may
+    be the simplex's and not optimal; its sections are still those the
+    construction's diagnostics compare.
+    """
+    plans, sections = [], []
+    plan = None
+    for t_n in schedule:
+        plan = w.solve_ot(nu0, w.ray_section(ray, t_n), ray.p, warm=plan)
+        lift = w.GeodesicLift(
+            plan.mu.atoms[plan.left], plan.nu.atoms[plan.right], plan.masses, plan.p, plan.cost
+        )
+        plans.append(plan)
+        sections.append([w.section(lift, tau) for tau in MOVING_TIMES])
+    return plans, sections
+
+
+def sorted_plan_distance(a, b, p):
+    """W_p between two measures on the line: the north-west plan on sorted atoms.
+
+    Paired on raw masses, so equal weights in the same order pair each
+    atom with one atom at its own mass. A remainder below 1e-14 is the
+    rounding of a pooled weight, and is dropped rather than carried to
+    the next atom, where at p = 16 it could outweigh the movement.
+    """
+    order_a, order_b = (np.argsort(m.atoms[:, 0], kind="stable") for m in (a, b))
+    xa, xb = a.atoms[order_a, 0], b.atoms[order_b, 0]
+    wa, wb = a.weights[order_a].tolist(), b.weights[order_b].tolist()
+    total = 0.0
+    i = j = 0
+    rest_a, rest_b = wa[0], wb[0]
+    while True:
+        mass = min(rest_a, rest_b)
+        total += mass * abs(xa[i] - xb[j]) ** p
+        rest_a -= mass
+        rest_b -= mass
+        if rest_a < 1e-14:
+            i += 1
+            if i == len(wa):
+                break
+            rest_a = wa[i]
+        if rest_b < 1e-14:
+            j += 1
+            if j == len(wb):
+                break
+            rest_b = wb[j]
+    return total ** (1.0 / p)
+
+
+def same_entries(first, second):
+    return all(
+        getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        for name in ("left", "right", "masses")
+    )
+
+
+def weighted_start(rng, n, d):
+    """A weighted start of n atoms, spread wide enough that some target plans change."""
+    weights = rng.random(n) + 0.1
+    return w.DiscreteMeasure(3.0 * rng.normal(size=(n, d)), weights / weights.sum())
+
+
+def check_glued_bound(ray, nu0, schedule, movement):
+    """The diagnostics bound ``movement`` between sections; the verdict is the solved one's.
+
+    ``movement(a, b, p)`` is the reference distance between two sections.
+    Each diagnostic is at least the largest reference movement over the
+    positive test times, within 1e-12 relative, and equals it within 1e-9
+    on every step whose plan did not change. ``converged`` is the verdict
+    the construction gave when it solved the last step's section
+    movements. Returns the verdict.
+    """
+    result = w.construct_coray(ray, nu0, schedule=schedule)
+    plans, sections = construction_steps(ray, nu0, schedule)
+    assert result.lengths == tuple(plan.cost for plan in plans)
+    for k, diagnostic in enumerate(result.diagnostics):
+        reference = max(movement(a, b, ray.p) for a, b in zip(sections[k], sections[k + 1]))
+        assert diagnostic >= reference * (1.0 - 1e-12)
+        if same_entries(plans[k], plans[k + 1]):
+            assert diagnostic == pytest.approx(reference, rel=1e-9)
+    solved = max(
+        w.wasserstein_distance(a, b, ray.p) for a, b in zip(sections[-2], sections[-1])
+    )
+    assert result.converged == (solved < DEFAULT_TOL)
+    return result.converged
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0, 16.0])
+def test_glued_diagnostics_bound_the_exact_movement_on_the_line(p):
+    # comonotone rays in d = 1, where the sorted plan is the exact W_p; on
+    # the default schedule some constructions converge and some do not
+    rng = np.random.default_rng(2021)
+    verdicts = set()
+    for k in (3, 5):
+        ray = comonotone_ray(rng, k, p)
+        for n in (3, 5):
+            nu0 = weighted_start(rng, n, 1)
+            verdicts.add(check_glued_bound(ray, nu0, DEFAULT_SCHEDULE, sorted_plan_distance))
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("psd-gradient", 2.0), ("translation", 1.5), ("translation", 2.0), ("translation", 3.0)],
+)
+def test_glued_diagnostics_bound_the_solved_movement_in_the_plane(kind, p):
+    # the simplex is exact at p <= 3, so solve_ot on the two sections is
+    # the reference movement; from starts this far, some target plans
+    # change along the schedule
+    rng = np.random.default_rng(2022)
+    for _ in range(2):
+        if kind == "psd-gradient":
+            ray = psd_gradient_ray(rng, 4)
+        else:
+            ray = w.make_translation_ray(weighted_start(rng, 4, 2), (0.6, 0.8), p=p)
+        for n in (3, 5):
+            nu0 = weighted_start(rng, n, 2)
+            assert check_glued_bound(ray, nu0, LONG_SCHEDULE, w.wasserstein_distance)
+
+
+def test_glued_movement_pairs_no_mass_across_start_atoms():
+    # nu0 = 0.3 at 0 and 0.7 at 1 on the line. The two plans send the same
+    # masses to targets 2e-6 apart, except that the second plan's atom-0
+    # entries carry 5.6e-17 more, a rounding-level remainder. Past both
+    # lengths the sections are the targets, so the movement is 2e-6 up to
+    # the dropped remainder. Carried to atom 1's entry, 0.5 away, that
+    # remainder would add (5.6e-17 * 0.5**8) ** (1/8) = 4.6e-3 at p = 8.
+    nu0 = w.DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
+    targets = np.array([[10.0], [10.5], [11.0]])
+    weights = [0.1, 0.2, 0.7]
+    before = w.Coupling(nu0, w.DiscreteMeasure(targets, weights), [0, 0, 1], [0, 1, 2], weights, 8.0)
+    heavier = [0.1, 0.20000000000000004, 0.7]
+    assert heavier[1] - weights[1] == pytest.approx(5.6e-17, rel=0.01)
+    after = w.Coupling(
+        nu0, w.DiscreteMeasure(targets + 2e-6, weights), [0, 0, 1], [0, 1, 2], heavier, 8.0
+    )
+    assert _glued_movement(before, after, np.array([100.0])) == pytest.approx(2e-6, rel=1e-9)
+    # a plan glued to itself pairs each entry with itself at its own mass
+    assert _glued_movement(after, after, np.array([0.5, 100.0])) == 0.0
 
 
 def far_start_translation(p):
@@ -177,11 +325,11 @@ def translated_start_gap(ray, nu0, v, times=(0.0, 1.0, 2.0, 4.0)):
 
 def test_high_order_movement_gaps_halve_to_convergence():
     # p = 8 on the line: a weighted 6-atom translation ray and a weighted
-    # 7-atom start. The section movements keep their weights and their
-    # identity plan stays optimal, so each step's gap is about half the
-    # last. A certificate whose tolerance grows with the largest cost cannot
-    # tell such an identity from a wrong plan at p = 8: accepting wrong
-    # movement plans, the gaps stalled at 1.58e-3 from t = 2048 on
+    # 7-atom start. Each step's gap is about half the last. When the gaps
+    # were solved movements, a certificate whose tolerance grows with the
+    # largest cost could not tell their identity plan from a wrong plan at
+    # p = 8: accepting wrong movement plans, the gaps stalled at 1.58e-3
+    # from t = 2048 on
     mu0 = w.DiscreteMeasure(
         [[0.242], [0.442], [-0.968], [0.351], [0.82], [-0.728]],
         [0.147, 0.255, 0.066, 0.346, 0.054, 0.132],

@@ -575,9 +575,10 @@ def test_certified_warm_plan_keeps_its_entries_and_passes_the_public_constructor
 
 
 def test_warm_identity_hands_back_its_own_arrays(lp_shapes, monkeypatch):
-    # a section movement's identity plan is the warm start of the next
-    # movement: when the identity is still optimal, the warm plan's frozen
-    # arrays come back, so solve_ot re-checks none of its entries
+    # along a translation ray's doubling schedule, a probe taken from the
+    # ray's own section keeps the identity plan from step to step: when the
+    # identity is still optimal, the warm plan's frozen arrays come back, so
+    # solve_ot re-checks none of its entries
     mu = w.DiscreteMeasure([[0.0], [1.0], [3.0]], [0.2, 0.5, 0.3])
     warm = w.solve_ot(mu, w.DiscreteMeasure(mu.atoms + 0.1, mu.weights), 2.0)
     assert warm.left.tolist() == warm.right.tolist() == [0, 1, 2]

@@ -167,6 +167,13 @@ BAD_FAMILIES = [
     ([[0.0], [1.0]], [[0.0], [1.0]], [np.inf, 1.0], "{item} weights must be finite and nonnegative"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.6], "{item} weights must sum to 1"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [0.0, 0.0], "every {item} has zero mass"),
+    # a nonempty 3-D pair, once reported as "a nonempty (n, d) array pair"
+    (
+        np.ones((2, 2, 2)),
+        np.ones((2, 2, 2)),
+        [0.5, 0.5],
+        "{item}s must form an (n, d) array pair, got shape (2, 2, 2)",
+    ),
 ]
 
 

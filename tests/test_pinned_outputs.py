@@ -3,7 +3,7 @@
 The verify report's hash pins what ``verify all`` computes, but verify
 runs ``construct_coray`` only on Dirac and translation rays and never
 hands the transportation simplex a weighted instance with ties; its
-equal-marginal transports come only from its co-ray constructions. These
+equal-marginal transports are sections of the few rays it checks. These
 seeded corpora pin those outputs to the bit, so a speed-up that changes a
 plan at a tie, or a step of the construction, shows here by name. A
 change that moves a digest on purpose names the instances it changes and
@@ -20,7 +20,10 @@ from wassray import ot
 from conftest import comonotone_ray, psd_gradient_ray
 
 LP_CORPUS_SHA256 = "5e6525a3cf2a729decd3256b5b56e9685edd24aa80831d8ea80cc20b58c0fabc"
-CORAY_CORPUS_SHA256 = "8201a5db7bcfa99c369221a62298ae3db5dcd0ec95ad43d1bdcb5d92206df66f"
+# the lengths, start offsets and co-rays; the diagnostics, pinned apart,
+# are the glued-coupling bounds
+CORAY_CORPUS_SHA256 = "0ad201150bfb6ab45c6745a6158e0f46bcb693aad967555b7f50713355734783"
+CORAY_DIAGNOSTICS_SHA256 = "e845576e04cc536874e394985b1146bb688ea873218ac6fa76fcb14feb747737"
 EQUAL_MARGINAL_CORPUS_SHA256 = "bb9a2546504c7d125d185f742a8c917c60ebfb00d4b56bfa1c0889418e470e39"
 
 
@@ -111,11 +114,12 @@ def test_equal_marginal_plans_are_pinned():
 
 def test_coray_constructions_are_pinned():
     schedule = tuple(2.0**k for k in range(1, 13))
+    results = [w.construct_coray(ray, nu0, schedule=schedule) for ray, nu0 in coray_corpus()]
 
     def outputs():
-        for ray, nu0 in coray_corpus():
-            result = w.construct_coray(ray, nu0, schedule=schedule)
-            yield np.array(result.lengths + (result.start_offset,) + result.diagnostics)
+        for result in results:
+            yield np.array(result.lengths + (result.start_offset,))
             yield from (result.ray.origins, result.ray.velocities, result.ray.weights)
 
     assert digest(outputs()) == CORAY_CORPUS_SHA256
+    assert digest(np.array(result.diagnostics) for result in results) == CORAY_DIAGNOSTICS_SHA256
