@@ -38,7 +38,7 @@ import numpy as np
 
 from .busemann import CHECK_ATOL, busemann_exact
 from .measures import DiscreteMeasure
-from .ot import Coupling, p_mean, solve_ot, wasserstein_distance
+from .ot import Coupling, _check_distances, solve_ot, wasserstein_distance
 from .paths import RayMeasure, ray_section, require_unit_speed
 
 DEFAULT_SCHEDULE = tuple(2.0**n for n in range(1, 17))
@@ -169,6 +169,8 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
     pairs' p-mean distance bounds the W_p distance of the two sections
     from above, up to the rounding-level mass dropped.
     """
+    if not len(times):
+        return 0.0
     atoms_a, atoms_b = previous.left.tolist(), current.left.tolist()
     mass_a, mass_b = previous.masses.tolist(), current.masses.tolist()
     rows, cols, masses = [], [], []
@@ -197,14 +199,19 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
             if l == len(atoms_b):
                 break
             rest_b = mass_b[l]
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     gap = _positions(previous, rows, times) - _positions(current, cols, times)
     # np.linalg.norm's own formula, as for lift lengths
     distances = np.sqrt(np.add.reduce(gap * gap, axis=2))
-    masses = np.array(masses)
-    return max((p_mean(masses, row, current.p) for row in distances), default=0.0)
+    # p_mean at every time at once: each row sums as p_mean's 1-D sum does,
+    # and x ** (1/p) rises with x, so the largest sum gives the largest mean
+    p = current.p
+    _check_distances(np.maximum.reduce(distances, axis=None), p)
+    sums = np.add.reduce(np.array(masses) * distances**p, axis=1)
+    return float(np.maximum.reduce(sums) ** (1.0 / p))
 
 
-def _positions(plan: Coupling, entries: list[int], times: np.ndarray) -> np.ndarray:
+def _positions(plan: Coupling, entries: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Positions at each of ``times`` of the plan's entries on its lifted geodesic, (T, K, d).
 
     The geodesic runs at unit speed for the plan's cost and clamps at the

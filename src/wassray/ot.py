@@ -33,8 +33,10 @@ method from the input alone, trying in order:
   support against the new cost matrix with dual potentials, and it is
   returned when the certificate holds, its entries already checked and
   frozen, so only its cost is derived anew (a warm identity the branch
-  above accepts comes back the same way). ``lift_geodesic`` uses the
-  same certificate to accept a plan without re-solving;
+  above accepts comes back the same way). A support spanning a tree gets
+  its potentials from one walk of it, any other from Bellman-Ford.
+  ``lift_geodesic`` uses the same certificate to accept a plan without
+  re-solving;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
@@ -43,7 +45,8 @@ method from the input alone, trying in order:
   cannot cycle; its pivot cap is only a safety net against rounding, and
   reaching it raises ``TransportSolveError``. It keeps the basis tree and
   its potentials between pivots, re-hanging only the subtree a pivot cuts
-  off. It returns a basic (vertex) plan.
+  off, and prices the cells once per pivot. It returns a basic (vertex)
+  plan.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -86,6 +89,7 @@ TAIL_BOUND_SLACK = 1e-12
 CERTIFICATE_ROUNDINGS = 4
 SIMPLEX_PIVOTS_PER_NODE = 20
 DBL_MAX = float(np.finfo(float).max)
+EPS = float(np.finfo(float).eps)
 # distances within this relative margin of DBL_MAX ** (1/p) count as
 # overflowing: that close, rounding in pow and in the p-mean sum decides
 OVERFLOW_RTOL = 1e-9
@@ -456,14 +460,17 @@ def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
     The certificate is LP duality: the plan is optimal iff there are
     potentials u (rows) and v (columns) with reduced costs
     ``C[i, j] + u[i] - v[j]`` nonnegative everywhere and zero on the
-    support. They are shortest-path distances in the residual graph (an
-    arc i -> j of length C[i, j] for every cell, and j -> i of length
-    -C[i, j] for every support cell), found by Bellman-Ford from a virtual
-    source at distance 0 to every node; this needs no spanning tree, so
-    degenerate bases and forest supports (assignment plans, for one) are
-    handled alike. A negative cycle, i.e. a cheaper plan, keeps lowering
-    the distances and shows up as a violated reduced cost after m + n
-    rounds.
+    support. A support of m + n - 1 entries spanning a tree, as a
+    nondegenerate simplex plan does, fixes them up to a constant, and
+    ``_tree_potentials`` walks it for them in O(m + n); when they certify,
+    that is the answer. Every other support, and a tree that fails, gets
+    shortest-path distances in the residual graph (an arc i -> j of length
+    C[i, j] for every cell, and j -> i of length -C[i, j] for every support
+    cell), found by Bellman-Ford from a virtual source at distance 0 to
+    every node; this needs no spanning tree, so degenerate bases and
+    forest supports (assignment plans, for one) are handled alike. A
+    negative cycle, i.e. a cheaper plan, keeps lowering the distances and
+    shows up as a violated reduced cost after m + n rounds.
 
     Whatever the potentials, the final test is itself the proof: if every
     reduced cost is >= -tol and every support reduced cost is <= tol,
@@ -478,6 +485,10 @@ def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
     m, n = cost_matrix.shape
     tol = _certificate_tolerance(cost_matrix)
     support_cost = cost_matrix[left, right]
+    if len(support_cost) == m + n - 1:
+        tree = _tree_potentials(left, right, support_cost, m, n)
+        if tree is not None and _dual_certificate(cost_matrix, *tree, left, right, tol)[2]:
+            return True
     u = np.zeros(m)
     v = np.zeros(n)
     for _ in range(m + n):
@@ -490,31 +501,58 @@ def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
         if u_next.tobytes() == u.tobytes() and v_next.tobytes() == v.tobytes():
             break
         u, v = u_next, v_next
-    return _dual_certificate(cost_matrix, u, v, left, right, tol)[1]
+    return _dual_certificate(cost_matrix, u, v, left, right, tol)[2]
+
+
+def _tree_potentials(left, right, support_cost, m: int, n: int):
+    """Potentials (u, v) of a support spanning all m + n nodes, else None.
+
+    Walks the support from row 0 with ``_hang``'s arithmetic. Each node is
+    placed once, so a cycle or a duplicate entry ends the walk short of
+    some node instead of looping.
+    """
+    neighbours = [[] for _ in range(m + n)]
+    entries = zip(np.asarray(left).tolist(), np.asarray(right).tolist(), support_cost.tolist())
+    for i, j, c in entries:
+        neighbours[i].append((m + j, c))
+        neighbours[m + j].append((i, c))
+    potential = [None] * (m + n)
+    potential[0] = 0.0
+    order = [0]
+    for x in order:  # grows while it is walked
+        here = potential[x]
+        for z, c in neighbours[x]:
+            if potential[z] is None:
+                potential[z] = here + c if x < m else here - c
+                order.append(z)
+    if len(order) < m + n:
+        return None
+    u_v = np.array(potential)
+    return u_v[:m], u_v[m:]
 
 
 def _certificate_tolerance(cost_matrix: np.ndarray) -> float:
     """The certificate's rounding allowance 4 (m + n) eps max|C|."""
     m, n = cost_matrix.shape
     largest = np.maximum.reduce(np.abs(cost_matrix), axis=None)
-    return CERTIFICATE_ROUNDINGS * (m + n) * np.finfo(float).eps * largest
+    return CERTIFICATE_ROUNDINGS * (m + n) * EPS * largest
 
 
-def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[np.ndarray, bool]:
-    """Reduced costs C + u - v, and whether they certify the support optimal.
+def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, bool]:
+    """The cell of least reduced cost C + u - v, that cost, and whether they certify the support.
 
     The one definition of "certified optimal", shared by ``certify_support``
     and the transportation simplex: every reduced cost is >= -tol and every
     support reduced cost <= tol, with ``tol`` from ``_certificate_tolerance``
-    on the same matrix (computed once per solve, not once per pivot).
+    on the same matrix (computed once per solve, not once per pivot). The
+    cell is ``argmin``'s, first in row-major order on ties.
     """
     # subtracting in place rounds as C + u - v does, without a second m x n temporary
     reduced = cost_matrix + u[:, None]
     reduced -= v
-    return reduced, bool(
-        np.minimum.reduce(reduced, axis=None) >= -tol
-        and np.maximum.reduce(reduced[left, right]) <= tol
-    )
+    cell = int(np.argmin(reduced))
+    lowest = reduced.item(cell)
+    return cell, lowest, bool(lowest >= -tol and np.maximum.reduce(reduced[left, right]) <= tol)
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
@@ -533,12 +571,13 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
     reduced cost C + u - v (Dantzig's rule, first in row-major order on
     ties), and leaves the cell of least mass among those losing mass on
     the cycle it closes (lowest row-major index on ties, which rounding
-    alone can make). It stops on the certificate ``certify_support``
-    applies, so every plan it returns is certified optimal to
-    8 (m + n) eps max|C| in summed d**p.
+    alone can make). One ``_dual_certificate`` pass per pivot prices the
+    cells for both: it names the cell to enter, and it is the stop, on the
+    certificate ``certify_support`` applies, so every plan it returns is
+    certified optimal to 8 (m + n) eps max|C| in summed d**p.
     The masses of the final tree are rebuilt from the marginals by
-    ``_peel_masses``; entries come row-major, those that are not positive
-    dropped.
+    ``_peel_masses`` on the kept neighbour lists; entries come row-major,
+    those that are not positive dropped.
 
     It cannot cycle (Orden's perturbation; Orden, "The transhipment
     problem", Management Science 2, 1956). Every basis mass is a pair
@@ -574,27 +613,27 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
         _hang(0, y, neighbours, parent, depth, potential, cost, m)
     for _ in range(SIMPLEX_PIVOTS_PER_NODE * (m + n)):
         u_v = np.array(potential)
-        reduced, certified = _dual_certificate(cost_matrix, u_v[:m], u_v[m:], left, right, tol)
+        entering, lowest, certified = _dual_certificate(
+            cost_matrix, u_v[:m], u_v[m:], left, right, tol
+        )
         if certified:
-            left, right = np.divmod(np.sort(left * n + right), n)
-            masses = _peel_masses(a, b, left, right)
-            positive = masses > 0.0
-            return left[positive], right[positive], masses[positive]
-        entering = int(np.argmin(reduced))
-        i, j = divmod(entering, n)
-        if reduced[i, j] >= 0.0 or entering in basis:
+            return _peel_masses(a, b, neighbours)
+        if lowest >= 0.0 or entering in basis:
             raise _solve_failure("found no improving cell but no certificate", cost_matrix)
+        i, j = divmod(entering, n)
         # the tree path from row i to column j closes the cycle; its cells
         # alternately lose and gain mass, starting with a loss at row i
         x, y = i, m + j
         from_row, from_col = [], []
         while x != y:
             if depth[x] >= depth[y]:
-                from_row.append(_cell(x, parent[x], m, n))
-                x = parent[x]
+                z = parent[x]
+                from_row.append(x * n + z - m if x < m else z * n + x - m)
+                x = z
             else:
-                from_col.append(_cell(y, parent[y], m, n))
-                y = parent[y]
+                z = parent[y]
+                from_col.append(y * n + z - m if y < m else z * n + y - m)
+                y = z
         path = from_row + from_col[::-1]
         theta, leaving = min((basis[cell], cell) for cell in path[0::2])
         mass, eps = theta
@@ -659,11 +698,6 @@ def _solve_failure(what: str, cost_matrix: np.ndarray) -> TransportSolveError:
     )
 
 
-def _cell(x: int, y: int, m: int, n: int) -> int:
-    """Row-major index of the cell joining tree nodes x and y."""
-    return x * n + (y - m) if x < m else y * n + (x - m)
-
-
 def _matrix_minimum_basis(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> dict:
     """Start basis by the matrix-minimum rule: {row-major cell: (mass, eps)}.
 
@@ -702,38 +736,32 @@ def _matrix_minimum_basis(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray)
     return basis
 
 
-def _peel_masses(a: np.ndarray, b: np.ndarray, left, right) -> np.ndarray:
-    """Masses on a spanning-tree support that reproduce the marginals (a, b).
+def _peel_masses(a: np.ndarray, b: np.ndarray, neighbours: list) -> tuple:
+    """Entries (left, right, masses) on a spanning tree that reproduce the marginals (a, b).
 
-    Peels leaves off the tree: a leaf's one cell carries what remains of
-    its marginal, which is then taken from the cell's other end. Returns
-    the masses in entry order.
+    ``neighbours`` lists each node's tree neighbours, rows 0..m-1 and then
+    columns m..m+n-1; the lists are used up. Peels leaves off the tree,
+    first those that are leaves already in node order, then each node as
+    it becomes one: a leaf's one cell carries what remains of its
+    marginal, which is then taken from the cell's other end. Entries come
+    row-major, those whose mass is not positive dropped.
     """
-    m = len(a)
-    remaining = np.concatenate([a, b]).tolist()
-    incident = [[] for _ in remaining]
-    ends = []
-    for k, (i, j) in enumerate(zip(np.asarray(left).tolist(), np.asarray(right).tolist())):
-        ends.append((i, m + j))
-        incident[i].append(k)
-        incident[m + j].append(k)
-    degree = [len(cells) for cells in incident]
-    done = [False] * len(ends)
-    masses = [0.0] * len(ends)
-    leaves = [x for x in range(len(degree)) if degree[x] == 1]
+    m, n = len(a), len(b)
+    remaining = a.tolist() + b.tolist()
+    masses = {}
+    leaves = [x for x, ends in enumerate(neighbours) if len(ends) == 1]
     for x in leaves:
-        if degree[x] == 0:
+        if not neighbours[x]:
             continue  # the tree's last node: its cell is gone
-        k = next(k for k in incident[x] if not done[k])
-        y = ends[k][1] if ends[k][0] == x else ends[k][0]
-        masses[k] = remaining[x]
+        y = neighbours[x].pop()
+        neighbours[y].remove(x)
+        masses[x * n + y - m if x < m else y * n + x - m] = remaining[x]
         remaining[y] -= remaining[x]
-        done[k] = True
-        degree[x] -= 1
-        degree[y] -= 1
-        if degree[y] == 1:
+        if len(neighbours[y]) == 1:
             leaves.append(y)
-    return np.array(masses)
+    cells = sorted(cell for cell, mass in masses.items() if mass > 0.0)
+    left, right = np.divmod(np.array(cells, dtype=np.intp), n)
+    return left, right, np.array([masses[cell] for cell in cells])
 
 
 def wasserstein_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:

@@ -918,7 +918,8 @@ def test_solver_failure_raises_typed_error(monkeypatch):
     dual_certificate = ot._dual_certificate
 
     def never_certified(*args):
-        return dual_certificate(*args)[0], False
+        cell, lowest, _ = dual_certificate(*args)
+        return cell, lowest, False
 
     monkeypatch.setattr(ot, "_dual_certificate", never_certified)
     with pytest.raises(TransportSolveError, match=r"no improving cell.*cost range \[\d"):
@@ -1001,7 +1002,7 @@ def array_equal_certify_support(left, right, cost_matrix):
         if np.array_equal(u_next, u) and np.array_equal(v_next, v):
             break
         u, v = u_next, v_next
-    return ot._dual_certificate(cost_matrix, u, v, left, right, tol)[1]
+    return ot._dual_certificate(cost_matrix, u, v, left, right, tol)[2]
 
 
 @settings(max_examples=200)
@@ -1026,6 +1027,126 @@ def test_certificate_verdict_matches_the_array_equal_loop(instance, change, nois
     assert verdict is array_equal_certify_support(left, right, cost_matrix)
     if change == "none":
         assert verdict
+
+
+def cyclic_support(m, n, isolated):
+    """m + n - 1 entries that span no tree, for m + n >= 5.
+
+    A 4-cycle on rows 0, 1 and columns 0, 1, with every other node hung
+    from it by one cell but the ``isolated``-th, which is left alone.
+    """
+    left, right = [0, 0, 1, 1], [0, 1, 0, 1]
+    others = [x for x in range(m + n) if x not in (0, 1, m, m + 1)]
+    for x in others[:isolated] + others[isolated + 1 :]:
+        left.append(x if x < m else 0)
+        right.append(0 if x < m else x - m)
+    return np.array(left), np.array(right)
+
+
+@settings(max_examples=200)
+@given(
+    instance=transport_instances(),
+    support=st.sampled_from(("tree", "forest", "duplicate", "cycle")),
+    noise=st.sampled_from((0.0, 1e-3, 0.1, 1.0)),
+    seed=st.integers(0, 2**16),
+    as_lists=st.booleans(),
+)
+def test_tree_certificate_keeps_every_bellman_ford_verdict(
+    instance, support, noise, seed, as_lists
+):
+    # warm-like simplex trees on perturbed costs, assignment forests, and
+    # m + n - 1 entries that span no tree (a duplicated entry, or a cycle
+    # with a node left out): whatever Bellman-Ford alone certifies is
+    # still certified, and the walk gives up on the supports with no tree
+    a, b, cost_matrix = instance
+    m, n = cost_matrix.shape
+    rng = np.random.default_rng(seed)
+    if support == "forest":
+        left, right = linear_sum_assignment(cost_matrix)
+    else:
+        left, right, _ = _solve_lp(a, b, cost_matrix)
+    if support == "duplicate":
+        # keep at most m + n - 2 entries and fill up to m + n - 1 with copies of a kept one
+        keep = min(len(left), m + n - 2)
+        k = int(rng.integers(0, keep))
+        left = np.concatenate([left[:keep], np.full(m + n - 1 - keep, left[k])])
+        right = np.concatenate([right[:keep], np.full(m + n - 1 - keep, right[k])])
+    elif support == "cycle":
+        if m + n < 5:
+            m, n = 3, 2
+            cost_matrix = np.pad(cost_matrix, ((0, 1), (0, 0)), mode="edge")
+        left, right = cyclic_support(m, n, int(rng.integers(0, m + n - 4)))
+    costs = cost_matrix + rng.uniform(-noise, noise, cost_matrix.shape) * cost_matrix.std()
+    if support in ("duplicate", "cycle"):
+        assert len(left) == m + n - 1
+        assert ot._tree_potentials(left, right, costs[left, right], m, n) is None
+    if as_lists:
+        left, right = left.tolist(), right.tolist()
+    if array_equal_certify_support(left, right, costs):
+        assert ot.certify_support(left, right, costs)
+    if support == "tree" and noise == 0.0:
+        assert ot.certify_support(left, right, costs)
+
+
+def test_simplex_prices_once_per_pivot(monkeypatch):
+    # each pivot reads the cell to enter off the certificate's own pricing
+    # pass, so the m x n reduced costs are reduced to their least entry once
+    # per pivot, and once more for the certified stop
+    a, b, cost_matrix = weighted_instance(np.random.default_rng(3), 12, 10)
+    events = []
+    hang, dual_certificate = ot._hang, ot._dual_certificate
+
+    def hang_spy(*args):
+        events.append("hang")
+        return hang(*args)
+
+    def price_spy(*args):
+        events.append("price")
+        return dual_certificate(*args)
+
+    class MinimumReduction:
+        """A ufunc whose ``reduce`` counts reductions of an m x n array."""
+
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+        def reduce(self, array, *args, **kwargs):
+            if np.shape(array) == cost_matrix.shape:
+                events.append("pass")
+            return self.ufunc.reduce(array, *args, **kwargs)
+
+    class CountingNumpy:
+        """numpy, with every least-entry reduction of an m x n array logged as a pass."""
+
+        minimum = MinimumReduction(np.minimum)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argmin(self, array, *args, **kwargs):
+            if np.shape(array) == cost_matrix.shape:
+                events.append("pass")
+            return np.argmin(array, *args, **kwargs)
+
+    monkeypatch.setattr(ot, "_hang", hang_spy)
+    monkeypatch.setattr(ot, "_dual_certificate", price_spy)
+    monkeypatch.setattr(ot, "np", CountingNumpy())
+    entries = _solve_lp(a, b, cost_matrix)
+    monkeypatch.undo()
+    assert_certified_entries(a, b, cost_matrix, entries)
+    # the start tree hangs from row 0 before the first pricing pass; then
+    # every pivot re-hangs one subtree between two passes
+    start = events.index("price")
+    assert set(events[:start]) == {"hang"}
+    pivots = events[start:].count("hang")
+    assert pivots >= 5
+    assert events[start:] == ["price", "pass"] + ["hang", "price", "pass"] * pivots
 
 
 @given(pair=uniform_pairs(max_atoms=BRUTE_FORCE_MAX_ATOMS), p=st.sampled_from((1.5, 2.0, 3.0)))
@@ -1077,14 +1198,21 @@ def walked_potentials(cost_matrix, left, right):
 
 
 def assert_kept_potentials_are_walked(a, b, cost_matrix):
-    """Every pivot's kept potentials have the bits of a walk of its whole basis tree."""
+    """Every pivot's kept potentials have the bits of a walk of its whole basis tree.
+
+    The pricing pass on them returns the first cell of least reduced cost
+    C + u - v in row-major order, and that cost.
+    """
     pivots = []
     dual_certificate = ot._dual_certificate
 
     def spy(cost_matrix, u, v, left, right, tol):
         walked = walked_potentials(cost_matrix, left, right)
         pivots.append(same_bits(np.concatenate([u, v]), walked))
-        return dual_certificate(cost_matrix, u, v, left, right, tol)
+        cell, lowest, certified = dual_certificate(cost_matrix, u, v, left, right, tol)
+        reduced = cost_matrix + u[:, None] - v
+        pivots.append(cell == np.argmin(reduced) and same_bits(np.float64(lowest), reduced.min()))
+        return cell, lowest, certified
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ot, "_dual_certificate", spy)
@@ -1121,13 +1249,23 @@ def test_start_basis_is_a_nondegenerate_tree(instance):
     assert all(mass > (0.0, 0) for mass in basis.values())
 
 
+def path_tree():
+    """Neighbour lists of the 2 x 2 tree on cells (0, 0), (1, 0), (1, 1); columns are nodes 2, 3."""
+    return [[2], [2, 3], [0, 1], [1]]
+
+
 def test_peeling_rejects_cycles_and_reports_imbalance():
     a = np.array([0.5, 0.5])
-    masses = ot._peel_masses(a, np.array([0.7, 0.3]), [0, 1, 1], [0, 0, 1])
+    left, right, masses = ot._peel_masses(a, np.array([0.7, 0.3]), path_tree())
+    assert left.tolist() == [0, 1, 1] and right.tolist() == [0, 0, 1]
     assert np.allclose(masses, [0.5, 0.2, 0.3])
-    # the same support cannot carry (0.3, 0.7): one mass comes out negative
-    masses = ot._peel_masses(a, np.array([0.3, 0.7]), [0, 1, 1], [0, 0, 1])
-    assert masses.min() < 0.0
+    # the same support cannot carry (0.3, 0.7): the mass of cell (1, 0)
+    # comes out negative, so it is dropped and the column sums miss b
+    b = np.array([0.3, 0.7])
+    left, right, masses = ot._peel_masses(a, b, path_tree())
+    assert left.tolist() == [0, 1] and right.tolist() == [0, 1]
+    assert masses.min() > 0.0
+    assert not np.allclose(np.bincount(right, masses, minlength=2), b)
 
 
 @given(
