@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .busemann import CHECK_ATOL, busemann_exact
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _array_max
 from .ot import Coupling, _check_distances, solve_ot, wasserstein_distance
 from .paths import RayMeasure, ray_section, require_unit_speed
 
@@ -206,9 +206,9 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
     # p_mean at every time at once: each row sums as p_mean's 1-D sum does,
     # and x ** (1/p) rises with x, so the largest sum gives the largest mean
     p = current.p
-    _check_distances(np.maximum.reduce(distances, axis=None), p)
+    _check_distances(_array_max(distances), p)
     sums = np.add.reduce(np.array(masses) * distances**p, axis=1)
-    return float(np.maximum.reduce(sums) ** (1.0 / p))
+    return float(_array_max(sums) ** (1.0 / p))
 
 
 def _positions(plan: Coupling, entries: np.ndarray, times: np.ndarray) -> np.ndarray:

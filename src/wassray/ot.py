@@ -78,7 +78,7 @@ from .errors import (
     InvalidExponentError,
     TransportSolveError,
 )
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _array_max, _array_min
 
 P_MIN = 1.0
 P_MAX = 16.0
@@ -110,7 +110,7 @@ def p_mean(weights, lengths, p) -> float:
     The largest length goes through ``_check_distances`` first, so a
     length whose p-th power overflows raises ``CostOverflowError``.
     """
-    _check_distances(np.maximum.reduce(lengths), p)
+    _check_distances(_array_max(lengths), p)
     return float(np.add.reduce(weights * lengths**p) ** (1.0 / p))
 
 
@@ -133,7 +133,7 @@ def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _cost_matrix(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     """Matrix of d**p between two atom arrays, checked by ``_check_distances`` first."""
     distances = pairwise_distances(X, Y)
-    _check_distances(np.maximum.reduce(distances, axis=None), p)
+    _check_distances(_array_max(distances), p)
     return distances**p
 
 
@@ -304,24 +304,25 @@ def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses
         raise ValueError("a coupling needs at least one entry")
     # the upper bound is checked first because bincount sizes its output by
     # the largest index; bincount itself rejects negative indices
-    if np.maximum.reduce(left) >= len(mu):
+    if _array_max(left) >= len(mu):
         raise ValueError("left index out of range")
     try:
         row = np.bincount(left, weights=masses, minlength=len(mu))
     except ValueError:
         raise ValueError("left index out of range") from None
-    if np.maximum.reduce(right) >= len(nu):
+    if _array_max(right) >= len(nu):
         raise ValueError("right index out of range")
     try:
         col = np.bincount(right, weights=masses, minlength=len(nu))
     except ValueError:
         raise ValueError("right index out of range") from None
-    # min and max propagate NaN, so the comparison fails on NaN and inf alike
-    if not (np.minimum.reduce(masses) > 0.0 and np.maximum.reduce(masses) < np.inf):
+    # _array_min and _array_max return NaN if any entry is NaN (their
+    # contract), so the comparison fails on NaN and inf alike
+    if not (_array_min(masses) > 0.0 and _array_max(masses) < np.inf):
         raise ValueError("entry masses must be finite and positive")
-    if np.maximum.reduce(np.abs(row - mu.weights)) > MARGINAL_ATOL:
+    if _array_max(np.abs(row - mu.weights)) > MARGINAL_ATOL:
         raise ValueError("row sums do not reproduce the left marginal")
-    if np.maximum.reduce(np.abs(col - nu.weights)) > MARGINAL_ATOL:
+    if _array_max(np.abs(col - nu.weights)) > MARGINAL_ATOL:
         raise ValueError("column sums do not reproduce the right marginal")
 
 
@@ -403,18 +404,20 @@ def transport_plan(
     m, n = len(a), len(b)
     if cost_matrix.shape != (m, n):
         raise ValueError(f"cost matrix has shape {cost_matrix.shape}, weights give {(m, n)}")
-    lowest = np.minimum.reduce(cost_matrix, axis=None)
-    # min and max propagate NaN, so the comparison fails on NaN and inf alike
-    if not (-np.inf < lowest and np.maximum.reduce(cost_matrix, axis=None) < np.inf):
+    lowest = _array_min(cost_matrix)
+    # _array_min and _array_max return NaN if any entry is NaN (their
+    # contract), so the comparison fails on NaN and inf alike
+    if not (-np.inf < lowest and _array_max(cost_matrix) < np.inf):
         raise CostOverflowError("transport cost matrix has an infinite or NaN entry")
     if (entries := _single_atom_entries(a, b)) is not None:
         return entries
     w = a[0]
-    # min == w == max: the truth value of all(a == w), NaN included, in two reduces
+    # min == w == max: the truth value of all(a == w), NaN included, since
+    # _array_min and _array_max return NaN if any entry is NaN
     if (
         m == n
-        and np.minimum.reduce(a) == w == np.maximum.reduce(a)
-        and np.minimum.reduce(b) == w == np.maximum.reduce(b)
+        and _array_min(a) == w == _array_max(a)
+        and _array_min(b) == w == _array_max(b)
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left]
@@ -534,7 +537,7 @@ def _tree_potentials(left, right, support_cost, m: int, n: int):
 def _certificate_tolerance(cost_matrix: np.ndarray) -> float:
     """The certificate's rounding allowance 4 (m + n) eps max|C|."""
     m, n = cost_matrix.shape
-    largest = np.maximum.reduce(np.abs(cost_matrix), axis=None)
+    largest = _array_max(np.abs(cost_matrix))
     return CERTIFICATE_ROUNDINGS * (m + n) * EPS * largest
 
 
@@ -552,7 +555,7 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, 
     reduced -= v
     cell = int(np.argmin(reduced))
     lowest = reduced.item(cell)
-    return cell, lowest, bool(lowest >= -tol and np.maximum.reduce(reduced[left, right]) <= tol)
+    return cell, lowest, bool(lowest >= -tol and _array_max(reduced[left, right]) <= tol)
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):

@@ -26,7 +26,15 @@ from .errors import (
     NonOptimalCouplingError,
     UnitSpeedError,
 )
-from .measures import DiscreteMeasure, _checked_measure, as_point, merge_atoms, position_key
+from .measures import (
+    DiscreteMeasure,
+    _array_max,
+    _array_min,
+    _checked_measure,
+    as_point,
+    merge_atoms,
+    position_key,
+)
 from .ot import (
     Coupling,
     _cost_matrix,
@@ -88,16 +96,17 @@ def _checked_family(first, second, weights, p, item, arrays, data):
         raise ValueError("ambient dimension must be at least 1")
     if weights.shape != (first.shape[0],):
         raise ValueError(f"one weight per {item} required")
-    # min and max propagate NaN, so these comparisons fail on NaN and inf alike
+    # _array_min and _array_max return NaN if any entry is NaN (their
+    # contract), so these comparisons fail on NaN and inf alike
     if not (
-        -np.inf < np.minimum.reduce(first, axis=None)
-        and np.maximum.reduce(first, axis=None) < np.inf
-        and -np.inf < np.minimum.reduce(second, axis=None)
-        and np.maximum.reduce(second, axis=None) < np.inf
+        -np.inf < _array_min(first)
+        and _array_max(first) < np.inf
+        and -np.inf < _array_min(second)
+        and _array_max(second) < np.inf
     ):
         raise ValueError(f"{data} must be finite")
-    low = np.minimum.reduce(weights)
-    if not (0.0 <= low and np.maximum.reduce(weights) < np.inf):
+    low = _array_min(weights)
+    if not (0.0 <= low and _array_max(weights) < np.inf):
         raise ValueError(f"{item} weights must be finite and nonnegative")
     if low == 0.0:
         keep = weights > 0.0

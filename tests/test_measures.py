@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
 from wassray.errors import DimensionMismatchError, EmptyMeasureError
-from wassray.measures import merge_atoms, position_key
+from wassray.measures import _array_max, _array_min, merge_atoms, position_key
 
 from conftest import coords, same_bits
 
@@ -44,13 +44,16 @@ def test_nonfinite_rejected():
 
 
 def test_nan_atom_rejected():
-    with pytest.raises(ValueError, match="atom coordinates must be finite"):
-        w.DiscreteMeasure([[0.0, np.nan], [1.0, 1.0]], [0.5, 0.5])
+    # first and not first: argmin and argmax stop at the first NaN
+    for atoms in ([[0.0, np.nan], [1.0, 1.0]], [[np.nan, 0.0], [1.0, 1.0]]):
+        with pytest.raises(ValueError, match="atom coordinates must be finite"):
+            w.DiscreteMeasure(atoms, [0.5, 0.5])
 
 
 def test_infinite_weight_rejected():
-    with pytest.raises(ValueError, match="weights must be finite"):
-        w.DiscreteMeasure([[0.0], [1.0]], [np.inf, 0.5])
+    for weights in ([np.inf, 0.5], [0.5, np.inf], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            w.DiscreteMeasure([[0.0], [1.0]], weights)
 
 
 @pytest.mark.parametrize("weights", [[1.0], [0.25, 0.25, 0.5], [[0.5, 0.5]]])
@@ -180,3 +183,49 @@ def test_merge_conserves_mass(positions, raw):
     weights = weights / weights.sum()
     _, merged = merge_atoms(np.asarray(positions), weights)
     assert abs(merged.sum() - 1.0) <= 1e-12
+
+
+# the values on which argmax and argmin could part from the reductions
+EDGE_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+
+
+@st.composite
+def reduction_inputs(draw):
+    """A 1-70 entry float64 or intp array: 1-D, 2-D, transposed or a strided view."""
+    n = draw(st.integers(1, 70))
+    if draw(st.booleans()):
+        values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-10.0, 10.0))
+        dtype = np.float64
+    else:
+        info = np.iinfo(np.intp)
+        values = st.integers(int(info.min), int(info.max))
+        dtype = np.intp
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+    layout = draw(st.sampled_from(("flat", "matrix", "transposed", "strided", "reversed")))
+    if layout in ("matrix", "transposed"):
+        rows = draw(st.sampled_from([r for r in range(1, n + 1) if n % r == 0]))
+        x = x.reshape(rows, n // rows)
+        if layout == "transposed":
+            x = x.T
+    elif layout == "strided":
+        spaced = np.zeros(2 * n, dtype=dtype)
+        spaced[::2] = x
+        x = spaced[::2]
+    elif layout == "reversed":
+        x = x[::-1]
+    return x
+
+
+@settings(max_examples=400)
+@given(x=reduction_inputs())
+def test_array_min_and_max_equal_the_reductions(x):
+    for helper, reduction in ((_array_max, np.maximum), (_array_min, np.minimum)):
+        got = helper(x)
+        want = reduction.reduce(x, axis=None)
+        # NaN exactly when the reduction gives NaN; otherwise the same value,
+        # where +0.0 == -0.0: only a zero's sign may differ
+        assert np.isnan(got) == np.isnan(want)
+        assert np.isnan(want) or got == want
+        for form in (helper, lambda empty: reduction.reduce(empty, axis=None)):
+            with pytest.raises(ValueError):
+                form(x[:0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
 import wassray as w
-from wassray import ot
+from wassray import coray, measures, ot, paths
 from wassray.errors import (
     CostOverflowError,
     DimensionMismatchError,
@@ -149,8 +149,10 @@ def test_coupling_rejects_index_out_of_range(left, right, match):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
 def test_coupling_rejects_nonfinite_mass(bad):
     mu, nu = two_atom_instance()
-    with pytest.raises(ValueError, match="finite and positive"):
-        Coupling(mu, nu, [0, 1], [0, 1], [0.5, bad], 2.0)
+    # first and not first: argmin and argmax stop at the first NaN
+    for masses in ([0.5, bad], [bad, 0.5]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Coupling(mu, nu, [0, 1], [0, 1], masses, 2.0)
 
 
 @pytest.mark.parametrize("left", [[-1, 1], [0, 2]])
@@ -1149,6 +1151,58 @@ def test_simplex_prices_once_per_pivot(monkeypatch):
     assert events[start:] == ["price", "pass"] + ["hang", "price", "pass"] * pivots
 
 
+def test_full_array_min_and_max_skip_the_ufunc_reduction(monkeypatch):
+    # every full-array minimum and maximum on the check and solve paths goes
+    # through argmin or argmax; only Bellman-Ford's column-wise reduction
+    # (axis=0) is a ufunc reduce, and these instances do not reach it
+    rng = np.random.default_rng(5)
+    calls = []
+
+    class LoggedReduction:
+        """A ufunc whose ``reduce`` logs every call not made with axis=0."""
+
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+        def reduce(self, array, *args, **kwargs):
+            if kwargs.get("axis", args[0] if args else None) != 0:
+                calls.append((self.ufunc.__name__, np.shape(array)))
+            return self.ufunc.reduce(array, *args, **kwargs)
+
+    class LoggingNumpy:
+        """numpy, with every full-array maximum and minimum reduction logged."""
+
+        maximum = LoggedReduction(np.maximum)
+        minimum = LoggedReduction(np.minimum)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    for module in (ot, measures, paths, coray):
+        monkeypatch.setattr(module, "np", LoggingNumpy())
+    # the measures are built under the spy too, so their checks are covered
+    a = rng.random(5) + 0.1
+    mu = w.DiscreteMeasure(rng.normal(size=(5, 2)), a / a.sum())
+    nu = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    assert w.solve_ot(mu, nu, 2.0).cost > 0.0
+    w.solve_ot(w.dirac((0.0, 1.0)), w.uniform_measure(rng.normal(size=(3, 2))), 2.0)
+    square = (w.uniform_measure(rng.normal(size=(4, 2))) for _ in range(2))
+    w.solve_ot(*square, 2.0)
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 0.5]], [0.4, 0.6])
+    ray = w.make_translation_ray(mu0, (1.0, 0.0))
+    start = w.DiscreteMeasure([[0.3, -0.4], [-1.0, 0.8]], [0.6, 0.4])
+    w.busemann_exact(ray, start)
+    w.construct_coray(ray, start, schedule=(2.0, 4.0, 8.0))
+    monkeypatch.undo()
+    assert calls == []
+
+
 @given(pair=uniform_pairs(max_atoms=BRUTE_FORCE_MAX_ATOMS), p=st.sampled_from((1.5, 2.0, 3.0)))
 def test_simplex_matches_exhaustive_oracle(pair, p):
     mu, nu = pair
@@ -1382,6 +1436,7 @@ def test_transport_plan_rejects_a_cost_matrix_that_is_not_finite(bad):
     a = np.array([0.5, 0.5])
     for b, cost_matrix in (
         (a, np.array([[0.0, bad], [1.0, 0.0]])),
+        (a, np.array([[bad, 0.0], [1.0, 0.0]])),
         (np.array([1.0]), np.array([[bad], [0.0]])),
     ):
         with pytest.raises(CostOverflowError):

@@ -160,11 +160,15 @@ def public_rays(first, second, weights):
 
 BAD_FAMILIES = [
     ([[0.0], [np.nan]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
+    ([[np.nan], [0.0]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
+    ([[-np.inf], [0.0]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
     ([[0.0], [0.0]], [[np.inf], [0.0]], [0.5, 0.5], "{data} must be finite"),
     ([[0.0], [0.0]], [[0.0], [-np.inf]], [0.5, 0.5], "{data} must be finite"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [-0.5, 1.5], "{item} weights must be finite and nonnegative"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [np.nan, 1.0], "{item} weights must be finite and nonnegative"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [np.inf, 1.0], "{item} weights must be finite and nonnegative"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [-np.inf, 1.0], "{item} weights must be finite and nonnegative"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [1.0, np.nan], "{item} weights must be finite and nonnegative"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.6], "{item} weights must sum to 1"),
     ([[0.0], [1.0]], [[0.0], [1.0]], [0.0, 0.0], "every {item} has zero mass"),
     # a nonempty 3-D pair, once reported as "a nonempty (n, d) array pair"
