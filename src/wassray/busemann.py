@@ -213,7 +213,7 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     scale = np.power(speeds, ray.p - 2.0, out=np.zeros_like(speeds), where=speeds > 0.0)
     offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]
     cost = -np.add.reduce(offsets * ray.velocities[None, :, :], axis=2) * scale
-    left, right, masses = transport_plan(nu.weights, ray.weights, cost)
+    left, right, masses, _ = transport_plan(nu.weights, ray.weights, cost)
     value = float(np.add.reduce(masses * cost[left, right]))
     if value < lower_bound - LOWER_BOUND_ATOL * max(1.0, -lower_bound):
         raise NotARayError(

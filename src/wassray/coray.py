@@ -99,8 +99,9 @@ def construct_coray(
     same weights, and their optimal plan settles as the target time grows.
     So each step's coupling starts from the previous step's plan (the
     first from none): ``solve_ot`` returns a warm plan only when its
-    weights match exactly and ``certify_support`` proves its support
-    optimal on the new costs, and solves the transportation LP otherwise.
+    weights match exactly and the simplex basis it kept passes the
+    simplex's own optimality test on the new costs, and solves the
+    transportation LP otherwise.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))

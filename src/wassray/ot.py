@@ -28,25 +28,28 @@ method from the input alone, trying in order:
 - a certified warm plan: schedules (Busemann doubling; in the co-ray
   construction, each step's coupling to its target section) solve a run
   of nearly identical instances whose optimal plan settles, so
-  ``transport_plan`` takes an optional previous plan ``warm``. When its
-  weights equal the new instance's exactly, ``certify_support`` tests its
-  support against the new cost matrix with dual potentials, and it is
-  returned when the certificate holds, its entries already checked and
+  ``transport_plan`` takes an optional previous plan ``warm``. A plan the
+  simplex returned keeps, privately, the basis tree it stopped on, and a
+  warm plan reused as it stands hands that basis on. When ``warm`` has a
+  basis and its weights equal the new instance's exactly, the tree is
+  still primal feasible, and one walk of it gives the potentials for one
+  pass of the simplex's own stopping test on the new cost matrix. When it
+  holds, the warm plan is returned, its entries already checked and
   frozen, so only its cost is derived anew (a warm identity the branch
-  above accepts comes back the same way). A support spanning a tree gets
-  its potentials from one walk of it, any other from Bellman-Ford.
-  ``lift_geodesic`` uses the same certificate to accept a plan without
-  re-solving;
+  above accepts comes back the same way); otherwise the simplex solves
+  the instance. Single-atom, assignment, identity and user-built plans
+  have no basis, so they are never reused this way. ``lift_geodesic``
+  checks a plan with this same solve, the plan as ``warm``;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
-  simplex solves it and stops on the same certificate. Orden's
-  perturbation of the marginals makes every basis nondegenerate, so it
-  cannot cycle; its pivot cap is only a safety net against rounding, and
-  reaching it raises ``TransportSolveError``. It keeps the basis tree and
-  its potentials between pivots, re-hanging only the subtree a pivot cuts
-  off, and prices the cells once per pivot. It returns a basic (vertex)
-  plan.
+  simplex solves it and stops on a dual certificate on its basis tree,
+  the test the warm branch repeats. Orden's perturbation of the marginals
+  makes every basis nondegenerate, so it cannot cycle; its pivot cap is
+  only a safety net against rounding, and reaching it raises
+  ``TransportSolveError``. It keeps the basis tree and its potentials
+  between pivots, re-hanging only the subtree a pivot cuts off, and
+  prices the cells once per pivot. It returns a basic (vertex) plan.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -196,6 +199,10 @@ class Coupling:
     masses: np.ndarray
     p: float
     cost: float | None = None
+    # not a field: the rows and columns of the m + n - 1 basis cells (zero
+    # masses included) the simplex stopped on, which ``solve_ot`` sets on
+    # the plans it solved or reused; every other coupling has none
+    _basis = None
 
     def __post_init__(self):
         p = check_exponent(self.p)
@@ -240,12 +247,12 @@ def _checked_coupling(
     conversion, the copy and the repeated exponent check. The arrays are
     made read-only in place.
 
-    The cost is derived from the entries by ``_entries_cost``, or, when
+    The cost is derived from the entries by ``_segment_cost``, or, when
     ``solve_ot`` passes the matrix ``cost_matrix`` of d**p it solved on,
     as the p-mean of the plan's entries of that matrix: for d <= 7 the
     same values raised to the same power, so the same bits, without
     recomputing the distances. A supplied ``cost`` is compared with
-    ``_entries_cost``. An entry distance whose d**p would overflow, or a
+    ``_segment_cost``'s. An entry distance whose d**p would overflow, or a
     derived or supplied cost that is not finite, raises
     ``CostOverflowError``. Errors come in a fixed order: entry lengths,
     indices, masses, marginals, cost.
@@ -267,7 +274,7 @@ def _checked_coupling(
     if not reused:
         _check_entries(mu, nu, left, right, masses)
     if cost_matrix is None:
-        derived = _entries_cost(mu, nu, left, right, masses, p)
+        derived = _segment_cost(mu.atoms[left], nu.atoms[right], masses, p)
     else:
         # p_mean with the entries' d**p read from the matrix
         derived = float(np.add.reduce(masses * cost_matrix[left, right]) ** (1.0 / p))
@@ -326,11 +333,11 @@ def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses
         raise ValueError("column sums do not reproduce the right marginal")
 
 
-def _entries_cost(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses, p: float
-) -> float:
-    diff = mu.atoms[left] - nu.atoms[right]
-    return p_mean(masses, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
+def _segment_cost(starts, ends, weights, p) -> float:
+    """p-mean of the lengths of the segments from ``starts`` to ``ends``: a plan's cost."""
+    diff = ends - starts
+    # np.linalg.norm(diff, axis=1)'s own formula, so lengths keep its bits
+    return p_mean(weights, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
 
 
 def solve_ot(
@@ -342,9 +349,10 @@ def solve_ot(
     identity between equal marginals, certified ``warm`` plan,
     transportation simplex) on the cost matrix
     ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries it
-    returns are checked and frozen into the coupling. Deterministic:
-    identical inputs produce bit-identical couplings. Costs that would
-    overflow (some d**p past the largest double) raise
+    returns are checked and frozen into the coupling, which keeps the
+    simplex basis of a solved or reused LP plan for a later ``warm`` call.
+    Deterministic: identical inputs produce bit-identical couplings. Costs
+    that would overflow (some d**p past the largest double) raise
     ``CostOverflowError`` before any power is taken.
     """
     p = _check_instance(mu, nu, p)
@@ -354,15 +362,20 @@ def solve_ot(
     entries = _single_atom_entries(mu.weights, nu.weights)
     if entries is None:
         cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
-        entries = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
-        return _checked_coupling(mu, nu, *entries, p, cost_matrix=cost_matrix, warm=warm)
+        left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
+        plan = _checked_coupling(
+            mu, nu, left, right, masses, p, cost_matrix=cost_matrix, warm=warm
+        )
+        if basis is not None:
+            object.__setattr__(plan, "_basis", basis)
+        return plan
     return _checked_coupling(mu, nu, *entries, p)
 
 
 def transport_plan(
     a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray, warm: Coupling | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (left, right, masses) of a minimum-cost plan between weights a and b.
+) -> tuple:
+    """Entries (left, right, masses) of a minimum-cost plan between weights a and b, and its basis.
 
     ``a`` and ``b`` are the float64 weight vectors of two probability
     measures, finite and positive as validated measures hold them, and
@@ -370,7 +383,9 @@ def transport_plan(
     entries are fine, since no method below assumes a sign (optimality is
     a statement about reduced costs, which a constant shift of the costs
     leaves alone). Entries are the plan's positive masses, lexicographic in
-    (left, right). The method is picked from the input alone, in order:
+    (left, right). The fourth value is the simplex basis ``(rows, columns)``
+    of an LP plan, solved or reused, and None on the other paths. The
+    method is picked from the input alone, in order:
 
     - a single-atom marginal: its one feasible plan;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
@@ -382,12 +397,13 @@ def transport_plan(
       every a[i] > 0 the identity is optimal for (a, a) exactly when some
       potentials are tight on the whole diagonal, which is also the test
       of an optimal assignment (Birkhoff-von Neumann): a proof at any p,
-      unlike ``certify_support``, whose tolerance grows with the largest cost.
-      When ``warm`` is that identity on the same weights, its own frozen
-      arrays are returned;
+      unlike the simplex's certificate, whose tolerance grows with the
+      largest cost. When ``warm`` is that identity on the same weights, its
+      own frozen arrays are returned;
     - ``warm``, a previous plan whose marginals have exactly the weights
-      (a, b), when ``certify_support`` proves its support optimal for
-      these costs;
+      (a, b) and which kept its simplex basis, when that basis passes the
+      simplex's stopping test on these costs: the tree's potentials
+      (``_tree_potentials``) and one ``_dual_certificate`` pass;
     - the certified transportation simplex ``_solve_lp``.
 
     Weights (``a`` against ``b`` and against ``warm``'s marginals) and
@@ -410,7 +426,7 @@ def transport_plan(
     if not (-np.inf < lowest and _array_max(cost_matrix) < np.inf):
         raise CostOverflowError("transport cost matrix has an infinite or NaN entry")
     if (entries := _single_atom_entries(a, b)) is not None:
-        return entries
+        return *entries, None
     w = a[0]
     # min == w == max: the truth value of all(a == w), NaN included, since
     # _array_min and _array_max return NaN if any entry is NaN
@@ -420,7 +436,7 @@ def transport_plan(
         and _array_min(b) == w == _array_max(b)
     ):
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
-        return left, right, a[left]
+        return left, right, a[left], None
     # bytes compare as values here: the weights are finite and positive, so
     # no -0.0 or NaN, and the index arrays below are all intp
     a_bytes = a.tobytes()
@@ -440,10 +456,14 @@ def transport_plan(
         ):
             # a warm identity hands back its frozen arrays, which skip the re-check
             if warm_fits and warm.left.tobytes() == identity_bytes == warm.right.tobytes():
-                return warm.left, warm.right, warm.masses
-            return identity, identity, a.copy()
-    if warm_fits and certify_support(warm.left, warm.right, cost_matrix):
-        return warm.left, warm.right, warm.masses
+                return warm.left, warm.right, warm.masses, None
+            return identity, identity, a.copy(), None
+    if warm_fits and warm._basis is not None:
+        rows, cols = warm._basis
+        u, v = _tree_potentials(cost_matrix, rows, cols)
+        tol = _certificate_tolerance(cost_matrix)
+        if _dual_certificate(cost_matrix, u, v, rows, cols, tol)[2]:
+            return warm.left, warm.right, warm.masses, warm._basis
     return _solve_lp(a, b, cost_matrix)
 
 
@@ -457,66 +477,17 @@ def _single_atom_entries(a: np.ndarray, b: np.ndarray):
     return None
 
 
-def certify_support(left, right, cost_matrix: np.ndarray) -> bool:
-    """Whether every feasible plan supported on the entries (left, right) is optimal.
+def _tree_potentials(cost_matrix: np.ndarray, rows, cols):
+    """Potentials (u, v) of the spanning tree on the cells (rows, cols), row 0 at 0.
 
-    The certificate is LP duality: the plan is optimal iff there are
-    potentials u (rows) and v (columns) with reduced costs
-    ``C[i, j] + u[i] - v[j]`` nonnegative everywhere and zero on the
-    support. A support of m + n - 1 entries spanning a tree, as a
-    nondegenerate simplex plan does, fixes them up to a constant, and
-    ``_tree_potentials`` walks it for them in O(m + n); when they certify,
-    that is the answer. Every other support, and a tree that fails, gets
-    shortest-path distances in the residual graph (an arc i -> j of length
-    C[i, j] for every cell, and j -> i of length -C[i, j] for every support
-    cell), found by Bellman-Ford from a virtual source at distance 0 to
-    every node; this needs no spanning tree, so degenerate bases and
-    forest supports (assignment plans, for one) are handled alike. A
-    negative cycle, i.e. a cheaper plan, keeps lowering the distances and
-    shows up as a violated reduced cost after m + n rounds.
-
-    Whatever the potentials, the final test is itself the proof: if every
-    reduced cost is >= -tol and every support reduced cost is <= tol,
-    any plan y with the same marginals satisfies
-    <C, y> - <C, x> = <r, y> - <r, x> >= -2 tol, since both carry mass 1.
-    The tolerance ``tol = 4 (m + n) eps max|C|`` is the rounding error of
-    the largest cost entry (eps max|C|) once per addition along a path of
-    at most m + n residual arcs, with a margin of 4; an accepted plan is
-    thus within 8 (m + n) eps max|C| of optimal in summed d**p, the
-    resolution of the cost matrix itself.
+    One walk of the tree from row 0 with ``_hang``'s arithmetic (a column's
+    potential is its row's plus the cell cost, a row's is its column's
+    minus it), so on a basis the simplex stopped on they have the bits of
+    its own potentials.
     """
     m, n = cost_matrix.shape
-    tol = _certificate_tolerance(cost_matrix)
-    support_cost = cost_matrix[left, right]
-    if len(support_cost) == m + n - 1:
-        tree = _tree_potentials(left, right, support_cost, m, n)
-        if tree is not None and _dual_certificate(cost_matrix, *tree, left, right, tol)[2]:
-            return True
-    u = np.zeros(m)
-    v = np.zeros(n)
-    for _ in range(m + n):
-        v_next = np.minimum(v, np.minimum.reduce(u[:, None] + cost_matrix, axis=0))
-        u_next = u.copy()
-        np.minimum.at(u_next, left, v_next[right] - support_cost)
-        # both updates only lower the potentials, so they have converged when
-        # no entry moved; from the +0.0 start no -0.0 arises (u + C or v - C
-        # is -0.0 only when u or v already is), so that is equal bytes
-        if u_next.tobytes() == u.tobytes() and v_next.tobytes() == v.tobytes():
-            break
-        u, v = u_next, v_next
-    return _dual_certificate(cost_matrix, u, v, left, right, tol)[2]
-
-
-def _tree_potentials(left, right, support_cost, m: int, n: int):
-    """Potentials (u, v) of a support spanning all m + n nodes, else None.
-
-    Walks the support from row 0 with ``_hang``'s arithmetic. Each node is
-    placed once, so a cycle or a duplicate entry ends the walk short of
-    some node instead of looping.
-    """
     neighbours = [[] for _ in range(m + n)]
-    entries = zip(np.asarray(left).tolist(), np.asarray(right).tolist(), support_cost.tolist())
-    for i, j, c in entries:
+    for i, j, c in zip(rows.tolist(), cols.tolist(), cost_matrix[rows, cols].tolist()):
         neighbours[i].append((m + j, c))
         neighbours[m + j].append((i, c))
     potential = [None] * (m + n)
@@ -528,8 +499,6 @@ def _tree_potentials(left, right, support_cost, m: int, n: int):
             if potential[z] is None:
                 potential[z] = here + c if x < m else here - c
                 order.append(z)
-    if len(order) < m + n:
-        return None
     u_v = np.array(potential)
     return u_v[:m], u_v[m:]
 
@@ -542,13 +511,21 @@ def _certificate_tolerance(cost_matrix: np.ndarray) -> float:
 
 
 def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, bool]:
-    """The cell of least reduced cost C + u - v, that cost, and whether they certify the support.
+    """The cell of least reduced cost C + u - v, that cost, and whether they certify the basis.
 
-    The one definition of "certified optimal", shared by ``certify_support``
-    and the transportation simplex: every reduced cost is >= -tol and every
-    support reduced cost <= tol, with ``tol`` from ``_certificate_tolerance``
-    on the same matrix (computed once per solve, not once per pivot). The
-    cell is ``argmin``'s, first in row-major order on ties.
+    The one definition of "certified optimal": the simplex's stop, and the
+    test ``transport_plan`` repeats on a warm plan's basis. It holds when
+    every reduced cost is >= -tol and the reduced cost of every basis cell
+    (left, right) is <= tol, with ``tol`` from ``_certificate_tolerance``
+    on the same matrix (computed once per solve, not once per pivot). That
+    is LP duality with rounding: a plan x on the basis and any plan y with
+    the same marginals satisfy <C, y> - <C, x> = <r, y> - <r, x> >= -2 tol,
+    since both carry mass 1. ``tol = 4 (m + n) eps max|C|`` is the rounding
+    of the largest cost once per addition along a tree path of at most
+    m + n cells, with a margin of 4, so a certified plan is within
+    8 (m + n) eps max|C| of optimal in summed d**p, the resolution of the
+    cost matrix itself. The cell is ``argmin``'s, first in row-major order
+    on ties.
     """
     # subtracting in place rounds as C + u - v does, without a second m x n temporary
     reduced = cost_matrix + u[:, None]
@@ -559,7 +536,7 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, 
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
-    """Exact transportation LP; entries (left, right, masses) of an optimal plan.
+    """Exact transportation LP: entries (left, right, masses) of an optimal plan, and its basis.
 
     A primal transportation simplex. The basis is a spanning tree of the
     bipartite graph on m row and n column nodes, with m + n - 1 cells. It
@@ -575,12 +552,14 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
     ties), and leaves the cell of least mass among those losing mass on
     the cycle it closes (lowest row-major index on ties, which rounding
     alone can make). One ``_dual_certificate`` pass per pivot prices the
-    cells for both: it names the cell to enter, and it is the stop, on the
-    certificate ``certify_support`` applies, so every plan it returns is
-    certified optimal to 8 (m + n) eps max|C| in summed d**p.
-    The masses of the final tree are rebuilt from the marginals by
-    ``_peel_masses`` on the kept neighbour lists; entries come row-major,
-    those that are not positive dropped.
+    cells for both: it names the cell to enter, and it is the stop, so
+    every plan it returns is certified optimal to 8 (m + n) eps max|C| in
+    summed d**p. The masses of the final tree are rebuilt from the
+    marginals by ``_peel_masses`` on the kept neighbour lists; entries come
+    row-major, those that are not positive dropped. The basis is the final
+    tree's two index arrays (rows, columns), read-only, all m + n - 1 cells
+    with the zero-mass ones: the certificate ``transport_plan`` re-prices
+    when the plan comes back as ``warm``.
 
     It cannot cycle (Orden's perturbation; Orden, "The transhipment
     problem", Management Science 2, 1956). Every basis mass is a pair
@@ -620,7 +599,9 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
             cost_matrix, u_v[:m], u_v[m:], left, right, tol
         )
         if certified:
-            return _peel_masses(a, b, neighbours)
+            left.setflags(write=False)
+            right.setflags(write=False)
+            return (*_peel_masses(a, b, neighbours), (left, right))
         if lowest >= 0.0 or entering in basis:
             raise _solve_failure("found no improving cell but no certificate", cost_matrix)
         i, j = divmod(entering, n)

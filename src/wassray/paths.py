@@ -37,8 +37,7 @@ from .measures import (
 )
 from .ot import (
     Coupling,
-    _cost_matrix,
-    certify_support,
+    _segment_cost,
     check_exponent,
     p_mean,
     solve_ot,
@@ -52,12 +51,6 @@ UNIT_SPEED_ATOL = 1e-9
 VALIDATION_GAP_RTOL = 1e-7
 VALIDATION_SPEED_ATOL = 1e-7
 DEFAULT_VALIDATION_PAIRS = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0), (0.0, 10.0))
-
-
-def _segment_cost(starts, ends, weights, p) -> float:
-    diff = ends - starts
-    # np.linalg.norm(diff, axis=1)'s own formula, so lengths keep its bits
-    return p_mean(weights, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
 
 
 def _family_arrays(first, second, weights):
@@ -189,21 +182,21 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
 
     Lifting a non-optimal coupling does not produce a geodesic, and every
     downstream check would silently test nothing, so ``pi`` must prove
-    itself: it is accepted when ``certify_support`` certifies its support
-    on its own cost matrix, and otherwise the instance is re-solved and
-    ``pi`` is rejected when its cost is not optimal within 1e-8 relative.
-    A zero-cost coupling lifts to constant paths. The cost matrix is the
-    one ``solve_ot`` builds, so an off-support d**p that overflows raises
-    ``CostOverflowError`` there too, rather than making the certificate's
-    tolerance infinite.
+    itself against ``solve_ot(pi.mu, pi.nu, pi.p, warm=pi)``: a plan the
+    simplex certified comes back from that solve on its own basis, with
+    one pricing pass and no LP, and any other is solved anew. ``pi`` is
+    rejected when its cost exceeds that reference by more than 1e-8
+    relative. The test is one-sided: a plan cheaper than the reference
+    is no worse than it, so it is lifted, as where the simplex's
+    certificate is coarser than the costs at high p. A zero-cost coupling
+    lifts to constant paths. An off-support d**p that overflows raises
+    ``CostOverflowError`` in that solve.
     """
-    cost_matrix = _cost_matrix(pi.mu.atoms, pi.nu.atoms, pi.p)
-    if not certify_support(pi.left, pi.right, cost_matrix):
-        reference = solve_ot(pi.mu, pi.nu, pi.p)
-        if abs(pi.cost - reference.cost) > OPTIMALITY_RTOL * max(1.0, reference.cost):
-            raise NonOptimalCouplingError(
-                f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
-            )
+    reference = solve_ot(pi.mu, pi.nu, pi.p, warm=pi)
+    if pi.cost - reference.cost > OPTIMALITY_RTOL * max(1.0, reference.cost):
+        raise NonOptimalCouplingError(
+            f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
+        )
     return _lift_entries(pi)
 
 

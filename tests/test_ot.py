@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -198,9 +199,9 @@ def test_solver_plans_are_still_checked(monkeypatch, corrupt, message):
     solve_lp = ot._solve_lp
 
     def broken(a, b, cost_matrix):
-        left, right, masses = solve_lp(a, b, cost_matrix)
+        left, right, masses, basis = solve_lp(a, b, cost_matrix)
         masses[0] = masses[0] + 1e-6 if corrupt == "offset" else np.nan
-        return left, right, masses
+        return left, right, masses, basis
 
     monkeypatch.setattr(ot, "_solve_lp", broken)
     mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]], [0.2, 0.3, 0.5])
@@ -332,7 +333,7 @@ def reference_brute_force(mu, nu, p):
         if total < best_total:
             best_total, best_perm = total, perm
     right = np.array(best_perm, dtype=np.intp)
-    return right, ot._entries_cost(mu, nu, rows, right, np.full(n, 1.0 / n), p)
+    return right, ot._segment_cost(mu.atoms[rows], nu.atoms[right], np.full(n, 1.0 / n), p)
 
 
 def test_brute_force_matches_the_permutation_loop_bit_for_bit():
@@ -502,24 +503,93 @@ def weighted_pair():
     return mu, nu
 
 
-def test_certificate_accepts_optimal_and_rejects_crossing_support():
-    mu, nu = weighted_pair()
-    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** 2.0
-    assert ot.certify_support([0, 1], [0, 1], cost_matrix)
-    assert not ot.certify_support([0, 1, 1], [1, 0, 1], cost_matrix)
+def bellman_ford_certifies(left, right, cost_matrix):
+    """Whether Bellman-Ford potentials certify the support (left, right): the reference oracle.
+
+    Shortest-path distances in the residual graph (an arc i -> j of length
+    C[i, j] for every cell, and j -> i of length -C[i, j] for every support
+    cell) from a virtual source at distance 0 to every node, converged by
+    ``np.array_equal``, then the library's own test ``_dual_certificate``.
+    It needs no spanning tree, so it judges forests and any other support.
+    """
+    m, n = cost_matrix.shape
+    tol = ot._certificate_tolerance(cost_matrix)
+    support_cost = cost_matrix[left, right]
+    u = np.zeros(m)
+    v = np.zeros(n)
+    for _ in range(m + n):
+        v_next = np.minimum(v, np.minimum.reduce(u[:, None] + cost_matrix, axis=0))
+        u_next = u.copy()
+        np.minimum.at(u_next, left, v_next[right] - support_cost)
+        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
+            break
+        u, v = u_next, v_next
+    return ot._dual_certificate(cost_matrix, u, v, left, right, tol)[2]
 
 
-def test_certificate_handles_forest_supports():
-    # assignment plans have n entries, not 2n - 1: a forest of n components
-    rng = np.random.default_rng(4)
-    mu, nu = random_uniform_pair(rng, 6, 2)
+def reused(plan, warm):
+    """Whether ``solve_ot`` handed back the warm plan: its frozen entries and its basis."""
+    return (
+        plan.left is warm.left
+        and plan.right is warm.right
+        and plan.masses is warm.masses
+        and plan._basis is warm._basis
+    )
+
+
+def test_certificate_accepts_optimal_and_rejects_crossing_support(lp_shapes):
+    # a simplex plan comes back as warm on its own costs with no LP; with the
+    # target's atoms swapped it crosses, its basis fails, and the LP solves
+    mu, nu = unequal_pair()
     plan = w.solve_ot(mu, nu, 2.0)
-    cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** 2.0
-    assert len(plan.left) == 6
-    assert ot.certify_support(plan.left, plan.right, cost_matrix)
-    swapped = plan.right.copy()
-    swapped[[0, 1]] = swapped[[1, 0]]
-    assert not ot.certify_support(plan.left, swapped, cost_matrix)
+    assert lp_shapes == [(2, 2)] and plan._basis is not None
+    assert reused(w.solve_ot(mu, nu, 2.0, warm=plan), plan)
+    assert lp_shapes == [(2, 2)]
+    swapped = w.DiscreteMeasure(nu.atoms[::-1], nu.weights)
+    crossed = w.solve_ot(mu, swapped, 2.0, warm=plan)
+    assert lp_shapes == [(2, 2)] * 2
+    assert not reused(crossed, plan)
+    assert crossed.cost == pytest.approx(lp_cost(mu, swapped, 2.0), rel=1e-12)
+    assert crossed.cost < (0.3 * 9.0 + 0.1 * 4.0 + 0.6 * 1.0) ** 0.5  # the crossing plan
+
+
+def degenerate_pair():
+    """Weights 0.1-0.4 against 0.5/0.3/0.2: sums tie (0.1 + 0.4 = 0.5), so plans can be forests."""
+    rng = np.random.default_rng(7)
+    mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    nu = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
+    return nu, mu0
+
+
+def test_certificate_handles_forest_supports(lp_shapes):
+    # a forest plan, fewer than m + n - 1 positive entries, keeps its whole
+    # basis tree, zero-mass cells included, so it is certified as a tree when
+    # it comes back warm on a moved target; the oracle agrees
+    nu, mu0 = degenerate_pair()
+    target = mu0.translate((64.0, 0.0))
+    plan = w.solve_ot(nu, target, 2.0)
+    rows, cols = plan._basis
+    assert len(plan.left) < len(rows) == 3 + 4 - 1
+    assert np.isin(plan.left * 4 + plan.right, rows * 4 + cols).all()
+    moved = mu0.translate((128.0, 0.0))
+    assert reused(w.solve_ot(nu, moved, 2.0, warm=plan), plan)
+    assert lp_shapes == [(3, 4)]
+    costs = ot._cost_matrix(nu.atoms, moved.atoms, 2.0)
+    assert bellman_ford_certifies(plan.left, plan.right, costs)
+
+
+def test_user_built_warm_plan_gives_the_cold_entries(lp_shapes):
+    # a coupling built by hand has no simplex basis, so even an optimal one
+    # is not reused as warm: the LP solves the instance, as it would cold
+    mu, nu = unequal_pair()
+    cold = w.solve_ot(mu, nu, 2.0)
+    user = Coupling(mu, nu, cold.left, cold.right, cold.masses, 2.0)
+    assert user._basis is None
+    plan = w.solve_ot(mu, nu, 2.0, warm=user)
+    assert lp_shapes == [(2, 2)] * 2
+    for name in ("left", "right", "masses"):
+        assert same_bits(getattr(plan, name), getattr(cold, name))
+    assert all(same_bits(x, y) for x, y in zip(plan._basis, cold._basis))
 
 
 def unequal_pair():
@@ -553,7 +623,8 @@ def test_warm_crossing_plan_gives_way_to_the_identity(lp_shapes):
 
 
 def test_certified_warm_plan_skips_lp(lp_shapes):
-    mu, nu = weighted_pair()
+    # unequal marginals, so the warm branch decides, not the identity's
+    mu, nu = unequal_pair()
     warm = w.solve_ot(mu, nu, 2.0)
     moved = w.DiscreteMeasure(nu.atoms + 0.5, nu.weights)
     lp_shapes.clear()
@@ -566,7 +637,7 @@ def test_certified_warm_plan_keeps_its_entries_and_passes_the_public_constructor
     # a warm hit hands back the warm plan's own frozen entries with the cost
     # derived anew on the new costs; the public constructor, which runs
     # every entry check again, accepts them with that cost
-    mu, nu = weighted_pair()
+    mu, nu = unequal_pair()
     warm = w.solve_ot(mu, nu, 2.0)
     moved = w.DiscreteMeasure(nu.atoms + 0.5, nu.weights)
     plan = w.solve_ot(mu, moved, 2.0, warm=warm)
@@ -608,7 +679,7 @@ def test_identity_needs_nonnegative_costs():
     # column 1 and back pays -1 + 0.5 per unit, so the identity is not optimal
     a = np.array([0.4, 0.6])
     cost_matrix = np.array([[0.0, -1.0], [0.5, 0.0]])
-    left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+    left, right, masses, _ = transport_plan(a, a.copy(), cost_matrix)
     assert not np.array_equal(left, right)
     assert float(masses @ cost_matrix[left, right]) == pytest.approx(-0.2, abs=1e-15)
 
@@ -645,22 +716,22 @@ def test_equal_marginal_plan_has_the_bits_of_the_lp(n, d, p, scale, seed):
     # moves of 1e-6 to 1 box sides: the identity, when taken, is the LP's plan
     a, cost_matrix = moved_copy(n, d, p, scale, seed)
     plan = transport_plan(a, a.copy(), cost_matrix)
-    for fast, lp in zip(plan, _solve_lp(a, a.copy(), cost_matrix)):
+    for fast, lp in zip(plan[:3], _solve_lp(a, a.copy(), cost_matrix)[:3]):
         assert same_bits(fast, lp)
 
 
 def certified_identity(a, cost_matrix):
     """The identity rule ``transport_plan`` used before it asked the assignment solver.
 
-    A zero diagonal on nonnegative costs, or ``certify_support`` on the
-    identity when its bound, 2 ``_certificate_tolerance`` in summed cost,
+    A zero diagonal on nonnegative costs, or Bellman-Ford's certificate on
+    the identity when its bound, 2 ``_certificate_tolerance`` in summed cost,
     is at most ``COST_RTOL`` of the identity's own summed cost.
     """
     identity = np.arange(len(a))
     diagonal = np.diagonal(cost_matrix)
     return bool(cost_matrix.min() >= 0.0 and not diagonal.any()) or (
         2.0 * ot._certificate_tolerance(cost_matrix) <= ot.COST_RTOL * float(a @ diagonal)
-        and ot.certify_support(identity, identity, cost_matrix)
+        and bellman_ford_certifies(identity, identity, cost_matrix)
     )
 
 
@@ -672,7 +743,7 @@ def test_every_certified_identity_is_still_taken(n, d, p, scale, seed):
     a, cost_matrix = moved_copy(n, d, p, scale, seed)
     if certified_identity(a, cost_matrix):
         with mock.patch.object(ot, "_solve_lp", side_effect=AssertionError("reached the LP")):
-            left, right, _ = transport_plan(a, a.copy(), cost_matrix)
+            left, right, _, _ = transport_plan(a, a.copy(), cost_matrix)
         assert is_identity(left, right, n)
 
 
@@ -682,15 +753,19 @@ def test_identity_costs_no_more_than_the_lp_plan(n, d, p, scale, seed):
     # at p <= 3 the LP's certificate resolves these costs, so its plan is a
     # fair yardstick for the identity the assignment solver accepts
     a, cost_matrix = moved_copy(n, d, p, scale, seed)
-    left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+    left, right, masses, _ = transport_plan(a, a.copy(), cost_matrix)
     if is_identity(left, right, n):
-        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        lp_left, lp_right, lp_masses, _ = _solve_lp(a, a.copy(), cost_matrix)
         lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
         assert float(masses @ cost_matrix[left, right]) <= lp_cost * (1.0 + 1e-12)
 
 
 def array_equal_plan(a, b, cost_matrix, warm):
-    """``transport_plan`` past its uniform branch, with its former ``np.array_equal`` tests."""
+    """``transport_plan`` past its uniform branch, with its former ``np.array_equal`` tests.
+
+    A warm plan's basis is certified on the potentials of a walk of the
+    whole tree, as the simplex's former loop rebuilt them.
+    """
     m, n = len(a), len(b)
     warm_fits = (
         warm is not None
@@ -703,10 +778,14 @@ def array_equal_plan(a, b, cost_matrix, warm):
             linear_sum_assignment(cost_matrix)[1], identity
         ):
             if warm_fits and all(np.array_equal(e, identity) for e in (warm.left, warm.right)):
-                return warm.left, warm.right, warm.masses
-            return identity, identity, a.copy()
-    if warm_fits and ot.certify_support(warm.left, warm.right, cost_matrix):
-        return warm.left, warm.right, warm.masses
+                return warm.left, warm.right, warm.masses, None
+            return identity, identity, a.copy(), None
+    if warm_fits and warm._basis is not None:
+        rows, cols = warm._basis
+        u_v = walked_potentials(cost_matrix, rows, cols)
+        tol = ot._certificate_tolerance(cost_matrix)
+        if ot._dual_certificate(cost_matrix, u_v[:m], u_v[m:], rows, cols, tol)[2]:
+            return warm.left, warm.right, warm.masses, warm._basis
     return ot._solve_lp(a, b, cost_matrix)
 
 
@@ -752,10 +831,13 @@ def test_byte_comparisons_pick_the_branch_of_array_equal(n, d, p, scale, seed, k
         results.append((entries, lp.call_count))
     (new, new_lps), (old, old_lps) = results
     assert new_lps == old_lps
-    for fast, reference in zip(new, old):
+    for fast, reference in zip(new[:3], old[:3]):
         assert same_bits(fast, reference)
+    assert (new[3] is None) == (old[3] is None)
+    if new[3] is not None:
+        assert all(same_bits(x, y) for x, y in zip(new[3], old[3]))
     if warm is not None:
-        own = (warm.left, warm.right, warm.masses)
+        own = (warm.left, warm.right, warm.masses, warm._basis)
         assert [x is y for x, y in zip(new, own)] == [x is y for x, y in zip(old, own)]
 
 
@@ -771,7 +853,7 @@ def test_byte_comparisons_pick_the_branch_of_array_equal(n, d, p, scale, seed, k
 )
 def test_identity_that_is_not_optimal_goes_to_the_lp(lp_shapes, cost_matrix):
     a = np.array([0.4, 0.6])
-    left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+    left, right, masses, _ = transport_plan(a, a.copy(), cost_matrix)
     assert lp_shapes == [(2, 2)]
     assert not np.array_equal(left, right)
     assert float(masses @ cost_matrix[left, right]) < float(a @ np.diagonal(cost_matrix))
@@ -814,7 +896,7 @@ def test_high_order_identity_follows_the_sorted_order(lp_shapes):
         a /= a.sum()
         cost_matrix = ot._cost_matrix(x[:, None], y[:, None], p)
         lp_shapes.clear()
-        left, right, masses = transport_plan(a, a.copy(), cost_matrix)
+        left, right, masses, _ = transport_plan(a, a.copy(), cost_matrix)
         order_kept = np.array_equal(np.argsort(x), np.argsort(y))
         assert (lp_shapes == []) == order_kept
         cost = float(masses @ cost_matrix[left, right])
@@ -823,7 +905,7 @@ def test_high_order_identity_follows_the_sorted_order(lp_shapes):
             taken += 1
             assert is_identity(left, right, 24)
             assert abs(cost - optimum) <= 1e-12 * optimum
-        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        lp_left, lp_right, lp_masses, _ = _solve_lp(a, a.copy(), cost_matrix)
         lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
         assert cost - optimum <= lp_cost - optimum + 1e-12 * optimum
     assert 0 < taken < 96
@@ -842,8 +924,8 @@ def test_integer_grid_ties_keep_the_lp_cost():
         a = rng.random(n) + 0.05
         a /= a.sum()
         cost_matrix = ot._cost_matrix(xs, ys, p)
-        left, right, masses = transport_plan(a, a.copy(), cost_matrix)
-        lp_left, lp_right, lp_masses = _solve_lp(a, a.copy(), cost_matrix)
+        left, right, masses, _ = transport_plan(a, a.copy(), cost_matrix)
+        lp_left, lp_right, lp_masses, _ = _solve_lp(a, a.copy(), cost_matrix)
         lp_cost = float(lp_masses @ cost_matrix[lp_left, lp_right])
         cost = float(masses @ cost_matrix[left, right])
         assert abs(cost - lp_cost) <= 1e-15 * lp_cost
@@ -892,12 +974,15 @@ def far_section_instance():
     return nu, w.ray_section(w.make_translation_ray(mu0, [1, 0], p=8), 2**10)
 
 
-def test_far_section_high_order_solves_certified():
+def test_far_section_high_order_solves_certified(lp_shapes):
+    # the plan comes back as warm on its own instance: its basis passes the
+    # certificate on the same costs, with no second LP
     nu, far = far_section_instance()
     plan = w.solve_ot(nu, far, 8)
     cost_matrix = pairwise_distances(nu.atoms, far.atoms) ** 8
     assert cost_matrix.max() > 1e24
-    assert ot.certify_support(plan.left, plan.right, cost_matrix)
+    assert reused(w.solve_ot(nu, far, 8, warm=plan), plan)
+    assert lp_shapes == [(4, 3)]
     # every atom moves about 1024 to the right, so W_8 is close to that
     assert 1020.0 < plan.cost < 1028.0
 
@@ -961,13 +1046,22 @@ def transport_instances(draw, max_atoms=7, kinds=("box", "grid", "coincident", "
 
 
 def assert_certified_entries(a, b, cost_matrix, entries):
-    """Entries of a plan of (a, b): row-major, positive, marginals to 1e-12, certified."""
-    left, right, masses = entries
+    """Entries and basis of a plan of (a, b): row-major, positive, marginals to 1e-12, certified.
+
+    The entries lie on the m + n - 1 basis cells, which the potentials of a
+    walk of the tree certify; the Bellman-Ford oracle certifies the entries.
+    """
+    left, right, masses, (rows, cols) = entries
     m, n = cost_matrix.shape
     assert np.all(np.diff(left * n + right) > 0) and masses.min() > 0.0
     assert np.max(np.abs(np.bincount(left, masses, minlength=m) - a)) <= 1e-12
     assert np.max(np.abs(np.bincount(right, masses, minlength=n) - b)) <= 1e-12
-    assert ot.certify_support(left, right, cost_matrix)
+    assert len(rows) == len(cols) == m + n - 1
+    assert np.isin(left * n + right, rows * n + cols).all()
+    u_v = walked_potentials(cost_matrix, rows, cols)
+    tol = ot._certificate_tolerance(cost_matrix)
+    assert ot._dual_certificate(cost_matrix, u_v[:m], u_v[m:], rows, cols, tol)[2]
+    assert bellman_ford_certifies(left, right, cost_matrix)
 
 
 @settings(max_examples=100)
@@ -978,7 +1072,7 @@ def test_simplex_matches_highs(instance, shift):
     a, b, base = instance
     cost_matrix = base - shift * base.max() - base.mean()
     m, n = cost_matrix.shape
-    left, right, masses = entries = _solve_lp(a, b, cost_matrix)
+    left, right, masses, _ = entries = _solve_lp(a, b, cost_matrix)
     assert_certified_entries(a, b, cost_matrix, entries)
     reference = float(np.sum(highs_plan(a, b, cost_matrix) * cost_matrix))
     total = float(masses @ cost_matrix[left, right])
@@ -986,108 +1080,87 @@ def test_simplex_matches_highs(instance, shift):
     assert total <= reference + 8 * (m + n) * np.finfo(float).eps * np.abs(cost_matrix).max()
     assert total == pytest.approx(reference, rel=1e-8, abs=1e-7)
     # transport_plan, which may take the assignment path instead, agrees
-    left, right, masses = transport_plan(a, b, cost_matrix)
+    left, right, masses, _ = transport_plan(a, b, cost_matrix)
     assert float(masses @ cost_matrix[left, right]) == pytest.approx(reference, rel=1e-8, abs=1e-7)
 
 
-def array_equal_certify_support(left, right, cost_matrix):
-    """``certify_support`` with its former convergence test, two ``np.array_equal`` calls."""
-    m, n = cost_matrix.shape
-    tol = ot._certificate_tolerance(cost_matrix)
-    support_cost = cost_matrix[left, right]
-    u = np.zeros(m)
-    v = np.zeros(n)
-    for _ in range(m + n):
-        v_next = np.minimum(v, np.minimum.reduce(u[:, None] + cost_matrix, axis=0))
-        u_next = u.copy()
-        np.minimum.at(u_next, left, v_next[right] - support_cost)
-        if np.array_equal(u_next, u) and np.array_equal(v_next, v):
-            break
-        u, v = u_next, v_next
-    return ot._dual_certificate(cost_matrix, u, v, left, right, tol)[2]
+def as_warm(a, b, entries):
+    """A simplex plan's entries and basis as ``transport_plan`` reads a warm coupling."""
+    left, right, masses, basis = entries
+    return SimpleNamespace(
+        mu=SimpleNamespace(weights=a),
+        nu=SimpleNamespace(weights=b),
+        left=left,
+        right=right,
+        masses=masses,
+        _basis=basis,
+    )
 
 
 @settings(max_examples=200)
 @given(
     instance=transport_instances(),
-    change=st.sampled_from(("none", "costs", "support")),
-    noise=st.sampled_from((1e-3, 0.1, 1.0)),
-    seed=st.integers(0, 2**16),
-)
-def test_certificate_verdict_matches_the_array_equal_loop(instance, change, noise, seed):
-    # an optimal support on its own costs, the same support on perturbed
-    # costs (a warm plan after a schedule step), or a support with its
-    # columns permuted (usually not optimal)
-    a, b, cost_matrix = instance
-    left, right, _ = _solve_lp(a, b, cost_matrix)
-    rng = np.random.default_rng(seed)
-    if change == "costs":
-        cost_matrix = cost_matrix + rng.uniform(-noise, noise, cost_matrix.shape) * cost_matrix.std()
-    elif change == "support":
-        right = rng.permutation(cost_matrix.shape[1])[right]
-    verdict = ot.certify_support(left, right, cost_matrix)
-    assert verdict is array_equal_certify_support(left, right, cost_matrix)
-    if change == "none":
-        assert verdict
-
-
-def cyclic_support(m, n, isolated):
-    """m + n - 1 entries that span no tree, for m + n >= 5.
-
-    A 4-cycle on rows 0, 1 and columns 0, 1, with every other node hung
-    from it by one cell but the ``isolated``-th, which is left alone.
-    """
-    left, right = [0, 0, 1, 1], [0, 1, 0, 1]
-    others = [x for x in range(m + n) if x not in (0, 1, m, m + 1)]
-    for x in others[:isolated] + others[isolated + 1 :]:
-        left.append(x if x < m else 0)
-        right.append(0 if x < m else x - m)
-    return np.array(left), np.array(right)
-
-
-@settings(max_examples=200)
-@given(
-    instance=transport_instances(),
-    support=st.sampled_from(("tree", "forest", "duplicate", "cycle")),
     noise=st.sampled_from((0.0, 1e-3, 0.1, 1.0)),
     seed=st.integers(0, 2**16),
-    as_lists=st.booleans(),
 )
-def test_tree_certificate_keeps_every_bellman_ford_verdict(
-    instance, support, noise, seed, as_lists
-):
-    # warm-like simplex trees on perturbed costs, assignment forests, and
-    # m + n - 1 entries that span no tree (a duplicated entry, or a cycle
-    # with a node left out): whatever Bellman-Ford alone certifies is
-    # still certified, and the walk gives up on the supports with no tree
+def test_basis_certificate_accepts_no_plan_bellman_ford_rejects(instance, noise, seed):
+    # a simplex plan handed back as warm on its own costs is reused; on
+    # perturbed costs, as after a schedule step, a reused plan is one the
+    # Bellman-Ford oracle certifies too, and a miss gives the cold entries
     a, b, cost_matrix = instance
-    m, n = cost_matrix.shape
+    warm = as_warm(a, b, _solve_lp(a, b, cost_matrix))
     rng = np.random.default_rng(seed)
-    if support == "forest":
-        left, right = linear_sum_assignment(cost_matrix)
-    else:
-        left, right, _ = _solve_lp(a, b, cost_matrix)
-    if support == "duplicate":
-        # keep at most m + n - 2 entries and fill up to m + n - 1 with copies of a kept one
-        keep = min(len(left), m + n - 2)
-        k = int(rng.integers(0, keep))
-        left = np.concatenate([left[:keep], np.full(m + n - 1 - keep, left[k])])
-        right = np.concatenate([right[:keep], np.full(m + n - 1 - keep, right[k])])
-    elif support == "cycle":
-        if m + n < 5:
-            m, n = 3, 2
-            cost_matrix = np.pad(cost_matrix, ((0, 1), (0, 0)), mode="edge")
-        left, right = cyclic_support(m, n, int(rng.integers(0, m + n - 4)))
     costs = cost_matrix + rng.uniform(-noise, noise, cost_matrix.shape) * cost_matrix.std()
-    if support in ("duplicate", "cycle"):
-        assert len(left) == m + n - 1
-        assert ot._tree_potentials(left, right, costs[left, right], m, n) is None
-    if as_lists:
-        left, right = left.tolist(), right.tolist()
-    if array_equal_certify_support(left, right, costs):
-        assert ot.certify_support(left, right, costs)
-    if support == "tree" and noise == 0.0:
-        assert ot.certify_support(left, right, costs)
+    plan = transport_plan(a, b, costs, warm)
+    if plan[2] is warm.masses:
+        assert plan[3] is warm._basis
+        assert bellman_ford_certifies(warm.left, warm.right, costs)
+    else:
+        assert all(same_bits(x, y) for x, y in zip(plan[:3], transport_plan(a, b, costs)[:3]))
+    # equal weights take the assignment or identity branch first
+    if noise == 0.0 and a.tobytes() != b.tobytes():
+        assert plan[2] is warm.masses
+
+
+# decimal weights whose partial sums tie (0.1 + 0.4 = 0.5 = 0.2 + 0.3)
+DECIMAL_WEIGHTS = (
+    (0.1, 0.2, 0.3, 0.4),
+    (0.5, 0.3, 0.2),
+    (0.25, 0.25, 0.5),
+    (0.2, 0.2, 0.2, 0.4),
+    (0.1, 0.1, 0.3, 0.5),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    weights=st.tuples(st.sampled_from(DECIMAL_WEIGHTS), st.sampled_from(DECIMAL_WEIGHTS)),
+    p=st.sampled_from((1.5, 2.0, 3.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_degenerate_schedules_reuse_no_plan_bellman_ford_rejects(weights, p, seed):
+    # tied partial sums make forest plans, whose bases carry zero-mass
+    # cells. Along a doubling schedule of translated targets, as Busemann
+    # doubling solves it, every warm plan reused on its basis is one the
+    # Bellman-Ford oracle certifies on the new costs, and every other step
+    # gives the cold solve's entries
+    rng = np.random.default_rng(seed)
+    nu = w.DiscreteMeasure(rng.normal(size=(len(weights[0]), 2)), weights[0])
+    mu0 = w.DiscreteMeasure(rng.normal(size=(len(weights[1]), 2)), weights[1])
+    velocity = rng.normal(size=2)
+    velocity /= np.linalg.norm(velocity)
+    plan = None
+    for k in range(1, 13):
+        target = mu0.translate(2.0**k * velocity)
+        step = w.solve_ot(nu, target, p, warm=plan)
+        if plan is not None and plan._basis is not None and reused(step, plan):
+            costs = ot._cost_matrix(nu.atoms, target.atoms, p)
+            assert bellman_ford_certifies(step.left, step.right, costs)
+        else:
+            cold = w.solve_ot(nu, target, p)
+            for name in ("left", "right", "masses"):
+                assert same_bits(getattr(step, name), getattr(cold, name))
+        plan = step
 
 
 def test_simplex_prices_once_per_pivot(monkeypatch):
@@ -1153,13 +1226,12 @@ def test_simplex_prices_once_per_pivot(monkeypatch):
 
 def test_full_array_min_and_max_skip_the_ufunc_reduction(monkeypatch):
     # every full-array minimum and maximum on the check and solve paths goes
-    # through argmin or argmax; only Bellman-Ford's column-wise reduction
-    # (axis=0) is a ufunc reduce, and these instances do not reach it
+    # through argmin or argmax: no ufunc reduce at all
     rng = np.random.default_rng(5)
     calls = []
 
     class LoggedReduction:
-        """A ufunc whose ``reduce`` logs every call not made with axis=0."""
+        """A ufunc whose ``reduce`` logs every call."""
 
         def __init__(self, ufunc):
             self.ufunc = ufunc
@@ -1171,8 +1243,7 @@ def test_full_array_min_and_max_skip_the_ufunc_reduction(monkeypatch):
             return self.ufunc(*args, **kwargs)
 
         def reduce(self, array, *args, **kwargs):
-            if kwargs.get("axis", args[0] if args else None) != 0:
-                calls.append((self.ufunc.__name__, np.shape(array)))
+            calls.append((self.ufunc.__name__, np.shape(array)))
             return self.ufunc.reduce(array, *args, **kwargs)
 
     class LoggingNumpy:
@@ -1207,16 +1278,16 @@ def test_full_array_min_and_max_skip_the_ufunc_reduction(monkeypatch):
 def test_simplex_matches_exhaustive_oracle(pair, p):
     mu, nu = pair
     cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    left, right, masses = _solve_lp(mu.weights, nu.weights, cost_matrix)
+    left, right, masses, _ = _solve_lp(mu.weights, nu.weights, cost_matrix)
     cost = float(masses @ cost_matrix[left, right]) ** (1.0 / p)
     assert cost == pytest.approx(w.brute_force_ot(mu, nu, p).cost, rel=1e-8, abs=1e-12)
 
 
 def test_simplex_is_deterministic():
     a, b, cost_matrix = weighted_instance(np.random.default_rng(2), 9, 7)
-    first = _solve_lp(a, b, cost_matrix)
-    second = _solve_lp(a, b, cost_matrix)
-    assert all(same_bits(x, y) for x, y in zip(first, second))
+    first, second = (_solve_lp(a, b, cost_matrix) for _ in range(2))
+    # the entries, then the basis rows and columns
+    assert all(same_bits(x, y) for x, y in zip(first[:3] + first[3], second[:3] + second[3]))
 
 
 def uniform_instance(rng, m, n, d=2):
@@ -1331,10 +1402,11 @@ def test_solve_ot_is_transport_plan_on_the_cost_matrix(pair, p):
     mu, nu = pair
     plan = w.solve_ot(mu, nu, p)
     cost_matrix = pairwise_distances(mu.atoms, nu.atoms) ** p
-    left, right, masses = transport_plan(mu.weights, nu.weights, cost_matrix)
+    left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix)
     assert same_bits(plan.left, left)
     assert same_bits(plan.right, right)
     assert same_bits(plan.masses, masses)
+    assert (plan._basis is None) == (basis is None)
 
 
 def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
@@ -1343,17 +1415,10 @@ def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
-def test_solver_cost_is_the_entries_cost_bit_for_bit(monkeypatch, p):
+def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
     # solve_ot reads the entries' d**p from its cost matrix; the public
     # constructor recomputes them from the atoms: the same bits, on every path
     certified = []
-    certify = ot.certify_support
-
-    def spy(left, right, cost_matrix):
-        certified.append(certify(left, right, cost_matrix))
-        return certified[-1]
-
-    monkeypatch.setattr(ot, "certify_support", spy)
     rng = np.random.default_rng(int(10 * p))
     for d in (1, 2, 3):
         for kind in ("uniform", "weighted", "unequal"):
@@ -1372,8 +1437,10 @@ def test_solver_cost_is_the_entries_cost_bit_for_bit(monkeypatch, p):
             cold = w.solve_ot(mu, nu, p)
             moved = nu.translate(rng.normal(size=d) * 1e-3 * scale)
             warm = w.solve_ot(mu, moved, p, warm=cold)
+            certified.append(cold._basis is not None and reused(warm, cold))
             for plan, target in ((cold, nu), (warm, moved)):
-                entries = ot._entries_cost(mu, target, plan.left, plan.right, plan.masses, p)
+                starts, ends = mu.atoms[plan.left], target.atoms[plan.right]
+                entries = ot._segment_cost(starts, ends, plan.masses, p)
                 assert same_bits(np.float64(plan.cost), np.float64(entries))
     assert any(certified)  # some warm plans were reused
 

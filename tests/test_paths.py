@@ -13,8 +13,8 @@ from wassray.errors import (
     MarginalMismatchError,
     NonOptimalCouplingError,
 )
-from wassray.ot import Coupling, p_mean
-from wassray.paths import _checked_lift, _lift_entries, _segment_cost
+from wassray.ot import Coupling, _segment_cost, p_mean
+from wassray.paths import _checked_lift, _lift_entries
 
 from conftest import random_measure, same_bits, small_measures, uniform_pairs
 
@@ -59,6 +59,44 @@ def test_lift_two_atom_monotone():
 def test_lift_rejects_non_optimal_coupling():
     with pytest.raises(NonOptimalCouplingError):
         w.lift_geodesic(crossing_coupling())
+
+
+def sorted_coupling(mu, nu, p):
+    """The sorted (north-west corner) plan of two measures on the line: optimal for p >= 1."""
+    rows, cols = np.argsort(mu.atoms[:, 0]), np.argsort(nu.atoms[:, 0])
+    a, b = mu.weights.tolist(), nu.weights.tolist()
+    i = j = 0
+    entries = []
+    while i < len(rows) and j < len(cols):
+        r, c = rows[i], cols[j]
+        mass = min(a[r], b[c])
+        entries.append((r, c, mass))
+        a[r] -= mass
+        b[c] -= mass
+        if a[r] <= b[c]:
+            i += 1
+        else:
+            j += 1
+    left, right, masses = zip(*sorted(e for e in entries if e[2] > 0.0))
+    return Coupling(mu, nu, left, right, masses, p)
+
+
+def test_lift_accepts_a_plan_cheaper_than_the_solver_s():
+    # weighted, d = 1, p = 16, in a box of side 10: the largest cost is near
+    # 1e16, and the simplex's certificate, whose tolerance grows with it,
+    # stops on a plan 4.5% above the sorted one in W_16. The check against
+    # the solver is one-sided: the sorted plan, cheaper than the solver's
+    # reference, is lifted, at its own cost
+    rng = np.random.default_rng(25)
+    x, y = 10.0 * rng.random(25), 10.0 * rng.random(25)
+    a, b = rng.random(25) + 0.05, rng.random(25) + 0.05
+    mu = w.DiscreteMeasure(x[:, None], a / a.sum())
+    nu = w.DiscreteMeasure(y[:, None], b / b.sum())
+    optimal = sorted_coupling(mu, nu, 16.0)
+    assert w.solve_ot(mu, nu, 16.0).cost > 1.04 * optimal.cost
+    lift = w.lift_geodesic(optimal)
+    assert lift.length == optimal.cost
+    assert same_bits(lift.weights, optimal.masses)
 
 
 def test_lift_raises_on_an_overflowing_off_support_cost():

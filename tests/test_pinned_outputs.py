@@ -96,7 +96,7 @@ def digest(arrays) -> str:
 def test_weighted_simplex_plans_are_pinned():
     def entries():
         for a, b, cost_matrix in lp_corpus():
-            left, right, masses = ot._solve_lp(a, b, cost_matrix)
+            left, right, masses, _ = ot._solve_lp(a, b, cost_matrix)
             yield from (left.astype(np.int64), right.astype(np.int64), masses)
 
     assert digest(entries()) == LP_CORPUS_SHA256
