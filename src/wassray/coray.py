@@ -10,7 +10,10 @@ reference ray, and follow the lifted geodesic of the optimal coupling
 at a few test times (evaluation clamps at the geodesic's end, so small
 times are always meaningful). Repeat along an increasing target-time
 schedule and declare convergence once the coupling glued between
-consecutive steps shows the section family no longer moving. The final
+consecutive steps shows the section family no longer moving. The plan of
+one step is mostly the plan of the next: after each solve, the simplex
+basis it kept is certified on all the remaining targets at once, and the
+leading run of targets it holds on is taken with no solve at all. The final
 coupling's segments, reparameterized to unit speed and extended to
 straight rays, form the candidate limit: in R^d the segment directions
 of the approximating geodesics are the natural estimator of the limit
@@ -37,8 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .busemann import CHECK_ATOL, busemann_exact
-from .measures import DiscreteMeasure, _array_max
-from .ot import Coupling, _check_distances, solve_ot, wasserstein_distance
+from .measures import DiscreteMeasure, _array_max, _merge_keys
+from .ot import (
+    Coupling,
+    _certified_prefix,
+    _check_distances,
+    _checked_coupling,
+    _distance_limit,
+    pairwise_distances,
+    solve_ot,
+    wasserstein_distance,
+)
 from .paths import RayMeasure, ray_section, require_unit_speed
 
 DEFAULT_SCHEDULE = tuple(2.0**n for n in range(1, 17))
@@ -95,13 +107,18 @@ def construct_coray(
     test time of 0 adds 0.0 to each step's diagnostic (with no positive
     test time, every diagnostic is 0.0).
 
-    Consecutive target sections are translates of one another with the
-    same weights, and their optimal plan settles as the target time grows.
-    So each step's coupling starts from the previous step's plan (the
-    first from none): ``solve_ot`` returns a warm plan only when its
-    weights match exactly and the simplex basis it kept passes the
-    simplex's own optimality test on the new costs, and solves the
-    transportation LP otherwise.
+    Consecutive target sections share the ray's weights, and their
+    optimal plan settles as the target time grows. So each step's coupling
+    starts from the previous step's plan (the first from none):
+    ``solve_ot`` returns a warm plan only when its weights match exactly
+    and the simplex basis it kept passes the simplex's own optimality test
+    on the new costs, and solves the transportation LP otherwise. After
+    each solve, one stacked pass (``_certified_run``) runs that test on
+    all the remaining targets at once, and the leading run of targets it
+    certifies makes no ``solve_ot`` call: those steps keep the plan, with
+    the lengths, diagnostics and final plan the per-step solves would give,
+    bit for bit. The first target outside the run is solved as before, so
+    every branch and error of ``solve_ot`` stays as it was.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -126,14 +143,23 @@ def construct_coray(
     lengths = []
     diagnostics = []
     coupling = None
-    for t_n in schedule:
+    k = 0
+    while k < len(schedule):
         previous = coupling
         # consecutive targets are translates with the same weights, so the
         # previous step's plan is the warm start of this one
-        coupling = solve_ot(nu0, ray_section(mu, t_n), mu.p, warm=previous)
+        coupling = solve_ot(nu0, ray_section(mu, schedule[k]), mu.p, warm=previous)
         lengths.append(coupling.cost)
         if previous is not None:
             diagnostics.append(_glued_movement(previous, coupling, moving_times))
+        k += 1
+        # the steps after it whose solve would hand this plan back, found at once
+        run_lengths, run_diagnostics, coupling = _certified_run(
+            mu, coupling, schedule[k:], moving_times
+        )
+        lengths += run_lengths
+        diagnostics += run_diagnostics
+        k += len(run_lengths)
     length = coupling.cost
     if length <= 0.0:
         raise ValueError("the final geodesic is degenerate; extend the schedule")
@@ -201,9 +227,10 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
                 break
             rest_b = mass_b[l]
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-    gap = _positions(previous, rows, times) - _positions(current, cols, times)
-    # np.linalg.norm's own formula, as for lift lengths
-    distances = np.sqrt(np.add.reduce(gap * gap, axis=2))
+    # a pair's two entries leave the same nu0 atom
+    starts = previous.mu.atoms[previous.left[rows]]
+    ends = np.stack((previous.nu.atoms[previous.right[rows]], current.nu.atoms[current.right[cols]]))
+    distances = _gaps(starts, ends, np.array([previous.cost, current.cost]), times)[0]
     # p_mean at every time at once: each row sums as p_mean's 1-D sum does,
     # and x ** (1/p) rises with x, so the largest sum gives the largest mean
     p = current.p
@@ -212,18 +239,117 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
     return float(_array_max(sums) ** (1.0 / p))
 
 
-def _positions(plan: Coupling, entries: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Positions at each of ``times`` of the plan's entries on its lifted geodesic, (T, K, d).
+def _certified_run(mu: RayMeasure, plan: Coupling, times: tuple, moving_times: np.ndarray):
+    """The steps at ``times`` that keep ``plan``: their lengths, diagnostics and last plan.
 
-    The geodesic runs at unit speed for the plan's cost and clamps at the
-    end, with ``section``'s expression, so the positions have its bits.
+    ``plan`` is a step's coupling from nu0 and ``times`` the target times
+    left after it. The run is the leading targets on which
+    ``solve_ot(nu0, ray_section(mu, t), p, warm=plan)`` would reach the
+    warm branch and hand ``plan``'s entries back, found for all of them at
+    once:
+
+    - the plan has a simplex basis, and its section's weights are the ray's
+      and differ from nu0's (equal ones take the identity branch first);
+    - the target's positions are finite, and no two of them share every
+      ``_merge_keys`` key, so the section is the positions with the ray's
+      weights, byte for byte;
+    - no distance to nu0 reaches ``_distance_limit``;
+    - the basis passes ``_certified_prefix`` on the target's costs;
+    - the diagnostic's distances stay below the limit too.
+
+    The first target that fails one of these ends the run; the caller
+    solves it as before, so it meets every branch and error as it did. Each
+    step keeps the plan's entries, so its length is their p-mean on the
+    target's costs and its diagnostic the plan glued to itself (each entry
+    paired with itself at its own mass) between consecutive targets, both
+    with the arithmetic of the per-step path: a C-contiguous gather of the
+    entries' costs, each row summed along it as ``_checked_coupling``'s 1-D
+    sum, and every 1/p root taken on a Python float. Only the last step's
+    coupling is built, through ``_checked_coupling``'s warm reuse, for the
+    next step and the result. Returns ``([], [], plan)`` for an empty run.
     """
-    starts = plan.mu.atoms[plan.left[entries]]
-    ends = plan.nu.atoms[plan.right[entries]]
-    if plan.cost == 0.0:
-        return np.broadcast_to(starts, (len(times),) + starts.shape)
-    moved = starts + (times / plan.cost)[:, None, None] * (ends - starts)
-    return np.where((times >= plan.cost)[:, None, None], ends, moved)
+    nu0, p = plan.mu, plan.p
+    weights = mu.weights.tobytes()
+    if (
+        not times
+        or plan._basis is None
+        or plan.nu.weights.tobytes() != weights
+        or nu0.weights.tobytes() == weights
+    ):
+        return [], [], plan
+    # every target's ``RayMeasure.positions`` at once; a non-finite one ends
+    # the run before it, and its own solve warns and raises as before
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = mu.origins + np.array(times)[:, None, None] * mu.velocities
+    keys = _merge_keys(positions)
+    # each row shares every key with itself; another match merges two atoms
+    matches = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3).sum(axis=(1, 2))
+    count = _leading(np.isfinite(positions).all(axis=(1, 2)) & (matches == len(mu)))
+    if not count:
+        return [], [], plan
+    limit = _distance_limit(p)
+    distances = np.stack([pairwise_distances(nu0.atoms, atoms) for atoms in positions[:count]])
+    count = _leading(distances.reshape(count, -1).max(axis=1) < limit)
+    costs = distances[:count] ** p
+    count = _certified_prefix(costs, plan._basis)
+    if not count:
+        return [], [], plan
+    left, right, masses = plan.left, plan.right, plan.masses
+    # C-contiguous, so each row sums in the order of the 1-D sum
+    entries = np.ascontiguousarray(costs[:count, left, right])
+    lengths = [s ** (1.0 / p) for s in np.add.reduce(masses * entries, axis=1).tolist()]
+    if len(moving_times):
+        ends = np.concatenate((plan.nu.atoms[right][None], positions[:count, right]))
+        gaps = _gaps(nu0.atoms[left], ends, np.array([plan.cost] + lengths), moving_times)
+        count = _leading(gaps.reshape(count, -1).max(axis=1) < limit)
+        if not count:
+            return [], [], plan
+        sums = np.add.reduce(masses * gaps[:count] ** p, axis=2)
+        diagnostics = [s ** (1.0 / p) for s in sums.max(axis=1).tolist()]
+    else:
+        diagnostics = [0.0] * count
+    last = count - 1
+    kept = _checked_coupling(
+        nu0, ray_section(mu, times[last]), left, right, masses, p,
+        cost_matrix=costs[last], warm=plan,
+    )
+    object.__setattr__(kept, "_basis", plan._basis)
+    return lengths[:count], diagnostics, kept
+
+
+def _leading(holds: np.ndarray) -> int:
+    """How many leading entries of a boolean array are True."""
+    return len(holds) if holds.all() else int(holds.argmin())
+
+
+def _gaps(starts: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray):
+    """Distances between consecutive plans' entry positions at each of ``times``, (S - 1, T, K).
+
+    The S plans' K entries start at ``starts`` (K, d) and end at ``ends``
+    (S, K, d); ``lengths`` holds the S plans' costs. Entry k of plan s is
+    compared with entry k of plan s + 1, with ``np.linalg.norm``'s own
+    formula, as for lift lengths.
+    """
+    positions = _positions(starts, ends, lengths, times)
+    gap = positions[:-1] - positions[1:]
+    return np.sqrt(np.add.reduce(gap * gap, axis=3))
+
+
+def _positions(starts: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray):
+    """Positions at each of ``times`` of the entries of a stack of S plans, (S, T, K, d).
+
+    Plan s's entries run from ``starts`` (K, d) to ``ends[s]`` on its lifted
+    geodesic, which runs at unit speed for the plan's cost ``lengths[s]``
+    and clamps at the end, with ``section``'s expression, so the positions
+    have its bits. A plan of cost 0 stays at its starts.
+    """
+    length = lengths[:, None]
+    still = length == 0.0
+    fraction = times / np.where(still, 1.0, length)
+    moved = starts + fraction[:, :, None, None] * (ends - starts)[:, None]
+    arrived = (times >= length) & ~still
+    moved = np.where(arrived[:, :, None, None], ends[:, None], moved)
+    return np.where(still[:, :, None, None], starts, moved)
 
 
 def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:

@@ -19,6 +19,9 @@ WEIGHT_SUM_TOL = 1e-12
 # Pushforwards legitimately collide atoms; positions that agree after
 # rounding to this many decimals are treated as one atom.
 MERGE_DECIMALS = 12
+# no coordinate up to this size overflows when rounding scales it by
+# 10**MERGE_DECIMALS (that starts past about 1.8e296)
+KEY_SAFE = 1e296
 
 
 def _array_max(x: np.ndarray):
@@ -60,9 +63,28 @@ def as_point(coords) -> np.ndarray:
     return pt
 
 
+def _merge_keys(positions: np.ndarray) -> np.ndarray:
+    """Merge keys of a float64 array of positions, coordinate by coordinate.
+
+    A key is the coordinate rounded to MERGE_DECIMALS decimals. Rounding
+    scales the coordinate by 10**MERGE_DECIMALS first, which overflows to
+    inf past about 1.8e296, where every coordinate would share the key inf.
+    A coordinate whose scaled value overflows is its own key instead, with
+    no overflow warning; every other key is the rounded coordinate. The one
+    key function of ``position_key``, ``merge_atoms`` and the co-ray
+    construction's check that a section merges nothing.
+    """
+    # NaN fails the comparison, and rounds to NaN as before
+    if not positions.size or _array_max(np.abs(positions)) <= KEY_SAFE:
+        return positions.round(MERGE_DECIMALS)
+    with np.errstate(over="ignore"):
+        keys = positions.round(MERGE_DECIMALS)
+    return np.where(np.isinf(keys), positions, keys)
+
+
 def position_key(coords) -> tuple[float, ...]:
-    """Merge key for a position: coordinates rounded to MERGE_DECIMALS decimals."""
-    return tuple(np.round(np.asarray(coords, dtype=float), MERGE_DECIMALS).tolist())
+    """Merge key for a position: its coordinates' ``_merge_keys``."""
+    return tuple(_merge_keys(np.asarray(coords, dtype=float)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,11 +195,11 @@ def uniform_measure(atoms) -> DiscreteMeasure:
 def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pool mass sitting at coincident positions.
 
-    Positions sharing a rounded key (MERGE_DECIMALS decimals) collapse to a
-    single atom placed at the first occurrence's exact coordinates; output
-    order is first-occurrence order, so the result is deterministic. The
-    keys are ``position_key``'s, computed for all rows in one rounding. A
-    flat position array means atoms on the real line, as in
+    Positions sharing a key (``_merge_keys``: MERGE_DECIMALS decimals)
+    collapse to a single atom placed at the first occurrence's exact
+    coordinates; output order is first-occurrence order, so the result is
+    deterministic. The keys are ``position_key``'s, computed for all rows
+    at once. A flat position array means atoms on the real line, as in
     ``DiscreteMeasure``.
     """
     positions = np.asarray(positions, dtype=float)
@@ -189,7 +211,7 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     first: dict[tuple[float, ...], int] = {}
     owner = [
         first.setdefault(tuple(key), k)
-        for k, key in enumerate(positions.round(MERGE_DECIMALS).tolist())
+        for k, key in enumerate(_merge_keys(positions).tolist())
     ]
     if len(first) == len(owner):  # nothing coincides
         return positions.copy(), weights.copy()

@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wassray as w
+from wassray import coray, ot
 from wassray.coray import DEFAULT_SCHEDULE, DEFAULT_TEST_TIMES, DEFAULT_TOL, _glued_movement
-from wassray.errors import UnitSpeedError
+from wassray.errors import CostOverflowError, UnitSpeedError
 
 from conftest import (
     GENUINE_RAY_KINDS,
@@ -13,6 +16,7 @@ from conftest import (
     genuine_ray_case,
     psd_gradient_ray,
     random_measure,
+    unit_speed,
     weighted_translation_setup,
 )
 
@@ -111,23 +115,45 @@ def test_schedule_validation(line_ray):
             w.construct_coray(line_ray, nu0, schedule=(2.0, 4.0), tol=tol)
 
 
-def test_construction_reuses_certified_plans(lp_shapes):
+def test_construction_reuses_certified_plans(lp_shapes, monkeypatch):
     # 16 steps of weighted measures: 16 target couplings and one start
-    # offset, each target certified from the previous step's plan when it
-    # stays optimal. The movement between steps is read off the two plans
-    # glued at nu0's atoms, with no transport problem. The 2 LPs left are
-    # the offset and the first target coupling.
+    # offset. The first target coupling is solved; the simplex basis it
+    # keeps stays certified on all 15 targets after it, found in one
+    # stacked pass, so those steps make no solve_ot call. The movement
+    # between steps is read off the two plans glued at nu0's atoms, with no
+    # transport problem. The 2 LPs are the offset and the first target.
     # Solving every target coupling cold took 17 LP solves: 1 offset and
-    # 16 targets.
+    # 16 targets; certifying each warm plan in its own solve_ot call took
+    # 17 solve_ot calls.
+    solves = []
+    solve_ot = ot.solve_ot
+
+    def spy(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ot(*args, **kwargs)
+
+    # the start offset solves through ot's own name, the targets through coray's
+    monkeypatch.setattr(ot, "solve_ot", spy)
+    monkeypatch.setattr(coray, "solve_ot", spy)
     rng = np.random.default_rng(7)
     mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
     assert result.converged
+    assert len(result.lengths) == 16
+    assert len(solves) == 2
     assert len(lp_shapes) == 2
 
 
 MOVING_TIMES = tuple(tau for tau in DEFAULT_TEST_TIMES if tau > 0.0)
+
+
+def warm_chain(ray, nu0, schedule):
+    """Each step's plan, warm-started from the one before: one solve_ot call a step."""
+    plan = None
+    for t_n in schedule:
+        plan = w.solve_ot(nu0, w.ray_section(ray, t_n), ray.p, warm=plan)
+        yield plan
 
 
 def construction_steps(ray, nu0, schedule):
@@ -139,15 +165,167 @@ def construction_steps(ray, nu0, schedule):
     construction's diagnostics compare.
     """
     plans, sections = [], []
-    plan = None
-    for t_n in schedule:
-        plan = w.solve_ot(nu0, w.ray_section(ray, t_n), ray.p, warm=plan)
+    for plan in warm_chain(ray, nu0, schedule):
         lift = w.GeodesicLift(
             plan.mu.atoms[plan.left], plan.nu.atoms[plan.right], plan.masses, plan.p, plan.cost
         )
         plans.append(plan)
         sections.append([w.section(lift, tau) for tau in MOVING_TIMES])
     return plans, sections
+
+
+def output_bits(lengths, diagnostics, start_offset, converged, ray):
+    """A construction's outputs as bytes, so that equal means equal bit for bit."""
+    return (
+        np.array(lengths).tobytes(),
+        np.array(diagnostics).tobytes(),
+        np.float64(start_offset).tobytes(),
+        converged,
+        ray.origins.tobytes(),
+        ray.velocities.tobytes(),
+        ray.weights.tobytes(),
+        ray.p,
+    )
+
+
+def constructed(ray, nu0, schedule):
+    """``construct_coray``'s outputs as bytes, or the type and message of the error it raises."""
+    try:
+        result = w.construct_coray(ray, nu0, schedule=schedule)
+    except Exception as error:  # compared with the chain's own error
+        return type(error), str(error)
+    return output_bits(
+        result.lengths, result.diagnostics, result.start_offset, result.converged, result.ray
+    )
+
+
+def chained(ray, nu0, schedule):
+    """The construction's outputs from the warm chain, one solve_ot call a step, or its error.
+
+    The start offset first, then each step's plan and its glued movement
+    from the step before, and the candidate ray from the last plan.
+    """
+    try:
+        start_offset = w.wasserstein_distance(nu0, w.ray_section(ray, 0.0), ray.p)
+        lengths, diagnostics, previous = [], [], None
+        for plan in warm_chain(ray, nu0, schedule):
+            lengths.append(plan.cost)
+            if previous is not None:
+                diagnostics.append(_glued_movement(previous, plan, np.array(MOVING_TIMES)))
+            previous = plan
+        if plan.cost <= 0.0:
+            raise ValueError("the final geodesic is degenerate; extend the schedule")
+        origins = plan.mu.atoms[plan.left]
+        velocities = (plan.nu.atoms[plan.right] - origins) / plan.cost
+        candidate = w.RayMeasure(origins, velocities, plan.masses, ray.p)
+    except Exception as error:  # compared with the construction's own error
+        return type(error), str(error)
+    converged = diagnostics[-1] < DEFAULT_TOL
+    return output_bits(lengths, diagnostics, start_offset, converged, candidate)
+
+
+CHAIN_KINDS = ("weighted", "wide", "meeting", "far", "equal-weights", "one-atom")
+
+
+def chain_case(kind, d, p, seed, steps):
+    """A unit-speed ray family in R^d, a weighted start and a doubling schedule of ``steps`` steps.
+
+    - ``weighted``: 2-4 rays and 2-4 start atoms;
+    - ``wide``: 9-12 rays and start atoms together, so a basic plan has 8
+      or more entries;
+    - ``meeting``: rays from 0 and 1 along the first axis with velocities
+      1 and 0.5 (scaled to unit speed by a factor s), which meet at time
+      2 / s, a target of the schedule: that section merges two atoms;
+    - ``far``: the schedule ends at t = 1e20, where at p = 16 the
+      distances pass the overflow limit and the step raises;
+    - ``equal-weights``: the start carries the ray's weights, so the
+      identity branch may take a step;
+    - ``one-atom``: a single-atom start.
+    """
+    rng = np.random.default_rng(seed)
+    k, n = (int(x) for x in rng.integers(2, 5, size=2))
+    if kind == "wide":
+        k, n = int(rng.integers(4, 7)), int(rng.integers(5, 7))
+    origins, velocities = rng.normal(size=(k, d)), rng.normal(size=(k, d))
+    if kind == "meeting":
+        origins[:2], velocities[:2] = 0.0, 0.0
+        origins[1, 0], velocities[0, 0], velocities[1, 0] = 1.0, 1.0, 0.5
+    weights = rng.random(k) + 0.1
+    ray = unit_speed(origins, velocities, weights / weights.sum(), p)
+    schedule = [2.0**j for j in range(1, steps + 1)]
+    if kind == "meeting":
+        meeting = 1.0 / (ray.velocities[0, 0] - ray.velocities[1, 0])
+        schedule = sorted(set(schedule) | {meeting})
+    if kind == "far":
+        schedule.append(1e20)
+    if kind == "one-atom":
+        n = 1
+    atoms = 3.0 * rng.normal(size=(n, d))
+    start = rng.random(n) + 0.1
+    if kind == "equal-weights":
+        atoms, start = 3.0 * rng.normal(size=(k, d)), ray.weights
+    return ray, w.DiscreteMeasure(atoms, start / start.sum()), tuple(schedule)
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(CHAIN_KINDS),
+    d=st.sampled_from((1, 2, 3, 8)),
+    p=st.sampled_from((1.5, 2.0, 3.0, 8.0, 16.0)),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(2, 14),
+)
+def test_construction_is_the_warm_chain_bit_for_bit(kind, d, p, seed, steps):
+    # the construction certifies a kept basis on all the targets after it
+    # at once; every output must have the bits of solving step by step
+    ray, nu0, schedule = chain_case(kind, d, p, seed, steps)
+    assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
+def test_the_chain_cases_reach_their_branches(d, p):
+    # each case of the bit-identity property meets what it is there for
+    for seed in range(3):
+        ray, nu0, schedule = chain_case("wide", d, p, seed, 6)
+        plans = list(warm_chain(ray, nu0, schedule))
+        assert len(plans[-1].masses) >= 8
+        assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
+        ray, nu0, schedule = chain_case("meeting", d, p, seed, 6)
+        meeting = next(t for t in schedule if len(w.ray_section(ray, t)) < len(ray))
+        assert len(w.ray_section(ray, meeting)) == len(ray) - 1
+        assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
+        ray, nu0, schedule = chain_case("far", d, p, seed, 6)
+        outputs = constructed(ray, nu0, schedule)
+        assert outputs == chained(ray, nu0, schedule)
+        assert (outputs[0] is CostOverflowError) == (p == 16.0)
+    # a run of a kept plan ends where its certificate fails: at p = 3 the
+    # plan solved at the third step holds for eight more and changes at the
+    # last one
+    ray, nu0, schedule = far_start_translation(3.0)
+    plans = list(warm_chain(ray, nu0, schedule))
+    kept = [same_entries(a, b) for a, b in zip(plans, plans[1:])]
+    assert kept == [True, False] + [True] * 8 + [False]
+    assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
+
+
+def test_a_start_with_the_ray_s_weights_is_solved_every_step(monkeypatch):
+    # with equal weights solve_ot tries the identity plan before a warm one,
+    # so no step is taken from a stacked certificate. Here the simplex plans
+    # of the first three steps give way to the identity at the fourth
+    ray, nu0, schedule = chain_case("equal-weights", 1, 1.5, 6, 10)
+    plans = list(warm_chain(ray, nu0, schedule))
+    assert [plan._basis is not None for plan in plans] == [True] * 3 + [False] * 7
+    solves = []
+    solve_ot = coray.solve_ot
+
+    def spy(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ot(*args, **kwargs)
+
+    monkeypatch.setattr(coray, "solve_ot", spy)
+    assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
+    assert len(solves) == len(schedule)
 
 
 def sorted_plan_distance(a, b, p):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import wassray as w
 from wassray.errors import DimensionMismatchError, EmptyMeasureError
-from wassray.measures import _array_max, _array_min, merge_atoms, position_key
+from wassray.measures import _array_max, _array_min, _merge_keys, merge_atoms, position_key
 
 from conftest import coords, same_bits
 
@@ -115,6 +115,37 @@ def test_merge_atoms_reads_flat_positions_as_the_real_line():
 
 def test_position_key_treats_signed_zero_alike():
     assert position_key(np.array([-0.0])) == position_key(np.array([0.0]))
+
+
+def test_far_atoms_keep_their_own_keys():
+    # rounding to 12 decimals scales by 1e12, which overflows past about
+    # 1.8e296: both keys were inf, so the two atoms merged into one of
+    # weight 1 (with numpy's overflow warning, an error in this suite)
+    atoms, weights = merge_atoms(np.array([[1e300], [2e300]]), np.array([0.5, 0.5]))
+    assert atoms.tolist() == [[1e300], [2e300]] and weights.tolist() == [0.5, 0.5]
+    assert position_key(np.array([1e300, -2e300])) == (1e300, -2e300)
+    assert not w.same_measure(w.dirac((1e300,)), w.dirac((2e300,)))
+    assert w.same_measure(w.dirac((1e300,)), w.dirac((1e300,)))
+    # a far coordinate still pools with its exact copy, next to a near one
+    atoms, weights = merge_atoms(
+        np.array([[1e300, 0.5], [1e300, 0.5 + 1e-14], [-1e300, 0.5]]), np.array([0.25, 0.25, 0.5])
+    )
+    assert atoms.tolist() == [[1e300, 0.5], [-1e300, 0.5]] and weights.tolist() == [0.5, 0.5]
+
+
+def test_keys_that_do_not_overflow_keep_the_rounded_bits():
+    # up to the largest coordinate whose scaled value stays finite, a key is
+    # numpy's rounding; past it, the coordinate itself
+    top = np.nextafter(np.finfo(float).max / 1e12, 0.0)
+    while not np.isfinite(top * 1e12):
+        top = np.nextafter(top, 0.0)
+    near = np.array([0.1234567890125, -3.0000000000001, 1e-13, 1e15, 1e296, -top, top])
+    assert same_bits(_merge_keys(near), near.round(12))
+    far = np.nextafter(top, np.inf)
+    assert same_bits(_merge_keys(np.array([far, -far, 1.0])), np.array([far, -far, 1.0]))
+    # non-finite coordinates keep the keys rounding gives them
+    assert same_bits(_merge_keys(np.array([np.inf, -np.inf, 1e300])), np.array([np.inf, -np.inf, 1e300]))
+    assert np.isnan(_merge_keys(np.array([np.nan, 1e300]))[0])
 
 
 def test_same_measure_ignores_order_and_splitting():

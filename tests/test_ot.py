@@ -238,6 +238,18 @@ def test_tail_bound_examples():
     assert report.tail_mass == 0.0 and report.passed
 
 
+@pytest.mark.parametrize("radius", [1e-300, 5e-324])
+def test_tail_bound_past_the_largest_double_is_infinite(radius):
+    # (3 / radius) ** 2 passes the largest double: Python's float pow raised
+    # a bare OverflowError; the bound is +inf, which every tail passes
+    plan = w.solve_ot(w.dirac((0.0,)), w.dirac((3.0,)), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = w.tail_mass_bound_check(plan, radius)
+    assert report.radius == radius and report.tail_mass == 1.0
+    assert report.bound == np.inf and report.passed
+
+
 def test_tail_bound_rejects_bad_radius():
     plan = w.solve_ot(*two_atom_instance(), 2.0)
     with pytest.raises(ValueError):
@@ -1197,22 +1209,34 @@ def test_simplex_prices_once_per_pivot(monkeypatch):
             return self.ufunc.reduce(array, *args, **kwargs)
 
     class CountingNumpy:
-        """numpy, with every least-entry reduction of an m x n array logged as a pass."""
+        """numpy, with every ``minimum.reduce`` of an m x n array logged as a pass."""
 
         minimum = MinimumReduction(np.minimum)
 
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def argmin(self, array, *args, **kwargs):
-            if np.shape(array) == cost_matrix.shape:
+    class CountingArray(np.ndarray):
+        """The cost matrix, whose m x n results log their own argmin and min as passes.
+
+        The reduced costs derive from it, so a pass is logged whether it
+        calls the array's method or numpy's function, which calls the method.
+        """
+
+        def argmin(self, *args, **kwargs):
+            if self.shape == cost_matrix.shape:
                 events.append("pass")
-            return np.argmin(array, *args, **kwargs)
+            return np.asarray(self).argmin(*args, **kwargs)
+
+        def min(self, *args, **kwargs):
+            if self.shape == cost_matrix.shape:
+                events.append("pass")
+            return np.asarray(self).min(*args, **kwargs)
 
     monkeypatch.setattr(ot, "_hang", hang_spy)
     monkeypatch.setattr(ot, "_dual_certificate", price_spy)
     monkeypatch.setattr(ot, "np", CountingNumpy())
-    entries = _solve_lp(a, b, cost_matrix)
+    entries = _solve_lp(a, b, cost_matrix.view(CountingArray))
     monkeypatch.undo()
     assert_certified_entries(a, b, cost_matrix, entries)
     # the start tree hangs from row 0 before the first pricing pass; then
