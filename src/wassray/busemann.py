@@ -23,7 +23,7 @@ import numpy as np
 from .errors import MonotonicityError, NotARayError
 from .measures import DiscreteMeasure
 from .ot import solve_ot, transport_plan, wasserstein_distance
-from .paths import RayMeasure, ray_section, require_unit_speed
+from .paths import RayMeasure, _kept_plan_lengths, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
 DEFAULT_TOL = 1e-6
@@ -107,8 +107,12 @@ def busemann_value(
     when that is larger) or falls below its lower bound: both are provably
     impossible, so either indicates a solver defect.
 
-    The lower bound is one ``solve_ot`` call, and each schedule step one
-    more, warm-started from the previous step's plan.
+    The lower bound is one ``solve_ot`` call. The schedule's distances
+    are those of the chain of ``solve_ot`` calls each warm-started from the
+    step before's plan (the first from the lower bound's), bit for bit, but
+    a step whose solve would hand the previous plan back makes no call
+    (``_warm_chain_lengths``). The checks run on each value in order, as
+    they would after each solve.
     """
     require_unit_speed(ray, "the Busemann function")
     t0 = float(t0)
@@ -122,16 +126,13 @@ def busemann_value(
         raise ValueError(f"need at least one doubling, got {max_doublings}")
     plan = solve_ot(nu, ray_section(ray, 0.0), ray.p)
     lower_bound = -plan.cost
+    times = [t0 * 2.0**j for j in range(max_doublings + 1)]
     schedule: list[tuple[float, float]] = []
     previous = None
     decrement = float("inf")
     converged = False
-    for j in range(max_doublings + 1):
-        t = t0 * 2.0**j
-        # consecutive sections differ little, so the last plan often stays
-        # optimal and its certificate spares the LP
-        plan = solve_ot(nu, ray_section(ray, t), ray.p, warm=plan)
-        value = plan.cost - t
+    for t, distance in _warm_chain_lengths(ray, nu, plan, times):
+        value = distance - t
         schedule.append((t, value))
         if previous is not None:
             decrement = previous - value
@@ -158,6 +159,34 @@ def busemann_value(
         schedule=tuple(schedule),
         converged=converged,
     )
+
+
+def _warm_chain_lengths(ray: RayMeasure, nu: DiscreteMeasure, plan, times):
+    """(t, W_p(nu, mu_t)) for each of ``times`` in turn, as the warm ``solve_ot`` chain from ``plan`` gives them.
+
+    The chain solves ``solve_ot(nu, ray_section(ray, t), ray.p, warm=plan)``
+    at each time, on the plan of the step before (the first on ``plan``).
+    Here ``_kept_plan_lengths`` first certifies the plan on the next times
+    at once and yields the run it keeps, with the bits of those solves and
+    no call; the first time after the run is solved as before, so it meets
+    every branch and error as it did. A run ends where the plan stops
+    holding, and a schedule may converge after a few steps, so the times
+    are stacked in chunks of 4, 8, 16, ...: no far time is priced before a
+    chunk has held. The plan kept through a run stays the warm plan of the
+    next solve, which reads only its weights, entries and basis, the same
+    at every step of the run.
+    """
+    k, chunk = 0, 4
+    while k < len(times):
+        lengths, _ = _kept_plan_lengths(ray, plan, times[k : k + chunk])
+        yield from zip(times[k:], lengths)
+        k += len(lengths)
+        if len(lengths) == chunk:
+            chunk *= 2
+        elif k < len(times):
+            plan = solve_ot(nu, ray_section(ray, times[k]), ray.p, warm=plan)
+            yield times[k], plan.cost
+            k += 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,10 @@ at a few test times (evaluation clamps at the geodesic's end, so small
 times are always meaningful). Repeat along an increasing target-time
 schedule and declare convergence once the coupling glued between
 consecutive steps shows the section family no longer moving. The plan of
-one step is mostly the plan of the next: after each solve, the simplex
-basis it kept is certified on all the remaining targets at once, and the
-leading run of targets it holds on is taken with no solve at all. The final
+one step is mostly the plan of the next: after each solve, the basis it
+kept (the simplex's, or a single-atom plan's star) is certified on all the
+remaining targets at once, and the leading run of targets it holds on is
+taken with no solve at all. The final
 coupling's segments, reparameterized to unit speed and extended to
 straight rays, form the candidate limit: in R^d the segment directions
 of the approximating geodesics are the natural estimator of the limit
@@ -40,18 +41,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .busemann import CHECK_ATOL, busemann_exact
-from .measures import DiscreteMeasure, _array_max, _merge_keys
+from .measures import DiscreteMeasure, _array_max
 from .ot import (
     Coupling,
-    _certified_prefix,
     _check_distances,
     _checked_coupling,
     _distance_limit,
-    pairwise_distances,
+    _leading,
     solve_ot,
     wasserstein_distance,
 )
-from .paths import RayMeasure, ray_section, require_unit_speed
+from .paths import RayMeasure, _kept_plan_lengths, ray_section, require_unit_speed
 
 DEFAULT_SCHEDULE = tuple(2.0**n for n in range(1, 17))
 DEFAULT_TEST_TIMES = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -112,13 +112,18 @@ def construct_coray(
     starts from the previous step's plan (the first from none):
     ``solve_ot`` returns a warm plan only when its weights match exactly
     and the simplex basis it kept passes the simplex's own optimality test
-    on the new costs, and solves the transportation LP otherwise. After
-    each solve, one stacked pass (``_certified_run``) runs that test on
-    all the remaining targets at once, and the leading run of targets it
-    certifies makes no ``solve_ot`` call: those steps keep the plan, with
-    the lengths, diagnostics and final plan the per-step solves would give,
-    bit for bit. The first target outside the run is solved as before, so
-    every branch and error of ``solve_ot`` stays as it was.
+    on the new costs, and solves the transportation LP otherwise; when
+    nu0 or the ray has a single atom, every step has the one feasible plan.
+    After each solve, one stacked pass (``_certified_run``) finds all the
+    remaining targets at once where a solve would hand the plan back: the
+    leading run of targets the simplex basis is certified on, or, for a
+    single atom's plan, whose star keeps it whatever the costs. Those steps
+    make no ``solve_ot`` call; they keep the plan, with the lengths,
+    diagnostics and final plan the per-step solves would give, bit for
+    bit. The first target outside the run is solved as before, so every
+    branch and error of ``solve_ot`` stays as it was. From a single atom
+    to a single-atom ray, the start offset and the first target are the
+    only solves.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -244,64 +249,30 @@ def _certified_run(mu: RayMeasure, plan: Coupling, times: tuple, moving_times: n
 
     ``plan`` is a step's coupling from nu0 and ``times`` the target times
     left after it. The run is the leading targets on which
-    ``solve_ot(nu0, ray_section(mu, t), p, warm=plan)`` would reach the
-    warm branch and hand ``plan``'s entries back, found for all of them at
-    once:
-
-    - the plan has a simplex basis, and its section's weights are the ray's
-      and differ from nu0's (equal ones take the identity branch first);
-    - the target's positions are finite, and no two of them share every
-      ``_merge_keys`` key, so the section is the positions with the ray's
-      weights, byte for byte;
-    - no distance to nu0 reaches ``_distance_limit``;
-    - the basis passes ``_certified_prefix`` on the target's costs;
-    - the diagnostic's distances stay below the limit too.
-
-    The first target that fails one of these ends the run; the caller
-    solves it as before, so it meets every branch and error as it did. Each
-    step keeps the plan's entries, so its length is their p-mean on the
-    target's costs and its diagnostic the plan glued to itself (each entry
-    paired with itself at its own mass) between consecutive targets, both
-    with the arithmetic of the per-step path: a C-contiguous gather of the
-    entries' costs, each row summed along it as ``_checked_coupling``'s 1-D
-    sum, and every 1/p root taken on a Python float. Only the last step's
-    coupling is built, through ``_checked_coupling``'s warm reuse, for the
-    next step and the result. Returns ``([], [], plan)`` for an empty run.
+    ``solve_ot(nu0, ray_section(mu, t), p, warm=plan)`` would hand
+    ``plan``'s entries back, with the lengths that solve would give, as
+    ``paths._kept_plan_lengths`` finds them for all targets at once; a run
+    also ends before a target whose diagnostic's distances reach
+    ``_distance_limit``. The caller solves the first target after the run
+    as before, so it meets every branch and error as it did. Each step's
+    diagnostic is the plan glued to itself (each entry paired with itself
+    at its own mass) between consecutive targets, with the arithmetic of
+    ``_glued_movement``: each row summed along a C-contiguous axis as its
+    1-D sum, and every 1/p root taken on a Python float. Only the last
+    step's coupling is built, through ``_checked_coupling``'s warm reuse,
+    for the next step and the result. Returns ``([], [], plan)`` for an
+    empty run.
     """
+    lengths, positions = _kept_plan_lengths(mu, plan, times)
+    count = len(lengths)
+    if not count:
+        return [], [], plan
     nu0, p = plan.mu, plan.p
-    weights = mu.weights.tobytes()
-    if (
-        not times
-        or plan._basis is None
-        or plan.nu.weights.tobytes() != weights
-        or nu0.weights.tobytes() == weights
-    ):
-        return [], [], plan
-    # every target's ``RayMeasure.positions`` at once; a non-finite one ends
-    # the run before it, and its own solve warns and raises as before
-    with np.errstate(over="ignore", invalid="ignore"):
-        positions = mu.origins + np.array(times)[:, None, None] * mu.velocities
-    keys = _merge_keys(positions)
-    # each row shares every key with itself; another match merges two atoms
-    matches = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3).sum(axis=(1, 2))
-    count = _leading(np.isfinite(positions).all(axis=(1, 2)) & (matches == len(mu)))
-    if not count:
-        return [], [], plan
-    limit = _distance_limit(p)
-    distances = np.stack([pairwise_distances(nu0.atoms, atoms) for atoms in positions[:count]])
-    count = _leading(distances.reshape(count, -1).max(axis=1) < limit)
-    costs = distances[:count] ** p
-    count = _certified_prefix(costs, plan._basis)
-    if not count:
-        return [], [], plan
     left, right, masses = plan.left, plan.right, plan.masses
-    # C-contiguous, so each row sums in the order of the 1-D sum
-    entries = np.ascontiguousarray(costs[:count, left, right])
-    lengths = [s ** (1.0 / p) for s in np.add.reduce(masses * entries, axis=1).tolist()]
     if len(moving_times):
-        ends = np.concatenate((plan.nu.atoms[right][None], positions[:count, right]))
+        ends = np.concatenate((plan.nu.atoms[right][None], positions[:, right]))
         gaps = _gaps(nu0.atoms[left], ends, np.array([plan.cost] + lengths), moving_times)
-        count = _leading(gaps.reshape(count, -1).max(axis=1) < limit)
+        count = _leading(gaps.reshape(count, -1).max(axis=1) < _distance_limit(p))
         if not count:
             return [], [], plan
         sums = np.add.reduce(masses * gaps[:count] ** p, axis=2)
@@ -310,16 +281,10 @@ def _certified_run(mu: RayMeasure, plan: Coupling, times: tuple, moving_times: n
         diagnostics = [0.0] * count
     last = count - 1
     kept = _checked_coupling(
-        nu0, ray_section(mu, times[last]), left, right, masses, p,
-        cost_matrix=costs[last], warm=plan,
+        nu0, ray_section(mu, times[last]), left, right, masses, p, cost=lengths[last], warm=plan
     )
     object.__setattr__(kept, "_basis", plan._basis)
     return lengths[:count], diagnostics, kept
-
-
-def _leading(holds: np.ndarray) -> int:
-    """How many leading entries of a boolean array are True."""
-    return len(holds) if holds.all() else int(holds.argmin())
 
 
 def _gaps(starts: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray):

@@ -68,8 +68,9 @@ def _keyed_int(line: list[str], key: str) -> int:
 
 def format_measure(measure: DiscreteMeasure) -> str:
     out = [MEASURE_HEADER, f"dim {measure.dim}", f"atoms {len(measure)}"]
-    for atom, w in zip(measure.atoms, measure.weights):
-        out.append(" ".join(_fmt(c) for c in atom) + " " + _fmt(w))
+    # rows of Python floats, whose repr is _fmt's, without a numpy scalar each
+    for atom, w in zip(measure.atoms.tolist(), measure.weights.tolist()):
+        out.append(" ".join(map(repr, atom + [w])))
     return "\n".join(out) + "\n"
 
 
@@ -110,9 +111,9 @@ def write_measure(measure: DiscreteMeasure, path) -> None:
 
 def format_ray(ray: RayMeasure) -> str:
     out = [RAY_HEADER, f"dim {ray.dim}", f"p {_fmt(ray.p)}", f"entries {len(ray)}"]
-    for origin, velocity, w in zip(ray.origins, ray.velocities, ray.weights):
-        coords = [_fmt(c) for c in origin] + [_fmt(c) for c in velocity] + [_fmt(w)]
-        out.append(" ".join(coords))
+    rows = zip(ray.origins.tolist(), ray.velocities.tolist(), ray.weights.tolist())
+    for origin, velocity, w in rows:
+        out.append(" ".join(map(repr, origin + velocity + [w])))
     return "\n".join(out) + "\n"
 
 

@@ -71,8 +71,8 @@ def _merge_keys(positions: np.ndarray) -> np.ndarray:
     inf past about 1.8e296, where every coordinate would share the key inf.
     A coordinate whose scaled value overflows is its own key instead, with
     no overflow warning; every other key is the rounded coordinate. The one
-    key function of ``position_key``, ``merge_atoms`` and the co-ray
-    construction's check that a section merges nothing.
+    key function of ``position_key``, ``merge_atoms`` and the schedules'
+    check that a section merges nothing (``paths._kept_plan_lengths``).
     """
     # NaN fails the comparison, and rounds to NaN as before
     if not positions.size or _array_max(np.abs(positions)) <= KEY_SAFE:

@@ -14,7 +14,8 @@ distances equal the numpy formula bit for bit (see
 Busemann function solves one with negative entries) and picks an exact
 method from the input alone, trying in order:
 
-- a single-atom marginal has one feasible coupling, built directly;
+- a single-atom marginal has one feasible coupling, built directly. Its
+  m + n - 1 entries form a star, a spanning tree, so they are its basis;
 - uniform marginals of equal size (every weight of both measures equal)
   have a permutation among their optimal plans (Birkhoff-von Neumann), and
   the Jonker-Volgenant assignment solver finds one exactly;
@@ -34,16 +35,18 @@ method from the input alone, trying in order:
   basis and its weights equal the new instance's exactly, the tree is
   still primal feasible, and ``_certified_prefix`` runs the simplex's own
   stopping test on the new cost matrix, as a stack of one: one walk of
-  the tree gives the potentials of every matrix of a stack, and the test
-  runs matrix by matrix. When it holds, the warm plan is returned, its
-  entries already checked and frozen, so only its cost is derived anew
-  (a warm identity the branch above accepts comes back the same way);
-  otherwise the simplex solves the instance. The co-ray construction
-  passes the costs of all its remaining targets as one stack, and takes
-  the leading run the basis is certified on without a solve per target.
-  Single-atom, assignment, identity and user-built plans have no basis,
-  so they are never reused this way. ``lift_geodesic`` checks a plan with
-  this same solve, the plan as ``warm``;
+  the tree gives the potentials of every matrix of a stack, and a longer
+  stack is tested in one vectorised pass. When it holds, the warm
+  plan is returned, its entries already checked and frozen, so only its
+  cost is derived anew (a warm identity the branch above accepts comes
+  back the same way); otherwise the simplex solves the instance. The
+  schedules (``paths._kept_plan_lengths``) pass the costs of their
+  remaining sections as one stack, and take the leading run the basis is
+  certified on without a solve per section; a single-atom plan's star
+  needs no test there, since its plan ignores the costs. Assignment,
+  identity and user-built plans have no basis, so they are never reused
+  this way. ``lift_geodesic`` checks a plan with this same solve, the
+  plan as ``warm``;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
@@ -96,6 +99,8 @@ TAIL_BOUND_SLACK = 1e-12
 CERTIFICATE_ROUNDINGS = 4
 SIMPLEX_PIVOTS_PER_NODE = 20
 DBL_MAX = float(np.finfo(float).max)
+# distances past this have a squared distance past DBL_MAX, so compute as inf
+SQUARED_DISTANCE_LIMIT = DBL_MAX**0.5
 EPS = float(np.finfo(float).eps)
 # distances within this relative margin of DBL_MAX ** (1/p) count as
 # overflowing: that close, rounding in pow and in the p-mean sum decides
@@ -154,9 +159,16 @@ def _check_distances(largest, p: float) -> None:
 
     Compared with ``_distance_limit(p)`` before anything is raised to p, so
     the typed error comes without numpy's overflow warning. NaN fails the
-    comparison too.
+    comparison too. Atoms are finite, so an infinite ``largest`` means
+    their squared distance overflowed, and the message names that.
     """
     if not largest < _distance_limit(p):
+        if largest == np.inf:  # below p = 2 this comes before d**p overflows
+            raise CostOverflowError(
+                f"transport cost overflows double precision at p = {p:g}: the squared "
+                f"distance of two atoms passes the largest double once they lie about "
+                f"{SQUARED_DISTANCE_LIMIT:.3g} apart"
+            )
         raise _cost_overflow(f"atoms {largest:.3g} apart", p)
 
 
@@ -209,8 +221,9 @@ class Coupling:
     p: float
     cost: float | None = None
     # not a field: the rows and columns of the m + n - 1 basis cells (zero
-    # masses included) the simplex stopped on, which ``solve_ot`` sets on
-    # the plans it solved or reused; every other coupling has none
+    # masses included) the simplex stopped on, or a single atom's star, which
+    # ``solve_ot`` sets on the plans it solved or reused; every other
+    # coupling has none
     _basis = None
 
     def __post_init__(self):
@@ -368,17 +381,19 @@ def solve_ot(
     # the one feasible plan of a single atom ignores the costs; building them
     # would add a quarter to these solves, which Busemann schedules on point
     # rays make by the thousand
-    entries = _single_atom_entries(mu.weights, nu.weights)
-    if entries is None:
+    single = _single_atom_plan(mu.weights, nu.weights)
+    if single is None:
         cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
         left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
         plan = _checked_coupling(
             mu, nu, left, right, masses, p, cost_matrix=cost_matrix, warm=warm
         )
-        if basis is not None:
-            object.__setattr__(plan, "_basis", basis)
-        return plan
-    return _checked_coupling(mu, nu, *entries, p)
+    else:
+        left, right, masses, basis = single
+        plan = _checked_coupling(mu, nu, left, right, masses, p)
+    if basis is not None:
+        object.__setattr__(plan, "_basis", basis)
+    return plan
 
 
 def transport_plan(
@@ -392,11 +407,12 @@ def transport_plan(
     entries are fine, since no method below assumes a sign (optimality is
     a statement about reduced costs, which a constant shift of the costs
     leaves alone). Entries are the plan's positive masses, lexicographic in
-    (left, right). The fourth value is the simplex basis ``(rows, columns)``
-    of an LP plan, solved or reused, and None on the other paths. The
-    method is picked from the input alone, in order:
+    (left, right). The fourth value is the basis ``(rows, columns)``: the
+    simplex's of an LP plan, solved or reused, the star of a single-atom
+    plan (its entries' own ``left`` and ``right``), and None on the other
+    paths. The method is picked from the input alone, in order:
 
-    - a single-atom marginal: its one feasible plan;
+    - a single-atom marginal: its one feasible plan, with its star;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
       optimal permutation from ``linear_sum_assignment``;
     - ``a`` equal to ``b``: the identity plan (i -> i with mass a[i]),
@@ -435,8 +451,8 @@ def transport_plan(
     # contract), so the comparison fails on NaN and inf alike
     if not (-np.inf < lowest and _array_max(cost_matrix) < np.inf):
         raise CostOverflowError("transport cost matrix has an infinite or NaN entry")
-    if (entries := _single_atom_entries(a, b)) is not None:
-        return *entries, None
+    if (single := _single_atom_plan(a, b)) is not None:
+        return single
     w = a[0]
     # min == w == max: the truth value of all(a == w), NaN included, since
     # _array_min and _array_max return NaN if any entry is NaN
@@ -473,14 +489,21 @@ def transport_plan(
     return _solve_lp(a, b, cost_matrix)
 
 
-def _single_atom_entries(a: np.ndarray, b: np.ndarray):
-    """The one feasible plan's entries when a or b has a single atom, else None."""
+def _single_atom_plan(a: np.ndarray, b: np.ndarray):
+    """The one feasible plan when a or b has a single atom, as ``transport_plan`` returns it; else None.
+
+    Its m + n - 1 entries are a star, a spanning tree of the bipartite
+    graph, so they are their own basis: the basis is the entries' own
+    ``(left, right)`` arrays.
+    """
     m, n = len(a), len(b)
     if m == 1:
-        return np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp), b.copy()
-    if n == 1:
-        return np.arange(m, dtype=np.intp), np.zeros(m, dtype=np.intp), a.copy()
-    return None
+        left, right, masses = np.zeros(n, dtype=np.intp), np.arange(n, dtype=np.intp), b.copy()
+    elif n == 1:
+        left, right, masses = np.arange(m, dtype=np.intp), np.zeros(m, dtype=np.intp), a.copy()
+    else:
+        return None
+    return left, right, masses, (left, right)
 
 
 def _tree_potentials(cost_stack: np.ndarray, rows, cols):
@@ -519,24 +542,40 @@ def _tree_potentials(cost_stack: np.ndarray, rows, cols):
 def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     """How many leading matrices of a (T, m, n) cost stack the simplex basis ``basis`` certifies.
 
-    ``basis`` is the ``(rows, cols)`` a simplex plan kept. It is certified
-    on a cost matrix when ``_dual_certificate`` holds there, on the tree's
-    potentials and with the matrix's own ``_certificate_tolerance``: the
-    simplex's own stop. One walk of the tree (``_tree_potentials``) gives
-    the potentials of the whole stack; the certificate then runs matrix by
-    matrix and stops at the first that fails. It keeps the one-matrix form
-    the simplex prices each pivot with: given a stack axis, that pricing
-    took 26 us instead of 11.4 us on a stack of one at 6 x 8 (2 vCPU,
-    numpy 2.4).
+    ``basis`` is the ``(rows, cols)`` a plan kept. It is certified on a cost
+    matrix when ``_dual_certificate`` holds there, on the tree's potentials
+    and with the matrix's own ``_certificate_tolerance``: the simplex's own
+    stop. One walk of the tree (``_tree_potentials``) gives the potentials
+    of the whole stack. A stack of one, the warm branch's, runs the
+    one-matrix form the simplex prices each pivot with: given a stack axis,
+    that pricing took 26 us instead of 11.4 us at 6 x 8 (2 vCPU, numpy
+    2.4). A longer stack is priced in one vectorised pass: each matrix's
+    tolerance, least reduced cost and largest basis reduced cost, with the
+    one-matrix form's roundings element by element, so each matrix passes
+    or fails as it would alone.
     """
     rows, cols = basis
     u, v = _tree_potentials(cost_stack, rows, cols)
-    for k in range(len(cost_stack)):
-        cost_matrix = cost_stack[k]
+    if len(cost_stack) == 1:
+        cost_matrix = cost_stack[0]
         tol = _certificate_tolerance(cost_matrix)
-        if not _dual_certificate(cost_matrix, u[k], v[k], rows, cols, tol)[2]:
-            return k
-    return len(cost_stack)
+        return int(_dual_certificate(cost_matrix, u[0], v[0], rows, cols, tol)[2])
+    # _certificate_tolerance, _dual_certificate's reduced costs and its test
+    # for every matrix at once, with the same roundings element by element
+    m, n = cost_stack.shape[1:]
+    tol = CERTIFICATE_ROUNDINGS * (m + n) * EPS * np.abs(cost_stack).max(axis=(1, 2))
+    reduced = cost_stack + u[:, :, None]
+    reduced -= v[:, None, :]
+    holds = (reduced.min(axis=(1, 2)) >= -tol) & (reduced[:, rows, cols].max(axis=1) <= tol)
+    return _leading(holds)
+
+
+def _leading(holds: np.ndarray) -> int:
+    """How many leading entries of a boolean array are True."""
+    if not len(holds):
+        return 0
+    first = int(holds.argmin())  # the first False, or 0 when there is none
+    return len(holds) if holds[first] else first
 
 
 def _certificate_tolerance(cost_matrix: np.ndarray) -> float:
@@ -550,8 +589,8 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, 
     """The cell of least reduced cost C + u - v, that cost, and whether they certify the basis.
 
     The one definition of "certified optimal": the simplex's stop, and the
-    test ``_certified_prefix`` repeats on a kept basis (a warm plan's, or
-    the co-ray construction's on each of its targets). It holds when
+    test ``_certified_prefix`` repeats on a kept basis (a warm plan's, or a
+    schedule's on each of its sections, in a vectorised form). It holds when
     every reduced cost is >= -tol and the reduced cost of every basis cell
     (left, right) is <= tol, with ``tol`` from ``_certificate_tolerance``
     on the same matrix (computed once per solve, not once per pivot). That

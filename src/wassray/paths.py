@@ -11,6 +11,9 @@ A ray measure is the half-line analogue: a weighted family of straight
 ambient rays. Its sections form a curve of measures whose speed is the
 p-mean of the per-ray speeds; whether that curve is a genuine ray (every
 induced pair coupling optimal) is exactly what ``validate_ray`` samples.
+The Busemann and co-ray schedules, which couple one measure to section
+after section of a ray, share ``_kept_plan_lengths``: the run of later
+sections on which a warm solve would keep a plan, found at once.
 """
 
 from __future__ import annotations
@@ -31,15 +34,20 @@ from .measures import (
     _array_max,
     _array_min,
     _checked_measure,
+    _merge_keys,
     as_point,
     merge_atoms,
     position_key,
 )
 from .ot import (
     Coupling,
+    _certified_prefix,
+    _distance_limit,
+    _leading,
     _segment_cost,
     check_exponent,
     p_mean,
+    pairwise_distances,
     solve_ot,
     wasserstein_distance,
 )
@@ -277,6 +285,83 @@ def ray_section(ray: RayMeasure, t) -> DiscreteMeasure:
     ``RayMeasure.positions`` checks t: 0 <= t < inf, else ``ValueError``.
     """
     return _checked_measure(*merge_atoms(ray.positions(t), ray.weights))
+
+
+def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
+    """Lengths of the leading steps at ``times`` whose warm solve keeps ``plan``, and their targets.
+
+    ``plan`` is a coupling from a measure nu0 to a section of ``ray``, and
+    ``times`` are later positive times of the ray. The run is the leading
+    times t at which ``solve_ot(nu0, ray_section(ray, t), ray.p, warm=plan)``
+    would hand back ``plan``'s entries, found for all of them at once:
+
+    - the plan has a basis, a simplex plan's or a single-atom plan's star,
+      and its section's weights are the ray's; unless a side has a single
+      atom, they also differ from nu0's, since equal ones take the
+      assignment or identity branch first;
+    - the target's positions are finite, and no two of them share every
+      ``_merge_keys`` key, so the section is the positions with the ray's
+      weights, byte for byte;
+    - no distance from nu0 (for a star: no entry's length) reaches
+      ``_distance_limit``;
+    - a simplex basis passes ``_certified_prefix`` on the target's costs.
+      A star needs no test: a single atom's one feasible plan ignores the
+      costs.
+
+    The first target that fails one of these ends the run; the caller
+    solves it as before, so it meets every branch and error as it did.
+    Each length has the bits of that solve's cost, the p-mean of the
+    entries' d**p: for a simplex basis gathered from one
+    ``pairwise_distances`` matrix of all the targets, as ``solve_ot`` reads
+    them from its cost matrix; for a star from ``_segment_cost``'s lengths,
+    the single-atom path's formula (``cdist`` may differ from it in the
+    last bit from d = 8). Each row sums along a C-contiguous axis as the
+    1-D sum does, and every 1/p root is taken on a Python float. Returns
+    the run's lengths and its targets' positions, (count, len(ray), d),
+    or ``([], None)`` for an empty run.
+    """
+    if not times or plan._basis is None:
+        return [], None
+    nu0, p = plan.mu, ray.p
+    weights = ray.weights.tobytes()
+    star = len(nu0) == 1 or len(ray) == 1
+    if plan.nu.weights.tobytes() != weights or (not star and nu0.weights.tobytes() == weights):
+        return [], None
+    limit = _distance_limit(p)
+    # every target's ``RayMeasure.positions`` at once; a non-finite one ends
+    # the run before it, and its own solve warns and raises as before
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = ray.origins + np.array(times)[:, None, None] * ray.velocities
+        if star:
+            # _segment_cost's lengths: a star's entries are nu0's atoms
+            # against the one target atom, or the one atom of nu0 against
+            # the target's, in order, so the plain difference lines them up
+            diff = positions - nu0.atoms
+            lengths = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    if len(ray) > 1:
+        keys = _merge_keys(positions)
+        # each row shares every key with itself; another match merges two atoms
+        matches = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3).sum(axis=(1, 2))
+        count = _leading(np.isfinite(positions).all(axis=(1, 2)) & (matches == len(ray)))
+    else:
+        count = len(times)
+    if star:
+        # NaN and inf fail the comparison, so a non-finite target ends the run
+        count = _leading(lengths[:count].max(axis=1) < limit)
+        entries = lengths[:count] ** p
+    elif count:
+        m, n = len(nu0), len(ray)
+        flat = pairwise_distances(nu0.atoms, positions[:count].reshape(count * n, -1))
+        distances = flat.reshape(m, count, n).transpose(1, 0, 2)
+        count = _leading(distances.max(axis=(1, 2)) < limit)
+        costs = distances[:count] ** p
+        count = _certified_prefix(costs, plan._basis)
+        # C-contiguous, so each row sums in the order of the 1-D sum
+        entries = np.ascontiguousarray(costs[:count, plan.left, plan.right])
+    if not count:
+        return [], None
+    sums = np.add.reduce(plan.masses * entries[:count], axis=1).tolist()
+    return [s ** (1.0 / p) for s in sums], positions[:count]
 
 
 def make_dirac_ray(origin, velocity, p=2.0) -> RayMeasure:

@@ -3,10 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wassray as w
 from wassray import busemann
 from wassray.errors import CostOverflowError, MonotonicityError, UnitSpeedError
+from wassray.ot import pairwise_distances
 
 from conftest import (
     GENUINE_RAY_KINDS,
@@ -244,10 +247,15 @@ def test_an_increase_past_the_rounding_allowance_still_raises(monkeypatch):
     allowance = busemann.monotone_allowance(ray, nu, (t / 2 - 1.73) + (t - 1.73))
     assert busemann.MONOTONE_ATOL < allowance < 1e-4
     # the lower bound, then section distances whose truncations rise by
-    # twice the allowance from t / 2 to t
+    # twice the allowance from t / 2 to t; a plan with no basis keeps no run
+    # of later steps, so each step is solved
     lower = w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p)
     costs = iter([lower.cost, t / 2 - 1.73, t - 1.73 + 2.0 * allowance])
-    monkeypatch.setattr(busemann, "solve_ot", lambda *args, **kwargs: SimpleNamespace(cost=next(costs)))
+
+    def fake_solve(*args, **kwargs):
+        return SimpleNamespace(cost=next(costs), _basis=None)
+
+    monkeypatch.setattr(busemann, "solve_ot", fake_solve)
     with pytest.raises(MonotonicityError, match=f"truncation increased by .* at t={t}"):
         w.busemann_value(ray, nu, t0=t / 2, tol=1e-9)
 
@@ -319,7 +327,11 @@ def busemann_solves(monkeypatch):
 
 
 def test_two_ray_family_solves_every_section(line_ray, busemann_solves):
-    """One solve per schedule step plus the lower bound, for one ray and for two."""
+    """Only the lower bound is solved when a side has one atom, for one ray and for two.
+
+    The lower bound's plan is a single atom's star; the warm chain from it
+    would hand it back at every step, so the run keeps it with no solve.
+    """
     mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.4, 0.6])
     for ray, nu in (
         (line_ray, w.DiscreteMeasure([[2.0, 5.0], [-1.0, 0.5]], [0.3, 0.7])),
@@ -328,4 +340,130 @@ def test_two_ray_family_solves_every_section(line_ray, busemann_solves):
         busemann_solves.clear()
         est = w.busemann_value(ray, nu)
         assert len(est.schedule) > 10
-        assert len(busemann_solves) == len(est.schedule) + 1
+        assert len(busemann_solves) == 1
+        assert as_bits((est.schedule, est.lower_bound)) == as_bits(chained_truncation(ray, nu))
+
+
+def test_a_dirac_truncation_makes_one_solve(line_ray, busemann_solves):
+    # a 21-step schedule on a point ray from a point: the lower bound alone
+    est = w.busemann_value(line_ray, w.dirac((0.0, 1.2)))
+    assert est.converged and len(est.schedule) == 21
+    assert len(busemann_solves) == 1
+
+
+def test_a_multi_atom_truncation_solves_where_its_plan_changes(busemann_solves):
+    # both sides weighted, at p = 1.5: the simplex plan changes at two
+    # steps, which are solved, and holds on the other 23, which are not
+    mu0 = w.DiscreteMeasure(
+        [[9.6, -0.1], [-4.7, -3.0], [-0.5, -5.5], [10.8, 1.3]], [0.25, 0.35, 0.1, 0.3]
+    )
+    nu = w.DiscreteMeasure([[-5.2, -8.7], [10.7, -9.6], [-10.9, 15.7]], [0.45, 0.38, 0.17])
+    ray = w.make_translation_ray(mu0, (-0.28, 0.96), p=1.5)
+    est = w.busemann_value(ray, nu)
+    assert len(est.schedule) == 25 and len(busemann_solves) == 3
+    assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))
+
+
+def chained_truncation(ray, nu, t0=busemann.DEFAULT_T0):
+    """``busemann_value``'s schedule and lower bound from one warm ``solve_ot`` call a step.
+
+    The plan of each step is warm-started from the step before's (the
+    first from the lower bound's), and the checks follow each solve; an
+    error comes back as its type and message.
+    """
+    try:
+        plan = w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p)
+        lower_bound = -plan.cost
+        schedule = []
+        for j in range(busemann.DEFAULT_MAX_DOUBLINGS + 1):
+            t = t0 * 2.0**j
+            plan = w.solve_ot(nu, w.ray_section(ray, t), ray.p, warm=plan)
+            schedule.append((t, plan.cost - t))
+            if j:
+                (s, previous), (_, value) = schedule[-2:]
+                decrement = previous - value
+                allowance = busemann.monotone_allowance(ray, nu, (previous + s) + (value + t))
+                if decrement < -allowance:
+                    raise MonotonicityError(
+                        f"truncation increased by {-decrement:.3e} at t={t}; "
+                        "it is provably non-increasing"
+                    )
+                if decrement < busemann.DEFAULT_TOL:
+                    break
+        if schedule[-1][1] < lower_bound - busemann.LOWER_BOUND_ATOL:
+            raise MonotonicityError(
+                f"truncation {schedule[-1][1]!r} fell below its lower bound {lower_bound!r}"
+            )
+    except Exception as error:  # compared with busemann_value's own error
+        return type(error), str(error)
+    return tuple(schedule), lower_bound
+
+
+def truncated(ray, nu):
+    """``busemann_value``'s schedule and lower bound, or the type and message of its error."""
+    try:
+        est = w.busemann_value(ray, nu)
+    except Exception as error:  # compared with the chain's own error
+        return type(error), str(error)
+    return est.schedule, est.lower_bound
+
+
+def as_bits(outcome):
+    """A schedule and lower bound as bytes, so that equal means equal bit for bit."""
+    if isinstance(outcome[0], type):
+        return outcome
+    schedule, lower_bound = outcome
+    return np.array(schedule).tobytes(), np.float64(lower_bound).tobytes()
+
+
+TRUNCATION_KINDS = ("one-atom ray", "one-atom nu", "weighted")
+
+
+def truncation_case(kind, d, p, seed):
+    """A unit-speed family of 1-4 weighted rays in R^d and a weighted measure of 1-4 atoms.
+
+    - ``one-atom ray``: a single ray, and 2-4 atoms;
+    - ``one-atom nu``: 2-4 rays, and a single atom;
+    - ``weighted``: 2-4 of each.
+
+    The families are drawn at random, so not every one is a ray; a
+    truncation that rises then raises on both sides alike.
+    """
+    rng = np.random.default_rng(seed)
+    k, n = (int(x) for x in rng.integers(2, 5, size=2))
+    if kind == "one-atom ray":
+        k = 1
+    if kind == "one-atom nu":
+        n = 1
+    weights = rng.random(k) + 0.1
+    ray = unit_speed(rng.normal(size=(k, d)), rng.normal(size=(k, d)), weights / weights.sum(), p)
+    start = rng.random(n) + 0.1
+    return ray, w.DiscreteMeasure(3.0 * rng.normal(size=(n, d)), start / start.sum())
+
+
+@settings(max_examples=100)
+@given(
+    kind=st.sampled_from(TRUNCATION_KINDS),
+    d=st.sampled_from((1, 2, 3, 8)),
+    p=st.sampled_from((1.5, 2.0, 3.0, 8.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncation_is_the_warm_chain_bit_for_bit(kind, d, p, seed):
+    # runs of kept plans make no solve; every value must have the bits of
+    # solving step by step, and every error must be the chain's
+    ray, nu = truncation_case(kind, d, p, seed)
+    assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))
+
+
+def test_one_atom_lengths_take_the_single_atom_formula_at_d8():
+    # at d = 8 scipy's cdist and the per-step single-atom path's formula
+    # (``_segment_cost``: numpy sums 8 squares pairwise) can differ in the
+    # last bit; a star's run must take the latter
+    rng = np.random.default_rng(0)
+    ray = unit_speed(rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), [1.0], 2.0)
+    nu = w.uniform_measure(3.0 * rng.normal(size=(3, 8)))
+    target = w.ray_section(ray, 1.0)
+    diff = target.atoms[[0, 0, 0]] - nu.atoms
+    lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    assert pairwise_distances(nu.atoms, target.atoms)[:, 0].tobytes() != lengths.tobytes()
+    assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))

@@ -393,3 +393,78 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
+
+
+def wassray_cli(*argv):
+    """Run ``python -m wassray`` on the arguments; its stdout, after checking it exited 0."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "wassray", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
+    # a weighted translation ray in the plane from a far weighted start at
+    # p = 1.5. A 1-D comonotone family cannot serve: its sorted plan never
+    # changes. Here the plan changes at steps 3 and 9 of 20, and the last
+    # plan is neither of the first two, so the construction takes runs of
+    # kept plans from one stacked certificate each, solves the steps where
+    # it fails, and keeping a plan too long would show in the ray. The ray
+    # it writes must be byte-identical to the one built from the last plan
+    # of the warm solve_ot chain, one solve a step; both files hold repr
+    # floats
+    (tmp_path / "chain-mu0.measure").write_text(
+        "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n"
+    )
+    (tmp_path / "chain-start.measure").write_text(
+        "measure\ndim 2\natoms 3\n-5.2 -8.7 0.45\n10.7 -9.6 0.38\n-10.9 15.7 0.17\n"
+    )
+    rays, built = str(tmp_path / "chain.rays"), tmp_path / "built.rays"
+    wassray_cli(
+        "--p", "1.5", "ray-new", "translation", "--measure", str(tmp_path / "chain-mu0.measure"),
+        "--velocity=-0.28,0.96", "--out", rays,
+    )
+    schedule = ",".join(str(2**k) for k in range(1, 21))
+    wassray_cli(
+        "coray", rays, str(tmp_path / "chain-start.measure"), "--schedule", schedule,
+        "--out-ray", str(built),
+    )
+    ray, nu0 = w.read_ray(rays), w.read_measure(tmp_path / "chain-start.measure")
+    plan, plans = None, []
+    for k in range(1, 21):
+        plan = w.solve_ot(nu0, w.ray_section(ray, 2.0**k), ray.p, warm=plan)
+        plans.append((plan.left.tobytes(), plan.right.tobytes(), plan.masses.tobytes()))
+    changes = [k for k in range(2, 21) if plans[k - 1] != plans[k - 2]]
+    assert len(set(plans)) == 3 and changes == [3, 9]
+    origins = plan.mu.atoms[plan.left]
+    velocities = (plan.nu.atoms[plan.right] - origins) / plan.cost
+    chained = tmp_path / "chained.rays"
+    w.write_ray(w.RayMeasure(origins, velocities, plan.masses, ray.p), chained)
+    assert built.read_bytes() == chained.read_bytes()
+
+
+def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
+    # a point ray from a point 1.2 off it: 21 doubling steps, which the
+    # star of the single-atom plan keeps with no solve after the lower
+    # bound. The schedule written must be the one of the warm solve_ot
+    # chain, one solve a step, stopped where the decrement falls below
+    # the default 1e-6, in the CLI's 12 significant digits
+    rays, nu, csv = (str(tmp_path / name) for name in ("point.rays", "nu.measure", "t.csv"))
+    wassray_cli("ray-new", "dirac", "--origin", "0,0", "--velocity", "1,0", "--out", rays)
+    w.write_measure(w.dirac((0.0, 1.2)), nu)
+    out = wassray_cli("busemann", rays, nu, "--t0", "1", "--out-csv", csv)
+    assert "converged true" in out.splitlines()
+    ray, measure = w.read_ray(rays), w.read_measure(nu)
+    plan = w.solve_ot(measure, w.ray_section(ray, 0.0), ray.p)
+    rows, previous = ["t,value"], None
+    for j in range(25):
+        t = 2.0**j
+        plan = w.solve_ot(measure, w.ray_section(ray, t), ray.p, warm=plan)
+        value = plan.cost - t
+        rows.append(f"{t:.12g},{value:.12g}")
+        if previous is not None and previous - value < 1e-6:
+            break
+        previous = value
+    assert len(rows) == 22
+    assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"

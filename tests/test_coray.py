@@ -145,6 +145,27 @@ def test_construction_reuses_certified_plans(lp_shapes, monkeypatch):
     assert len(lp_shapes) == 2
 
 
+def test_a_point_start_to_a_point_ray_makes_two_solves(monkeypatch):
+    # verify's parallel co-ray: a single atom's one feasible plan keeps its
+    # star as basis, so after the start offset and the first target the
+    # stacked pass takes the other 15 targets with no solve. Solving each
+    # target took 17 solve_ot calls
+    solves = []
+    solve_ot = ot.solve_ot
+
+    def spy(*args, **kwargs):
+        solves.append(args[1])
+        return solve_ot(*args, **kwargs)
+
+    monkeypatch.setattr(ot, "solve_ot", spy)
+    monkeypatch.setattr(coray, "solve_ot", spy)
+    ray, nu0 = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0)), w.dirac((0.0, 1.0))
+    result = w.construct_coray(ray, nu0)
+    assert result.converged and len(result.lengths) == 16
+    assert len(solves) == 2
+    assert constructed(ray, nu0, DEFAULT_SCHEDULE) == chained(ray, nu0, DEFAULT_SCHEDULE)
+
+
 MOVING_TIMES = tuple(tau for tau in DEFAULT_TEST_TIMES if tau > 0.0)
 
 

@@ -106,3 +106,28 @@ def test_read_rejects_an_empty_ray_family(tmp_path):
 def test_ray_format_keeps_exponent():
     ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=1.5)
     assert parse_ray(format_ray(ray)).p == 1.5
+
+
+def test_files_hold_the_repr_of_every_double(rng):
+    # every number is written as repr(float(x)), the shortest decimal that
+    # reads back to the same double: signed zeros, subnormals and huge
+    # values among random ones
+    specials = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 0.1]
+    for _ in range(20):
+        n, d = (int(x) for x in rng.integers(1, 6, size=2))
+        values = rng.normal(size=(2, n, d)) * 10.0 ** rng.integers(-300, 300, size=(2, n, d))
+        values.flat[rng.integers(0, values.size)] = specials[int(rng.integers(0, len(specials)))]
+        origins, velocities = values
+        weights = rng.random(n) + 0.1
+        measure = w.DiscreteMeasure(origins, weights / weights.sum())
+        rows = [[*atom, weight] for atom, weight in zip(measure.atoms, measure.weights)]
+        expected = [f"measure\ndim {d}\natoms {n}\n"]
+        expected += [" ".join(repr(float(x)) for x in row) + "\n" for row in rows]
+        assert format_measure(measure) == "".join(expected)
+        ray = w.RayMeasure(origins, velocities, measure.weights, 2.5)
+        rows = zip(ray.origins, ray.velocities, ray.weights)
+        expected = [f"rays\ndim {d}\np 2.5\nentries {n}\n"]
+        expected += [
+            " ".join(repr(float(x)) for x in [*o, *v, weight]) + "\n" for o, v, weight in rows
+        ]
+        assert format_ray(ray) == "".join(expected)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -1430,7 +1431,47 @@ def test_solve_ot_is_transport_plan_on_the_cost_matrix(pair, p):
     assert same_bits(plan.left, left)
     assert same_bits(plan.right, right)
     assert same_bits(plan.masses, masses)
+    # the basis too: a simplex plan's tree, or a single atom's star
     assert (plan._basis is None) == (basis is None)
+    if basis is not None:
+        assert all(same_bits(x, y) for x, y in zip(plan._basis, basis))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (5, 1)])
+def test_a_single_atom_plan_keeps_its_star_as_basis(m, n):
+    # its m + n - 1 entries span the bipartite graph, so they are the basis,
+    # and every cell is a tree cell: certified on any costs, alone or stacked
+    rng = np.random.default_rng(m + 10 * n)
+    weights = rng.random(max(m, n)) + 0.1
+    many = w.DiscreteMeasure(rng.normal(size=(max(m, n), 2)), weights / weights.sum())
+    mu, nu = (w.dirac((0.5, -1.0)), many) if m == 1 else (many, w.dirac((0.5, -1.0)))
+    plan = w.solve_ot(mu, nu, 2.0)
+    rows, cols = plan._basis
+    assert len(rows) == m + n - 1
+    assert rows is plan.left and cols is plan.right
+    stack = rng.normal(size=(3, m, n)) * 10.0 ** rng.integers(-3, 4, size=(3, 1, 1))
+    assert ot._certified_prefix(stack[:1], plan._basis) == 1
+    assert ot._certified_prefix(stack, plan._basis) == 3
+
+
+@settings(max_examples=100)
+@given(
+    instance=transport_instances(),
+    noise=st.sampled_from((0.0, 1e-3, 0.1)),
+    seed=st.integers(0, 2**16),
+    count=st.integers(2, 6),
+)
+def test_a_stack_is_certified_as_matrix_by_matrix(instance, noise, seed, count):
+    # a stack of T > 1 is priced in one vectorised pass; it must count the
+    # leading matrices that the one-matrix form certifies one at a time.
+    # The perturbation grows along the stack, so runs end at every length
+    a, b, cost_matrix = instance
+    basis = _solve_lp(a, b, cost_matrix)[3]
+    rng = np.random.default_rng(seed)
+    growth = noise * np.arange(count)[:, None, None]
+    stack = cost_matrix + rng.uniform(-1.0, 1.0, (count, *cost_matrix.shape)) * growth
+    one_by_one = [ot._certified_prefix(costs[None], basis) == 1 for costs in stack]
+    assert ot._certified_prefix(stack, basis) == ot._leading(np.array(one_by_one))
 
 
 def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
@@ -1512,6 +1553,23 @@ def test_overflowing_costs_raise_a_typed_error(solve):
         warnings.simplefilter("error")
         with pytest.raises(CostOverflowError, match="p = 16"):
             solve()
+
+
+def test_a_squared_distance_overflow_is_named_as_one():
+    # finite atoms 1e160 apart: d**1.5 would be finite, but the squared
+    # distance overflows, so the distance is inf. The message named "atoms
+    # inf apart" and a limit of about 3.19e+205 before
+    mu, nu = w.uniform_measure([[0.0], [1.0]]), w.uniform_measure([[1e160], [2e160]])
+    message = (
+        "at p = 1.5: the squared distance of two atoms passes the largest double "
+        "once they lie about 1.34e+154 apart"
+    )
+    with pytest.raises(CostOverflowError, match=re.escape(message)):
+        w.solve_ot(mu, nu, 1.5)
+    # a finite distance past the limit of d**p is named as before
+    far = w.uniform_measure([[1e150], [2e150]])
+    with pytest.raises(CostOverflowError, match=r"p = 2.5 \(atoms 2e\+150 apart\)"):
+        w.solve_ot(mu, far, 2.5)
 
 
 def test_costs_just_below_overflow_still_solve():
