@@ -107,12 +107,12 @@ def busemann_value(
     when that is larger) or falls below its lower bound: both are provably
     impossible, so either indicates a solver defect.
 
-    The lower bound is one ``solve_ot`` call. The schedule's distances
-    are those of the chain of ``solve_ot`` calls each warm-started from the
-    step before's plan (the first from the lower bound's), bit for bit, but
-    a step whose solve would hand the previous plan back makes no call
-    (``_warm_chain_lengths``). The checks run on each value in order, as
-    they would after each solve.
+    The lower bound is one ``solve_ot`` call. Its plan's kept basis is
+    certified on the schedule's times at once, and each step it holds on
+    takes the distance of that plan's entries with no solve; the first time
+    it fails on is solved cold, and its plan is carried on in turn
+    (``_chain_lengths``). The checks run on each value in order, as they
+    would after each solve.
     """
     require_unit_speed(ray, "the Busemann function")
     t0 = float(t0)
@@ -131,7 +131,7 @@ def busemann_value(
     previous = None
     decrement = float("inf")
     converged = False
-    for t, distance in _warm_chain_lengths(ray, nu, plan, times):
+    for t, distance in _chain_lengths(ray, nu, plan, times):
         value = distance - t
         schedule.append((t, value))
         if previous is not None:
@@ -161,20 +161,16 @@ def busemann_value(
     )
 
 
-def _warm_chain_lengths(ray: RayMeasure, nu: DiscreteMeasure, plan, times):
-    """(t, W_p(nu, mu_t)) for each of ``times`` in turn, as the warm ``solve_ot`` chain from ``plan`` gives them.
+def _chain_lengths(ray: RayMeasure, nu: DiscreteMeasure, plan, times):
+    """(t, W_p(nu, mu_t)) for each of ``times`` in turn, keeping ``plan`` while its basis holds.
 
-    The chain solves ``solve_ot(nu, ray_section(ray, t), ray.p, warm=plan)``
-    at each time, on the plan of the step before (the first on ``plan``).
-    Here ``_kept_plan_lengths`` first certifies the plan on the next times
-    at once and yields the run it keeps, with the bits of those solves and
-    no call; the first time after the run is solved as before, so it meets
-    every branch and error as it did. A run ends where the plan stops
-    holding, and a schedule may converge after a few steps, so the times
-    are stacked in chunks of 4, 8, 16, ...: no far time is priced before a
-    chunk has held. The plan kept through a run stays the warm plan of the
-    next solve, which reads only its weights, entries and basis, the same
-    at every step of the run.
+    ``_kept_plan_lengths`` certifies the plan's kept basis on the next
+    times at once and yields the run it keeps, the lengths of the plan's
+    entries there, with no solve; the first time after the run is solved
+    cold, so it meets every branch and error of ``solve_ot``, and its plan
+    is carried on. A run ends where the plan stops holding, and a schedule
+    may converge after a few steps, so the times are stacked in chunks of
+    4, 8, 16, ...: no far time is priced before a chunk has held.
     """
     k, chunk = 0, 4
     while k < len(times):
@@ -184,7 +180,7 @@ def _warm_chain_lengths(ray: RayMeasure, nu: DiscreteMeasure, plan, times):
         if len(lengths) == chunk:
             chunk *= 2
         elif k < len(times):
-            plan = solve_ot(nu, ray_section(ray, times[k]), ray.p, warm=plan)
+            plan = solve_ot(nu, ray_section(ray, times[k]), ray.p)
             yield times[k], plan.cost
             k += 1
 

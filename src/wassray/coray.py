@@ -108,22 +108,17 @@ def construct_coray(
     test time, every diagnostic is 0.0).
 
     Consecutive target sections share the ray's weights, and their
-    optimal plan settles as the target time grows. So each step's coupling
-    starts from the previous step's plan (the first from none):
-    ``solve_ot`` returns a warm plan only when its weights match exactly
-    and the simplex basis it kept passes the simplex's own optimality test
-    on the new costs, and solves the transportation LP otherwise; when
-    nu0 or the ray has a single atom, every step has the one feasible plan.
-    After each solve, one stacked pass (``_certified_run``) finds all the
-    remaining targets at once where a solve would hand the plan back: the
-    leading run of targets the simplex basis is certified on, or, for a
-    single atom's plan, whose star keeps it whatever the costs. Those steps
-    make no ``solve_ot`` call; they keep the plan, with the lengths,
-    diagnostics and final plan the per-step solves would give, bit for
-    bit. The first target outside the run is solved as before, so every
-    branch and error of ``solve_ot`` stays as it was. From a single atom
-    to a single-atom ray, the start offset and the first target are the
-    only solves.
+    optimal plan settles as the target time grows. So after each cold
+    ``solve_ot``, one stacked pass (``_certified_run``) certifies the basis
+    the plan kept on all the remaining targets at once: the leading run of
+    targets on which the simplex's own optimality test holds on that
+    basis, or, for a single atom's plan, whose star keeps it whatever the
+    costs. Those steps make no ``solve_ot`` call; they keep the plan, with
+    the lengths and diagnostics of the kept entries on each target, bit
+    for bit. The first target outside the run is solved cold, so it meets
+    every branch and error of ``solve_ot``. From a single atom to a
+    single-atom ray, the start offset and the first target are the only
+    solves.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -151,14 +146,12 @@ def construct_coray(
     k = 0
     while k < len(schedule):
         previous = coupling
-        # consecutive targets are translates with the same weights, so the
-        # previous step's plan is the warm start of this one
-        coupling = solve_ot(nu0, ray_section(mu, schedule[k]), mu.p, warm=previous)
+        coupling = solve_ot(nu0, ray_section(mu, schedule[k]), mu.p)
         lengths.append(coupling.cost)
         if previous is not None:
             diagnostics.append(_glued_movement(previous, coupling, moving_times))
         k += 1
-        # the steps after it whose solve would hand this plan back, found at once
+        # the steps after it on which this plan's basis stays certified, found at once
         run_lengths, run_diagnostics, coupling = _certified_run(
             mu, coupling, schedule[k:], moving_times
         )
@@ -248,20 +241,19 @@ def _certified_run(mu: RayMeasure, plan: Coupling, times: tuple, moving_times: n
     """The steps at ``times`` that keep ``plan``: their lengths, diagnostics and last plan.
 
     ``plan`` is a step's coupling from nu0 and ``times`` the target times
-    left after it. The run is the leading targets on which
-    ``solve_ot(nu0, ray_section(mu, t), p, warm=plan)`` would hand
-    ``plan``'s entries back, with the lengths that solve would give, as
+    left after it. The run is the leading targets on which ``plan``'s
+    basis stays certified, with the lengths of its entries there, as
     ``paths._kept_plan_lengths`` finds them for all targets at once; a run
     also ends before a target whose diagnostic's distances reach
     ``_distance_limit``. The caller solves the first target after the run
-    as before, so it meets every branch and error as it did. Each step's
+    cold, so it meets every branch and error of ``solve_ot``. Each step's
     diagnostic is the plan glued to itself (each entry paired with itself
     at its own mass) between consecutive targets, with the arithmetic of
     ``_glued_movement``: each row summed along a C-contiguous axis as its
     1-D sum, and every 1/p root taken on a Python float. Only the last
-    step's coupling is built, through ``_checked_coupling``'s warm reuse,
-    for the next step and the result. Returns ``([], [], plan)`` for an
-    empty run.
+    step's coupling is built, through every ``_checked_coupling`` check,
+    and keeps ``plan``'s basis for the next pass and the result. Returns
+    ``([], [], plan)`` for an empty run.
     """
     lengths, positions = _kept_plan_lengths(mu, plan, times)
     count = len(lengths)
@@ -281,7 +273,7 @@ def _certified_run(mu: RayMeasure, plan: Coupling, times: tuple, moving_times: n
         diagnostics = [0.0] * count
     last = count - 1
     kept = _checked_coupling(
-        nu0, ray_section(mu, times[last]), left, right, masses, p, cost=lengths[last], warm=plan
+        nu0, ray_section(mu, times[last]), left, right, masses, p, cost=lengths[last]
     )
     object.__setattr__(kept, "_basis", plan._basis)
     return lengths[:count], diagnostics, kept

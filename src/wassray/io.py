@@ -61,9 +61,12 @@ def _keyed_int(line: list[str], key: str) -> int:
     if len(line) != 2 or line[0] != key:
         raise MeasureFileError(f"expected '{key} <integer>', got {' '.join(line)!r}")
     try:
-        return int(line[1])
+        value = int(line[1])
     except ValueError:
         raise MeasureFileError(f"expected an integer after '{key}', got {line[1]!r}") from None
+    if value < 0:
+        raise MeasureFileError(f"'{key}' must be a nonnegative integer, got {value}")
+    return value
 
 
 def format_measure(measure: DiscreteMeasure) -> str:

@@ -26,37 +26,28 @@ method from the input alone, trying in order:
   permutation. With positive weights the identity is optimal for (a, a)
   exactly when it is an optimal assignment, whatever the weights, so this
   is exact at every p;
-- a certified warm plan: schedules (Busemann doubling; in the co-ray
-  construction, each step's coupling to its target section) solve a run
-  of nearly identical instances whose optimal plan settles, so
-  ``transport_plan`` takes an optional previous plan ``warm``. A plan the
-  simplex returned keeps, privately, the basis tree it stopped on, and a
-  warm plan reused as it stands hands that basis on. When ``warm`` has a
-  basis and its weights equal the new instance's exactly, the tree is
-  still primal feasible, and ``_certified_prefix`` runs the simplex's own
-  stopping test on the new cost matrix, as a stack of one: one walk of
-  the tree gives the potentials of every matrix of a stack, and a longer
-  stack is tested in one vectorised pass. When it holds, the warm
-  plan is returned, its entries already checked and frozen, so only its
-  cost is derived anew (a warm identity the branch above accepts comes
-  back the same way); otherwise the simplex solves the instance. The
-  schedules (``paths._kept_plan_lengths``) pass the costs of their
-  remaining sections as one stack, and take the leading run the basis is
-  certified on without a solve per section; a single-atom plan's star
-  needs no test there, since its plan ignores the costs. Assignment,
-  identity and user-built plans have no basis, so they are never reused
-  this way. ``lift_geodesic`` checks a plan with this same solve, the
-  plan as ``warm``;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
-  simplex solves it and stops on a dual certificate on its basis tree,
-  the test the warm branch repeats. Orden's perturbation of the marginals
-  makes every basis nondegenerate, so it cannot cycle; its pivot cap is
-  only a safety net against rounding, and reaching it raises
-  ``TransportSolveError``. It keeps the basis tree and its potentials
-  between pivots, re-hanging only the subtree a pivot cuts off, and
-  prices the cells once per pivot. It returns a basic (vertex) plan.
+  simplex solves it and stops on a dual certificate on its basis tree.
+  Orden's perturbation of the marginals makes every basis nondegenerate,
+  so it cannot cycle; its pivot cap is only a safety net against
+  rounding, and reaching it raises ``TransportSolveError``. It keeps the
+  basis tree and its potentials between pivots, re-hanging only the
+  subtree a pivot cuts off, and prices the cells once per pivot. It
+  returns a basic (vertex) plan.
+
+Every call solves its instance from scratch. A plan the simplex returned
+keeps, privately, the basis tree it stopped on, and a single-atom plan its
+star; assignment, identity and user-built plans have none. One place reuses
+such a basis: the schedules (Busemann doubling, the co-ray construction)
+couple one measure to section after section of a ray, whose optimal plan
+settles, and ``paths._kept_plan_lengths`` passes the costs of all their
+remaining sections to ``_certified_prefix`` as one stack. That runs the
+simplex's own stopping test on every matrix of the stack in one vectorised
+pass, on the potentials of one walk of the tree, and the schedule keeps the
+plan on the leading run of sections it certifies, with no solve for them; a
+star needs no test there, since its plan ignores the costs.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -222,7 +213,8 @@ class Coupling:
     cost: float | None = None
     # not a field: the rows and columns of the m + n - 1 basis cells (zero
     # masses included) the simplex stopped on, or a single atom's star, which
-    # ``solve_ot`` sets on the plans it solved or reused; every other
+    # ``solve_ot`` sets on the plans it solves and a schedule's stacked pass
+    # (``paths._kept_plan_lengths``) re-prices on later sections; every other
     # coupling has none
     _basis = None
 
@@ -256,7 +248,6 @@ def _checked_coupling(
     cost=None,
     coupling=None,
     cost_matrix: np.ndarray | None = None,
-    warm: Coupling | None = None,
 ) -> Coupling:
     """Run every ``Coupling`` check on entry arrays and freeze them into a coupling.
 
@@ -278,23 +269,8 @@ def _checked_coupling(
     derived or supplied cost that is not finite, raises
     ``CostOverflowError``. Errors come in a fixed order: entry lengths,
     indices, masses, marginals, cost.
-
-    ``solve_ot`` also passes its ``warm`` coupling. When the entries are
-    that coupling's own read-only arrays and both measures' weights have
-    the bits of its marginals' weights, the entries passed these very
-    checks, against the same values, when ``warm`` was built; only the cost
-    is derived anew.
     """
-    reused = (
-        warm is not None
-        and left is warm.left
-        and right is warm.right
-        and masses is warm.masses
-        and mu.weights.tobytes() == warm.mu.weights.tobytes()
-        and nu.weights.tobytes() == warm.nu.weights.tobytes()
-    )
-    if not reused:
-        _check_entries(mu, nu, left, right, masses)
+    _check_entries(mu, nu, left, right, masses)
     if cost_matrix is None:
         derived = _segment_cost(mu.atoms[left], nu.atoms[right], masses, p)
     else:
@@ -362,17 +338,14 @@ def _segment_cost(starts, ends, weights, p) -> float:
     return p_mean(weights, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
 
 
-def solve_ot(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, p, warm: Coupling | None = None
-) -> Coupling:
+def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     """Cost-minimal coupling of (mu, nu) for cost d(x, y)**p.
 
     ``transport_plan`` picks the exact method (single atom, assignment,
-    identity between equal marginals, certified ``warm`` plan,
-    transportation simplex) on the cost matrix
-    ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries it
-    returns are checked and frozen into the coupling, which keeps the
-    simplex basis of a solved or reused LP plan for a later ``warm`` call.
+    identity between equal marginals, transportation simplex) on the cost
+    matrix ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries
+    it returns are checked and frozen into the coupling, which keeps the
+    basis of an LP or single-atom plan for the schedules' stacked pass.
     Deterministic: identical inputs produce bit-identical couplings. Costs
     that would overflow (some d**p past the largest double) raise
     ``CostOverflowError`` before any power is taken.
@@ -384,10 +357,8 @@ def solve_ot(
     single = _single_atom_plan(mu.weights, nu.weights)
     if single is None:
         cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
-        left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix, warm)
-        plan = _checked_coupling(
-            mu, nu, left, right, masses, p, cost_matrix=cost_matrix, warm=warm
-        )
+        left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix)
+        plan = _checked_coupling(mu, nu, left, right, masses, p, cost_matrix=cost_matrix)
     else:
         left, right, masses, basis = single
         plan = _checked_coupling(mu, nu, left, right, masses, p)
@@ -396,9 +367,7 @@ def solve_ot(
     return plan
 
 
-def transport_plan(
-    a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray, warm: Coupling | None = None
-) -> tuple:
+def transport_plan(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> tuple:
     """Entries (left, right, masses) of a minimum-cost plan between weights a and b, and its basis.
 
     ``a`` and ``b`` are the float64 weight vectors of two probability
@@ -408,9 +377,9 @@ def transport_plan(
     a statement about reduced costs, which a constant shift of the costs
     leaves alone). Entries are the plan's positive masses, lexicographic in
     (left, right). The fourth value is the basis ``(rows, columns)``: the
-    simplex's of an LP plan, solved or reused, the star of a single-atom
-    plan (its entries' own ``left`` and ``right``), and None on the other
-    paths. The method is picked from the input alone, in order:
+    simplex's of an LP plan, the star of a single-atom plan (its entries'
+    own ``left`` and ``right``), and None on the other paths. The method
+    is picked from the input alone, in order:
 
     - a single-atom marginal: its one feasible plan, with its star;
     - equal sizes and every weight of both equal to ``a[0]`` exactly: the
@@ -423,20 +392,13 @@ def transport_plan(
       potentials are tight on the whole diagonal, which is also the test
       of an optimal assignment (Birkhoff-von Neumann): a proof at any p,
       unlike the simplex's certificate, whose tolerance grows with the
-      largest cost. When ``warm`` is that identity on the same weights, its
-      own frozen arrays are returned;
-    - ``warm``, a previous plan whose marginals have exactly the weights
-      (a, b) and which kept its simplex basis, when that basis passes the
-      simplex's stopping test on these costs: ``_certified_prefix`` on the
-      matrix as a stack of one, the tree's potentials
-      (``_tree_potentials``) and one ``_dual_certificate`` pass;
+      largest cost;
     - the certified transportation simplex ``_solve_lp``.
 
-    Weights (``a`` against ``b`` and against ``warm``'s marginals) and
-    permutations (the assignment's against the identity, ``warm``'s entries)
-    are compared bit for bit. For positive finite weights and intp indices
-    that is value equality: only -0.0 and NaN could tell the two apart, and
-    neither is a weight.
+    Weights (``a`` against ``b``) and permutations (the assignment's
+    against the identity) are compared bit for bit. For positive finite
+    weights and intp indices that is value equality: only -0.0 and NaN
+    could tell the two apart, and neither is a weight.
 
     The assignment and identity plans can differ from the LP's only where
     the optimal plan is not unique; at such ties the summed cost still
@@ -464,28 +426,15 @@ def transport_plan(
         left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
         return left, right, a[left], None
     # bytes compare as values here: the weights are finite and positive, so
-    # no -0.0 or NaN, and the index arrays below are all intp
-    a_bytes = a.tobytes()
-    b_bytes = b.tobytes()
-    warm_fits = (
-        warm is not None
-        and warm.mu.weights.tobytes() == a_bytes
-        and warm.nu.weights.tobytes() == b_bytes
-    )
-    if m == n and a_bytes == b_bytes:
+    # no -0.0 or NaN, and the index arrays below are both intp
+    if m == n and a.tobytes() == b.tobytes():
         identity = np.arange(n, dtype=np.intp)
-        identity_bytes = identity.tobytes()
         # a measure moved onto itself costs 0, which nothing beats on
         # nonnegative costs; else the identity must be an optimal assignment
         if (lowest >= 0.0 and not np.diagonal(cost_matrix).any()) or (
-            linear_sum_assignment(cost_matrix)[1].tobytes() == identity_bytes
+            linear_sum_assignment(cost_matrix)[1].tobytes() == identity.tobytes()
         ):
-            # a warm identity hands back its frozen arrays, which skip the re-check
-            if warm_fits and warm.left.tobytes() == identity_bytes == warm.right.tobytes():
-                return warm.left, warm.right, warm.masses, None
             return identity, identity, a.copy(), None
-    if warm_fits and warm._basis is not None and _certified_prefix(cost_matrix[None], warm._basis):
-        return warm.left, warm.right, warm.masses, warm._basis
     return _solve_lp(a, b, cost_matrix)
 
 
@@ -513,21 +462,17 @@ def _tree_potentials(cost_stack: np.ndarray, rows, cols):
     v (T, n). One walk of the tree from row 0 with ``_hang``'s arithmetic (a
     column's potential is its row's plus the cell cost, a row's is its
     column's minus it), so on a basis the simplex stopped on they have the
-    bits of its own potentials. A stack of one walks on Python floats; a
-    longer one carries each cell's T costs through the walk as one array,
-    whose sums round as the floats' do.
+    bits of its own potentials. Each cell's T costs go through the walk as
+    one array, whose sums round as Python floats' do.
     """
     T, m, n = cost_stack.shape
-    if T == 1:
-        costs, root = cost_stack[0][rows, cols].tolist(), 0.0
-    else:
-        costs, root = cost_stack[:, rows, cols].T, np.zeros(T)
+    costs = cost_stack[:, rows, cols].T
     neighbours = [[] for _ in range(m + n)]
     for i, j, c in zip(rows.tolist(), cols.tolist(), costs):
         neighbours[i].append((m + j, c))
         neighbours[m + j].append((i, c))
     potential = [None] * (m + n)
-    potential[0] = root
+    potential[0] = np.zeros(T)
     order = [0]
     for x in order:  # grows while it is walked
         here = potential[x]
@@ -546,20 +491,13 @@ def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     matrix when ``_dual_certificate`` holds there, on the tree's potentials
     and with the matrix's own ``_certificate_tolerance``: the simplex's own
     stop. One walk of the tree (``_tree_potentials``) gives the potentials
-    of the whole stack. A stack of one, the warm branch's, runs the
-    one-matrix form the simplex prices each pivot with: given a stack axis,
-    that pricing took 26 us instead of 11.4 us at 6 x 8 (2 vCPU, numpy
-    2.4). A longer stack is priced in one vectorised pass: each matrix's
-    tolerance, least reduced cost and largest basis reduced cost, with the
-    one-matrix form's roundings element by element, so each matrix passes
-    or fails as it would alone.
+    of the whole stack, and the stack is priced in one vectorised pass:
+    each matrix's tolerance, least reduced cost and largest basis reduced
+    cost, with the one-matrix form's roundings element by element, so each
+    matrix passes or fails as it would alone.
     """
     rows, cols = basis
     u, v = _tree_potentials(cost_stack, rows, cols)
-    if len(cost_stack) == 1:
-        cost_matrix = cost_stack[0]
-        tol = _certificate_tolerance(cost_matrix)
-        return int(_dual_certificate(cost_matrix, u[0], v[0], rows, cols, tol)[2])
     # _certificate_tolerance, _dual_certificate's reduced costs and its test
     # for every matrix at once, with the same roundings element by element
     m, n = cost_stack.shape[1:]
@@ -589,8 +527,8 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, 
     """The cell of least reduced cost C + u - v, that cost, and whether they certify the basis.
 
     The one definition of "certified optimal": the simplex's stop, and the
-    test ``_certified_prefix`` repeats on a kept basis (a warm plan's, or a
-    schedule's on each of its sections, in a vectorised form). It holds when
+    test ``_certified_prefix`` repeats, in a vectorised form, on a
+    schedule's kept basis at each of its sections. It holds when
     every reduced cost is >= -tol and the reduced cost of every basis cell
     (left, right) is <= tol, with ``tol`` from ``_certificate_tolerance``
     on the same matrix (computed once per solve, not once per pivot). That
@@ -635,8 +573,8 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
     marginals by ``_peel_masses`` on the kept neighbour lists; entries come
     row-major, those that are not positive dropped. The basis is the final
     tree's two index arrays (rows, columns), read-only, all m + n - 1 cells
-    with the zero-mass ones: the certificate ``transport_plan`` re-prices
-    when the plan comes back as ``warm``.
+    with the zero-mass ones: the certificate a schedule's stacked pass
+    re-prices on later sections.
 
     It cannot cycle (Orden's perturbation; Orden, "The transhipment
     problem", Management Science 2, 1956). Every basis mass is a pair

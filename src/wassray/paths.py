@@ -13,7 +13,8 @@ p-mean of the per-ray speeds; whether that curve is a genuine ray (every
 induced pair coupling optimal) is exactly what ``validate_ray`` samples.
 The Busemann and co-ray schedules, which couple one measure to section
 after section of a ray, share ``_kept_plan_lengths``: the run of later
-sections on which a warm solve would keep a plan, found at once.
+sections on which a plan's kept basis stays certified, found at once. It is
+the one place a basis is reused; every other solve is cold.
 """
 
 from __future__ import annotations
@@ -190,9 +191,7 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
 
     Lifting a non-optimal coupling does not produce a geodesic, and every
     downstream check would silently test nothing, so ``pi`` must prove
-    itself against ``solve_ot(pi.mu, pi.nu, pi.p, warm=pi)``: a plan the
-    simplex certified comes back from that solve on its own basis, with
-    one pricing pass and no LP, and any other is solved anew. ``pi`` is
+    itself against a cold ``solve_ot(pi.mu, pi.nu, pi.p)``: ``pi`` is
     rejected when its cost exceeds that reference by more than 1e-8
     relative. The test is one-sided: a plan cheaper than the reference
     is no worse than it, so it is lifted, as where the simplex's
@@ -200,7 +199,7 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
     lifts to constant paths. An off-support d**p that overflows raises
     ``CostOverflowError`` in that solve.
     """
-    reference = solve_ot(pi.mu, pi.nu, pi.p, warm=pi)
+    reference = solve_ot(pi.mu, pi.nu, pi.p)
     if pi.cost - reference.cost > OPTIMALITY_RTOL * max(1.0, reference.cost):
         raise NonOptimalCouplingError(
             f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
@@ -288,17 +287,19 @@ def ray_section(ray: RayMeasure, t) -> DiscreteMeasure:
 
 
 def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
-    """Lengths of the leading steps at ``times`` whose warm solve keeps ``plan``, and their targets.
+    """Lengths of the leading steps at ``times`` that keep ``plan``'s certified basis, and targets.
 
     ``plan`` is a coupling from a measure nu0 to a section of ``ray``, and
     ``times`` are later positive times of the ray. The run is the leading
-    times t at which ``solve_ot(nu0, ray_section(ray, t), ray.p, warm=plan)``
-    would hand back ``plan``'s entries, found for all of them at once:
+    times t at which ``plan``'s entries, from nu0 to
+    ``ray_section(ray, t)``, are a certified optimal plan on ``plan``'s
+    basis, found for all of them at once:
 
     - the plan has a basis, a simplex plan's or a single-atom plan's star,
       and its section's weights are the ray's; unless a side has a single
-      atom, they also differ from nu0's, since equal ones take the
-      assignment or identity branch first;
+      atom, they also differ from nu0's: a start with the ray's weights is
+      left to ``solve_ot``, whose assignment and identity branches decide
+      such instances before the LP;
     - the target's positions are finite, and no two of them share every
       ``_merge_keys`` key, so the section is the positions with the ray's
       weights, byte for byte;
@@ -309,16 +310,16 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
       costs.
 
     The first target that fails one of these ends the run; the caller
-    solves it as before, so it meets every branch and error as it did.
-    Each length has the bits of that solve's cost, the p-mean of the
-    entries' d**p: for a simplex basis gathered from one
-    ``pairwise_distances`` matrix of all the targets, as ``solve_ot`` reads
-    them from its cost matrix; for a star from ``_segment_cost``'s lengths,
-    the single-atom path's formula (``cdist`` may differ from it in the
-    last bit from d = 8). Each row sums along a C-contiguous axis as the
-    1-D sum does, and every 1/p root is taken on a Python float. Returns
-    the run's lengths and its targets' positions, (count, len(ray), d),
-    or ``([], None)`` for an empty run.
+    solves it cold, so it meets every branch and error of ``solve_ot``.
+    Each length has the bits ``solve_ot`` gives the cost of these entries
+    on that target, the p-mean of the entries' d**p: for a simplex basis
+    gathered from one ``pairwise_distances`` matrix of all the targets, as
+    ``solve_ot`` reads them from its cost matrix; for a star from
+    ``_segment_cost``'s lengths, the single-atom path's formula (``cdist``
+    may differ from it in the last bit from d = 8). Each row sums along a
+    C-contiguous axis as the 1-D sum does, and every 1/p root is taken on a
+    Python float. Returns the run's lengths and its targets' positions,
+    (count, len(ray), d), or ``([], None)`` for an empty run.
     """
     if not times or plan._basis is None:
         return [], None

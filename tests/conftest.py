@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import wassray as w
 from wassray import ot
+from wassray.paths import _kept_plan_lengths
 # the tests draw measures with verify's generator, the one copy of it
 from wassray.verify import _random_measure as random_measure  # noqa: F401
 
@@ -33,6 +34,34 @@ def weighted_translation_setup():
     mu0 = w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu = w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(5, 2)), [0.3, 0.1, 0.25, 0.15, 0.2])
     return mu0, nu, np.array([0.6, 0.8])
+
+
+def schedule_step(ray, nu0, plan, t):
+    """The plan of one schedule step: from ``nu0`` to the section of ``ray`` at ``t``.
+
+    ``plan`` is the step before's, or None at the first step. It is kept
+    when ``_kept_plan_lengths(ray, plan, [t])`` holds: its entries on the
+    section at t, with ``plan``'s basis. Otherwise the step is a cold
+    ``solve_ot``. The kept coupling's cost is worked out as ``solve_ot``
+    works out a plan's cost: from the cost matrix for a simplex basis, by
+    ``_segment_cost`` for a single atom's star; the length the pass gave
+    must have its bits. The schedules take their runs of kept plans from
+    one stacked pass; one step at a time must give the same plans, bit for
+    bit.
+    """
+    target = w.ray_section(ray, t)
+    if plan is not None:
+        lengths, _ = _kept_plan_lengths(ray, plan, [t])
+        if lengths:
+            star = len(nu0) == 1 or len(target) == 1
+            cost_matrix = None if star else ot._cost_matrix(nu0.atoms, target.atoms, ray.p)
+            kept = ot._checked_coupling(
+                nu0, target, plan.left, plan.right, plan.masses, ray.p, cost_matrix=cost_matrix
+            )
+            assert same_bits(np.float64(kept.cost), np.float64(lengths[0]))
+            object.__setattr__(kept, "_basis", plan._basis)
+            return kept
+    return w.solve_ot(nu0, target, ray.p)
 
 
 def unit_speed(origins, velocities, weights, p):

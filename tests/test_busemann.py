@@ -15,6 +15,7 @@ from conftest import (
     GENUINE_RAY_KINDS,
     genuine_ray_case,
     random_measure,
+    schedule_step,
     unit_speed,
     weighted_translation_setup,
 )
@@ -329,8 +330,8 @@ def busemann_solves(monkeypatch):
 def test_two_ray_family_solves_every_section(line_ray, busemann_solves):
     """Only the lower bound is solved when a side has one atom, for one ray and for two.
 
-    The lower bound's plan is a single atom's star; the warm chain from it
-    would hand it back at every step, so the run keeps it with no solve.
+    The lower bound's plan is a single atom's star, which holds whatever
+    the costs, so the run keeps it at every step with no solve.
     """
     mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.4, 0.6])
     for ray, nu in (
@@ -365,11 +366,11 @@ def test_a_multi_atom_truncation_solves_where_its_plan_changes(busemann_solves):
 
 
 def chained_truncation(ray, nu, t0=busemann.DEFAULT_T0):
-    """``busemann_value``'s schedule and lower bound from one warm ``solve_ot`` call a step.
+    """``busemann_value``'s schedule and lower bound, one ``schedule_step`` a time.
 
-    The plan of each step is warm-started from the step before's (the
-    first from the lower bound's), and the checks follow each solve; an
-    error comes back as its type and message.
+    Each step's plan comes from the step before's (the first from the
+    lower bound's), and the checks follow each step; an error comes back
+    as its type and message.
     """
     try:
         plan = w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p)
@@ -377,7 +378,7 @@ def chained_truncation(ray, nu, t0=busemann.DEFAULT_T0):
         schedule = []
         for j in range(busemann.DEFAULT_MAX_DOUBLINGS + 1):
             t = t0 * 2.0**j
-            plan = w.solve_ot(nu, w.ray_section(ray, t), ray.p, warm=plan)
+            plan = schedule_step(ray, nu, plan, t)
             schedule.append((t, plan.cost - t))
             if j:
                 (s, previous), (_, value) = schedule[-2:]
@@ -450,7 +451,7 @@ def truncation_case(kind, d, p, seed):
 )
 def test_truncation_is_the_warm_chain_bit_for_bit(kind, d, p, seed):
     # runs of kept plans make no solve; every value must have the bits of
-    # solving step by step, and every error must be the chain's
+    # taking the times one at a time, and every error must be the chain's
     ray, nu = truncation_case(kind, d, p, seed)
     assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))
 

@@ -9,6 +9,8 @@ from wassray import cli
 from wassray.cli import main
 from wassray.verify import run_suite
 
+from conftest import schedule_step
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -412,8 +414,8 @@ def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
     # kept plans from one stacked certificate each, solves the steps where
     # it fails, and keeping a plan too long would show in the ray. The ray
     # it writes must be byte-identical to the one built from the last plan
-    # of the warm solve_ot chain, one solve a step; both files hold repr
-    # floats
+    # of the step chain, one target at a time (``schedule_step``); both
+    # files hold repr floats
     (tmp_path / "chain-mu0.measure").write_text(
         "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n"
     )
@@ -433,7 +435,7 @@ def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
     ray, nu0 = w.read_ray(rays), w.read_measure(tmp_path / "chain-start.measure")
     plan, plans = None, []
     for k in range(1, 21):
-        plan = w.solve_ot(nu0, w.ray_section(ray, 2.0**k), ray.p, warm=plan)
+        plan = schedule_step(ray, nu0, plan, 2.0**k)
         plans.append((plan.left.tobytes(), plan.right.tobytes(), plan.masses.tobytes()))
     changes = [k for k in range(2, 21) if plans[k - 1] != plans[k - 2]]
     assert len(set(plans)) == 3 and changes == [3, 9]
@@ -447,9 +449,9 @@ def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
 def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
     # a point ray from a point 1.2 off it: 21 doubling steps, which the
     # star of the single-atom plan keeps with no solve after the lower
-    # bound. The schedule written must be the one of the warm solve_ot
-    # chain, one solve a step, stopped where the decrement falls below
-    # the default 1e-6, in the CLI's 12 significant digits
+    # bound. The schedule written must be the one of the step chain, one
+    # time at a time (``schedule_step``), stopped where the decrement falls
+    # below the default 1e-6, in the CLI's 12 significant digits
     rays, nu, csv = (str(tmp_path / name) for name in ("point.rays", "nu.measure", "t.csv"))
     wassray_cli("ray-new", "dirac", "--origin", "0,0", "--velocity", "1,0", "--out", rays)
     w.write_measure(w.dirac((0.0, 1.2)), nu)
@@ -460,7 +462,7 @@ def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
     rows, previous = ["t,value"], None
     for j in range(25):
         t = 2.0**j
-        plan = w.solve_ot(measure, w.ray_section(ray, t), ray.p, warm=plan)
+        plan = schedule_step(ray, measure, plan, t)
         value = plan.cost - t
         rows.append(f"{t:.12g},{value:.12g}")
         if previous is not None and previous - value < 1e-6:
@@ -468,3 +470,53 @@ def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
         previous = value
     assert len(rows) == 22
     assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+
+
+def test_forest_plans_keep_their_simplex_basis_along_a_schedule(tmp_path):
+    # weights 0.1-0.4 against 0.5/0.3/0.2 have tied partial sums
+    # (0.1 + 0.4 = 0.5), so the optimal plans along a translation ray's
+    # schedule are forests, fewer than m + n - 1 positive entries. Each
+    # plan keeps the basis tree the simplex stopped on, zero-mass cells
+    # included, and the schedule's stacked pass certifies that tree on the
+    # later sections. At p = 2 the Busemann value of a translation ray is
+    # <mean(mu0) - mean(nu), v> = -0.0892
+    mu0, nu, rays = (str(tmp_path / name) for name in ("mu0.measure", "nu.measure", "t.rays"))
+    (tmp_path / "mu0.measure").write_text(
+        "measure\ndim 2\natoms 4\n0.001 0.299 0.1\n-0.274 -0.891 0.2\n-0.455 -0.992 0.3\n"
+        "0.06 1.34 0.4\n"
+    )
+    (tmp_path / "nu.measure").write_text(
+        "measure\ndim 2\natoms 3\n-0.492 -0.62 0.5\n0.49 0.357 0.3\n0.105 -0.93 0.2\n"
+    )
+    wassray_cli("ray-new", "translation", "--measure", mu0, "--velocity", "1,0", "--out", rays)
+    lines = wassray_cli("busemann", rays, nu, "--t0", "1").splitlines()
+    assert "converged true" in lines
+    # b = <mean(mu0) - mean(nu), (1, 0)>, from the two files' atoms and weights
+    closed = 0.1 * 0.001 + 0.2 * -0.274 + 0.3 * -0.455 + 0.4 * 0.06 - (
+        0.5 * -0.492 + 0.3 * 0.49 + 0.2 * 0.105
+    )
+    values = [float(line.split()[1]) for line in lines if line.split()[0] == "value"]
+    assert len(values) == 1 and abs(values[0] - closed) < 1e-4
+    schedule = ",".join(str(2**k) for k in range(1, 17))
+    out = wassray_cli("coray", rays, nu, "--schedule", schedule)
+    assert "converged true" in out.splitlines()
+
+
+def test_a_weighted_geodesic_section_lifts_its_plan_after_a_cold_solve(tmp_path):
+    # a weighted 1-D pair at p = 2: its optimal plan has 3 entries, a
+    # spanning tree of the 2 x 2 bipartite graph, and geodesic-section
+    # lifts it once a cold solve of the same instance confirms its cost.
+    # W_2 = sqrt(0.3 * 4 + 0.2 * 9 + 0.5 * 4) = sqrt(5), and at half of it
+    # every entry has moved half its way
+    mu, nu = str(tmp_path / "pair-mu.measure"), str(tmp_path / "pair-nu.measure")
+    (tmp_path / "pair-mu.measure").write_text("measure\ndim 1\natoms 2\n0.0 0.5\n1.0 0.5\n")
+    (tmp_path / "pair-nu.measure").write_text("measure\ndim 1\natoms 2\n2.0 0.3\n3.0 0.7\n")
+    lines = wassray_cli("couple", mu, nu).splitlines()
+    assert "cost 2.2360679775" in lines and "entries 3" in lines
+    lines = wassray_cli("geodesic-section", mu, nu, repr(5**0.5 / 2)).splitlines()
+    assert lines[2] == "atoms 3"
+    # the atoms and weights to 1e-12: the middle weight is 0.5 - 0.3 in doubles
+    rows = [[float(x) for x in line.split()] for line in lines[3:]]
+    assert len(rows) == 3
+    for (x, weight), (x_want, weight_want) in zip(rows, [(1.0, 0.3), (1.5, 0.2), (2.0, 0.5)]):
+        assert abs(x - x_want) <= 1e-12 and abs(weight - weight_want) <= 1e-12

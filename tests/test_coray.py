@@ -16,6 +16,7 @@ from conftest import (
     genuine_ray_case,
     psd_gradient_ray,
     random_measure,
+    schedule_step,
     unit_speed,
     weighted_translation_setup,
 )
@@ -123,7 +124,7 @@ def test_construction_reuses_certified_plans(lp_shapes, monkeypatch):
     # between steps is read off the two plans glued at nu0's atoms, with no
     # transport problem. The 2 LPs are the offset and the first target.
     # Solving every target coupling cold took 17 LP solves: 1 offset and
-    # 16 targets; certifying each warm plan in its own solve_ot call took
+    # 16 targets; certifying each step's plan in its own solve_ot call took
     # 17 solve_ot calls.
     solves = []
     solve_ot = ot.solve_ot
@@ -169,24 +170,24 @@ def test_a_point_start_to_a_point_ray_makes_two_solves(monkeypatch):
 MOVING_TIMES = tuple(tau for tau in DEFAULT_TEST_TIMES if tau > 0.0)
 
 
-def warm_chain(ray, nu0, schedule):
-    """Each step's plan, warm-started from the one before: one solve_ot call a step."""
+def step_chain(ray, nu0, schedule):
+    """Each step's plan from the one before, one ``schedule_step`` a target."""
     plan = None
     for t_n in schedule:
-        plan = w.solve_ot(nu0, w.ray_section(ray, t_n), ray.p, warm=plan)
+        plan = schedule_step(ray, nu0, plan, t_n)
         yield plan
 
 
 def construction_steps(ray, nu0, schedule):
     """Each step's plan and its lifted geodesic's sections at the positive test times.
 
-    The plans are ``construct_coray``'s: each warm-started from the one
-    before. The lift is built as it stands, since at high p the plan may
+    The plans are ``construct_coray``'s, taken one target at a time
+    (``step_chain``). The lift is built as it stands, since at high p the plan may
     be the simplex's and not optimal; its sections are still those the
     construction's diagnostics compare.
     """
     plans, sections = [], []
-    for plan in warm_chain(ray, nu0, schedule):
+    for plan in step_chain(ray, nu0, schedule):
         lift = w.GeodesicLift(
             plan.mu.atoms[plan.left], plan.nu.atoms[plan.right], plan.masses, plan.p, plan.cost
         )
@@ -221,7 +222,7 @@ def constructed(ray, nu0, schedule):
 
 
 def chained(ray, nu0, schedule):
-    """The construction's outputs from the warm chain, one solve_ot call a step, or its error.
+    """The construction's outputs from the step chain, one target at a time, or its error.
 
     The start offset first, then each step's plan and its glued movement
     from the step before, and the candidate ray from the last plan.
@@ -229,7 +230,7 @@ def chained(ray, nu0, schedule):
     try:
         start_offset = w.wasserstein_distance(nu0, w.ray_section(ray, 0.0), ray.p)
         lengths, diagnostics, previous = [], [], None
-        for plan in warm_chain(ray, nu0, schedule):
+        for plan in step_chain(ray, nu0, schedule):
             lengths.append(plan.cost)
             if previous is not None:
                 diagnostics.append(_glued_movement(previous, plan, np.array(MOVING_TIMES)))
@@ -298,7 +299,8 @@ def chain_case(kind, d, p, seed, steps):
 )
 def test_construction_is_the_warm_chain_bit_for_bit(kind, d, p, seed, steps):
     # the construction certifies a kept basis on all the targets after it
-    # at once; every output must have the bits of solving step by step
+    # at once; every output must have the bits of taking the targets one
+    # at a time
     ray, nu0, schedule = chain_case(kind, d, p, seed, steps)
     assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
 
@@ -309,7 +311,7 @@ def test_the_chain_cases_reach_their_branches(d, p):
     # each case of the bit-identity property meets what it is there for
     for seed in range(3):
         ray, nu0, schedule = chain_case("wide", d, p, seed, 6)
-        plans = list(warm_chain(ray, nu0, schedule))
+        plans = list(step_chain(ray, nu0, schedule))
         assert len(plans[-1].masses) >= 8
         assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
         ray, nu0, schedule = chain_case("meeting", d, p, seed, 6)
@@ -324,18 +326,38 @@ def test_the_chain_cases_reach_their_branches(d, p):
     # plan solved at the third step holds for eight more and changes at the
     # last one
     ray, nu0, schedule = far_start_translation(3.0)
-    plans = list(warm_chain(ray, nu0, schedule))
+    plans = list(step_chain(ray, nu0, schedule))
     kept = [same_entries(a, b) for a, b in zip(plans, plans[1:])]
     assert kept == [True, False] + [True] * 8 + [False]
     assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
 
 
+def test_a_run_s_end_is_solved_cold_without_repricing(monkeypatch):
+    # the stacked pass prices the basis of each solved plan once, on all
+    # the targets after it: 11 after the first step, whose basis holds at
+    # the second and fails at the third, and 9 after the third, whose basis
+    # holds for eight steps and fails at the last. The target that ends a
+    # run is solved cold, so no target is priced twice
+    stacks = []
+    tree_potentials = ot._tree_potentials
+
+    def spy(cost_stack, rows, cols):
+        stacks.append(len(cost_stack))
+        return tree_potentials(cost_stack, rows, cols)
+
+    monkeypatch.setattr(ot, "_tree_potentials", spy)
+    ray, nu0, schedule = far_start_translation(3.0)
+    w.construct_coray(ray, nu0, schedule=schedule)
+    assert stacks == [11, 9]
+
+
 def test_a_start_with_the_ray_s_weights_is_solved_every_step(monkeypatch):
-    # with equal weights solve_ot tries the identity plan before a warm one,
-    # so no step is taken from a stacked certificate. Here the simplex plans
-    # of the first three steps give way to the identity at the fourth
+    # a start with the ray's weights is left to solve_ot, which tries the
+    # identity plan before the LP, so no step is taken from a stacked
+    # certificate. Here the simplex plans of the first three steps give way
+    # to the identity at the fourth
     ray, nu0, schedule = chain_case("equal-weights", 1, 1.5, 6, 10)
-    plans = list(warm_chain(ray, nu0, schedule))
+    plans = list(step_chain(ray, nu0, schedule))
     assert [plan._basis is not None for plan in plans] == [True] * 3 + [False] * 7
     solves = []
     solve_ot = coray.solve_ot
@@ -476,7 +498,7 @@ def test_glued_movement_pairs_no_mass_across_start_atoms():
 def far_start_translation(p):
     """A weighted translation ray and a far weighted start, with a 12-step schedule.
 
-    At p = 3 the warm plan holds for ten steps and changes at the last one.
+    At p = 3 the kept plan holds for ten steps and changes at the last one.
     """
     mu0 = w.DiscreteMeasure(
         [[9.6, -0.1], [-4.7, -3.0], [-0.5, -5.5], [10.8, 1.3]], [0.25, 0.35, 0.1, 0.3]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,23 @@ def test_parse_rejects_non_numeric():
 def test_parse_rejects_invalid_measure_data():
     with pytest.raises(MeasureFileError, match="invalid measure"):
         parse_measure("measure\ndim 1\natoms 1\n0.0 0.7\n")
+
+
+@pytest.mark.parametrize(
+    "parse,text,key",
+    [
+        (parse_measure, "measure\ndim -1\natoms 1\n0.0 1.0\n", "dim"),
+        (parse_measure, "measure\ndim 1\natoms -1\n", "atoms"),
+        (parse_ray, "rays\ndim -2\np 2\nentries 1\n0.0 1.0 1.0\n", "dim"),
+        (parse_ray, "rays\ndim 1\np 2\nentries -1\n", "entries"),
+    ],
+)
+def test_parse_rejects_negative_counts_by_name(parse, text, key):
+    # a negative count once read on, into messages such as "expected -1
+    # atom lines, found 0"; it is rejected where it is read, by its key
+    message = f"'{key}' must be a nonnegative integer, got -"
+    with pytest.raises(MeasureFileError, match=f"^{re.escape(message)}"):
+        parse(text)
 
 
 def test_parse_rejects_truncated_ray_file():

@@ -1,7 +1,6 @@
 import itertools
 import re
 import warnings
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -320,15 +319,14 @@ def test_tail_bound_property(pair):
 )
 def test_solver_plans_match_public_constructor(pair, p):
     # solve_ot checks its plans without the public constructor's conversions;
-    # the public constructor must rebuild them bit for bit, warm plans included
+    # the public constructor must rebuild them bit for bit
     mu, nu = pair
-    cold = w.solve_ot(mu, nu, p)
-    for plan in (cold, w.solve_ot(mu, nu, p, warm=cold)):
-        public = Coupling(mu, nu, plan.left, plan.right, plan.masses, p)
-        for name in ("left", "right", "masses"):
-            assert same_bits(getattr(plan, name), getattr(public, name))
-            assert not getattr(plan, name).flags.writeable
-        assert plan.cost == public.cost and plan.p == public.p == p
+    plan = w.solve_ot(mu, nu, p)
+    public = Coupling(mu, nu, plan.left, plan.right, plan.masses, p)
+    for name in ("left", "right", "masses"):
+        assert same_bits(getattr(plan, name), getattr(public, name))
+        assert not getattr(plan, name).flags.writeable
+    assert plan.cost == public.cost and plan.p == public.p == p
 
 
 def reference_brute_force(mu, nu, p):
@@ -502,11 +500,15 @@ def weighted_schedule_steps(draw, max_atoms=4, dim=2):
 
 @given(step=weighted_schedule_steps(), p=st.sampled_from((1.5, 2.0, 3.0)))
 def test_warm_solve_matches_cold_lp(step, p):
-    # the previous plan is reused only when certified on the new costs, so
-    # the result is optimal whether or not the certificate held
+    # a previous plan is kept on new costs only where its basis is
+    # certified there, so a kept plan is optimal on them, as a cold solve is
     mu, nu, moved = step
-    warm = w.solve_ot(mu, nu, p)
-    plan = w.solve_ot(mu, moved, p, warm=warm)
+    previous = w.solve_ot(mu, nu, p)
+    costs = ot._cost_matrix(mu.atoms, moved.atoms, p)
+    if previous._basis is not None and ot._certified_prefix(costs[None], previous._basis):
+        kept = Coupling(mu, moved, previous.left, previous.right, previous.masses, p)
+        assert kept.cost == pytest.approx(lp_cost(mu, moved, p), rel=1e-8, abs=1e-12)
+    plan = w.solve_ot(mu, moved, p)
     assert plan.cost == pytest.approx(lp_cost(mu, moved, p), rel=1e-8, abs=1e-12)
 
 
@@ -540,28 +542,25 @@ def bellman_ford_certifies(left, right, cost_matrix):
     return ot._dual_certificate(cost_matrix, u, v, left, right, tol)[2]
 
 
-def reused(plan, warm):
-    """Whether ``solve_ot`` handed back the warm plan: its frozen entries and its basis."""
-    return (
-        plan.left is warm.left
-        and plan.right is warm.right
-        and plan.masses is warm.masses
-        and plan._basis is warm._basis
-    )
+def certified(plan, target, p):
+    """Whether ``plan``'s kept basis is certified on the costs to ``target``: a stack of one."""
+    costs = ot._cost_matrix(plan.mu.atoms, target.atoms, p)
+    return ot._certified_prefix(costs[None], plan._basis) == 1
 
 
 def test_certificate_accepts_optimal_and_rejects_crossing_support(lp_shapes):
-    # a simplex plan comes back as warm on its own costs with no LP; with the
-    # target's atoms swapped it crosses, its basis fails, and the LP solves
+    # a simplex plan's basis is certified on its own costs; with the
+    # target's atoms swapped the plan crosses, its basis fails, and the LP
+    # solves
     mu, nu = unequal_pair()
     plan = w.solve_ot(mu, nu, 2.0)
     assert lp_shapes == [(2, 2)] and plan._basis is not None
-    assert reused(w.solve_ot(mu, nu, 2.0, warm=plan), plan)
-    assert lp_shapes == [(2, 2)]
+    assert certified(plan, nu, 2.0)
     swapped = w.DiscreteMeasure(nu.atoms[::-1], nu.weights)
-    crossed = w.solve_ot(mu, swapped, 2.0, warm=plan)
+    assert not certified(plan, swapped, 2.0)
+    assert lp_shapes == [(2, 2)]
+    crossed = w.solve_ot(mu, swapped, 2.0)
     assert lp_shapes == [(2, 2)] * 2
-    assert not reused(crossed, plan)
     assert crossed.cost == pytest.approx(lp_cost(mu, swapped, 2.0), rel=1e-12)
     assert crossed.cost < (0.3 * 9.0 + 0.1 * 4.0 + 0.6 * 1.0) ** 0.5  # the crossing plan
 
@@ -576,8 +575,8 @@ def degenerate_pair():
 
 def test_certificate_handles_forest_supports(lp_shapes):
     # a forest plan, fewer than m + n - 1 positive entries, keeps its whole
-    # basis tree, zero-mass cells included, so it is certified as a tree when
-    # it comes back warm on a moved target; the oracle agrees
+    # basis tree, zero-mass cells included, so it is certified as a tree on
+    # a moved target; the oracle agrees
     nu, mu0 = degenerate_pair()
     target = mu0.translate((64.0, 0.0))
     plan = w.solve_ot(nu, target, 2.0)
@@ -585,7 +584,7 @@ def test_certificate_handles_forest_supports(lp_shapes):
     assert len(plan.left) < len(rows) == 3 + 4 - 1
     assert np.isin(plan.left * 4 + plan.right, rows * 4 + cols).all()
     moved = mu0.translate((128.0, 0.0))
-    assert reused(w.solve_ot(nu, moved, 2.0, warm=plan), plan)
+    assert certified(plan, moved, 2.0)
     assert lp_shapes == [(3, 4)]
     costs = ot._cost_matrix(nu.atoms, moved.atoms, 2.0)
     assert bellman_ford_certifies(plan.left, plan.right, costs)
@@ -593,16 +592,17 @@ def test_certificate_handles_forest_supports(lp_shapes):
 
 def test_user_built_warm_plan_gives_the_cold_entries(lp_shapes):
     # a coupling built by hand has no simplex basis, so even an optimal one
-    # is not reused as warm: the LP solves the instance, as it would cold
+    # keeps no run along a schedule: the step after it is solved cold. The
+    # solver's own plan, with the same entries, keeps the next section
     mu, nu = unequal_pair()
     cold = w.solve_ot(mu, nu, 2.0)
     user = Coupling(mu, nu, cold.left, cold.right, cold.masses, 2.0)
     assert user._basis is None
-    plan = w.solve_ot(mu, nu, 2.0, warm=user)
-    assert lp_shapes == [(2, 2)] * 2
-    for name in ("left", "right", "masses"):
-        assert same_bits(getattr(plan, name), getattr(cold, name))
-    assert all(same_bits(x, y) for x, y in zip(plan._basis, cold._basis))
+    ray = w.make_translation_ray(nu, (1.0,))
+    assert paths._kept_plan_lengths(ray, user, [0.5]) == ([], None)
+    lengths, _ = paths._kept_plan_lengths(ray, cold, [0.5])
+    assert len(lengths) == 1
+    assert lp_shapes == [(2, 2)]
 
 
 def unequal_pair():
@@ -613,22 +613,29 @@ def unequal_pair():
 
 
 def test_warm_crossing_plan_is_rejected(lp_shapes):
-    # the sorted plan moves 0.3 by 2, 0.1 by 3 and 0.6 by 2: W_2**2 = 4.5
+    # the crossing plan's three cells span the 2 x 2 bipartite graph, so
+    # they can stand as a basis, and the certificate rejects it; the
+    # sorted plan moves 0.3 by 2, 0.1 by 3 and 0.6 by 2: W_2**2 = 4.5
     mu, nu = unequal_pair()
     cost = (0.4 * 9.0 + 0.3 * 1.0 + 0.3 * 4.0) ** 0.5
     crossing = Coupling(mu, nu, [0, 1, 1], [1, 0, 1], [0.4, 0.3, 0.3], 2.0, cost)
-    plan = w.solve_ot(mu, nu, 2.0, warm=crossing)
+    object.__setattr__(crossing, "_basis", (crossing.left, crossing.right))
+    assert not certified(crossing, nu, 2.0)
+    plan = w.solve_ot(mu, nu, 2.0)
     assert lp_shapes == [(2, 2)]
     assert plan.cost == pytest.approx(4.5**0.5, abs=1e-12)
     assert list(zip(plan.left, plan.right)) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_warm_crossing_plan_gives_way_to_the_identity(lp_shapes):
-    # equal marginals: the rejected warm plan leaves the certified identity
+    # equal marginals: the certificate rejects the crossing plan's tree, and
+    # the solver takes the identity, with no LP
     mu, nu = weighted_pair()
     cost = (0.4 * 9.0 + 0.4 * 1.0 + 0.2 * 4.0) ** 0.5
     crossing = Coupling(mu, nu, [0, 1, 1], [1, 0, 1], [0.4, 0.4, 0.2], 2.0, cost)
-    plan = w.solve_ot(mu, nu, 2.0, warm=crossing)
+    object.__setattr__(crossing, "_basis", (crossing.left, crossing.right))
+    assert not certified(crossing, nu, 2.0)
+    plan = w.solve_ot(mu, nu, 2.0)
     assert lp_shapes == []
     assert plan.cost == pytest.approx(2.0, abs=1e-12)
     assert list(zip(plan.left, plan.right)) == [(0, 0), (1, 1)]
@@ -636,45 +643,34 @@ def test_warm_crossing_plan_gives_way_to_the_identity(lp_shapes):
 
 
 def test_certified_warm_plan_skips_lp(lp_shapes):
-    # unequal marginals, so the warm branch decides, not the identity's
+    # unequal marginals: the plan's basis is certified on a moved target,
+    # so its entries are an optimal plan there, with no second LP
     mu, nu = unequal_pair()
-    warm = w.solve_ot(mu, nu, 2.0)
+    previous = w.solve_ot(mu, nu, 2.0)
     moved = w.DiscreteMeasure(nu.atoms + 0.5, nu.weights)
     lp_shapes.clear()
-    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
+    assert certified(previous, moved, 2.0)
     assert lp_shapes == []
-    assert plan.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
+    kept = Coupling(mu, moved, previous.left, previous.right, previous.masses, 2.0)
+    assert kept.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
 
 
 def test_certified_warm_plan_keeps_its_entries_and_passes_the_public_constructor():
-    # a warm hit hands back the warm plan's own frozen entries with the cost
-    # derived anew on the new costs; the public constructor, which runs
-    # every entry check again, accepts them with that cost
+    # a plan kept on a moved target keeps its entries, with the cost solve_ot
+    # derives for them on the new cost matrix; the public constructor, which
+    # runs every entry check again, accepts them with that cost
     mu, nu = unequal_pair()
-    warm = w.solve_ot(mu, nu, 2.0)
+    previous = w.solve_ot(mu, nu, 2.0)
     moved = w.DiscreteMeasure(nu.atoms + 0.5, nu.weights)
-    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
-    assert plan.left is warm.left and plan.right is warm.right and plan.masses is warm.masses
-    assert plan.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
-    public = Coupling(mu, moved, plan.left, plan.right, plan.masses, 2.0, plan.cost)
-    assert public.cost == plan.cost
-
-
-def test_warm_identity_hands_back_its_own_arrays(lp_shapes, monkeypatch):
-    # along a translation ray's doubling schedule, a probe taken from the
-    # ray's own section keeps the identity plan from step to step: when the
-    # identity is still optimal, the warm plan's frozen arrays come back, so
-    # solve_ot re-checks none of its entries
-    mu = w.DiscreteMeasure([[0.0], [1.0], [3.0]], [0.2, 0.5, 0.3])
-    warm = w.solve_ot(mu, w.DiscreteMeasure(mu.atoms + 0.1, mu.weights), 2.0)
-    assert warm.left.tolist() == warm.right.tolist() == [0, 1, 2]
-    checked = []
-    monkeypatch.setattr(ot, "_check_entries", lambda *args: checked.append(args))
-    moved = w.DiscreteMeasure(mu.atoms + 0.2, mu.weights)
-    plan = w.solve_ot(mu, moved, 2.0, warm=warm)
-    assert plan.left is warm.left and plan.right is warm.right and plan.masses is warm.masses
-    assert lp_shapes == [] and checked == []
-    assert plan.cost == pytest.approx(0.2, rel=1e-12)
+    costs = ot._cost_matrix(mu.atoms, moved.atoms, 2.0)
+    assert ot._certified_prefix(costs[None], previous._basis) == 1
+    kept = ot._checked_coupling(
+        mu, moved, previous.left, previous.right, previous.masses, 2.0, cost_matrix=costs
+    )
+    assert kept.left is previous.left and kept.right is previous.right and kept.masses is previous.masses
+    assert kept.cost == pytest.approx(lp_cost(mu, moved, 2.0), rel=1e-12)
+    public = Coupling(mu, moved, kept.left, kept.right, kept.masses, 2.0, kept.cost)
+    assert public.cost == kept.cost
 
 
 def test_measure_onto_itself_takes_the_identity(lp_shapes):
@@ -773,74 +769,28 @@ def test_identity_costs_no_more_than_the_lp_plan(n, d, p, scale, seed):
         assert float(masses @ cost_matrix[left, right]) <= lp_cost * (1.0 + 1e-12)
 
 
-def array_equal_plan(a, b, cost_matrix, warm):
-    """``transport_plan`` past its uniform branch, with its former ``np.array_equal`` tests.
-
-    A warm plan's basis is certified on the potentials of a walk of the
-    whole tree, as the simplex's former loop rebuilt them.
-    """
+def array_equal_plan(a, b, cost_matrix):
+    """``transport_plan`` past its uniform branch, with its former ``np.array_equal`` tests."""
     m, n = len(a), len(b)
-    warm_fits = (
-        warm is not None
-        and np.array_equal(warm.mu.weights, a)
-        and np.array_equal(warm.nu.weights, b)
-    )
     if m == n and np.array_equal(a, b):
         identity = np.arange(n, dtype=np.intp)
         if (cost_matrix.min() >= 0.0 and not np.diagonal(cost_matrix).any()) or np.array_equal(
             linear_sum_assignment(cost_matrix)[1], identity
         ):
-            if warm_fits and all(np.array_equal(e, identity) for e in (warm.left, warm.right)):
-                return warm.left, warm.right, warm.masses, None
             return identity, identity, a.copy(), None
-    if warm_fits and warm._basis is not None:
-        rows, cols = warm._basis
-        u_v = walked_potentials(cost_matrix, rows, cols)
-        tol = ot._certificate_tolerance(cost_matrix)
-        if ot._dual_certificate(cost_matrix, u_v[:m], u_v[m:], rows, cols, tol)[2]:
-            return warm.left, warm.right, warm.masses, warm._basis
     return ot._solve_lp(a, b, cost_matrix)
 
 
-def warm_plan(kind, a, d, p, seed):
-    """A warm plan of the given kind for weights ``a``, or None."""
-    if kind == "none":
-        return None
-    rng = np.random.default_rng(seed)
-    n = len(a)
-    other = a * rng.uniform(0.5, 1.5, n)
-    other /= other.sum()
-    weights = other if kind.endswith("on other weights") else a
-    mu = w.DiscreteMeasure(10.0 * rng.random((n, d)), weights)
-    nu_weights = other if kind == "plan to other weights" else weights
-    nu = w.DiscreteMeasure(10.0 * rng.random((n, d)), nu_weights)
-    if kind.startswith("identity"):
-        return Coupling(mu, nu, np.arange(n), np.arange(n), weights, p)
-    return w.solve_ot(mu, nu, p)
-
-
-WARM_KINDS = (
-    "none",
-    "identity",
-    "plan",
-    "identity on other weights",
-    "plan on other weights",
-    "plan to other weights",
-)
-
-
 @settings(max_examples=300)
-@given(**MOVED_COPIES, kind=st.sampled_from(WARM_KINDS))
-def test_byte_comparisons_pick_the_branch_of_array_equal(n, d, p, scale, seed, kind):
+@given(**MOVED_COPIES)
+def test_byte_comparisons_pick_the_branch_of_array_equal(n, d, p, scale, seed):
     # weights and permutations compared as bytes pick the branch the
-    # np.array_equal tests picked, with the same bits, and a warm identity
-    # hit still hands back the warm plan's own arrays
+    # np.array_equal tests picked, with the same bits
     a, cost_matrix = moved_copy(n, d, p, scale, seed)
-    warm = warm_plan(kind, a, d, p, seed)
     results = []
     for plan in (transport_plan, array_equal_plan):
         with mock.patch.object(ot, "_solve_lp", wraps=ot._solve_lp) as lp:
-            entries = plan(a, a.copy(), cost_matrix, warm)
+            entries = plan(a, a.copy(), cost_matrix)
         results.append((entries, lp.call_count))
     (new, new_lps), (old, old_lps) = results
     assert new_lps == old_lps
@@ -849,9 +799,6 @@ def test_byte_comparisons_pick_the_branch_of_array_equal(n, d, p, scale, seed, k
     assert (new[3] is None) == (old[3] is None)
     if new[3] is not None:
         assert all(same_bits(x, y) for x, y in zip(new[3], old[3]))
-    if warm is not None:
-        own = (warm.left, warm.right, warm.masses, warm._basis)
-        assert [x is y for x, y in zip(new, own)] == [x is y for x, y in zip(old, own)]
 
 
 @pytest.mark.parametrize(
@@ -946,34 +893,6 @@ def test_integer_grid_ties_keep_the_lp_cost():
     assert differ > 0
 
 
-# warm plans whose target differs from both pairs' targets
-MISMATCHED_WARM_TARGETS = [
-    w.DiscreteMeasure([[2.0], [3.0], [4.0]], [0.4, 0.3, 0.3]),  # wrong size
-    w.DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5]),  # other weights
-]
-
-
-@pytest.mark.parametrize("other", MISMATCHED_WARM_TARGETS)
-def test_mismatched_warm_plan_is_ignored(lp_shapes, other):
-    mu, nu = unequal_pair()
-    warm = w.solve_ot(mu, other, 2.0)
-    lp_shapes.clear()
-    plan = w.solve_ot(mu, nu, 2.0, warm=warm)
-    assert lp_shapes == [(2, 2)]
-    assert plan.cost == pytest.approx(4.5**0.5, abs=1e-12)
-
-
-@pytest.mark.parametrize("other", MISMATCHED_WARM_TARGETS)
-def test_mismatched_warm_plan_gives_way_to_the_identity(lp_shapes, other):
-    mu, nu = weighted_pair()
-    warm = w.solve_ot(mu, other, 2.0)
-    lp_shapes.clear()
-    plan = w.solve_ot(mu, nu, 2.0, warm=warm)
-    assert lp_shapes == []
-    assert plan.left.tolist() == plan.right.tolist() == [0, 1]
-    assert plan.cost == pytest.approx(2.0, abs=1e-12)
-
-
 def far_section_instance():
     # at p = 8 a section 1024 units out gives costs near 1.2e24, far past
     # the reach of a solver with absolute tolerances
@@ -988,13 +907,13 @@ def far_section_instance():
 
 
 def test_far_section_high_order_solves_certified(lp_shapes):
-    # the plan comes back as warm on its own instance: its basis passes the
-    # certificate on the same costs, with no second LP
+    # the plan's basis passes the certificate again on its own costs, with
+    # no second LP
     nu, far = far_section_instance()
     plan = w.solve_ot(nu, far, 8)
     cost_matrix = pairwise_distances(nu.atoms, far.atoms) ** 8
     assert cost_matrix.max() > 1e24
-    assert reused(w.solve_ot(nu, far, 8, warm=plan), plan)
+    assert certified(plan, far, 8)
     assert lp_shapes == [(4, 3)]
     # every atom moves about 1024 to the right, so W_8 is close to that
     assert 1020.0 < plan.cost < 1028.0
@@ -1097,19 +1016,6 @@ def test_simplex_matches_highs(instance, shift):
     assert float(masses @ cost_matrix[left, right]) == pytest.approx(reference, rel=1e-8, abs=1e-7)
 
 
-def as_warm(a, b, entries):
-    """A simplex plan's entries and basis as ``transport_plan`` reads a warm coupling."""
-    left, right, masses, basis = entries
-    return SimpleNamespace(
-        mu=SimpleNamespace(weights=a),
-        nu=SimpleNamespace(weights=b),
-        left=left,
-        right=right,
-        masses=masses,
-        _basis=basis,
-    )
-
-
 @settings(max_examples=200)
 @given(
     instance=transport_instances(),
@@ -1117,22 +1023,18 @@ def as_warm(a, b, entries):
     seed=st.integers(0, 2**16),
 )
 def test_basis_certificate_accepts_no_plan_bellman_ford_rejects(instance, noise, seed):
-    # a simplex plan handed back as warm on its own costs is reused; on
-    # perturbed costs, as after a schedule step, a reused plan is one the
-    # Bellman-Ford oracle certifies too, and a miss gives the cold entries
+    # a simplex plan's basis is certified on its own costs; on perturbed
+    # costs, as after a schedule step, a plan whose basis is certified is
+    # one the Bellman-Ford oracle certifies too
     a, b, cost_matrix = instance
-    warm = as_warm(a, b, _solve_lp(a, b, cost_matrix))
+    left, right, _, basis = _solve_lp(a, b, cost_matrix)
     rng = np.random.default_rng(seed)
     costs = cost_matrix + rng.uniform(-noise, noise, cost_matrix.shape) * cost_matrix.std()
-    plan = transport_plan(a, b, costs, warm)
-    if plan[2] is warm.masses:
-        assert plan[3] is warm._basis
-        assert bellman_ford_certifies(warm.left, warm.right, costs)
-    else:
-        assert all(same_bits(x, y) for x, y in zip(plan[:3], transport_plan(a, b, costs)[:3]))
-    # equal weights take the assignment or identity branch first
-    if noise == 0.0 and a.tobytes() != b.tobytes():
-        assert plan[2] is warm.masses
+    kept = ot._certified_prefix(costs[None], basis) == 1
+    if kept:
+        assert bellman_ford_certifies(left, right, costs)
+    if noise == 0.0:
+        assert kept
 
 
 # decimal weights whose partial sums tie (0.1 + 0.4 = 0.5 = 0.2 + 0.3)
@@ -1154,9 +1056,9 @@ DECIMAL_WEIGHTS = (
 def test_degenerate_schedules_reuse_no_plan_bellman_ford_rejects(weights, p, seed):
     # tied partial sums make forest plans, whose bases carry zero-mass
     # cells. Along a doubling schedule of translated targets, as Busemann
-    # doubling solves it, every warm plan reused on its basis is one the
-    # Bellman-Ford oracle certifies on the new costs, and every other step
-    # gives the cold solve's entries
+    # doubling takes it, every plan kept on its certified basis is one the
+    # Bellman-Ford oracle certifies on the new costs; every other step is
+    # solved cold
     rng = np.random.default_rng(seed)
     nu = w.DiscreteMeasure(rng.normal(size=(len(weights[0]), 2)), weights[0])
     mu0 = w.DiscreteMeasure(rng.normal(size=(len(weights[1]), 2)), weights[1])
@@ -1165,15 +1067,11 @@ def test_degenerate_schedules_reuse_no_plan_bellman_ford_rejects(weights, p, see
     plan = None
     for k in range(1, 13):
         target = mu0.translate(2.0**k * velocity)
-        step = w.solve_ot(nu, target, p, warm=plan)
-        if plan is not None and plan._basis is not None and reused(step, plan):
+        if plan is not None and plan._basis is not None and certified(plan, target, p):
             costs = ot._cost_matrix(nu.atoms, target.atoms, p)
-            assert bellman_ford_certifies(step.left, step.right, costs)
+            assert bellman_ford_certifies(plan.left, plan.right, costs)
         else:
-            cold = w.solve_ot(nu, target, p)
-            for name in ("left", "right", "masses"):
-                assert same_bits(getattr(step, name), getattr(cold, name))
-        plan = step
+            plan = w.solve_ot(nu, target, p)
 
 
 def test_simplex_prices_once_per_pivot(monkeypatch):
@@ -1462,16 +1360,24 @@ def test_a_single_atom_plan_keeps_its_star_as_basis(m, n):
     count=st.integers(2, 6),
 )
 def test_a_stack_is_certified_as_matrix_by_matrix(instance, noise, seed, count):
-    # a stack of T > 1 is priced in one vectorised pass; it must count the
-    # leading matrices that the one-matrix form certifies one at a time.
-    # The perturbation grows along the stack, so runs end at every length
+    # a stack is priced in one vectorised pass; it must count the leading
+    # matrices that the simplex's own one-matrix stop certifies one at a
+    # time, on the potentials of a walk of the tree. The perturbation grows
+    # along the stack, so runs end at every length
     a, b, cost_matrix = instance
-    basis = _solve_lp(a, b, cost_matrix)[3]
+    m = len(a)
+    rows, cols = basis = _solve_lp(a, b, cost_matrix)[3]
     rng = np.random.default_rng(seed)
     growth = noise * np.arange(count)[:, None, None]
     stack = cost_matrix + rng.uniform(-1.0, 1.0, (count, *cost_matrix.shape)) * growth
-    one_by_one = [ot._certified_prefix(costs[None], basis) == 1 for costs in stack]
+    one_by_one = []
+    for costs in stack:
+        u_v = walked_potentials(costs, rows, cols)
+        tol = ot._certificate_tolerance(costs)
+        one_by_one.append(ot._dual_certificate(costs, u_v[:m], u_v[m:], rows, cols, tol)[2])
     assert ot._certified_prefix(stack, basis) == ot._leading(np.array(one_by_one))
+    for k, costs in enumerate(stack):
+        assert ot._certified_prefix(costs[None], basis) == int(one_by_one[k])
 
 
 def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
@@ -1482,8 +1388,10 @@ def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
 def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
     # solve_ot reads the entries' d**p from its cost matrix; the public
-    # constructor recomputes them from the atoms: the same bits, on every path
-    certified = []
+    # constructor recomputes them from the atoms: the same bits, on every
+    # path, and for a plan kept on a moved target whose costs certify its
+    # basis
+    kept_any = []
     rng = np.random.default_rng(int(10 * p))
     for d in (1, 2, 3):
         for kind in ("uniform", "weighted", "unequal"):
@@ -1501,13 +1409,19 @@ def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
             nu = measure(m if kind != "unequal" else m + int(rng.integers(1, 3)))
             cold = w.solve_ot(mu, nu, p)
             moved = nu.translate(rng.normal(size=d) * 1e-3 * scale)
-            warm = w.solve_ot(mu, moved, p, warm=cold)
-            certified.append(cold._basis is not None and reused(warm, cold))
-            for plan, target in ((cold, nu), (warm, moved)):
+            plans = [(cold, nu)]
+            costs = ot._cost_matrix(mu.atoms, moved.atoms, p)
+            if cold._basis is not None and ot._certified_prefix(costs[None], cold._basis):
+                kept = ot._checked_coupling(
+                    mu, moved, cold.left, cold.right, cold.masses, p, cost_matrix=costs
+                )
+                plans.append((kept, moved))
+            kept_any.append(len(plans) == 2)
+            for plan, target in plans:
                 starts, ends = mu.atoms[plan.left], target.atoms[plan.right]
                 entries = ot._segment_cost(starts, ends, plan.masses, p)
                 assert same_bits(np.float64(plan.cost), np.float64(entries))
-    assert any(certified)  # some warm plans were reused
+    assert any(kept_any)  # some plans were kept
 
 
 def test_pairwise_distances_pins_the_kernel_summation_order():

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wassray as w
+from wassray import paths
 from wassray.errors import (
     CostOverflowError,
     EmptyMeasureError,
@@ -242,13 +243,24 @@ def test_every_family_check_keeps_its_message(build, item, data):
         assert weights.tolist() == [1.0] and not weights.flags.writeable
 
 
-def test_lift_certifies_solver_plan_without_resolving(lp_shapes):
+def test_lift_checks_a_plan_against_one_cold_solve(lp_shapes, monkeypatch):
+    # a weighted lift compares the plan with one cold solve of its own
+    # instance: one solve_ot call and one LP, whatever the plan kept
     rng = np.random.default_rng(2)
     mu = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     plan = w.solve_ot(mu, nu, 2.0)
-    assert lp_shapes == [(4, 3)]
+    lp_shapes.clear()
+    solves = []
+    solve_ot = paths.solve_ot
+
+    def spy(*args, **kwargs):
+        solves.append(args)
+        return solve_ot(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "solve_ot", spy)
     lift = w.lift_geodesic(plan)
+    assert solves == [(mu, nu, 2.0)]
     assert lp_shapes == [(4, 3)]
     assert lift.length == plan.cost
 
