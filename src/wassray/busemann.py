@@ -16,6 +16,7 @@ schedule so callers can judge the truncation themselves.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import MonotonicityError, NotARayError
 from .measures import DiscreteMeasure
 from .ot import solve_ot, transport_plan, wasserstein_distance
-from .paths import RayMeasure, _kept_plan_lengths, ray_section, require_unit_speed
+from .paths import RayMeasure, _plan_chain, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
 DEFAULT_TOL = 1e-6
@@ -107,12 +108,16 @@ def busemann_value(
     when that is larger) or falls below its lower bound: both are provably
     impossible, so either indicates a solver defect.
 
-    The lower bound is one ``solve_ot`` call. Its plan's kept basis is
-    certified on the schedule's times at once, and each step it holds on
-    takes the distance of that plan's entries with no solve; the first time
-    it fails on is solved cold, and its plan is carried on in turn
-    (``_chain_lengths``). The checks run on each value in order, as they
-    would after each solve.
+    ``max_doublings`` must be an integer of at least 1; the schedule takes
+    only the doublings of t0 that are finite doubles, at most about 2,100
+    whatever ``max_doublings`` is.
+
+    The lower bound is one ``solve_ot`` call, and the schedule's plans
+    chain on from its time-0 plan (``paths._plan_chain``): a kept run
+    takes the distances of the step before's plan on all the times its
+    basis stays certified on, with no solve, and the first time after a
+    run is solved cold. The checks run on each value in order, as they
+    would after each solve, and a stop makes no later solve.
     """
     require_unit_speed(ray, "the Busemann function")
     t0 = float(t0)
@@ -122,16 +127,28 @@ def busemann_value(
         raise ValueError(f"initial time t0 must be positive and finite, got {t0}")
     if not tol > 0.0:
         raise ValueError(f"stopping tolerance tol must be positive, got {tol}")
+    try:
+        max_doublings = operator.index(max_doublings)
+    except TypeError:
+        raise ValueError(f"max_doublings must be an integer, got {max_doublings!r}") from None
     if max_doublings < 1:
         raise ValueError(f"need at least one doubling, got {max_doublings}")
     plan = solve_ot(nu, ray_section(ray, 0.0), ray.p)
     lower_bound = -plan.cost
-    times = [t0 * 2.0**j for j in range(max_doublings + 1)]
+    # doubling is exact, so these are t0 * 2**j; the first to overflow ends them
+    times = [t0]
+    while len(times) <= max_doublings and times[-1] * 2.0 < np.inf:
+        times.append(times[-1] * 2.0)
+    steps = (
+        step
+        for _, run_times, lengths, _ in _plan_chain(ray, nu, plan, times)
+        for step in zip(run_times, lengths)
+    )
     schedule: list[tuple[float, float]] = []
     previous = None
     decrement = float("inf")
     converged = False
-    for t, distance in _chain_lengths(ray, nu, plan, times):
+    for t, distance in steps:
         value = distance - t
         schedule.append((t, value))
         if previous is not None:
@@ -159,30 +176,6 @@ def busemann_value(
         schedule=tuple(schedule),
         converged=converged,
     )
-
-
-def _chain_lengths(ray: RayMeasure, nu: DiscreteMeasure, plan, times):
-    """(t, W_p(nu, mu_t)) for each of ``times`` in turn, keeping ``plan`` while its basis holds.
-
-    ``_kept_plan_lengths`` certifies the plan's kept basis on the next
-    times at once and yields the run it keeps, the lengths of the plan's
-    entries there, with no solve; the first time after the run is solved
-    cold, so it meets every branch and error of ``solve_ot``, and its plan
-    is carried on. A run ends where the plan stops holding, and a schedule
-    may converge after a few steps, so the times are stacked in chunks of
-    4, 8, 16, ...: no far time is priced before a chunk has held.
-    """
-    k, chunk = 0, 4
-    while k < len(times):
-        lengths, _ = _kept_plan_lengths(ray, plan, times[k : k + chunk])
-        yield from zip(times[k:], lengths)
-        k += len(lengths)
-        if len(lengths) == chunk:
-            chunk *= 2
-        elif k < len(times):
-            plan = solve_ot(nu, ray_section(ray, times[k]), ray.p)
-            yield times[k], plan.cost
-            k += 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,17 +10,19 @@ reference ray, and follow the lifted geodesic of the optimal coupling
 at a few test times (evaluation clamps at the geodesic's end, so small
 times are always meaningful). Repeat along an increasing target-time
 schedule and declare convergence once the coupling glued between
-consecutive steps shows the section family no longer moving. The plan of
-one step is mostly the plan of the next: after each solve, the basis it
-kept (the simplex's, or a single-atom plan's star) is certified on all the
-remaining targets at once, and the leading run of targets it holds on is
-taken with no solve at all. The final
-coupling's segments, reparameterized to unit speed and extended to
-straight rays, form the candidate limit: in R^d the segment directions
-of the approximating geodesics are the natural estimator of the limit
-ray's atoms. When optimal couplings are non-unique the deterministic solver
-follows one branch; the diagnostics and the theorem checks below, not the
-atom list itself, are the evidence that the output is a co-ray.
+consecutive steps shows the section family no longer moving. The plans
+form one chain from the start offset's time-0 plan, as the Busemann
+truncation's start from its lower bound (``paths._plan_chain``): the
+basis a plan kept (the simplex's, or a single-atom plan's star) is
+certified on all the remaining targets at once, the leading run of
+targets it holds on is taken with no solve at all, and the first target
+after a run is solved cold. The final coupling's segments,
+reparameterized to unit speed and extended to straight rays, form the
+candidate limit: in R^d the segment directions of the approximating
+geodesics are the natural estimator of the limit ray's atoms. When
+optimal couplings are non-unique the deterministic solver follows one
+branch; the diagnostics and the theorem checks below, not the atom list
+itself, are the evidence that the output is a co-ray.
 
 The checks: the gradient identity (Busemann values decrease at unit rate
 along a co-ray), subadditivity of Busemann functions across a co-ray
@@ -46,12 +48,10 @@ from .ot import (
     Coupling,
     _check_distances,
     _checked_coupling,
-    _distance_limit,
-    _leading,
     solve_ot,
     wasserstein_distance,
 )
-from .paths import RayMeasure, _kept_plan_lengths, ray_section, require_unit_speed
+from .paths import RayMeasure, _plan_chain, ray_section, require_unit_speed
 
 DEFAULT_SCHEDULE = tuple(2.0**n for n in range(1, 17))
 DEFAULT_TEST_TIMES = (0.0, 0.5, 1.0, 2.0, 4.0)
@@ -108,17 +108,20 @@ def construct_coray(
     test time, every diagnostic is 0.0).
 
     Consecutive target sections share the ray's weights, and their
-    optimal plan settles as the target time grows. So after each cold
-    ``solve_ot``, one stacked pass (``_certified_run``) certifies the basis
-    the plan kept on all the remaining targets at once: the leading run of
-    targets on which the simplex's own optimality test holds on that
-    basis, or, for a single atom's plan, whose star keeps it whatever the
-    costs. Those steps make no ``solve_ot`` call; they keep the plan, with
-    the lengths and diagnostics of the kept entries on each target, bit
-    for bit. The first target outside the run is solved cold, so it meets
-    every branch and error of ``solve_ot``. From a single atom to a
-    single-atom ray, the start offset and the first target are the only
-    solves.
+    optimal plan settles as the target time grows. So the steps chain on
+    from the start offset's plan, nu0 to the time-0 section
+    (``paths._plan_chain``): one stacked pass certifies the basis a plan
+    kept on all the remaining targets at once, the leading run of targets
+    on which the simplex's own optimality test holds on that basis, or,
+    for a single atom's plan, whose star keeps it whatever the costs.
+    Those steps make no ``solve_ot`` call; they keep the plan, with the
+    lengths of the kept entries on each target and, each entry paired with
+    itself, their diagnostics (``_movements``), bit for bit. The first
+    target after a run is solved cold, so it meets every branch and error
+    of ``solve_ot``. The time-0 plan only starts the chain: its glue to
+    the first target is not a diagnostic, so there are len(schedule) - 1
+    of them. From a single atom to a single-atom ray the start offset is
+    the only solve.
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
@@ -137,27 +140,34 @@ def construct_coray(
         raise ValueError(f"test times must be nonnegative and finite, got {test_times}")
     if not tol > 0.0:
         raise ValueError(f"convergence tolerance tol must be positive, got {tol}")
-    start_offset = wasserstein_distance(nu0, ray_section(mu, 0.0), mu.p)
+    plan = solve_ot(nu0, ray_section(mu, 0.0), mu.p)
+    start_offset = plan.cost
     # every step's time-0 section is nu0, so only positive times can move
     moving_times = np.array([tau for tau in test_times if tau > 0.0])
     lengths = []
     diagnostics = []
-    coupling = None
-    k = 0
-    while k < len(schedule):
-        previous = coupling
-        coupling = solve_ot(nu0, ray_section(mu, schedule[k]), mu.p)
-        lengths.append(coupling.cost)
-        if previous is not None:
-            diagnostics.append(_glued_movement(previous, coupling, moving_times))
-        k += 1
-        # the steps after it on which this plan's basis stays certified, found at once
-        run_lengths, run_diagnostics, coupling = _certified_run(
-            mu, coupling, schedule[k:], moving_times
-        )
+    coupling = None  # the step before's, and None before the first target
+    for plan, times, run_lengths, positions in _plan_chain(mu, nu0, plan, schedule):
+        if positions is None:
+            if coupling is not None:
+                diagnostics.append(_glued_movement(coupling, plan, moving_times))
+            coupling = plan
+        else:
+            # a kept run of ``plan``, the step before's coupling: each entry
+            # pairs with itself from step to step, and the time-0 plan's
+            # glue to the first target is no diagnostic
+            left, right, masses = plan.left, plan.right, plan.masses
+            ends, costs = positions[:, right], run_lengths
+            if coupling is not None:
+                ends = np.concatenate((plan.nu.atoms[right][None], ends))
+                costs = [plan.cost] + costs
+            diagnostics += _movements(
+                nu0.atoms[left], ends, np.array(costs), masses, moving_times, mu.p
+            )
+            coupling = _checked_coupling(
+                nu0, ray_section(mu, times[-1]), left, right, masses, mu.p, cost=run_lengths[-1]
+            )
         lengths += run_lengths
-        diagnostics += run_diagnostics
-        k += len(run_lengths)
     length = coupling.cost
     if length <= 0.0:
         raise ValueError("the final geodesic is degenerate; extend the schedule")
@@ -194,8 +204,6 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
     pairs' p-mean distance bounds the W_p distance of the two sections
     from above, up to the rounding-level mass dropped.
     """
-    if not len(times):
-        return 0.0
     atoms_a, atoms_b = previous.left.tolist(), current.left.tolist()
     mass_a, mass_b = previous.masses.tolist(), current.masses.tolist()
     rows, cols, masses = [], [], []
@@ -228,68 +236,32 @@ def _glued_movement(previous: Coupling, current: Coupling, times: np.ndarray) ->
     # a pair's two entries leave the same nu0 atom
     starts = previous.mu.atoms[previous.left[rows]]
     ends = np.stack((previous.nu.atoms[previous.right[rows]], current.nu.atoms[current.right[cols]]))
-    distances = _gaps(starts, ends, np.array([previous.cost, current.cost]), times)[0]
-    # p_mean at every time at once: each row sums as p_mean's 1-D sum does,
-    # and x ** (1/p) rises with x, so the largest sum gives the largest mean
-    p = current.p
-    _check_distances(_array_max(distances), p)
-    sums = np.add.reduce(np.array(masses) * distances**p, axis=1)
-    return float(_array_max(sums) ** (1.0 / p))
+    lengths = np.array([previous.cost, current.cost])
+    return _movements(starts, ends, lengths, np.array(masses), times, current.p)[0]
 
 
-def _certified_run(mu: RayMeasure, plan: Coupling, times: tuple, moving_times: np.ndarray):
-    """The steps at ``times`` that keep ``plan``: their lengths, diagnostics and last plan.
+def _movements(starts, ends, lengths, masses, times: np.ndarray, p: float) -> list[float]:
+    """Movement bounds between consecutive plans of a stack of S plans with paired entries.
 
-    ``plan`` is a step's coupling from nu0 and ``times`` the target times
-    left after it. The run is the leading targets on which ``plan``'s
-    basis stays certified, with the lengths of its entries there, as
-    ``paths._kept_plan_lengths`` finds them for all targets at once; a run
-    also ends before a target whose diagnostic's distances reach
-    ``_distance_limit``. The caller solves the first target after the run
-    cold, so it meets every branch and error of ``solve_ot``. Each step's
-    diagnostic is the plan glued to itself (each entry paired with itself
-    at its own mass) between consecutive targets, with the arithmetic of
-    ``_glued_movement``: each row summed along a C-contiguous axis as its
-    1-D sum, and every 1/p root taken on a Python float. Only the last
-    step's coupling is built, through every ``_checked_coupling`` check,
-    and keeps ``plan``'s basis for the next pass and the result. Returns
-    ``([], [], plan)`` for an empty run.
+    The K pairs start at ``starts`` (K, d) and carry ``masses`` (K,); in
+    plan s they end at ``ends[s]`` (S, K, d), on a geodesic of cost
+    ``lengths[s]``. The pairs' distances at each of ``times`` are taken
+    with ``np.linalg.norm``'s own formula, as for lift lengths, and checked
+    by ``_check_distances`` before any power. The bound from plan s to
+    plan s + 1 is the largest over ``times`` of the pairs' p-mean
+    distance: each row summed along a C-contiguous axis as ``p_mean``'s
+    1-D sum, and the 1/p root of the largest sum taken on a Python float,
+    since x ** (1/p) rises with x. Returns S - 1 floats, all 0.0 when
+    ``times`` is empty.
     """
-    lengths, positions = _kept_plan_lengths(mu, plan, times)
-    count = len(lengths)
-    if not count:
-        return [], [], plan
-    nu0, p = plan.mu, plan.p
-    left, right, masses = plan.left, plan.right, plan.masses
-    if len(moving_times):
-        ends = np.concatenate((plan.nu.atoms[right][None], positions[:, right]))
-        gaps = _gaps(nu0.atoms[left], ends, np.array([plan.cost] + lengths), moving_times)
-        count = _leading(gaps.reshape(count, -1).max(axis=1) < _distance_limit(p))
-        if not count:
-            return [], [], plan
-        sums = np.add.reduce(masses * gaps[:count] ** p, axis=2)
-        diagnostics = [s ** (1.0 / p) for s in sums.max(axis=1).tolist()]
-    else:
-        diagnostics = [0.0] * count
-    last = count - 1
-    kept = _checked_coupling(
-        nu0, ray_section(mu, times[last]), left, right, masses, p, cost=lengths[last]
-    )
-    object.__setattr__(kept, "_basis", plan._basis)
-    return lengths[:count], diagnostics, kept
-
-
-def _gaps(starts: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray):
-    """Distances between consecutive plans' entry positions at each of ``times``, (S - 1, T, K).
-
-    The S plans' K entries start at ``starts`` (K, d) and end at ``ends``
-    (S, K, d); ``lengths`` holds the S plans' costs. Entry k of plan s is
-    compared with entry k of plan s + 1, with ``np.linalg.norm``'s own
-    formula, as for lift lengths.
-    """
+    if not len(times) or len(ends) == 1:
+        return [0.0] * (len(ends) - 1)
     positions = _positions(starts, ends, lengths, times)
     gap = positions[:-1] - positions[1:]
-    return np.sqrt(np.add.reduce(gap * gap, axis=3))
+    distances = np.sqrt(np.add.reduce(gap * gap, axis=3))
+    _check_distances(_array_max(distances), p)
+    sums = np.add.reduce(masses * distances**p, axis=2)
+    return [s ** (1.0 / p) for s in sums.max(axis=1).tolist()]
 
 
 def _positions(starts: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray):

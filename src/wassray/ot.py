@@ -42,12 +42,14 @@ keeps, privately, the basis tree it stopped on, and a single-atom plan its
 star; assignment, identity and user-built plans have none. One place reuses
 such a basis: the schedules (Busemann doubling, the co-ray construction)
 couple one measure to section after section of a ray, whose optimal plan
-settles, and ``paths._kept_plan_lengths`` passes the costs of all their
-remaining sections to ``_certified_prefix`` as one stack. That runs the
-simplex's own stopping test on every matrix of the stack in one vectorised
-pass, on the potentials of one walk of the tree, and the schedule keeps the
-plan on the leading run of sections it certifies, with no solve for them; a
-star needs no test there, since its plan ignores the costs.
+settles, along one chain of plans from the time-0 section
+(``paths._plan_chain``). From each plan, ``paths._kept_plan_lengths``
+passes the costs of all the remaining sections to ``_certified_prefix``
+as one stack. That runs the simplex's own stopping test on every matrix
+of the stack in one vectorised pass, on the potentials of one walk of the
+tree, and the chain keeps the plan on the leading run of sections it
+certifies, with no solve for them; a star needs no test there, since its
+plan ignores the costs.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give

@@ -11,10 +11,13 @@ A ray measure is the half-line analogue: a weighted family of straight
 ambient rays. Its sections form a curve of measures whose speed is the
 p-mean of the per-ray speeds; whether that curve is a genuine ray (every
 induced pair coupling optimal) is exactly what ``validate_ray`` samples.
-The Busemann and co-ray schedules, which couple one measure to section
-after section of a ray, share ``_kept_plan_lengths``: the run of later
-sections on which a plan's kept basis stays certified, found at once. It is
-the one place a basis is reused; every other solve is cold.
+The Busemann truncation and the co-ray construction couple one measure to
+section after section of a ray, starting from the time-0 section, and
+both walk that chain with ``_plan_chain``. Its kept runs come from
+``_kept_plan_lengths``: the leading later sections on which a plan's kept
+basis stays certified, all found at once. That is the one place a basis
+is reused; the first section after a run is solved cold, as is every
+other solve.
 """
 
 from __future__ import annotations
@@ -309,7 +312,7 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
       A star needs no test: a single atom's one feasible plan ignores the
       costs.
 
-    The first target that fails one of these ends the run; the caller
+    The first target that fails one of these ends the run; ``_plan_chain``
     solves it cold, so it meets every branch and error of ``solve_ot``.
     Each length has the bits ``solve_ot`` gives the cost of these entries
     on that target, the p-mean of the entries' d**p: for a simplex basis
@@ -363,6 +366,31 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
         return [], None
     sums = np.add.reduce(plan.masses * entries[:count], axis=1).tolist()
     return [s ** (1.0 / p) for s in sums], positions[:count]
+
+
+def _plan_chain(ray: RayMeasure, nu0: DiscreteMeasure, plan: Coupling, times):
+    """The plans from ``nu0`` to the sections of ``ray`` at ``times``, run by run.
+
+    ``plan`` couples nu0 to an earlier section, the time-0 one for both
+    schedules, and ``times`` are increasing positive times. Yields runs
+    ``(plan, run_times, lengths, positions)`` lazily, so a caller that
+    stops makes no later solve. A kept run is ``_kept_plan_lengths`` on
+    all the remaining times at once: ``plan`` is the step before's
+    coupling, whose entries are kept at ``run_times``, with their
+    ``lengths`` there and the targets' ``positions``. The first time after
+    a run is a cold ``solve_ot``, yielded as a run of one with its own plan
+    and ``positions=None``, and its plan is carried on.
+    """
+    k = 0
+    while k < len(times):
+        lengths, positions = _kept_plan_lengths(ray, plan, times[k:])
+        if lengths:
+            yield plan, times[k : k + len(lengths)], lengths, positions
+            k += len(lengths)
+        if k < len(times):
+            plan = solve_ot(nu0, ray_section(ray, times[k]), ray.p)
+            yield plan, times[k : k + 1], [plan.cost], None
+            k += 1
 
 
 def make_dirac_ray(origin, velocity, p=2.0) -> RayMeasure:

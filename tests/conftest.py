@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray import ot
+from wassray import busemann, coray, ot, paths
 from wassray.paths import _kept_plan_lengths
 # the tests draw measures with verify's generator, the one copy of it
 from wassray.verify import _random_measure as random_measure  # noqa: F401
@@ -39,8 +39,8 @@ def weighted_translation_setup():
 def schedule_step(ray, nu0, plan, t):
     """The plan of one schedule step: from ``nu0`` to the section of ``ray`` at ``t``.
 
-    ``plan`` is the step before's, or None at the first step. It is kept
-    when ``_kept_plan_lengths(ray, plan, [t])`` holds: its entries on the
+    ``plan`` is the step before's. It is kept when
+    ``_kept_plan_lengths(ray, plan, [t])`` holds: its entries on the
     section at t, with ``plan``'s basis. Otherwise the step is a cold
     ``solve_ot``. The kept coupling's cost is worked out as ``solve_ot``
     works out a plan's cost: from the cost matrix for a simplex basis, by
@@ -50,18 +50,33 @@ def schedule_step(ray, nu0, plan, t):
     bit.
     """
     target = w.ray_section(ray, t)
-    if plan is not None:
-        lengths, _ = _kept_plan_lengths(ray, plan, [t])
-        if lengths:
-            star = len(nu0) == 1 or len(target) == 1
-            cost_matrix = None if star else ot._cost_matrix(nu0.atoms, target.atoms, ray.p)
-            kept = ot._checked_coupling(
-                nu0, target, plan.left, plan.right, plan.masses, ray.p, cost_matrix=cost_matrix
-            )
-            assert same_bits(np.float64(kept.cost), np.float64(lengths[0]))
-            object.__setattr__(kept, "_basis", plan._basis)
-            return kept
+    lengths, _ = _kept_plan_lengths(ray, plan, [t])
+    if lengths:
+        star = len(nu0) == 1 or len(target) == 1
+        cost_matrix = None if star else ot._cost_matrix(nu0.atoms, target.atoms, ray.p)
+        kept = ot._checked_coupling(
+            nu0, target, plan.left, plan.right, plan.masses, ray.p, cost_matrix=cost_matrix
+        )
+        assert same_bits(np.float64(kept.cost), np.float64(lengths[0]))
+        object.__setattr__(kept, "_basis", plan._basis)
+        return kept
     return w.solve_ot(nu0, target, ray.p)
+
+
+def step_chain(ray, nu0, times):
+    """The schedules' chain of plans, one time at a time: the time-0 plan, then each time's.
+
+    The oracle of ``paths._plan_chain``, which the Busemann truncation and
+    the co-ray construction walk run by run: the chain starts from the
+    cold plan from ``nu0`` to the ray's time-0 section, and each time's
+    plan comes from the one before by ``schedule_step``. Lazy, so a caller
+    that stops solves nothing more.
+    """
+    plan = w.solve_ot(nu0, w.ray_section(ray, 0.0), ray.p)
+    yield plan
+    for t in times:
+        plan = schedule_step(ray, nu0, plan, t)
+        yield plan
 
 
 def unit_speed(origins, velocities, weights, p):
@@ -149,6 +164,25 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of every ``solve_ot`` call, made through any module's binding of it.
+
+    The schedules solve their start in ``busemann`` or ``coray`` and their
+    steps in ``paths``; ``ot`` solves for ``wasserstein_distance``.
+    """
+    calls = []
+    solve_ot = ot.solve_ot
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve_ot(*args, **kwargs)
+
+    for module in (ot, paths, busemann, coray):
+        monkeypatch.setattr(module, "solve_ot", spy)
+    return calls
 
 
 @pytest.fixture

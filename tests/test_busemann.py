@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray import busemann
+from wassray import busemann, paths
 from wassray.errors import CostOverflowError, MonotonicityError, UnitSpeedError
 from wassray.ot import pairwise_distances
 
@@ -15,7 +15,7 @@ from conftest import (
     GENUINE_RAY_KINDS,
     genuine_ray_case,
     random_measure,
-    schedule_step,
+    step_chain,
     unit_speed,
     weighted_translation_setup,
 )
@@ -88,6 +88,25 @@ def test_parameter_validation(line_ray):
             w.busemann_value(line_ray, nu, tol=tol)
     with pytest.raises(ValueError):
         w.busemann_value(line_ray, nu, max_doublings=0)
+    for max_doublings in (2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="max_doublings must be an integer"):
+            w.busemann_value(line_ray, nu, max_doublings=max_doublings)
+
+
+def test_the_schedule_stops_at_the_last_finite_doubling(line_ray):
+    # t0 = 1 doubles past the largest double at the 1,024th doubling, and no
+    # cap beyond that changes the schedule: these stop where the default does
+    nu = w.dirac((3.0, 4.0))
+    default = w.busemann_value(line_ray, nu)
+    for max_doublings in (1100, 10**9):
+        est = w.busemann_value(line_ray, nu, max_doublings=max_doublings)
+        assert as_bits((est.schedule, est.lower_bound)) == as_bits(
+            (default.schedule, default.lower_bound)
+        )
+        assert est.converged and est.value == default.value
+    # t0 = 2 doubles to inf at the 1,023rd doubling, long after it converges
+    est = w.busemann_value(line_ray, nu, t0=2.0, max_doublings=1023)
+    assert est.converged and len(est.schedule) == 23
 
 
 def test_schedule_exhaustion_reported(line_ray):
@@ -256,7 +275,9 @@ def test_an_increase_past_the_rounding_allowance_still_raises(monkeypatch):
     def fake_solve(*args, **kwargs):
         return SimpleNamespace(cost=next(costs), _basis=None)
 
+    # the lower bound is solved in busemann, the steps in the chain of paths
     monkeypatch.setattr(busemann, "solve_ot", fake_solve)
+    monkeypatch.setattr(paths, "solve_ot", fake_solve)
     with pytest.raises(MonotonicityError, match=f"truncation increased by .* at t={t}"):
         w.busemann_value(ray, nu, t0=t / 2, tol=1e-9)
 
@@ -271,15 +292,15 @@ def outcome(run):
 
 @pytest.fixture
 def section_times(monkeypatch):
-    """Times of the sections ``busemann_value`` builds itself."""
+    """Times of the sections the schedule's chain builds to solve a step."""
     times = []
-    ray_section = busemann.ray_section
+    ray_section = paths.ray_section
 
     def spy(ray, t):
         times.append(t)
         return ray_section(ray, t)
 
-    monkeypatch.setattr(busemann, "ray_section", spy)
+    monkeypatch.setattr(paths, "ray_section", spy)
     return times
 
 
@@ -314,20 +335,7 @@ def test_far_step_raises_as_the_section_solve_does(p, t0, nu_atom, error, sectio
         assert outcome(lambda: w.solve_ot(nu, w.ray_section(ray, t), p)) == got
 
 
-@pytest.fixture
-def busemann_solves(monkeypatch):
-    calls = []
-    solve_ot = busemann.solve_ot
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return solve_ot(*args, **kwargs)
-
-    monkeypatch.setattr(busemann, "solve_ot", spy)
-    return calls
-
-
-def test_two_ray_family_solves_every_section(line_ray, busemann_solves):
+def test_two_ray_family_solves_every_section(line_ray, solves):
     """Only the lower bound is solved when a side has one atom, for one ray and for two.
 
     The lower bound's plan is a single atom's star, which holds whatever
@@ -338,21 +346,21 @@ def test_two_ray_family_solves_every_section(line_ray, busemann_solves):
         (line_ray, w.DiscreteMeasure([[2.0, 5.0], [-1.0, 0.5]], [0.3, 0.7])),
         (w.make_translation_ray(mu0, (0.6, 0.8)), w.dirac((2.0, -1.0))),
     ):
-        busemann_solves.clear()
+        solves.clear()
         est = w.busemann_value(ray, nu)
         assert len(est.schedule) > 10
-        assert len(busemann_solves) == 1
+        assert len(solves) == 1
         assert as_bits((est.schedule, est.lower_bound)) == as_bits(chained_truncation(ray, nu))
 
 
-def test_a_dirac_truncation_makes_one_solve(line_ray, busemann_solves):
+def test_a_dirac_truncation_makes_one_solve(line_ray, solves):
     # a 21-step schedule on a point ray from a point: the lower bound alone
     est = w.busemann_value(line_ray, w.dirac((0.0, 1.2)))
     assert est.converged and len(est.schedule) == 21
-    assert len(busemann_solves) == 1
+    assert len(solves) == 1
 
 
-def test_a_multi_atom_truncation_solves_where_its_plan_changes(busemann_solves):
+def test_a_multi_atom_truncation_solves_where_its_plan_changes(solves):
     # both sides weighted, at p = 1.5: the simplex plan changes at two
     # steps, which are solved, and holds on the other 23, which are not
     mu0 = w.DiscreteMeasure(
@@ -361,24 +369,22 @@ def test_a_multi_atom_truncation_solves_where_its_plan_changes(busemann_solves):
     nu = w.DiscreteMeasure([[-5.2, -8.7], [10.7, -9.6], [-10.9, 15.7]], [0.45, 0.38, 0.17])
     ray = w.make_translation_ray(mu0, (-0.28, 0.96), p=1.5)
     est = w.busemann_value(ray, nu)
-    assert len(est.schedule) == 25 and len(busemann_solves) == 3
+    assert len(est.schedule) == 25 and len(solves) == 3
     assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))
 
 
 def chained_truncation(ray, nu, t0=busemann.DEFAULT_T0):
     """``busemann_value``'s schedule and lower bound, one ``schedule_step`` a time.
 
-    Each step's plan comes from the step before's (the first from the
-    lower bound's), and the checks follow each step; an error comes back
-    as its type and message.
+    The chain starts from the lower bound's plan (``step_chain``), and the
+    checks follow each step; an error comes back as its type and message.
     """
     try:
-        plan = w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p)
-        lower_bound = -plan.cost
+        times = [t0 * 2.0**j for j in range(busemann.DEFAULT_MAX_DOUBLINGS + 1)]
+        chain = step_chain(ray, nu, times)
+        lower_bound = -next(chain).cost
         schedule = []
-        for j in range(busemann.DEFAULT_MAX_DOUBLINGS + 1):
-            t = t0 * 2.0**j
-            plan = schedule_step(ray, nu, plan, t)
+        for j, (t, plan) in enumerate(zip(times, chain)):
             schedule.append((t, plan.cost - t))
             if j:
                 (s, previous), (_, value) = schedule[-2:]

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ from wassray import cli
 from wassray.cli import main
 from wassray.verify import run_suite
 
-from conftest import schedule_step
+from conftest import step_chain
 
 
 @pytest.fixture
@@ -414,7 +415,7 @@ def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
     # kept plans from one stacked certificate each, solves the steps where
     # it fails, and keeping a plan too long would show in the ray. The ray
     # it writes must be byte-identical to the one built from the last plan
-    # of the step chain, one target at a time (``schedule_step``); both
+    # of the step chain, one target at a time (``step_chain``); both
     # files hold repr floats
     (tmp_path / "chain-mu0.measure").write_text(
         "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n"
@@ -433,12 +434,11 @@ def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
         "--out-ray", str(built),
     )
     ray, nu0 = w.read_ray(rays), w.read_measure(tmp_path / "chain-start.measure")
-    plan, plans = None, []
-    for k in range(1, 21):
-        plan = schedule_step(ray, nu0, plan, 2.0**k)
-        plans.append((plan.left.tobytes(), plan.right.tobytes(), plan.masses.tobytes()))
+    _, *steps = step_chain(ray, nu0, [2.0**k for k in range(1, 21)])
+    plans = [(plan.left.tobytes(), plan.right.tobytes(), plan.masses.tobytes()) for plan in steps]
     changes = [k for k in range(2, 21) if plans[k - 1] != plans[k - 2]]
     assert len(set(plans)) == 3 and changes == [3, 9]
+    plan = steps[-1]
     origins = plan.mu.atoms[plan.left]
     velocities = (plan.nu.atoms[plan.right] - origins) / plan.cost
     chained = tmp_path / "chained.rays"
@@ -450,7 +450,7 @@ def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
     # a point ray from a point 1.2 off it: 21 doubling steps, which the
     # star of the single-atom plan keeps with no solve after the lower
     # bound. The schedule written must be the one of the step chain, one
-    # time at a time (``schedule_step``), stopped where the decrement falls
+    # time at a time (``step_chain``), stopped where the decrement falls
     # below the default 1e-6, in the CLI's 12 significant digits
     rays, nu, csv = (str(tmp_path / name) for name in ("point.rays", "nu.measure", "t.csv"))
     wassray_cli("ray-new", "dirac", "--origin", "0,0", "--velocity", "1,0", "--out", rays)
@@ -458,11 +458,11 @@ def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
     out = wassray_cli("busemann", rays, nu, "--t0", "1", "--out-csv", csv)
     assert "converged true" in out.splitlines()
     ray, measure = w.read_ray(rays), w.read_measure(nu)
-    plan = w.solve_ot(measure, w.ray_section(ray, 0.0), ray.p)
+    times = [2.0**j for j in range(25)]
+    chain = step_chain(ray, measure, times)
+    next(chain)  # the lower bound's plan starts the chain
     rows, previous = ["t,value"], None
-    for j in range(25):
-        t = 2.0**j
-        plan = schedule_step(ray, measure, plan, t)
+    for t, plan in zip(times, chain):
         value = plan.cost - t
         rows.append(f"{t:.12g},{value:.12g}")
         if previous is not None and previous - value < 1e-6:
@@ -520,3 +520,161 @@ def test_a_weighted_geodesic_section_lifts_its_plan_after_a_cold_solve(tmp_path)
     assert len(rows) == 3
     for (x, weight), (x_want, weight_want) in zip(rows, [(1.0, 0.3), (1.5, 0.2), (2.0, 0.5)]):
         assert abs(x - x_want) <= 1e-12 and abs(weight - weight_want) <= 1e-12
+
+
+def test_busemann_truncation_takes_only_finite_doubling_times(files, capsys):
+    # doubling t0 = 1 passes the largest double at the 1,024th doubling; the
+    # schedule stops at the last finite time, so a larger cap is no error
+    assert main(["busemann", files["ray"], files["b"], "--max-doublings", "1100"]) == 0
+    assert cli_fields(capsys)["converged"] == "true"
+
+
+def coray_gaps(csv):
+    """The gap column of a co-ray ``--out-csv`` file, under its header, as text."""
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "t,length,gap"
+    return [row.split(",")[2] for row in rows[1:]]
+
+
+def halving(gaps):
+    """Whether each of the last three gaps is 0.45-0.55 of the one before."""
+    last = [float(gap) for gap in gaps[-4:]]
+    return all(0.45 <= b / a <= 0.55 for a, b in zip(last, last[1:]))
+
+
+def test_coray_construction_from_a_weighted_start(tmp_path, capsys):
+    # a translation ray from a weighted 3-atom measure and a weighted
+    # 2-atom start: each gap is the cost of the two steps' plans glued at
+    # the start's atoms, an upper bound on the section movement, and it
+    # halves with each doubling of the target time
+    (tmp_path / "mu0.measure").write_text(
+        "measure\ndim 2\natoms 3\n0.0 0.0 0.2\n1.0 0.5 0.3\n-0.5 1.5 0.5\n"
+    )
+    (tmp_path / "start.measure").write_text(
+        "measure\ndim 2\natoms 2\n0.3 -0.4 0.6\n-1.0 0.8 0.4\n"
+    )
+    rays, gaps = str(tmp_path / "t.rays"), tmp_path / "gaps.csv"
+    assert main([
+        "ray-new", "translation", "--measure", str(tmp_path / "mu0.measure"),
+        "--velocity", "0.6,0.8", "--out", rays,
+    ]) == 0
+    schedule = ",".join(str(2**k) for k in range(1, 17))
+    assert main([
+        "--tol", "1e-3", "coray", rays, str(tmp_path / "start.measure"),
+        "--schedule", schedule, "--out-csv", str(gaps),
+    ]) == 0
+    column = coray_gaps(gaps)
+    # the first step has no movement; every later gap is finite and >= 0
+    assert len(column) == 16 and column[0] == "nan"
+    assert all(re.fullmatch(r"[0-9.e+-]+", gap) and float(gap) >= 0.0 for gap in column[1:])
+    assert halving(column)
+    # a p = 16 translation ray from a far weighted 3-atom start, whose kept
+    # plan changes along the schedule: its time-0 section is the start at
+    # every step, so with test time 0 alone every gap is exactly 0
+    (tmp_path / "far-mu0.measure").write_text(
+        "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n"
+    )
+    (tmp_path / "far-start.measure").write_text(
+        "measure\ndim 2\natoms 3\n-5.2 -8.7 0.45\n10.7 -9.6 0.38\n-10.9 15.7 0.17\n"
+    )
+    rays, time0 = str(tmp_path / "t16.rays"), tmp_path / "time0.csv"
+    assert main([
+        "--p", "16", "ray-new", "translation", "--measure", str(tmp_path / "far-mu0.measure"),
+        "--velocity=-0.28,0.96", "--out", rays,
+    ]) == 0
+    assert main([
+        "--p", "16", "coray", rays, str(tmp_path / "far-start.measure"),
+        "--test-times", "0", "--out-csv", str(time0),
+    ]) == 0
+    column = coray_gaps(time0)
+    assert len(column) == 16 and column[0] == "nan" and set(column[1:]) == {"0"}
+
+
+def test_coray_construction_at_p8_halves_its_gaps(tmp_path):
+    # a weighted 6-atom translation ray on the line and a weighted 7-atom
+    # start: each gap is about half the one before, down to 2.0e-6 at
+    # t = 2^20. When the gaps were solved movements, a certificate whose
+    # tolerance grows with the largest cost accepted wrong movement plans
+    # here and stalled at 1.6e-3
+    (tmp_path / "mu0-line.measure").write_text(
+        "measure\ndim 1\natoms 6\n0.242 0.147\n0.442 0.255\n-0.968 0.066\n0.351 0.346\n"
+        "0.82 0.054\n-0.728 0.132\n"
+    )
+    (tmp_path / "start-line.measure").write_text(
+        "measure\ndim 1\natoms 7\n0.567 0.157\n0.569 0.075\n-0.833 0.122\n0.23 0.105\n"
+        "-0.377 0.179\n-0.26 0.144\n0.988 0.218\n"
+    )
+    rays, gaps = str(tmp_path / "t8.rays"), tmp_path / "gaps8.csv"
+    assert main([
+        "--p", "8", "ray-new", "translation", "--measure", str(tmp_path / "mu0-line.measure"),
+        "--velocity=-1", "--out", rays,
+    ]) == 0
+    schedule = ",".join(str(2**k) for k in range(1, 21))
+    assert main([
+        "--p", "8", "coray", rays, str(tmp_path / "start-line.measure"),
+        "--schedule", schedule, "--out-csv", str(gaps),
+    ]) == 0
+    column = coray_gaps(gaps)
+    assert len(column) == 20 and halving(column)
+
+
+def input_error(capsys, argv):
+    """The one stderr line of a command that must exit 2, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["busemann", "coray"])
+def test_an_empty_ray_family_is_one_input_error_that_names_it(tmp_path, capsys, command):
+    # a ray file with no entry lines is a family without members: it once
+    # read as one ray in R^0 and was reported as a dimension error
+    (tmp_path / "empty.rays").write_text("rays\ndim 2\np 2\nentries 0\n")
+    (tmp_path / "point.measure").write_text("measure\ndim 2\natoms 1\n3.0 4.0 1.0\n")
+    argv = [command, str(tmp_path / "empty.rays"), str(tmp_path / "point.measure")]
+    line = input_error(capsys, argv)
+    assert re.match(r"input error: .*a ray family needs at least one ray", line)
+
+
+NON_FINITE_FILES = {
+    "good.measure": "measure\ndim 2\natoms 1\n3.0 4.0 1.0\n",
+    "good.rays": "rays\ndim 2\np 2\nentries 1\n0.0 0.0 1.0 0.0 1.0\n",
+    "atom-first.measure": "measure\ndim 2\natoms 2\nnan 0.0 0.5\n1.0 2.0 0.5\n",
+    "atom-last.measure": "measure\ndim 2\natoms 2\n0.0 0.0 0.5\n1.0 inf 0.5\n",
+    "weight-first.measure": "measure\ndim 2\natoms 2\n0.0 0.0 inf\n1.0 2.0 0.5\n",
+    "weight-last.measure": "measure\ndim 2\natoms 2\n0.0 0.0 0.5\n1.0 2.0 nan\n",
+    "data-first.rays": "rays\ndim 2\np 2\nentries 2\nnan 0.0 1.0 0.0 0.5\n1.0 0.0 1.0 0.0 0.5\n",
+    "data-last.rays": "rays\ndim 2\np 2\nentries 2\n0.0 0.0 1.0 0.0 0.5\n1.0 0.0 1.0 -inf 0.5\n",
+    "weight-first.rays": "rays\ndim 2\np 2\nentries 2\n0.0 0.0 1.0 0.0 inf\n1.0 0.0 1.0 0.0 0.5\n",
+    "weight-last.rays": "rays\ndim 2\np 2\nentries 2\n0.0 0.0 1.0 0.0 0.5\n1.0 0.0 1.0 0.0 nan\n",
+}
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_non_finite_file_values_are_one_input_error(tmp_path, capsys, where):
+    # nan or inf in the first and in the last data line of a measure file
+    # and of a ray file: the finiteness checks find the extremes with
+    # argmin and argmax, which stop at the first NaN, so the position of
+    # the bad value must not matter
+    for name, text in NON_FINITE_FILES.items():
+        (tmp_path / name).write_text(text)
+    good_measure, good_rays = str(tmp_path / "good.measure"), str(tmp_path / "good.rays")
+    atom, weight = (str(tmp_path / f"{kind}-{where}.measure") for kind in ("atom", "weight"))
+    data, ray_weight = (str(tmp_path / f"{kind}-{where}.rays") for kind in ("data", "weight"))
+    coordinates = "invalid measure data: atom coordinates must be finite"
+    weights = "invalid measure data: weights must be finite"
+    for message, argv in [
+        (coordinates, ["dist", atom, good_measure]),
+        (weights, ["dist", good_measure, weight]),
+        (coordinates, ["busemann", good_rays, atom]),
+        (weights, ["busemann", good_rays, weight]),
+        ("invalid ray data: ray data must be finite", ["busemann", data, good_measure]),
+        (
+            "invalid ray data: ray weights must be finite and nonnegative",
+            ["busemann", ray_weight, good_measure],
+        ),
+    ]:
+        assert input_error(capsys, argv) == f"input error: {message}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray import coray, ot
+from wassray import ot
 from wassray.coray import DEFAULT_SCHEDULE, DEFAULT_TEST_TIMES, DEFAULT_TOL, _glued_movement
 from wassray.errors import CostOverflowError, UnitSpeedError
 
@@ -16,7 +16,7 @@ from conftest import (
     genuine_ray_case,
     psd_gradient_ray,
     random_measure,
-    schedule_step,
+    step_chain,
     unit_speed,
     weighted_translation_setup,
 )
@@ -116,66 +116,37 @@ def test_schedule_validation(line_ray):
             w.construct_coray(line_ray, nu0, schedule=(2.0, 4.0), tol=tol)
 
 
-def test_construction_reuses_certified_plans(lp_shapes, monkeypatch):
+def test_construction_reuses_certified_plans(lp_shapes, solves):
     # 16 steps of weighted measures: 16 target couplings and one start
-    # offset. The first target coupling is solved; the simplex basis it
-    # keeps stays certified on all 15 targets after it, found in one
-    # stacked pass, so those steps make no solve_ot call. The movement
-    # between steps is read off the two plans glued at nu0's atoms, with no
-    # transport problem. The 2 LPs are the offset and the first target.
-    # Solving every target coupling cold took 17 LP solves: 1 offset and
-    # 16 targets; certifying each step's plan in its own solve_ot call took
-    # 17 solve_ot calls.
-    solves = []
-    solve_ot = ot.solve_ot
-
-    def spy(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ot(*args, **kwargs)
-
-    # the start offset solves through ot's own name, the targets through coray's
-    monkeypatch.setattr(ot, "solve_ot", spy)
-    monkeypatch.setattr(coray, "solve_ot", spy)
+    # offset. The chain starts from the start offset's plan, whose simplex
+    # basis stays certified on all 16 targets, found in one stacked pass,
+    # so no step makes a solve_ot call. The movement between steps is read
+    # off the two plans glued at nu0's atoms, with no transport problem.
+    # The one LP is the offset's. Solving every target coupling cold took
+    # 17 LP solves: 1 offset and 16 targets; certifying each step's plan in
+    # its own solve_ot call took 17 solve_ot calls.
     rng = np.random.default_rng(7)
     mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu0 = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     result = w.construct_coray(w.make_translation_ray(mu0, (1.0, 0.0)), nu0)
     assert result.converged
     assert len(result.lengths) == 16
-    assert len(solves) == 2
-    assert len(lp_shapes) == 2
+    assert len(solves) == 1
+    assert len(lp_shapes) == 1
 
 
-def test_a_point_start_to_a_point_ray_makes_two_solves(monkeypatch):
+def test_a_point_start_to_a_point_ray_makes_one_solve(solves):
     # verify's parallel co-ray: a single atom's one feasible plan keeps its
-    # star as basis, so after the start offset and the first target the
-    # stacked pass takes the other 15 targets with no solve. Solving each
-    # target took 17 solve_ot calls
-    solves = []
-    solve_ot = ot.solve_ot
-
-    def spy(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ot(*args, **kwargs)
-
-    monkeypatch.setattr(ot, "solve_ot", spy)
-    monkeypatch.setattr(coray, "solve_ot", spy)
+    # star as basis, so after the start offset the stacked pass takes all
+    # 16 targets with no solve. Solving each target took 17 solve_ot calls
     ray, nu0 = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0)), w.dirac((0.0, 1.0))
     result = w.construct_coray(ray, nu0)
     assert result.converged and len(result.lengths) == 16
-    assert len(solves) == 2
+    assert len(solves) == 1
     assert constructed(ray, nu0, DEFAULT_SCHEDULE) == chained(ray, nu0, DEFAULT_SCHEDULE)
 
 
 MOVING_TIMES = tuple(tau for tau in DEFAULT_TEST_TIMES if tau > 0.0)
-
-
-def step_chain(ray, nu0, schedule):
-    """Each step's plan from the one before, one ``schedule_step`` a target."""
-    plan = None
-    for t_n in schedule:
-        plan = schedule_step(ray, nu0, plan, t_n)
-        yield plan
 
 
 def construction_steps(ray, nu0, schedule):
@@ -187,7 +158,8 @@ def construction_steps(ray, nu0, schedule):
     construction's diagnostics compare.
     """
     plans, sections = [], []
-    for plan in step_chain(ray, nu0, schedule):
+    _, *targets = step_chain(ray, nu0, schedule)
+    for plan in targets:
         lift = w.GeodesicLift(
             plan.mu.atoms[plan.left], plan.nu.atoms[plan.right], plan.masses, plan.p, plan.cost
         )
@@ -224,13 +196,15 @@ def constructed(ray, nu0, schedule):
 def chained(ray, nu0, schedule):
     """The construction's outputs from the step chain, one target at a time, or its error.
 
-    The start offset first, then each step's plan and its glued movement
-    from the step before, and the candidate ray from the last plan.
+    The start offset first, from the plan that starts the chain, then each
+    step's plan and its glued movement from the step before, and the
+    candidate ray from the last plan.
     """
     try:
-        start_offset = w.wasserstein_distance(nu0, w.ray_section(ray, 0.0), ray.p)
+        chain = step_chain(ray, nu0, schedule)
+        start_offset = next(chain).cost
         lengths, diagnostics, previous = [], [], None
-        for plan in step_chain(ray, nu0, schedule):
+        for plan in chain:
             lengths.append(plan.cost)
             if previous is not None:
                 diagnostics.append(_glued_movement(previous, plan, np.array(MOVING_TIMES)))
@@ -326,18 +300,19 @@ def test_the_chain_cases_reach_their_branches(d, p):
     # plan solved at the third step holds for eight more and changes at the
     # last one
     ray, nu0, schedule = far_start_translation(3.0)
-    plans = list(step_chain(ray, nu0, schedule))
+    _, *plans = step_chain(ray, nu0, schedule)
     kept = [same_entries(a, b) for a, b in zip(plans, plans[1:])]
     assert kept == [True, False] + [True] * 8 + [False]
     assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
 
 
-def test_a_run_s_end_is_solved_cold_without_repricing(monkeypatch):
-    # the stacked pass prices the basis of each solved plan once, on all
-    # the targets after it: 11 after the first step, whose basis holds at
-    # the second and fails at the third, and 9 after the third, whose basis
-    # holds for eight steps and fails at the last. The target that ends a
-    # run is solved cold, so no target is priced twice
+def test_a_run_s_end_is_solved_cold_without_repricing(monkeypatch, solves):
+    # the stacked pass prices the basis of each plan it keeps once, on all
+    # the targets after it: the start offset's on all 12, which holds at
+    # the first two and fails at the third, and the third's on the 9 after
+    # it, which holds for eight steps and fails at the last. The target
+    # that ends a run is solved cold, so no target is priced twice, and
+    # the solves are the start offset, the third target and the last
     stacks = []
     tree_potentials = ot._tree_potentials
 
@@ -348,27 +323,23 @@ def test_a_run_s_end_is_solved_cold_without_repricing(monkeypatch):
     monkeypatch.setattr(ot, "_tree_potentials", spy)
     ray, nu0, schedule = far_start_translation(3.0)
     w.construct_coray(ray, nu0, schedule=schedule)
-    assert stacks == [11, 9]
+    assert stacks == [12, 9]
+    assert len(solves) == 3
 
 
-def test_a_start_with_the_ray_s_weights_is_solved_every_step(monkeypatch):
+def test_a_start_with_the_ray_s_weights_is_solved_every_step(solves):
     # a start with the ray's weights is left to solve_ot, which tries the
     # identity plan before the LP, so no step is taken from a stacked
     # certificate. Here the simplex plans of the first three steps give way
     # to the identity at the fourth
     ray, nu0, schedule = chain_case("equal-weights", 1, 1.5, 6, 10)
-    plans = list(step_chain(ray, nu0, schedule))
+    _, *plans = step_chain(ray, nu0, schedule)
     assert [plan._basis is not None for plan in plans] == [True] * 3 + [False] * 7
-    solves = []
-    solve_ot = coray.solve_ot
-
-    def spy(*args, **kwargs):
-        solves.append(args[1])
-        return solve_ot(*args, **kwargs)
-
-    monkeypatch.setattr(coray, "solve_ot", spy)
-    assert constructed(ray, nu0, schedule) == chained(ray, nu0, schedule)
-    assert len(solves) == len(schedule)
+    solves.clear()
+    outputs = constructed(ray, nu0, schedule)
+    # the start offset and every target
+    assert len(solves) == len(schedule) + 1
+    assert outputs == chained(ray, nu0, schedule)
 
 
 def sorted_plan_distance(a, b, p):
