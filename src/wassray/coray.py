@@ -14,7 +14,7 @@ consecutive steps shows the section family no longer moving. The plans
 form one chain from the start offset's time-0 plan, as the Busemann
 truncation's start from its lower bound (``paths._plan_chain``): the
 basis a plan kept (the simplex's, or a single-atom plan's star) is
-certified on all the remaining targets at once, the leading run of
+certified on a chunk of the remaining targets at once, the leading run of
 targets it holds on is taken with no solve at all, and the first target
 after a run is solved cold. The final coupling's segments,
 reparameterized to unit speed and extended to straight rays, form the
@@ -111,9 +111,10 @@ def construct_coray(
     optimal plan settles as the target time grows. So the steps chain on
     from the start offset's plan, nu0 to the time-0 section
     (``paths._plan_chain``): one stacked pass certifies the basis a plan
-    kept on all the remaining targets at once, the leading run of targets
-    on which the simplex's own optimality test holds on that basis, or,
-    for a single atom's plan, whose star keeps it whatever the costs.
+    kept on a chunk of the remaining targets at once, the leading run of
+    targets on which the simplex's own optimality test holds on that
+    basis, or, for a single atom's plan, whose star keeps it whatever the
+    costs.
     Those steps make no ``solve_ot`` call; they keep the plan, with the
     lengths of the kept entries on each target and, each entry paired with
     itself, their diagnostics (``_movements``), bit for bit. The first
@@ -153,14 +154,14 @@ def construct_coray(
                 diagnostics.append(_glued_movement(coupling, plan, moving_times))
             coupling = plan
         else:
-            # a kept run of ``plan``, the step before's coupling: each entry
-            # pairs with itself from step to step, and the time-0 plan's
-            # glue to the first target is no diagnostic
+            # a kept run of ``plan``, whose entries the step before's
+            # coupling has: each entry pairs with itself from step to step,
+            # and the time-0 plan's glue to the first target is no diagnostic
             left, right, masses = plan.left, plan.right, plan.masses
             ends, costs = positions[:, right], run_lengths
             if coupling is not None:
-                ends = np.concatenate((plan.nu.atoms[right][None], ends))
-                costs = [plan.cost] + costs
+                ends = np.concatenate((coupling.nu.atoms[right][None], ends))
+                costs = [coupling.cost] + costs
             diagnostics += _movements(
                 nu0.atoms[left], ends, np.array(costs), masses, moving_times, mu.p
             )

@@ -6,13 +6,10 @@ at p = 16) a cost overflows to inf, and every path raises
 ``CostOverflowError`` naming p instead of solving on it; the distances
 are checked before they are raised to p, so numpy warns of nothing.
 ``solve_ot`` builds that cost matrix on distances from scipy's compiled
-Euclidean kernel ``cdist``. The kernel adds the squared coordinate differences in
-order, as numpy's ``add.reduce`` does below 8 terms, so for d <= 7 its
-distances equal the numpy formula bit for bit (see
-``pairwise_distances``). ``solve_ot`` hands the matrix to
-``transport_plan``, which takes any finite real cost matrix (the exact
-Busemann function solves one with negative entries) and picks an exact
-method from the input alone, trying in order:
+Euclidean kernel ``cdist`` (``pairwise_distances``), for every instance,
+and hands it to ``transport_plan``, which takes any finite real cost
+matrix (the exact Busemann function solves one with negative entries)
+and picks an exact method from the input alone, trying in order:
 
 - a single-atom marginal has one feasible coupling, built directly. Its
   m + n - 1 entries form a star, a spanning tree, so they are its basis;
@@ -44,12 +41,12 @@ such a basis: the schedules (Busemann doubling, the co-ray construction)
 couple one measure to section after section of a ray, whose optimal plan
 settles, along one chain of plans from the time-0 section
 (``paths._plan_chain``). From each plan, ``paths._kept_plan_lengths``
-passes the costs of all the remaining sections to ``_certified_prefix``
-as one stack. That runs the simplex's own stopping test on every matrix
-of the stack in one vectorised pass, on the potentials of one walk of the
-tree, and the chain keeps the plan on the leading run of sections it
-certifies, with no solve for them; a star needs no test there, since its
-plan ignores the costs.
+passes the costs of a chunk of the remaining sections to
+``_certified_prefix`` as one stack. That runs the simplex's own stopping
+test on every matrix of the stack in one vectorised pass, on the
+potentials of one walk of the tree, and the chain keeps the plan on the
+leading run of sections it certifies, with no solve for them; a star
+needs no test there, since its plan ignores the costs.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -128,9 +125,8 @@ def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     (2 vCPU, Python 3.11, scipy 1.17). The kernel sums the squared
     coordinate differences one after the other, which is exactly what
     numpy's ``add.reduce`` does over fewer than 8 terms, so for d <= 7
-    every entry has the bits of the numpy formula (a test pins this). From
-    d = 8 numpy sums pairwise with 8 accumulators, and entries may differ
-    from that formula in the last bits.
+    every entry has the bits of the numpy formula (a test pins this); from
+    d = 8 numpy sums pairwise, and only rounding agrees.
     """
     return cdist(X, Y)
 
@@ -201,9 +197,7 @@ class Coupling:
     ranges, finite positive masses, marginals, cost) in
     ``_checked_coupling``. Plans built by ``solve_ot`` run the same checks
     without the conversion, and read the entries' d**p from the cost
-    matrix they were solved on instead of recomputing the distances; the
-    cost has the same bits either way for d <= 7, and may differ in the
-    last bits from d = 8 (see ``pairwise_distances``).
+    matrix they were solved on instead of recomputing the distances.
     """
 
     mu: DiscreteMeasure
@@ -264,8 +258,7 @@ def _checked_coupling(
 
     The cost is derived from the entries by ``_segment_cost``, or, when
     ``solve_ot`` passes the matrix ``cost_matrix`` of d**p it solved on,
-    as the p-mean of the plan's entries of that matrix: for d <= 7 the
-    same values raised to the same power, so the same bits, without
+    as the p-mean of the plan's entries of that matrix, without
     recomputing the distances. A supplied ``cost`` is compared with
     ``_segment_cost``'s. An entry distance whose d**p would overflow, or a
     derived or supplied cost that is not finite, raises
@@ -334,10 +327,16 @@ def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses
 
 
 def _segment_cost(starts, ends, weights, p) -> float:
-    """p-mean of the lengths of the segments from ``starts`` to ``ends``: a plan's cost."""
-    diff = ends - starts
+    """p-mean of the lengths of the segments from ``starts`` to ``ends``: a plan's cost.
+
+    A squared length past the largest double is inf, formed without
+    numpy's overflow warning; ``p_mean``'s check names it.
+    """
     # np.linalg.norm(diff, axis=1)'s own formula, so lengths keep its bits
-    return p_mean(weights, np.sqrt(np.add.reduce(diff * diff, axis=1)), p)
+    with np.errstate(over="ignore"):
+        diff = ends - starts
+        lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    return p_mean(weights, lengths, p)
 
 
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
@@ -346,24 +345,17 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     ``transport_plan`` picks the exact method (single atom, assignment,
     identity between equal marginals, transportation simplex) on the cost
     matrix ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries
-    it returns are checked and frozen into the coupling, which keeps the
-    basis of an LP or single-atom plan for the schedules' stacked pass.
+    it returns are checked and frozen into the coupling, with the cost
+    read from that matrix. The coupling keeps the basis of an LP or
+    single-atom plan for the schedules' stacked pass.
     Deterministic: identical inputs produce bit-identical couplings. Costs
     that would overflow (some d**p past the largest double) raise
     ``CostOverflowError`` before any power is taken.
     """
     p = _check_instance(mu, nu, p)
-    # the one feasible plan of a single atom ignores the costs; building them
-    # would add a quarter to these solves, which Busemann schedules on point
-    # rays make by the thousand
-    single = _single_atom_plan(mu.weights, nu.weights)
-    if single is None:
-        cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
-        left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix)
-        plan = _checked_coupling(mu, nu, left, right, masses, p, cost_matrix=cost_matrix)
-    else:
-        left, right, masses, basis = single
-        plan = _checked_coupling(mu, nu, left, right, masses, p)
+    cost_matrix = _cost_matrix(mu.atoms, nu.atoms, p)
+    left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix)
+    plan = _checked_coupling(mu, nu, left, right, masses, p, cost_matrix=cost_matrix)
     if basis is not None:
         object.__setattr__(plan, "_basis", basis)
     return plan
@@ -500,10 +492,9 @@ def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     """
     rows, cols = basis
     u, v = _tree_potentials(cost_stack, rows, cols)
-    # _certificate_tolerance, _dual_certificate's reduced costs and its test
-    # for every matrix at once, with the same roundings element by element
-    m, n = cost_stack.shape[1:]
-    tol = CERTIFICATE_ROUNDINGS * (m + n) * EPS * np.abs(cost_stack).max(axis=(1, 2))
+    # _dual_certificate's reduced costs and its test for every matrix at
+    # once, with the same roundings element by element
+    tol = _certificate_tolerance(cost_stack)
     reduced = cost_stack + u[:, :, None]
     reduced -= v[:, None, :]
     holds = (reduced.min(axis=(1, 2)) >= -tol) & (reduced[:, rows, cols].max(axis=1) <= tol)
@@ -518,10 +509,17 @@ def _leading(holds: np.ndarray) -> int:
     return len(holds) if holds[first] else first
 
 
-def _certificate_tolerance(cost_matrix: np.ndarray) -> float:
-    """The certificate's rounding allowance 4 (m + n) eps max|C|."""
-    m, n = cost_matrix.shape
-    largest = _array_max(np.abs(cost_matrix))
+def _certificate_tolerance(costs: np.ndarray):
+    """The certificate's rounding allowance 4 (m + n) eps max|C|.
+
+    Of one (m, n) cost matrix, as a Python float, or of each matrix of a
+    (T, m, n) stack, as a (T,) array with the same bits.
+    """
+    m, n = costs.shape[-2:]
+    if costs.ndim == 2:
+        largest = _array_max(np.abs(costs))
+    else:
+        largest = np.abs(costs).max(axis=(1, 2))
     return CERTIFICATE_ROUNDINGS * (m + n) * EPS * largest
 
 

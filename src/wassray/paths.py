@@ -15,9 +15,9 @@ The Busemann truncation and the co-ray construction couple one measure to
 section after section of a ray, starting from the time-0 section, and
 both walk that chain with ``_plan_chain``. Its kept runs come from
 ``_kept_plan_lengths``: the leading later sections on which a plan's kept
-basis stays certified, all found at once. That is the one place a basis
-is reused; the first section after a run is solved cold, as is every
-other solve.
+basis stays certified, a chunk of them found at once. That is the one
+place a basis is reused; the first section after a run is solved cold,
+as is every other solve.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ UNIT_SPEED_ATOL = 1e-9
 VALIDATION_GAP_RTOL = 1e-7
 VALIDATION_SPEED_ATOL = 1e-7
 DEFAULT_VALIDATION_PAIRS = ((0.0, 1.0), (0.0, 2.0), (1.0, 3.0), (0.0, 10.0))
+# the times a schedule's first stacked pass prices; more than Busemann's
+# default 25, so a default schedule is one pass
+FIRST_CHUNK = 32
 
 
 def _family_arrays(first, second, weights):
@@ -306,8 +309,7 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
     - the target's positions are finite, and no two of them share every
       ``_merge_keys`` key, so the section is the positions with the ray's
       weights, byte for byte;
-    - no distance from nu0 (for a star: no entry's length) reaches
-      ``_distance_limit``;
+    - no distance from nu0 reaches ``_distance_limit``;
     - a simplex basis passes ``_certified_prefix`` on the target's costs.
       A star needs no test: a single atom's one feasible plan ignores the
       costs.
@@ -315,13 +317,11 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
     The first target that fails one of these ends the run; ``_plan_chain``
     solves it cold, so it meets every branch and error of ``solve_ot``.
     Each length has the bits ``solve_ot`` gives the cost of these entries
-    on that target, the p-mean of the entries' d**p: for a simplex basis
-    gathered from one ``pairwise_distances`` matrix of all the targets, as
-    ``solve_ot`` reads them from its cost matrix; for a star from
-    ``_segment_cost``'s lengths, the single-atom path's formula (``cdist``
-    may differ from it in the last bit from d = 8). Each row sums along a
-    C-contiguous axis as the 1-D sum does, and every 1/p root is taken on a
-    Python float. Returns the run's lengths and its targets' positions,
+    on that target, the p-mean of the entries' d**p, gathered from one
+    ``pairwise_distances`` matrix of all the targets as ``solve_ot`` reads
+    them from its cost matrix. Each row sums along a C-contiguous axis as
+    the 1-D sum does, and every 1/p root is taken on a Python float.
+    Returns the run's lengths and its targets' positions,
     (count, len(ray), d), or ``([], None)`` for an empty run.
     """
     if not times or plan._basis is None:
@@ -331,35 +331,25 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
     star = len(nu0) == 1 or len(ray) == 1
     if plan.nu.weights.tobytes() != weights or (not star and nu0.weights.tobytes() == weights):
         return [], None
-    limit = _distance_limit(p)
     # every target's ``RayMeasure.positions`` at once; a non-finite one ends
     # the run before it, and its own solve warns and raises as before
     with np.errstate(over="ignore", invalid="ignore"):
         positions = ray.origins + np.array(times)[:, None, None] * ray.velocities
-        if star:
-            # _segment_cost's lengths: a star's entries are nu0's atoms
-            # against the one target atom, or the one atom of nu0 against
-            # the target's, in order, so the plain difference lines them up
-            diff = positions - nu0.atoms
-            lengths = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    count = len(times)
     if len(ray) > 1:
         keys = _merge_keys(positions)
         # each row shares every key with itself; another match merges two atoms
         matches = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3).sum(axis=(1, 2))
         count = _leading(np.isfinite(positions).all(axis=(1, 2)) & (matches == len(ray)))
-    else:
-        count = len(times)
-    if star:
-        # NaN and inf fail the comparison, so a non-finite target ends the run
-        count = _leading(lengths[:count].max(axis=1) < limit)
-        entries = lengths[:count] ** p
-    elif count:
+    if count:
         m, n = len(nu0), len(ray)
         flat = pairwise_distances(nu0.atoms, positions[:count].reshape(count * n, -1))
         distances = flat.reshape(m, count, n).transpose(1, 0, 2)
-        count = _leading(distances.max(axis=(1, 2)) < limit)
+        # NaN and inf fail the comparison, so a non-finite target ends the run
+        count = _leading(distances.max(axis=(1, 2)) < _distance_limit(p))
         costs = distances[:count] ** p
-        count = _certified_prefix(costs, plan._basis)
+        if not star:
+            count = _certified_prefix(costs, plan._basis)
         # C-contiguous, so each row sums in the order of the 1-D sum
         entries = np.ascontiguousarray(costs[:count, plan.left, plan.right])
     if not count:
@@ -375,19 +365,25 @@ def _plan_chain(ray: RayMeasure, nu0: DiscreteMeasure, plan: Coupling, times):
     schedules, and ``times`` are increasing positive times. Yields runs
     ``(plan, run_times, lengths, positions)`` lazily, so a caller that
     stops makes no later solve. A kept run is ``_kept_plan_lengths`` on
-    all the remaining times at once: ``plan`` is the step before's
+    the next chunk of times at once: ``plan`` is the step before's
     coupling, whose entries are kept at ``run_times``, with their
-    ``lengths`` there and the targets' ``positions``. The first time after
-    a run is a cold ``solve_ot``, yielded as a run of one with its own plan
-    and ``positions=None``, and its plan is carried on.
+    ``lengths`` there and the targets' ``positions``. A chunk holds
+    ``FIRST_CHUNK`` times and doubles after each one kept whole, which
+    goes on from the same plan as another run, so the work stays in
+    proportion to the steps a caller takes, not to the times it offers.
+    The first time after a run that ends early is a cold ``solve_ot``,
+    yielded as a run of one with its own plan and ``positions=None``, and
+    its plan is carried on.
     """
-    k = 0
+    k, chunk = 0, FIRST_CHUNK
     while k < len(times):
-        lengths, positions = _kept_plan_lengths(ray, plan, times[k:])
+        lengths, positions = _kept_plan_lengths(ray, plan, times[k : k + chunk])
         if lengths:
             yield plan, times[k : k + len(lengths)], lengths, positions
             k += len(lengths)
-        if k < len(times):
+        if len(lengths) == chunk:
+            chunk *= 2
+        elif k < len(times):
             plan = solve_ot(nu0, ray_section(ray, times[k]), ray.p)
             yield plan, times[k : k + 1], [plan.cost], None
             k += 1

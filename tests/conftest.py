@@ -43,17 +43,15 @@ def schedule_step(ray, nu0, plan, t):
     ``_kept_plan_lengths(ray, plan, [t])`` holds: its entries on the
     section at t, with ``plan``'s basis. Otherwise the step is a cold
     ``solve_ot``. The kept coupling's cost is worked out as ``solve_ot``
-    works out a plan's cost: from the cost matrix for a simplex basis, by
-    ``_segment_cost`` for a single atom's star; the length the pass gave
-    must have its bits. The schedules take their runs of kept plans from
-    one stacked pass; one step at a time must give the same plans, bit for
-    bit.
+    works out a plan's cost, from the cost matrix; the length the pass
+    gave must have its bits. The schedules take their runs of kept plans
+    from stacked passes; one step at a time must give the same plans, bit
+    for bit.
     """
     target = w.ray_section(ray, t)
     lengths, _ = _kept_plan_lengths(ray, plan, [t])
     if lengths:
-        star = len(nu0) == 1 or len(target) == 1
-        cost_matrix = None if star else ot._cost_matrix(nu0.atoms, target.atoms, ray.p)
+        cost_matrix = ot._cost_matrix(nu0.atoms, target.atoms, ray.p)
         kept = ot._checked_coupling(
             nu0, target, plan.left, plan.right, plan.masses, ray.p, cost_matrix=cost_matrix
         )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import wassray as w
 from wassray import busemann, paths
 from wassray.errors import CostOverflowError, MonotonicityError, UnitSpeedError
-from wassray.ot import pairwise_distances
+from wassray.ot import _segment_cost
 
 from conftest import (
     GENUINE_RAY_KINDS,
@@ -309,8 +309,9 @@ def section_times(monkeypatch):
     [
         # decrements stay large until d**16 overflows at t = 1e13 2^21
         (16.0, 1e13, (0.0, 1e12), CostOverflowError),
-        # the squared distance overflows at t = 1e150 2^14: numpy's warning
-        (1.5, 1e150, (0.0, 1e149), RuntimeWarning),
+        # the squared distance overflows at t = 1e150 2^14: inf, which the
+        # cost check names, with no numpy warning
+        (1.5, 1e150, (0.0, 1e149), CostOverflowError),
         # t0 must be positive and finite: refused before any section
         (2.0, float("inf"), (0.0, 0.0), ValueError),
         (2.0, float("nan"), (0.0, 0.0), ValueError),
@@ -462,15 +463,54 @@ def test_truncation_is_the_warm_chain_bit_for_bit(kind, d, p, seed):
     assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))
 
 
-def test_one_atom_lengths_take_the_single_atom_formula_at_d8():
-    # at d = 8 scipy's cdist and the per-step single-atom path's formula
-    # (``_segment_cost``: numpy sums 8 squares pairwise) can differ in the
-    # last bit; a star's run must take the latter
+def test_one_atom_lengths_take_the_cost_matrix_bits_at_d8():
+    # at d = 8 scipy's cdist and numpy's norm formula (numpy sums 8 squares
+    # pairwise) can differ in the last bit. A star's run, the per-step
+    # chain and a cold single-atom solve all read cdist's, as every other
+    # plan does
     rng = np.random.default_rng(0)
     ray = unit_speed(rng.normal(size=(1, 8)), rng.normal(size=(1, 8)), [1.0], 2.0)
     nu = w.uniform_measure(3.0 * rng.normal(size=(3, 8)))
-    target = w.ray_section(ray, 1.0)
-    diff = target.atoms[[0, 0, 0]] - nu.atoms
-    lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    assert pairwise_distances(nu.atoms, target.atoms)[:, 0].tobytes() != lengths.tobytes()
     assert as_bits(truncated(ray, nu)) == as_bits(chained_truncation(ray, nu))
+    times = [busemann.DEFAULT_T0 * 2.0**j for j in range(busemann.DEFAULT_MAX_DOUBLINGS + 1)]
+    start = w.solve_ot(nu, w.ray_section(ray, 0.0), ray.p)
+    run, _ = paths._kept_plan_lengths(ray, start, times)
+    _, *chain = step_chain(ray, nu, times)
+    solved = [w.solve_ot(nu, w.ray_section(ray, t), ray.p) for t in times]
+    assert len(run) == len(times)
+    assert np.array(run).tobytes() == np.array([plan.cost for plan in chain]).tobytes()
+    assert np.array(run).tobytes() == np.array([plan.cost for plan in solved]).tobytes()
+    # the norm formula's costs of the same entries differ at some times
+    formula = [
+        _segment_cost(plan.mu.atoms[plan.left], plan.nu.atoms[plan.right], plan.masses, ray.p)
+        for plan in solved
+    ]
+    assert np.array(run).tobytes() != np.array(formula).tobytes()
+
+
+def test_a_long_schedule_is_priced_a_chunk_at_a_time(monkeypatch):
+    # a weighted translation ray of 64 atoms in the square [-1, 1]^2 and 63
+    # start atoms converges at step 17. The stacked pass is handed the
+    # first 32 times, not the 1,001 that max_doublings = 1000 offers, and
+    # the schedule has the bits of the default cap's
+    rng = np.random.default_rng(0)
+
+    def weighted(k):
+        weights = rng.random(k) + 0.1
+        return w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(k, 2)), weights / weights.sum())
+
+    mu0, nu = weighted(64), weighted(63)
+    ray = w.make_translation_ray(mu0, (0.6, 0.8))
+    handed = []
+    kept_plan_lengths = paths._kept_plan_lengths
+
+    def spy(ray, plan, times):
+        handed.append(len(times))
+        return kept_plan_lengths(ray, plan, times)
+
+    monkeypatch.setattr(paths, "_kept_plan_lengths", spy)
+    long = w.busemann_value(ray, nu, max_doublings=1000)
+    assert long.converged and len(long.schedule) == 17
+    assert handed and max(handed) <= 32
+    default = w.busemann_value(ray, nu)
+    assert np.array(long.schedule).tobytes() == np.array(default.schedule).tobytes()

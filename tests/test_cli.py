@@ -99,6 +99,17 @@ def test_overflowing_costs_exit_2(files, capsys, tmp_path):
     assert float(capsys.readouterr().out) < float("inf")
 
 
+def test_a_squared_distance_overflow_between_diracs_is_one_input_error(tmp_path, capsys):
+    # two Diracs 1.6e154 apart at p = 1.5: the squared distance passes the
+    # largest double, and the single-atom solve raises the typed error on
+    # its cost matrix, as a plan with more atoms does, with no numpy warning
+    for name, x in (("near", 0.0), ("far", 1.6e154)):
+        w.write_measure(w.dirac((x,)), tmp_path / f"{name}.measure")
+    argv = ["--p", "1.5", "dist", str(tmp_path / "near.measure"), str(tmp_path / "far.measure")]
+    line = input_error(capsys, argv)
+    assert line.startswith("input error: ") and "squared distance" in line
+
+
 def test_geodesic_section_round_trips(files, capsys):
     out = files["dir"] / "mid.measure"
     assert main(["geodesic-section", files["mu"], files["nu"], "1.0", "--out", str(out)]) == 0

@@ -146,6 +146,25 @@ def test_a_point_start_to_a_point_ray_makes_one_solve(solves):
     assert constructed(ray, nu0, DEFAULT_SCHEDULE) == chained(ray, nu0, DEFAULT_SCHEDULE)
 
 
+def test_a_run_past_the_first_chunk_goes_on_from_the_same_plan(solves):
+    # 40 targets: the stacked pass takes the first 32 and then the other 8
+    # from the start offset's plan, so the offset is the only solve. The
+    # glue from the first run's last target to the second run's first has
+    # the bits of the per-step chain's, for a simplex basis and a star
+    schedule = tuple(2.0**j for j in range(1, 41))
+    rng = np.random.default_rng(7)
+    mu0 = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
+    weighted = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
+    for ray, nu0 in (
+        (w.make_translation_ray(mu0, (1.0, 0.0)), weighted),
+        (w.make_dirac_ray((0.0, 0.0), (1.0, 0.0)), w.dirac((0.0, 1.0))),
+    ):
+        solves.clear()
+        outputs = constructed(ray, nu0, schedule)
+        assert len(solves) == 1
+        assert outputs == chained(ray, nu0, schedule)
+
+
 MOVING_TIMES = tuple(tau for tau in DEFAULT_TEST_TIMES if tau > 0.0)
 
 

@@ -130,6 +130,30 @@ def test_overflowing_lengths_raise_before_the_power():
         fast.speed
 
 
+FAR = 1.6e154  # its square passes the largest double
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ray: Coupling(w.dirac((0.0, 0.0)), w.dirac((FAR, 0.0)), [0], [0], [1.0], ray.p),
+        lambda ray: w.validate_ray(ray, [(0.0, FAR)]),
+        lambda ray: w.restrict_to_geodesic(ray, 0.0, FAR),
+        lambda ray: w.GeodesicLift([[0.0, 0.0]], [[FAR, 0.0]], [1.0], ray.p, np.inf),
+    ],
+    ids=["Coupling", "validate_ray", "restrict_to_geodesic", "GeodesicLift"],
+)
+def test_a_squared_length_past_the_largest_double_raises_without_a_warning(call):
+    # segments 1.6e154 long at p = 1.5: the segment cost's squared length
+    # is inf, formed without numpy's overflow warning, and the p-mean's
+    # check raises the typed error that names it
+    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CostOverflowError, match="squared distance"):
+            call(ray)
+
+
 def test_families_in_dimension_zero_are_rejected():
     empty = np.zeros((1, 0))
     with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
