@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MonotonicityError, NotARayError
 from .measures import DiscreteMeasure
-from .ot import solve_ot, transport_plan, wasserstein_distance
+from .ot import _lengths, solve_ot, transport_plan, wasserstein_distance
 from .paths import RayMeasure, _plan_chain, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
@@ -226,7 +226,7 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     require_unit_speed(ray, "the Busemann function")
     # the lower-bound solve also rejects a dimension mismatch
     lower_bound = -wasserstein_distance(nu, ray_section(ray, 0.0), ray.p)
-    speeds = np.linalg.norm(ray.velocities, axis=1)
+    speeds = _lengths(ray.velocities)
     # |v_j|^(p-2), and 0 for a resting ray, where it may be infinite
     scale = np.power(speeds, ray.p - 2.0, out=np.zeros_like(speeds), where=speeds > 0.0)
     offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]

@@ -15,12 +15,12 @@ One subcommand per core capability::
     wassray verify all --report report.txt
 
 ``busemann`` and ``coray`` compute the exact value and co-ray from the
-limiting transport problem; any of ``--t0``, ``--max-doublings`` or
-``--out-csv`` (busemann) and ``--schedule``, ``--test-times`` or
-``--out-csv`` (coray) selects the truncation or limit construction
-instead, which keeps the same output keys. The ``busemann`` truncation
-runs the exact solve first, so a family that is not a ray exits 2 on
-both paths.
+limiting transport problem; the global ``--tol``, or any of ``--t0``,
+``--max-doublings`` or ``--out-csv`` (busemann) and ``--schedule``,
+``--test-times`` or ``--out-csv`` (coray), selects the truncation or limit
+construction instead, which keeps the same output keys. The ``busemann``
+truncation runs the exact solve first, so a family that is not a ray
+exits 2 on both paths.
 
 Exit codes: 0 success, 1 a verification check failed, 2 input or parse
 error, 3 solver error, 4 non-convergence. Numeric output uses 12
@@ -153,7 +153,7 @@ def _cmd_ray_validate(args) -> int:
 def _cmd_busemann(args) -> int:
     ray = read_ray(args.ray)
     nu = read_measure(args.nu)
-    if args.t0 is None and args.max_doublings is None and args.out_csv is None:
+    if all(opt is None for opt in (args.tol, args.t0, args.max_doublings, args.out_csv)):
         exact = busemann_exact(ray, nu)
         # the limit itself: no schedule, so nothing left to decrease
         estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
@@ -187,7 +187,7 @@ def _cmd_busemann(args) -> int:
 def _cmd_coray(args) -> int:
     ray = read_ray(args.ray)
     nu0 = read_measure(args.nu0)
-    if args.schedule is None and args.test_times is None and args.out_csv is None:
+    if all(opt is None for opt in (args.tol, args.schedule, args.test_times, args.out_csv)):
         # exact: no schedule steps, nothing left to move
         coray, steps, diagnostic, converged = coray_exact(ray, nu0), 0, 0.0, True
     else:
@@ -235,9 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Busemann functions for finitely supported measures on R^d.",
     )
     parser.add_argument("--p", type=float, default=2.0, help="transport order in (1, 16]")
-    parser.add_argument(
-        "--tol", type=float, default=None, help="tolerance override where applicable"
-    )
+    oracle = "stop tolerance; selects the busemann truncation or the coray construction"
+    parser.add_argument("--tol", type=float, default=None, help=oracle)
     parser.add_argument("--seed", type=int, default=1, help="seed for the verify suites")
     sub = parser.add_subparsers(dest="command", required=True)
 

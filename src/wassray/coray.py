@@ -48,6 +48,7 @@ from .ot import (
     Coupling,
     _check_distances,
     _checked_coupling,
+    _lengths,
     solve_ot,
     wasserstein_distance,
 )
@@ -246,20 +247,19 @@ def _movements(starts, ends, lengths, masses, times: np.ndarray, p: float) -> li
 
     The K pairs start at ``starts`` (K, d) and carry ``masses`` (K,); in
     plan s they end at ``ends[s]`` (S, K, d), on a geodesic of cost
-    ``lengths[s]``. The pairs' distances at each of ``times`` are taken
-    with ``np.linalg.norm``'s own formula, as for lift lengths, and checked
-    by ``_check_distances`` before any power. The bound from plan s to
-    plan s + 1 is the largest over ``times`` of the pairs' p-mean
-    distance: each row summed along a C-contiguous axis as ``p_mean``'s
-    1-D sum, and the 1/p root of the largest sum taken on a Python float,
-    since x ** (1/p) rises with x. Returns S - 1 floats, all 0.0 when
-    ``times`` is empty.
+    ``lengths[s]``. The pairs' distances at each of ``times`` are
+    ``ot._lengths``, as lift lengths are, checked by ``_check_distances``
+    before any power. The bound from plan s to plan s + 1 is the largest
+    over ``times`` of the pairs' p-mean distance: each row summed along a
+    C-contiguous axis as ``p_mean``'s 1-D sum, and the 1/p root of the
+    largest sum taken on a Python float, since x ** (1/p) rises with x.
+    Returns S - 1 floats, all 0.0 when ``times`` is empty.
     """
     if not len(times) or len(ends) == 1:
         return [0.0] * (len(ends) - 1)
     positions = _positions(starts, ends, lengths, times)
     gap = positions[:-1] - positions[1:]
-    distances = np.sqrt(np.add.reduce(gap * gap, axis=3))
+    distances = _lengths(gap)
     _check_distances(_array_max(distances), p)
     sums = np.add.reduce(masses * distances**p, axis=2)
     return [s ** (1.0 / p) for s in sums.max(axis=1).tolist()]

@@ -57,9 +57,13 @@ def _floats(tokens: list[str], where: str) -> list[float]:
         raise MeasureFileError(f"non-numeric value in {where}: {exc}") from None
 
 
-def _keyed_int(line: list[str], key: str) -> int:
+def _keyed_value(line: list[str], key: str):
+    """The value of a ``key <value>`` line: a float for ``p``, else a nonnegative integer."""
     if len(line) != 2 or line[0] != key:
-        raise MeasureFileError(f"expected '{key} <integer>', got {' '.join(line)!r}")
+        kind = "float" if key == "p" else "integer"
+        raise MeasureFileError(f"expected '{key} <{kind}>', got {' '.join(line)!r}")
+    if key == "p":
+        return _floats(line[1:], "order line")[0]
     try:
         value = int(line[1])
     except ValueError:
@@ -77,29 +81,41 @@ def format_measure(measure: DiscreteMeasure) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_measure(text: str) -> DiscreteMeasure:
+def _read_table(text: str, kind: str, header: str, keys: tuple, item: str, vectors: int):
+    """The keyed values and the rows of a measure or ray file, checked in order.
+
+    After the ``header`` line comes one ``_keyed_value`` line per key of
+    ``keys``, ``dim`` first and the row count last; each row holds
+    ``vectors`` points of ``dim`` coordinates and a weight. ``kind`` and
+    ``item`` name the file and a row in the messages. Returns the keyed
+    values, one (count, dim) array per point of a row, and the weights.
+    """
     lines = _token_lines(text)
-    if not lines or lines[0] != [MEASURE_HEADER]:
-        raise MeasureFileError(f"measure files start with the line {MEASURE_HEADER!r}")
-    if len(lines) < 3:
-        raise MeasureFileError("truncated measure file")
-    dim = _keyed_int(lines[1], "dim")
-    count = _keyed_int(lines[2], "atoms")
-    body = lines[3:]
+    if not lines or lines[0] != [header]:
+        raise MeasureFileError(f"{kind} files start with the line {header!r}")
+    if len(lines) < 1 + len(keys):
+        raise MeasureFileError(f"truncated {kind} file")
+    values = [_keyed_value(line, key) for line, key in zip(lines[1:], keys)]
+    dim, count = values[0], values[-1]
+    body = lines[1 + len(keys) :]
     if len(body) != count:
-        raise MeasureFileError(f"expected {count} atom lines, found {len(body)}")
-    atoms = []
-    weights = []
+        raise MeasureFileError(f"expected {count} {item} lines, found {len(body)}")
+    width = vectors * dim
+    rows = []
     for line in body:
-        if len(line) != dim + 1:
+        if len(line) != width + 1:
             raise MeasureFileError(
-                f"atom lines need {dim} coordinates plus a weight, got {len(line)} values"
+                f"{item} lines need {width} coordinates plus a weight, got {len(line)} values"
             )
-        values = _floats(line, "atom line")
-        atoms.append(values[:dim])
-        weights.append(values[dim])
+        rows.append(_floats(line, f"{item} line"))
+    table = np.array(rows).reshape(count, width + 1)
+    return values, [table[:, k * dim : (k + 1) * dim] for k in range(vectors)], table[:, width]
+
+
+def parse_measure(text: str) -> DiscreteMeasure:
+    _, (atoms,), weights = _read_table(text, "measure", MEASURE_HEADER, ("dim", "atoms"), "atom", 1)
     try:
-        return DiscreteMeasure(np.array(atoms), np.array(weights))
+        return DiscreteMeasure(atoms, weights)
     except ValueError as exc:
         raise MeasureFileError(f"invalid measure data: {exc}") from None
 
@@ -121,34 +137,11 @@ def format_ray(ray: RayMeasure) -> str:
 
 
 def parse_ray(text: str) -> RayMeasure:
-    lines = _token_lines(text)
-    if not lines or lines[0] != [RAY_HEADER]:
-        raise MeasureFileError(f"ray files start with the line {RAY_HEADER!r}")
-    if len(lines) < 4:
-        raise MeasureFileError("truncated ray file")
-    dim = _keyed_int(lines[1], "dim")
-    if len(lines[2]) != 2 or lines[2][0] != "p":
-        raise MeasureFileError(f"expected 'p <float>', got {' '.join(lines[2])!r}")
-    p = _floats(lines[2][1:], "order line")[0]
-    count = _keyed_int(lines[3], "entries")
-    body = lines[4:]
-    if len(body) != count:
-        raise MeasureFileError(f"expected {count} entry lines, found {len(body)}")
-    origins = []
-    velocities = []
-    weights = []
-    for line in body:
-        if len(line) != 2 * dim + 1:
-            raise MeasureFileError(
-                f"entry lines need {2 * dim} coordinates plus a weight, "
-                f"got {len(line)} values"
-            )
-        values = _floats(line, "entry line")
-        origins.append(values[:dim])
-        velocities.append(values[dim : 2 * dim])
-        weights.append(values[2 * dim])
+    (_, p, _), (origins, velocities), weights = _read_table(
+        text, "ray", RAY_HEADER, ("dim", "p", "entries"), "entry", 2
+    )
     try:
-        return RayMeasure(np.array(origins), np.array(velocities), np.array(weights), p)
+        return RayMeasure(origins, velocities, weights, p)
     except ValueError as exc:
         raise MeasureFileError(f"invalid ray data: {exc}") from None
 

@@ -43,10 +43,11 @@ settles, along one chain of plans from the time-0 section
 (``paths._plan_chain``). From each plan, ``paths._kept_plan_lengths``
 passes the costs of a chunk of the remaining sections to
 ``_certified_prefix`` as one stack. That runs the simplex's own stopping
-test on every matrix of the stack in one vectorised pass, on the
-potentials of one walk of the tree, and the chain keeps the plan on the
-leading run of sections it certifies, with no solve for them; a star
-needs no test there, since its plan ignores the costs.
+test on every matrix of the stack in one vectorised pass, with the
+simplex's own tree walk (``_hang_tree``) and ``_reduced_costs``, and the
+chain keeps the plan, its lengths ``_entry_p_mean`` as a solved plan's
+cost is, on the leading run of sections it certifies, with no solve for
+them; a star needs no test there, since its plan ignores the costs.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -107,13 +108,32 @@ def check_exponent(p) -> float:
 def p_mean(weights, lengths, p) -> float:
     """Weighted p-mean (sum of w * l**p) ** (1/p) of nonnegative lengths.
 
-    Transport costs, geodesic lengths and ray speeds are all this one
-    expression, so values that must agree are computed bit-identically.
+    Transport costs, geodesic lengths and ray speeds are all
+    ``_entry_p_mean`` of lengths**p, as a solved plan's cost is of its
+    entries' d**p, so values that must agree are computed bit-identically.
     The largest length goes through ``_check_distances`` first, so a
     length whose p-th power overflows raises ``CostOverflowError``.
     """
     _check_distances(_array_max(lengths), p)
-    return float(np.add.reduce(weights * lengths**p) ** (1.0 / p))
+    return _entry_p_mean(weights, lengths**p, p)
+
+
+def _entry_p_mean(weights, entries, p):
+    """The p-mean (sum of weights * entries) ** (1/p) of d**p entries, or of each row of a stack.
+
+    A (T, k) stack gives a list of T floats, each with the bits of its row
+    as a vector: rows are summed along a C-contiguous axis, and every 1/p
+    root is taken on a Python float.
+    """
+    if entries.ndim == 1:
+        return float(np.add.reduce(weights * entries)) ** (1.0 / p)
+    sums = np.add.reduce(weights * np.ascontiguousarray(entries), axis=1).tolist()
+    return [s ** (1.0 / p) for s in sums]
+
+
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths over the last axis: ``np.linalg.norm(vectors, axis=-1)``, bit for bit."""
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
 
 
 def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -225,7 +245,7 @@ class Coupling:
 
     def pair_distances(self) -> np.ndarray:
         """Euclidean distance of each entry's atom pair."""
-        return np.linalg.norm(self.mu.atoms[self.left] - self.nu.atoms[self.right], axis=1)
+        return _lengths(self.mu.atoms[self.left] - self.nu.atoms[self.right])
 
     def dense(self) -> np.ndarray:
         """Entries as a dense (len(mu), len(nu)) matrix."""
@@ -258,7 +278,7 @@ def _checked_coupling(
 
     The cost is derived from the entries by ``_segment_cost``, or, when
     ``solve_ot`` passes the matrix ``cost_matrix`` of d**p it solved on,
-    as the p-mean of the plan's entries of that matrix, without
+    as ``_entry_p_mean`` of the plan's entries of that matrix, without
     recomputing the distances. A supplied ``cost`` is compared with
     ``_segment_cost``'s. An entry distance whose d**p would overflow, or a
     derived or supplied cost that is not finite, raises
@@ -269,8 +289,7 @@ def _checked_coupling(
     if cost_matrix is None:
         derived = _segment_cost(mu.atoms[left], nu.atoms[right], masses, p)
     else:
-        # p_mean with the entries' d**p read from the matrix
-        derived = float(np.add.reduce(masses * cost_matrix[left, right]) ** (1.0 / p))
+        derived = _entry_p_mean(masses, cost_matrix[left, right], p)
     # the comparisons fail on NaN and inf alike
     if not derived < np.inf:
         raise _cost_overflow(f"plan cost {derived!r}", p)
@@ -327,15 +346,13 @@ def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses
 
 
 def _segment_cost(starts, ends, weights, p) -> float:
-    """p-mean of the lengths of the segments from ``starts`` to ``ends``: a plan's cost.
+    """``p_mean`` of the ``_lengths`` of the segments from ``starts`` to ``ends``: a plan's cost.
 
     A squared length past the largest double is inf, formed without
     numpy's overflow warning; ``p_mean``'s check names it.
     """
-    # np.linalg.norm(diff, axis=1)'s own formula, so lengths keep its bits
     with np.errstate(over="ignore"):
-        diff = ends - starts
-        lengths = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        lengths = _lengths(ends - starts)
     return p_mean(weights, lengths, p)
 
 
@@ -449,54 +466,23 @@ def _single_atom_plan(a: np.ndarray, b: np.ndarray):
     return left, right, masses, (left, right)
 
 
-def _tree_potentials(cost_stack: np.ndarray, rows, cols):
-    """Potentials (u, v) of the spanning tree on the cells (rows, cols), row 0 at 0.
-
-    For each matrix of a (T, m, n) stack of cost matrices: u is (T, m) and
-    v (T, n). One walk of the tree from row 0 with ``_hang``'s arithmetic (a
-    column's potential is its row's plus the cell cost, a row's is its
-    column's minus it), so on a basis the simplex stopped on they have the
-    bits of its own potentials. Each cell's T costs go through the walk as
-    one array, whose sums round as Python floats' do.
-    """
-    T, m, n = cost_stack.shape
-    costs = cost_stack[:, rows, cols].T
-    neighbours = [[] for _ in range(m + n)]
-    for i, j, c in zip(rows.tolist(), cols.tolist(), costs):
-        neighbours[i].append((m + j, c))
-        neighbours[m + j].append((i, c))
-    potential = [None] * (m + n)
-    potential[0] = np.zeros(T)
-    order = [0]
-    for x in order:  # grows while it is walked
-        here = potential[x]
-        for z, c in neighbours[x]:
-            if potential[z] is None:
-                potential[z] = here + c if x < m else here - c
-                order.append(z)
-    u_v = np.array(potential).reshape(m + n, T).T
-    return u_v[:, :m], u_v[:, m:]
-
-
 def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     """How many leading matrices of a (T, m, n) cost stack the simplex basis ``basis`` certifies.
 
     ``basis`` is the ``(rows, cols)`` a plan kept. It is certified on a cost
-    matrix when ``_dual_certificate`` holds there, on the tree's potentials
-    and with the matrix's own ``_certificate_tolerance``: the simplex's own
-    stop. One walk of the tree (``_tree_potentials``) gives the potentials
-    of the whole stack, and the stack is priced in one vectorised pass:
-    each matrix's tolerance, least reduced cost and largest basis reduced
-    cost, with the one-matrix form's roundings element by element, so each
-    matrix passes or fails as it would alone.
+    matrix when ``_dual_certificate``'s test holds there, on the tree's
+    potentials and with the matrix's own ``_certificate_tolerance``: the
+    simplex's own stop. The tree is hung from row 0 by ``_hang_tree``, as
+    the simplex hangs it, on a (m, n, T) view of the stack, so a cell's T
+    costs and a node's T potentials go through the walk as one array each.
+    The stack is priced in one vectorised pass with ``_reduced_costs``, so
+    each matrix passes or fails as it would alone.
     """
+    T, m, n = cost_stack.shape
     rows, cols = basis
-    u, v = _tree_potentials(cost_stack, rows, cols)
-    # _dual_certificate's reduced costs and its test for every matrix at
-    # once, with the same roundings element by element
+    u_v = np.array(_hang_tree(rows, cols, cost_stack.transpose(1, 2, 0), m, n, np.zeros(T))[3])
+    reduced = _reduced_costs(cost_stack, u_v[:m].T[:, :, None], u_v[m:].T[:, None, :])
     tol = _certificate_tolerance(cost_stack)
-    reduced = cost_stack + u[:, :, None]
-    reduced -= v[:, None, :]
     holds = (reduced.min(axis=(1, 2)) >= -tol) & (reduced[:, rows, cols].max(axis=1) <= tol)
     return _leading(holds)
 
@@ -541,13 +527,19 @@ def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, 
     cost matrix itself. The cell is ``argmin``'s, first in row-major order
     on ties.
     """
-    # subtracting in place rounds as C + u - v does, without a second m x n temporary
-    reduced = cost_matrix + u[:, None]
-    reduced -= v
+    reduced = _reduced_costs(cost_matrix, u[:, None], v)
     # the method, not np.argmin: numpy's function wrapper adds about 0.7 us
     cell = int(reduced.argmin())
     lowest = reduced.item(cell)
     return cell, lowest, bool(lowest >= -tol and _array_max(reduced[left, right]) <= tol)
+
+
+def _reduced_costs(costs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Reduced costs C + u - v: u (m, 1) and v (n,), or (T, m, 1) and (T, 1, n) on a stack."""
+    # subtracting in place rounds as C + u - v does, without a second temporary
+    reduced = costs + u
+    reduced -= v
+    return reduced
 
 
 def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
@@ -597,17 +589,7 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
     basis = _matrix_minimum_basis(a, b, cost_matrix)
     slot = {cell: k for k, cell in enumerate(basis)}
     left, right = np.divmod(np.fromiter(basis, dtype=np.intp, count=len(basis)), n)
-    neighbours = [[] for _ in range(m + n)]
-    for cell in basis:
-        i, j = divmod(cell, n)
-        neighbours[i].append(m + j)
-        neighbours[m + j].append(i)
-    # the tree hangs from row 0, whose potential is 0
-    potential = [0.0] * (m + n)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    for y in neighbours[0]:
-        _hang(0, y, neighbours, parent, depth, potential, cost, m)
+    neighbours, parent, depth, potential = _hang_tree(left, right, cost, m, n, 0.0)
     for _ in range(SIMPLEX_PIVOTS_PER_NODE * (m + n)):
         u_v = np.array(potential)
         entering, lowest, certified = _dual_certificate(
@@ -655,6 +637,23 @@ def _solve_lp(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray):
         _hang(top, y, neighbours, parent, depth, potential, cost, m)
     cap = SIMPLEX_PIVOTS_PER_NODE * (m + n)
     raise _solve_failure(f"reached its pivot cap of {cap} pivots uncertified", cost_matrix)
+
+
+def _hang_tree(rows: np.ndarray, cols: np.ndarray, cost, m: int, n: int, zero) -> tuple:
+    """The spanning tree on the cells (rows, cols), hung by ``_hang`` from row 0 at ``zero``.
+
+    Returns each node's neighbours, parent, depth and potential, rows then
+    columns. ``cost[i][j]`` is a float, with ``zero`` 0.0, or an array of
+    the cell's T costs, with ``zero`` T zeros, for T matrices at once.
+    """
+    neighbours = [[] for _ in range(m + n)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].append(m + j)
+        neighbours[m + j].append(i)
+    parent, depth, potential = [-1] * (m + n), [0] * (m + n), [zero] * (m + n)
+    for y in neighbours[0]:
+        _hang(0, y, neighbours, parent, depth, potential, cost, m)
+    return neighbours, parent, depth, potential
 
 
 def _hang(top, y, neighbours, parent, depth, potential, cost, m) -> None:

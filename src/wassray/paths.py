@@ -47,7 +47,9 @@ from .ot import (
     Coupling,
     _certified_prefix,
     _distance_limit,
+    _entry_p_mean,
     _leading,
+    _lengths,
     _segment_cost,
     check_exponent,
     p_mean,
@@ -259,7 +261,7 @@ class RayMeasure:
 
     @property
     def speed(self) -> float:
-        return p_mean(self.weights, np.linalg.norm(self.velocities, axis=1), self.p)
+        return p_mean(self.weights, _lengths(self.velocities), self.p)
 
     @property
     def dim(self) -> int:
@@ -316,11 +318,9 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
 
     The first target that fails one of these ends the run; ``_plan_chain``
     solves it cold, so it meets every branch and error of ``solve_ot``.
-    Each length has the bits ``solve_ot`` gives the cost of these entries
-    on that target, the p-mean of the entries' d**p, gathered from one
-    ``pairwise_distances`` matrix of all the targets as ``solve_ot`` reads
-    them from its cost matrix. Each row sums along a C-contiguous axis as
-    the 1-D sum does, and every 1/p root is taken on a Python float.
+    Each length is ``_entry_p_mean`` of the entries' d**p, gathered from
+    one ``pairwise_distances`` matrix of all the targets, as ``solve_ot``
+    takes a plan's cost from its cost matrix, so it has that cost's bits.
     Returns the run's lengths and its targets' positions,
     (count, len(ray), d), or ``([], None)`` for an empty run.
     """
@@ -350,12 +350,9 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
         costs = distances[:count] ** p
         if not star:
             count = _certified_prefix(costs, plan._basis)
-        # C-contiguous, so each row sums in the order of the 1-D sum
-        entries = np.ascontiguousarray(costs[:count, plan.left, plan.right])
     if not count:
         return [], None
-    sums = np.add.reduce(plan.masses * entries[:count], axis=1).tolist()
-    return [s ** (1.0 / p) for s in sums], positions[:count]
+    return _entry_p_mean(plan.masses, costs[:count, plan.left, plan.right], p), positions[:count]
 
 
 def _plan_chain(ray: RayMeasure, nu0: DiscreteMeasure, plan: Coupling, times):

@@ -258,6 +258,30 @@ def test_busemann_truncation_options_select_the_doubling_schedule(files, capsys,
     assert float(fields["value"]) == pytest.approx(-3.0, abs=1e-4)
 
 
+def test_a_global_tol_selects_the_busemann_truncation(files, capsys):
+    # a stop tolerance belongs to the truncation: given alone it must not be
+    # dropped for the exact value. The decrement after 24 doublings is about
+    # 2e-7, so 1e-30 exhausts the schedule
+    assert main(["--tol", "1e-30", "busemann", files["ray"], files["b"]]) == 4
+    fields = cli_fields(capsys)
+    assert fields["t_final"] == str(2**24) and fields["converged"] == "false"
+    assert float(fields["value"]) == pytest.approx(-3.0, abs=1e-6)
+
+
+def test_the_truncation_csv_holds_its_header_and_a_row_per_step(files, capsys):
+    # on the one-ray family b = -<(3, 4), (1, 0)> = -3; the schedule 1, 2,
+    # 4, ... runs to t_final, one CSV row per step under the header
+    csv = files["dir"] / "curve.csv"
+    assert main(["busemann", files["ray"], files["b"], "--t0", "1", "--out-csv", str(csv)]) == 0
+    fields = cli_fields(capsys)
+    assert fields["converged"] == "true"
+    assert float(fields["value"]) == pytest.approx(-3.0, abs=1e-4)
+    rows = csv.read_text().splitlines()
+    steps = int(float(fields["t_final"])).bit_length()
+    assert rows[0] == "t,value" and len(rows) == steps + 1 >= 3
+    assert [row.split(",")[0] for row in rows[1:]] == [str(2**j) for j in range(steps)]
+
+
 def test_coray_defaults_to_the_exact_coray(files, capsys):
     nu0 = files["dir"] / "offset.measure"
     w.write_measure(w.dirac((0.0, 2.0)), nu0)
@@ -285,6 +309,24 @@ def test_coray_construction_options_select_the_limit_construction(files, capsys,
         option = [option[0], str(files["dir"] / option[1])]
     assert main(["coray", files["ray"], str(nu0), *option]) == 0
     assert int(cli_fields(capsys)["steps"]) > 0
+
+
+def test_a_global_tol_selects_the_coray_construction(files, capsys):
+    # a convergence bound belongs to the construction: given alone it must
+    # not be dropped for the exact co-ray. From (3, 4) on the default
+    # schedule 2, 4, ..., 65536 the last movement, 2.4e-4 at test time 4, is
+    # above 1e-30 and below 1e-3; the co-ray file reads back as a unit-speed ray
+    assert main(["--tol", "1e-30", "coray", files["ray"], files["b"]]) == 4
+    fields = cli_fields(capsys)
+    assert fields["steps"] == "16" and fields["converged"] == "false"
+    assert float(fields["final_diagnostic"]) == pytest.approx(2.44e-4, rel=1e-2)
+    schedule = ",".join(str(2**k) for k in range(1, 17))
+    out_ray = files["dir"] / "coray.rays"
+    argv = ["coray", files["ray"], files["b"], "--schedule", schedule, "--out-ray", str(out_ray)]
+    assert main(["--tol", "1e-3", *argv]) == 0
+    assert cli_fields(capsys)["converged"] == "true"
+    assert out_ray.read_text().splitlines()[0] == "rays"
+    assert w.read_ray(out_ray).speed == pytest.approx(1.0, abs=1e-12)
 
 
 def test_busemann_and_coray_reject_a_crossing_family_as_input(files, capsys):
@@ -689,3 +731,14 @@ def test_non_finite_file_values_are_one_input_error(tmp_path, capsys, where):
         ),
     ]:
         assert input_error(capsys, argv) == f"input error: {message}"
+
+
+def test_a_far_ray_pair_at_p16_is_one_input_error(tmp_path, capsys):
+    # a Dirac ray's sections 1e20 apart: the induced plan's p-mean raises
+    # the typed error before its power is taken, so stderr is one line
+    rays = str(tmp_path / "d16.rays")
+    argv = ["--p", "16", "ray-new", "dirac", "--origin", "0", "--velocity", "1", "--out", rays]
+    assert main(argv) == 0
+    capsys.readouterr()
+    line = input_error(capsys, ["ray-validate", rays, "--pairs", "0:1e20"])
+    assert line.startswith("input error: transport cost overflows double precision at p = 16")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray import ot
+from wassray import ot, paths
 from wassray.coray import DEFAULT_SCHEDULE, DEFAULT_TEST_TIMES, DEFAULT_TOL, _glued_movement
 from wassray.errors import CostOverflowError, UnitSpeedError
 
@@ -333,13 +333,14 @@ def test_a_run_s_end_is_solved_cold_without_repricing(monkeypatch, solves):
     # that ends a run is solved cold, so no target is priced twice, and
     # the solves are the start offset, the third target and the last
     stacks = []
-    tree_potentials = ot._tree_potentials
+    certified_prefix = ot._certified_prefix
 
-    def spy(cost_stack, rows, cols):
+    def spy(cost_stack, basis):
         stacks.append(len(cost_stack))
-        return tree_potentials(cost_stack, rows, cols)
+        return certified_prefix(cost_stack, basis)
 
-    monkeypatch.setattr(ot, "_tree_potentials", spy)
+    # the name the stacked pass calls it by
+    monkeypatch.setattr(paths, "_certified_prefix", spy)
     ray, nu0, schedule = far_start_translation(3.0)
     w.construct_coray(ray, nu0, schedule=schedule)
     assert stacks == [12, 9]

@@ -1424,6 +1424,47 @@ def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
     assert any(kept_any)  # some plans were kept
 
 
+@pytest.mark.parametrize("shape", [(7, 3), (5, 1), (4, 12), (3, 4, 6, 2), (2, 5, 9, 8)])
+def test_lengths_have_the_bits_of_numpy_norm(shape):
+    # segment lengths, pair distances, ray speeds and co-ray movements all
+    # go through ot._lengths: it must be np.linalg.norm over the last axis,
+    # bit for bit, on (k, d) entry arrays and (S, T, K, d) position stacks,
+    # also on a strided view. From d = 8 numpy sums the squares pairwise
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        vectors = rng.normal(size=shape) * scale
+        for view in (vectors, vectors[::-1, ..., ::2]):
+            assert same_bits(ot._lengths(view), np.linalg.norm(view, axis=-1))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
+def test_the_entry_p_mean_is_solve_ot_s_cost_bit_for_bit(p):
+    # the schedules' stacked pass takes a kept plan's lengths with the one
+    # helper that gives a solved plan its cost: a row of a stack has the bits
+    # of the same entries alone, and those the bits of solve_ot's cost,
+    # whose 1/p root on a numpy scalar agrees with the Python float's
+    rng = np.random.default_rng(int(10 * p))
+    for m, n, d in [(1, 4, 2), (3, 1, 1), (3, 3, 1), (4, 6, 3), (9, 7, 2), (12, 12, 8)]:
+        weights = rng.random(m) + 0.1
+        mu = w.DiscreteMeasure(rng.normal(size=(m, d)), weights / weights.sum())
+        weights = rng.random(n) + 0.1
+        nu = w.DiscreteMeasure(rng.normal(size=(n, d)), weights / weights.sum())
+        plan = w.solve_ot(mu, nu, p)
+        stack = np.stack([
+            ot._cost_matrix(mu.atoms, nu.atoms + shift, p) for shift in rng.normal(size=(5, d))
+        ])
+        stack[2] = ot._cost_matrix(mu.atoms, nu.atoms, p)
+        entries = stack[:, plan.left, plan.right]
+        rows = ot._entry_p_mean(plan.masses, entries, p)
+        assert len(rows) == 5
+        for row, alone in zip(rows, entries):
+            assert type(row) is float
+            assert same_bits(np.float64(row), np.float64(ot._entry_p_mean(plan.masses, alone, p)))
+        numpy_root = np.add.reduce(plan.masses * entries[2]) ** (1.0 / p)
+        assert same_bits(np.float64(rows[2]), np.float64(plan.cost))
+        assert same_bits(np.float64(rows[2]), numpy_root)
+
+
 def test_pairwise_distances_pins_the_kernel_summation_order():
     # cdist sums the squared differences in order, as numpy's add.reduce does
     # over fewer than 8 terms: bit for bit up to d = 7. Numpy sums 8 terms or
