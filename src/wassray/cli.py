@@ -20,7 +20,9 @@ limiting transport problem; the global ``--tol``, or any of ``--t0``,
 ``--test-times`` or ``--out-csv`` (coray), selects the truncation or limit
 construction instead, which keeps the same output keys. The ``busemann``
 truncation runs the exact solve first, so a family that is not a ray
-exits 2 on both paths.
+exits 2 on both paths. The global ``--p`` (default 2) sets the order of
+the commands that read no ray file; a given ``--p`` that differs from a
+ray file's p is an input error.
 
 Exit codes: 0 success, 1 a verification check failed, 2 input or parse
 error, 3 solver error, 4 non-convergence. Numeric output uses 12
@@ -85,17 +87,28 @@ def _time_pairs(text: str):
     return pairs
 
 
+def _p(args) -> float:
+    return 2.0 if args.p is None else args.p
+
+
+def _read_ray(args):
+    ray = read_ray(args.ray)
+    if args.p is not None and args.p != ray.p:
+        raise MeasureFileError(f"--p {args.p!r} differs from the ray file's p {ray.p!r}")
+    return ray
+
+
 def _cmd_dist(args) -> int:
     mu = read_measure(args.mu)
     nu = read_measure(args.nu)
-    print(_fmt(solve_ot(mu, nu, args.p).cost))
+    print(_fmt(solve_ot(mu, nu, _p(args)).cost))
     return EXIT_OK
 
 
 def _cmd_couple(args) -> int:
     mu = read_measure(args.mu)
     nu = read_measure(args.nu)
-    plan = solve_ot(mu, nu, args.p)
+    plan = solve_ot(mu, nu, _p(args))
     print(f"cost {_fmt(plan.cost)}")
     print(f"entries {len(plan.masses)}")
     for i, j, m in zip(plan.left, plan.right, plan.masses):
@@ -106,7 +119,7 @@ def _cmd_couple(args) -> int:
 def _cmd_geodesic_section(args) -> int:
     mu = read_measure(args.mu)
     nu = read_measure(args.nu)
-    lift = lift_geodesic(solve_ot(mu, nu, args.p))
+    lift = lift_geodesic(solve_ot(mu, nu, _p(args)))
     snapshot = section(lift, args.t)
     if args.out:
         write_measure(snapshot, args.out)
@@ -123,18 +136,18 @@ def _cmd_ray_new(args) -> int:
     if args.kind == "dirac":
         if args.origin is None:
             raise MeasureFileError("ray-new dirac needs --origin")
-        ray = make_dirac_ray(_vector(args.origin), velocity, p=args.p)
+        ray = make_dirac_ray(_vector(args.origin), velocity, p=_p(args))
     else:
         if args.measure is None:
             raise MeasureFileError("ray-new translation needs --measure")
-        ray = make_translation_ray(read_measure(args.measure), velocity, p=args.p)
+        ray = make_translation_ray(read_measure(args.measure), velocity, p=_p(args))
     write_ray(ray, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_ray_validate(args) -> int:
-    ray = read_ray(args.ray)
+    ray = _read_ray(args)
     pairs = _time_pairs(args.pairs) if args.pairs else ()
     report = validate_ray(ray, pairs)
     print(f"speed {_fmt(ray.speed)}")
@@ -151,7 +164,7 @@ def _cmd_ray_validate(args) -> int:
 
 
 def _cmd_busemann(args) -> int:
-    ray = read_ray(args.ray)
+    ray = _read_ray(args)
     nu = read_measure(args.nu)
     if all(opt is None for opt in (args.tol, args.t0, args.max_doublings, args.out_csv)):
         exact = busemann_exact(ray, nu)
@@ -185,7 +198,7 @@ def _cmd_busemann(args) -> int:
 
 
 def _cmd_coray(args) -> int:
-    ray = read_ray(args.ray)
+    ray = _read_ray(args)
     nu0 = read_measure(args.nu0)
     if all(opt is None for opt in (args.tol, args.schedule, args.test_times, args.out_csv)):
         # exact: no schedule steps, nothing left to move
@@ -234,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact transport distances, geodesics, rays, co-rays, and "
         "Busemann functions for finitely supported measures on R^d.",
     )
-    parser.add_argument("--p", type=float, default=2.0, help="transport order in (1, 16]")
+    order = "transport order in (1, 16], default 2; a given --p must equal a ray file's p"
+    parser.add_argument("--p", type=float, default=None, help=order)
     oracle = "stop tolerance; selects the busemann truncation or the coray construction"
     parser.add_argument("--tol", type=float, default=None, help=oracle)
     parser.add_argument("--seed", type=int, default=1, help="seed for the verify suites")

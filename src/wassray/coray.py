@@ -24,25 +24,24 @@ optimal couplings are non-unique the deterministic solver follows one
 branch; the diagnostics and the theorem checks below, not the atom list
 itself, are the evidence that the output is a co-ray.
 
-The checks: the gradient identity (Busemann values decrease at unit rate
-along a co-ray), subadditivity of Busemann functions across a co-ray
-relation, uniqueness of the co-ray continuing a subray (R^d is
-non-branching), and membership of the Busemann function in the metric
-viscosity class. They read Busemann values from ``busemann_exact`` and
-rebuild co-rays with ``coray_exact``, so each gate is its bare tolerance:
-no truncation slack, schedule or convergence flag enters. A candidate
-co-ray from ``construct_coray`` passed to them is thus compared with the
+The checks take a candidate co-ray: the gradient identity (Busemann values
+decrease at unit rate along a co-ray, decided by the widest pair of times),
+subadditivity of Busemann functions across a co-ray relation, uniqueness
+of the co-ray continuing a subray (R^d is non-branching; rebuilt with
+``coray_exact``), and the metric viscosity identity at the candidate's
+time-1 section. They read Busemann values from ``busemann_exact``, so each
+gate is its bare tolerance: no truncation slack, schedule or convergence
+flag enters, and a candidate from ``construct_coray`` is compared with the
 exact limit.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .busemann import CHECK_ATOL, busemann_exact
+from .busemann import busemann_exact
 from .measures import DiscreteMeasure, _array_max
 from .ot import (
     Coupling,
@@ -294,8 +293,11 @@ def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:
     b(nu0) - b(nu_s) <= W_p(nu0, nu_s) <= s. Hence b(nu_s) = b(nu0) - s
     exactly, and for r < s the same two bounds give W_p(nu_r, nu_s) =
     s - r: the family is a ray along which b falls at unit rate, with no
-    schedule and no convergence flag. Raises ``busemann_exact``'s
-    ``NotARayError`` when ``mu`` is not a ray.
+    schedule and no convergence flag. The Lipschitz bound needs ``mu`` to
+    be a ray, which is not checked: ``NotARayError`` comes only from
+    ``busemann_exact``'s lower bound, which the crossing family (origins 0
+    and 10, velocities 1 and -1) passes from the Dirac at 0.5, though it
+    fails ``validate_ray``. ROADMAP item 7 is the exact ray certificate.
     """
     plan = busemann_exact(mu, nu0)
     return RayMeasure(
@@ -318,21 +320,26 @@ def coray_gradient_check(
     times=DEFAULT_CHECK_TIMES,
     tol: float = DEFAULT_CHECK_TOL,
 ) -> GradientReport:
-    """Check b(nu_t) - b(nu_s) = s - t on all pairs from ``times``, within ``tol``."""
+    """Check b(nu_t) - b(nu_s) = s - t for the widest pair of ``times``, within ``tol``.
+
+    Let h(s) = s + b(nu_s) - b(nu_0) along the unit-speed candidate. By
+    ``busemann_exact``, -b(nu_s) is the largest over plans pi of S_s(pi),
+    and each S_s(pi) is affine in s with slope at most speed(coray) *
+    speed(mu) = 1 (Hölder), so h is nondecreasing. The residual of a pair
+    s < t is h(t) - h(s), largest for the widest pair: this one pair
+    decides the identity on all of ``times``, with two solves. ``times``
+    needs two distinct nonnegative finite entries.
+    """
     require_unit_speed(mu, "the gradient check")
     require_unit_speed(coray, "the gradient check")
-    times = sorted(float(t) for t in times)
+    times = tuple(float(t) for t in times)
     # written so that NaN fails the comparisons too
-    if not all(0.0 <= t < np.inf for t in times):
-        raise ValueError(f"check times must be nonnegative and finite, got {tuple(times)}")
-    values = {t: busemann_exact(mu, ray_section(coray, t)).value for t in times}
-    pairs = []
-    residuals = []
-    for s, t in itertools.combinations(times, 2):
-        pairs.append((s, t))
-        residuals.append(abs((values[t] - values[s]) - (s - t)))
-    passed = all(residual <= tol for residual in residuals)
-    return GradientReport(tuple(pairs), tuple(residuals), passed)
+    if not all(0.0 <= t < np.inf for t in times) or len(set(times)) < 2:
+        raise ValueError(f"need two distinct nonnegative finite check times, got {times}")
+    s, t = min(times), max(times)
+    values = {u: busemann_exact(mu, ray_section(coray, u)).value for u in (s, t)}
+    residual = abs((values[t] - values[s]) - (s - t))
+    return GradientReport(((s, t),), (residual,), residual <= tol)
 
 
 @dataclass(frozen=True)
@@ -410,46 +417,28 @@ def subray_uniqueness_check(
 
 @dataclass(frozen=True)
 class ViscosityReport:
-    """Two-sided metric viscosity check for the Busemann function.
+    """Metric viscosity identity at a candidate co-ray's time-1 section."""
 
-    ``probe_margins`` are W_p(nu_0, lambda) + b(lambda) - b(nu_0) per
-    probe (nonnegative up to rounding); ``equality_residual`` measures how
-    closely the co-ray section at time one attains the minimum.
-    """
-
-    probe_margins: tuple[float, ...]
-    min_margin: float
     equality_residual: float
     passed: bool
 
 
 def viscosity_check(
     mu: RayMeasure,
-    nu0: DiscreteMeasure,
-    probe_measures,
+    coray: RayMeasure,
     tol: float = DEFAULT_CHECK_TOL,
 ) -> ViscosityReport:
-    """Check b(nu_0) = min over lambda of W_p(nu_0, lambda) + b(lambda).
+    """Check b(nu_0) = W_p(nu_0, nu_1) + b(nu_1) on a candidate's sections, within ``tol``.
 
-    The inequality side is sampled on the probe measures, where it holds
-    exactly, so a margin may fall below zero only by ``CHECK_ATOL``; the
-    equality side uses the section at time one of the exact co-ray from
-    nu_0, where the minimum is attained, and allows ``tol``.
+    On a co-ray, nu_1 attains min over lambda of W_p(nu_0, lambda) +
+    b(lambda), whose lower side is ``lipschitz_check``'s. The residual is
+    W_p(nu_0, nu_1) + h(1) - 1, h as in ``coray_gradient_check``: at least
+    0 as b is 1-Lipschitz, and at most h(1) up to the speed tolerance, as
+    W_p(nu_0, nu_1) <= 1.
     """
     require_unit_speed(mu, "the viscosity check")
-    base = busemann_exact(mu, nu0).value
-    margins = [
-        wasserstein_distance(nu0, lam, mu.p) + busemann_exact(mu, lam).value - base
-        for lam in probe_measures
-    ]
-    lam_star = ray_section(coray_exact(mu, nu0), 1.0)
-    residual = abs(
-        base - (wasserstein_distance(nu0, lam_star, mu.p) + busemann_exact(mu, lam_star).value)
-    )
-    passed = all(margin >= -CHECK_ATOL for margin in margins) and residual <= tol
-    return ViscosityReport(
-        probe_margins=tuple(margins),
-        min_margin=min(margins) if margins else np.inf,
-        equality_residual=residual,
-        passed=passed,
-    )
+    require_unit_speed(coray, "the viscosity check")
+    start, later = ray_section(coray, 0.0), ray_section(coray, 1.0)
+    value, later_value = (busemann_exact(mu, nu).value for nu in (start, later))
+    residual = abs(value - (wasserstein_distance(start, later, mu.p) + later_value))
+    return ViscosityReport(residual, residual <= tol)

@@ -742,3 +742,20 @@ def test_a_far_ray_pair_at_p16_is_one_input_error(tmp_path, capsys):
     capsys.readouterr()
     line = input_error(capsys, ["ray-validate", rays, "--pairs", "0:1e20"])
     assert line.startswith("input error: transport cost overflows double precision at p = 16")
+
+
+@pytest.mark.parametrize(
+    "command,operands",
+    [("ray-validate", ["ray"]), ("busemann", ["ray", "b"]), ("coray", ["ray", "b"])],
+)
+def test_a_global_p_other_than_the_ray_files_is_one_input_error(files, capsys, command, operands):
+    # these commands take p from the ray file (p = 2 here); a --p of 3 was
+    # once dropped, and busemann printed the p = 2 value -3 with exit 0
+    paths = [files[name] for name in operands]
+    line = input_error(capsys, ["--p", "3", command] + paths)
+    assert line == "input error: --p 3.0 differs from the ray file's p 2.0"
+    # the file's own p is accepted, and gives the output of no --p at all
+    assert main([command] + paths) == 0
+    plain = capsys.readouterr().out
+    assert main(["--p", "2", command] + paths) == 0
+    assert capsys.readouterr().out == plain

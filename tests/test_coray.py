@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import wassray as w
 from wassray import ot, paths
+from wassray.busemann import CHECK_ATOL
 from wassray.coray import DEFAULT_SCHEDULE, DEFAULT_TEST_TIMES, DEFAULT_TOL, _glued_movement
 from wassray.errors import CostOverflowError, UnitSpeedError
 
@@ -587,7 +589,31 @@ def test_exact_coray_is_a_ray_along_which_values_fall_at_unit_rate(kind, p):
         for lam in probes:
             assert w.busemann_subadditivity_check(ray, coray, lam, tol=1e-9).passed
             assert w.lipschitz_check(ray, nu0, lam).passed
-        assert w.viscosity_check(ray, nu0, probes, tol=1e-9).passed
+        assert w.viscosity_check(ray, coray, tol=1e-9).passed
+
+
+@pytest.mark.parametrize("kind,p", GENUINE_RAY_KINDS)
+def test_the_widest_pair_decides_the_gradient_identity(kind, p):
+    # the sampled form stays as the oracle: on real candidates, whose
+    # residuals are not 0, the largest of the residuals over all pairs of
+    # (0, 1, 2, 4) is the one-pair residual, bit for bit, and the viscosity
+    # residual lies in [0, h(1)] with h(s) = s + b(nu_s) - b(nu_0)
+    ray, probes = genuine_ray_case(kind, p)
+    times = (0.0, 1.0, 2.0, 4.0)
+    for nu0 in probes:
+        for schedule in ((1.0, 2.0), (2.0, 4.0, 8.0), (4.0, 16.0, 64.0)):
+            candidate = w.construct_coray(ray, nu0, schedule=schedule).ray
+            values = {t: w.busemann_exact(ray, w.ray_section(candidate, t)).value for t in times}
+            sampled = [
+                abs((values[t] - values[s]) - (s - t))
+                for s, t in itertools.combinations(times, 2)
+            ]
+            report = w.coray_gradient_check(ray, candidate, times=times)
+            assert report.pairs == ((0.0, 4.0),)
+            assert report.residuals == (max(sampled),)
+            h1 = 1.0 + values[1.0] - values[0.0]
+            residual = w.viscosity_check(ray, candidate).equality_residual
+            assert 0.0 <= residual <= h1 + 1e-12
 
 
 def test_exact_coray_from_an_offset_point_is_the_parallel_ray(line_ray, parallel):
@@ -670,6 +696,7 @@ def test_nan_and_infinite_check_times_fail_by_name(line_ray):
     calls = [
         (lambda: w.coray_gradient_check(line_ray, line_ray, times=(0.0, nan)), "check times"),
         (lambda: w.coray_gradient_check(line_ray, line_ray, times=(0.0, inf)), "check times"),
+        (lambda: w.coray_gradient_check(line_ray, line_ray, times=(2.0, 2.0)), "check times"),
         (lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=nan), "subray shift tau"),
         (lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=inf), "subray shift tau"),
         (
@@ -687,8 +714,9 @@ def test_nan_and_infinite_check_times_fail_by_name(line_ray):
 def test_checks_fail_a_ray_that_is_no_coray(line_ray):
     # from (0, 1) the co-ray of the line ray runs parallel to it; along the
     # unit-speed ray in direction (0.6, 0.8) b = -x falls at rate 0.6, so
-    # the residual over times 0..4 is 0.4 * 4, and the rebuild from (0.6,
-    # 1.8) parts from it by |(0.4, -0.8)| t, up to t = 4
+    # the residual over times 0..4 is 0.4 * 4, the rebuild from (0.6,
+    # 1.8) parts from it by |(0.4, -0.8)| t, up to t = 4, and the time-1
+    # section lies 1 away with b = -0.6, so |0 - (1 - 0.6)| = 0.4
     candidate = w.make_dirac_ray((0.0, 1.0), (0.6, 0.8))
     gradient = w.coray_gradient_check(line_ray, candidate)
     assert not gradient.passed
@@ -696,24 +724,37 @@ def test_checks_fail_a_ray_that_is_no_coray(line_ray):
     subray = w.subray_uniqueness_check(line_ray, candidate, tau=1.0)
     assert not subray.passed
     assert subray.max_gap == pytest.approx(4.0 * np.hypot(0.4, 0.8), abs=1e-12)
+    viscosity = w.viscosity_check(line_ray, candidate)
+    assert not viscosity.passed
+    assert viscosity.equality_residual == pytest.approx(0.4, abs=1e-12)
 
 
-def test_viscosity_dirac_closed_forms(line_ray):
-    # probe at (1,1) sits on the parallel co-ray: 0 = 1 + (-1)
-    report = w.viscosity_check(line_ray, w.dirac((0.0, 1.0)), [w.dirac((1.0, 1.0))])
+def viscosity_margin(report):
+    """W_p(nu_0, lambda) + b(lambda) - b(nu_0) of a ``lipschitz_check(ray, nu_0, lambda)``."""
+    return report.distance + report.value2 - report.value1
+
+
+def test_viscosity_dirac_closed_forms(line_ray, parallel):
+    # the parallel co-ray's time-1 section sits at (1,1): 0 = 1 + (-1)
+    section = w.ray_section(parallel.ray, 1.0)
+    assert w.wasserstein_distance(section, w.dirac((1.0, 1.0)), 2.0) <= 1e-3
+    report = w.viscosity_check(line_ray, parallel.ray)
     assert report.passed
-    assert abs(report.min_margin) <= 1e-3
     assert report.equality_residual <= 1e-3
+    lipschitz = w.lipschitz_check(line_ray, w.dirac((0.0, 1.0)), w.dirac((1.0, 1.0)))
+    assert abs(viscosity_margin(lipschitz)) <= 1e-3
 
 
 def test_viscosity_far_probe_has_large_margin(line_ray):
     far = w.dirac((0.0, 50.0))
-    report = w.viscosity_check(line_ray, w.dirac((0.0, 1.0)), [far])
+    report = w.lipschitz_check(line_ray, w.dirac((0.0, 1.0)), far)
     assert report.passed
-    assert report.min_margin > 10.0
+    assert viscosity_margin(report) > 10.0
 
 
 def test_viscosity_random_probes(line_ray, rng):
-    probes = [random_measure(rng, max_atoms=3) for _ in range(10)]
-    report = w.viscosity_check(line_ray, w.dirac((0.0, 1.0)), probes)
-    assert report.passed
+    for _ in range(10):
+        lam = random_measure(rng, max_atoms=3)
+        report = w.lipschitz_check(line_ray, w.dirac((0.0, 1.0)), lam)
+        assert report.passed
+        assert viscosity_margin(report) >= -CHECK_ATOL
