@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonotonicityError, NotARayError
-from .measures import DiscreteMeasure
-from .ot import _lengths, solve_ot, transport_plan, wasserstein_distance
+from .errors import CostOverflowError, DimensionMismatchError, MonotonicityError, NotARayError
+from .measures import MERGE_DECIMALS, DiscreteMeasure, _array_max
+from .ot import EPS, _lengths, solve_ot, transport_plan, wasserstein_distance
 from .paths import RayMeasure, _plan_chain, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
@@ -35,6 +35,10 @@ DEFAULT_MAX_DOUBLINGS = 24
 # defective transport solve rather than a property of the inputs.
 MONOTONE_ATOL = 1e-6
 LOWER_BOUND_ATOL = 1e-9
+# slack of the mean-difference floor on W_p(nu, mu_0), ``distance_floor``
+FLOOR_RTOL = 2e-11
+FLOOR_ATOL = 1e-18
+FLOOR_SCALE_MAX = 1e100
 # rounding allowed by the theorem checks whose inequality holds exactly
 CHECK_ATOL = 1e-9
 
@@ -180,19 +184,95 @@ def busemann_value(
 
 @dataclass(frozen=True, eq=False)
 class BusemannPlan:
-    """Exact Busemann value with the certified plan that attains it.
+    """Exact Busemann value of ``ray`` at ``nu`` with the certified plan that attains it.
 
     ``left``/``right``/``masses`` are the positive entries of an optimal
     plan of the limiting transport problem: mass ``masses[k]`` of nu's atom
-    ``left[k]`` goes to the ray ``right[k]`` of the family. ``lower_bound``
-    is -W_p(nu, mu_0).
+    ``left[k]`` goes to the ray ``right[k]`` of the family.
+    ``lower_bound`` is -W_p(nu, mu_0), solved on its first read (or by
+    ``busemann_exact``'s non-ray check, when the mean bound leaves the
+    verdict open) and kept; a cost that overflows raises
+    ``CostOverflowError`` there, on the read.
     """
 
     value: float
-    lower_bound: float
     left: np.ndarray
     right: np.ndarray
     masses: np.ndarray
+    ray: RayMeasure
+    nu: DiscreteMeasure
+    # not a field: the lower bound once solved
+    _lower_bound = None
+
+    @property
+    def lower_bound(self) -> float:
+        if self._lower_bound is None:
+            distance = wasserstein_distance(self.nu, ray_section(self.ray, 0.0), self.ray.p)
+            object.__setattr__(self, "_lower_bound", -distance)
+        return self._lower_bound
+
+
+def distance_floor(ray: RayMeasure, nu: DiscreteMeasure) -> float:
+    """A number no larger than the computed W_p(nu, mu_0), from the means alone.
+
+    Every coupling pi of nu and mu_0 moves the mean: sum pi_ij |x_i - y_j|
+    >= |sum pi_ij (x_i - y_j)| = |mean(nu) - mean(mu_0)|, and W_p >= W_1 by
+    Jensen (Villani, Optimal Transport: Old and New, 2009, ch. 6), so
+    L = |sum_i a_i x_i - sum_j w_j o_j| <= W_p(nu, mu_0) for exact
+    measures; a suboptimal plan only costs more. With L^ the computed L,
+    A the largest |coordinate| of nu's atoms and the origins, m atoms of
+    nu, n rays and d dimensions, the floor is
+
+        max(L^ (1 - r) - sqrt(d) ((r + 8 eps) A + 2e-12) - 1e-18, 0),
+        r = 2e-11 + 16 (d + m + n + 16) eps,
+
+    and NaN past A = 1e100, where no comparison passes it. It is at most
+    fl(W), the cost that ``solve_ot(nu, ray_section(ray, 0), p)`` computes
+    for its plan pi, with row sums r_i and column sums c_j on the section's
+    atoms y_j. Every atom lies within R = sqrt(d) A of 0, and each step
+    from L^ to fl(W) loses no more than its term (u = eps / 2):
+
+    - computing L^ errs by at most (m + n + d + 5) u (L^ + 2R);
+    - the section pools origins that share a ``_merge_keys`` key at the
+      first one's coordinates. Two coordinates rounding to one key at
+      1e-12 lie within 1e-12 + 4 u A of each other, so the pooling moves
+      mu_0's mean by at most sqrt(d) (1e-12 + 4 u A), counted twice over
+      in the floor's sqrt(d) (8 eps A + 2e-12);
+    - the plan misses the marginals by at most 8e-12 + 8 (m + n) eps in
+      total: weights sum to 1 within 1e-12, the single-atom, assignment
+      and identity plans copy a marginal's weights, and the peeled simplex
+      masses miss a marginal only by one subtraction's rounding per tree
+      cell and the imbalance the last node takes. So
+      |sum_i r_i x_i - sum_j c_j y_j|, which equals |sum pi_ij (x_i - y_j)|,
+      is within that times R of the mean gap; the total mass M is as close
+      to 1, and W(pi) >= M^(1/p - 1) sum pi_ij |x_i - y_j|;
+    - the computed cost is within (d / 2 + m + n + 8) u relative of W(pi)
+      (the distance, d**p, the p-mean and its root, as
+      ``monotone_allowance`` counts them), and d**p that underflows takes
+      at most (m n 2^-1074)^(1/p) <= 1e-18 off it.
+
+    r covers the relative terms twice over. The floor drops with A, so a
+    measure far from the origin, whatever its distance to mu_0, may leave
+    the verdict to the solve.
+    """
+    scale = max(_array_max(np.abs(nu.atoms)), _array_max(np.abs(ray.origins)))
+    # below it nothing here overflows
+    if scale > FLOOR_SCALE_MAX:
+        return float("nan")
+    shift = nu.weights @ nu.atoms - ray.weights @ ray.origins
+    gap = float(shift @ shift) ** 0.5
+    rtol = FLOOR_RTOL + 16 * (nu.dim + len(nu) + len(ray) + 16) * EPS
+    slack = nu.dim**0.5 * ((rtol + 8.0 * EPS) * scale + 2.0 * 10.0**-MERGE_DECIMALS)
+    return max(gap * (1.0 - rtol) - slack - FLOOR_ATOL, 0.0)
+
+
+def _clears(value: float, distance: float) -> bool:
+    """Whether a Busemann value clears the non-ray rule's threshold at a distance to mu_0.
+
+    The threshold, -distance - 1e-9 max(1, distance), falls as the
+    distance grows, also as rounded. A NaN distance clears nothing.
+    """
+    return value >= -distance - LOWER_BOUND_ATOL * max(1.0, distance)
 
 
 def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
@@ -222,25 +302,44 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     when the value falls below -W_p(nu, mu_0) by more than
     1e-9 max(1, W_p(nu, mu_0)): the triangle inequality forbids it for a
     genuine ray, and the plan is certified, so the family is not one.
+    That W_p is solved only where the verdict needs it. The threshold,
+    rounded as computed, does not rise as its distance grows, so a value
+    that clears it at a distance below fl(W_p) clears it at fl(W_p), and
+    the family passes with no solve: first at 0, then at
+    ``distance_floor``'s mean bound L. A value that clears neither, or a
+    NaN floor, reads ``BusemannPlan.lower_bound`` and meets the rule
+    itself; that solve may also raise ``CostOverflowError``. Either way the
+    verdict is the rule's on the solved W_p.
     """
     require_unit_speed(ray, "the Busemann function")
-    # the lower-bound solve also rejects a dimension mismatch
-    lower_bound = -wasserstein_distance(nu, ray_section(ray, 0.0), ray.p)
+    if nu.dim != ray.dim:
+        raise DimensionMismatchError(f"measures live in dimensions {nu.dim} and {ray.dim}")
     speeds = _lengths(ray.velocities)
     # |v_j|^(p-2), and 0 for a resting ray, where it may be infinite
     scale = np.power(speeds, ray.p - 2.0, out=np.zeros_like(speeds), where=speeds > 0.0)
-    offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]
-    cost = -np.add.reduce(offsets * ray.velocities[None, :, :], axis=2) * scale
-    left, right, masses, _ = transport_plan(nu.weights, ray.weights, cost)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]
+        cost = -np.add.reduce(offsets * ray.velocities[None, :, :], axis=2) * scale
+    try:
+        left, right, masses, _ = transport_plan(nu.weights, ray.weights, cost)
+    except CostOverflowError:
+        # costs this far out mostly mean that W_p(nu, mu_0) overflows too;
+        # that error, which names p, comes first
+        wasserstein_distance(nu, ray_section(ray, 0.0), ray.p)
+        raise
     value = float(np.add.reduce(masses * cost[left, right]))
-    if value < lower_bound - LOWER_BOUND_ATOL * max(1.0, -lower_bound):
-        raise NotARayError(
-            f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
-            "the ray family is not a ray"
-        )
     for arr in (left, right, masses):
         arr.setflags(write=False)
-    return BusemannPlan(value, lower_bound, left, right, masses)
+    plan = BusemannPlan(value, left, right, masses, ray, nu)
+    # W_p >= 0, so a value that clears the threshold at 0, -1e-9, passes
+    if value < -LOWER_BOUND_ATOL and not _clears(value, distance_floor(ray, nu)):
+        lower_bound = plan.lower_bound
+        if not _clears(value, -lower_bound):
+            raise NotARayError(
+                f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
+                "the ray family is not a ray"
+            )
+    return plan
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,8 @@ def _cmd_busemann(args) -> int:
     nu = read_measure(args.nu)
     if all(opt is None for opt in (args.tol, args.t0, args.max_doublings, args.out_csv)):
         exact = busemann_exact(ray, nu)
-        # the limit itself: no schedule, so nothing left to decrease
+        # the limit itself: no schedule, so nothing left to decrease. Reading
+        # the lower bound solves it, so its errors come before any output
         estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
     else:
         # the truncation alone can settle on a family that is no ray; the

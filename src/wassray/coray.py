@@ -295,9 +295,12 @@ def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:
     s - r: the family is a ray along which b falls at unit rate, with no
     schedule and no convergence flag. The Lipschitz bound needs ``mu`` to
     be a ray, which is not checked: ``NotARayError`` comes only from
-    ``busemann_exact``'s lower bound, which the crossing family (origins 0
-    and 10, velocities 1 and -1) passes from the Dirac at 0.5, though it
-    fails ``validate_ray``. ROADMAP item 7 is the exact ray certificate.
+    ``busemann_exact``'s non-ray guard, the value against -W_p(nu0, mu_0),
+    which solves that distance only when the mean bound
+    (``busemann.distance_floor``) leaves the verdict open. The crossing
+    family (origins 0 and 10, velocities 1 and -1) passes it from the
+    Dirac at 0.5, though it fails ``validate_ray``. ROADMAP item 7 is the
+    exact ray certificate.
     """
     plan = busemann_exact(mu, nu0)
     return RayMeasure(

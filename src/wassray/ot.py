@@ -231,7 +231,8 @@ class Coupling:
     # masses included) the simplex stopped on, or a single atom's star, which
     # ``solve_ot`` sets on the plans it solves and a schedule's stacked pass
     # (``paths._kept_plan_lengths``) re-prices on later sections; every other
-    # coupling has none
+    # coupling has none, so ``paths.lift_geodesic`` lifts a plan with one
+    # without solving its instance again
     _basis = None
 
     def __post_init__(self):

@@ -198,8 +198,13 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
     """Lift an optimal coupling to its displacement geodesic.
 
     Lifting a non-optimal coupling does not produce a geodesic, and every
-    downstream check would silently test nothing, so ``pi`` must prove
-    itself against a cold ``solve_ot(pi.mu, pi.nu, pi.p)``: ``pi`` is
+    downstream check would silently test nothing, so ``pi`` must be
+    optimal. A plan that kept a basis is lifted as it is: only
+    ``solve_ot`` sets one, on the simplex plans and single-atom stars it
+    solved on ``pi``'s own instance, and solving that instance again
+    gives the same bits, so a comparison could not fail. Any other
+    coupling (an assignment or identity plan, or one built by hand)
+    proves itself against a cold ``solve_ot(pi.mu, pi.nu, pi.p)``: it is
     rejected when its cost exceeds that reference by more than 1e-8
     relative. The test is one-sided: a plan cheaper than the reference
     is no worse than it, so it is lifted, as where the simplex's
@@ -207,11 +212,12 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
     lifts to constant paths. An off-support d**p that overflows raises
     ``CostOverflowError`` in that solve.
     """
-    reference = solve_ot(pi.mu, pi.nu, pi.p)
-    if pi.cost - reference.cost > OPTIMALITY_RTOL * max(1.0, reference.cost):
-        raise NonOptimalCouplingError(
-            f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
-        )
+    if pi._basis is None:
+        reference = solve_ot(pi.mu, pi.nu, pi.p)
+        if pi.cost - reference.cost > OPTIMALITY_RTOL * max(1.0, reference.cost):
+            raise NonOptimalCouplingError(
+                f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
+            )
     return _lift_entries(pi)
 
 

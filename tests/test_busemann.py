@@ -1,3 +1,4 @@
+import collections
 import warnings
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import wassray as w
 from wassray import busemann, paths
-from wassray.errors import CostOverflowError, MonotonicityError, UnitSpeedError
+from wassray.errors import CostOverflowError, MonotonicityError, NotARayError, UnitSpeedError
 from wassray.ot import _segment_cost
 
 from conftest import (
@@ -237,6 +238,144 @@ def test_exact_value_rejects_non_rays_and_bad_input(line_ray):
         w.busemann_exact(w.make_dirac_ray((0.0, 0.0), (2.0, 0.0)), w.dirac((0.0, 0.0)))
     with pytest.raises(w.DimensionMismatchError):
         w.busemann_exact(line_ray, w.dirac((0.0,)))
+
+
+@pytest.fixture
+def verdict(monkeypatch, solves):
+    """``busemann_exact``'s verdict at (ray, nu), asserted to be the non-ray rule's on W_p(nu, mu_0).
+
+    The rule fires when the value falls below -W - 1e-9 max(1, W) for the
+    solved W = ``wasserstein_distance(nu, ray_section(ray, 0), p)``. A spy
+    records each limiting LP's value, with ``busemann_exact``'s own
+    expression, so a rejected family's value is known too. A returned
+    plan's lower bound must have -W's bits. Returns whether the family
+    was rejected and whether ``busemann_exact`` solved W_p to decide.
+    """
+    values = []
+    transport_plan = busemann.transport_plan
+
+    def spy(a, b, cost):
+        left, right, masses, basis = transport_plan(a, b, cost)
+        values.append(float(np.add.reduce(masses * cost[left, right])))
+        return left, right, masses, basis
+
+    monkeypatch.setattr(busemann, "transport_plan", spy)
+
+    def check(ray, nu):
+        before = len(solves)
+        try:
+            plan = w.busemann_exact(ray, nu)
+        except NotARayError:
+            plan = None
+        solved = len(solves) > before
+        distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
+        fires = values[-1] < -distance - busemann.LOWER_BOUND_ATOL * max(1.0, distance)
+        assert (plan is None) == fires
+        if plan is not None:
+            assert plan.value == values[-1]
+            assert np.float64(plan.lower_bound).tobytes() == np.float64(-distance).tobytes()
+        return fires, solved
+
+    return check
+
+
+@pytest.mark.parametrize("kind, p", GENUINE_RAY_KINDS)
+def test_mean_bound_keeps_the_verdict_on_genuine_rays(kind, p, verdict):
+    # the mean bound settles the probes with no solve. The section at 3 has
+    # value -3 = -W_p, while its mean moves less than 3 unless every ray is
+    # parallel, so it meets the rule on the solved distance
+    ray, probes = genuine_ray_case(kind, p)
+    for nu in [*probes, w.ray_section(ray, 0.0)]:
+        assert verdict(ray, nu) == (False, False)
+    assert verdict(ray, w.ray_section(ray, 3.0)) == (False, True)
+
+
+def test_mean_bound_keeps_the_verdict_on_the_crossing_family(verdict):
+    # origins 0 and 10, velocities +-1: rejected from mu_0 (value -10, both
+    # bounds 0); from the Dirac at 0.5 the value -5 is below -L = -4.5 but
+    # not below -W_2 = -6.73, so the family passes there on the solve
+    crossing = w.RayMeasure([[0.0], [10.0]], [[1.0], [-1.0]], [0.5, 0.5], 2.0)
+    assert verdict(crossing, w.ray_section(crossing, 0.0)) == (True, True)
+    assert verdict(crossing, w.dirac((0.5,))) == (False, True)
+    assert w.busemann_exact(crossing, w.dirac((0.5,))).value == -5.0
+
+
+def test_mean_bound_keeps_the_verdict_on_random_families(verdict):
+    # 800 random families of 2-4 rays in d <= 2, half of them rejected, at
+    # their time-0 and time-1 sections and at a random measure
+    rng = np.random.default_rng(7)
+    outcomes = collections.Counter()
+    for _ in range(800):
+        k, d = int(rng.integers(2, 5)), int(rng.integers(1, 3))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        weights = rng.random(k) + 0.1
+        ray = unit_speed(
+            rng.normal(size=(k, d)), rng.normal(size=(k, d)), weights / weights.sum(), p
+        )
+        for nu in (
+            w.ray_section(ray, 0.0),
+            w.ray_section(ray, 1.0),
+            random_measure(rng, max_atoms=3, dim=d),
+        ):
+            outcomes[verdict(ray, nu)] += 1
+    # a rejection always solves; passes come both ways
+    assert outcomes[True, False] == 0
+    assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) > 300
+
+
+def test_mean_bound_keeps_the_verdict_with_coincident_origins(verdict):
+    # two rays share an origin, and two more sit 3e-13 apart, which the
+    # time-0 section pools at the first one's coordinates
+    weights = np.full(4, 0.25)
+    origins = [[1.0, 2.0], [1.0, 2.0], [0.5, -1.0], [0.5 + 3e-13, -1.0]]
+    velocities = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5], [0.3, -0.2]]
+    ray = unit_speed(origins, velocities, weights, 2.0)
+    assert len(w.ray_section(ray, 0.0)) == 2
+    rng = np.random.default_rng(3)
+    probes = [w.ray_section(ray, 0.0), w.dirac((1.0, 2.0)), w.dirac((0.5, -1.0))]
+    probes += [random_measure(rng, max_atoms=3) for _ in range(20)]
+    outcomes = [verdict(ray, nu) for nu in probes]
+    assert outcomes[0] == (True, True) and (False, False) in outcomes
+
+
+def test_mean_bound_keeps_the_verdict_where_it_equals_the_distance(verdict):
+    # nu is mu_0 moved by 5 v along a translation ray: L = W_2 = 5 and the
+    # value is -5, on the threshold's edge, and still no solve is needed
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 3.0], [-2.0, 1.0]], [0.2, 0.3, 0.5])
+    v = np.array([0.6, 0.8])
+    ray = w.make_translation_ray(mu0, v)
+    nu = mu0.translate(5.0 * v)
+    assert verdict(ray, nu) == (False, False)
+    assert w.busemann_exact(ray, nu).value == pytest.approx(-5.0, abs=1e-12)
+    assert busemann.distance_floor(ray, nu) == pytest.approx(5.0, rel=1e-9)
+
+
+def test_exact_value_solves_its_lower_bound_on_first_read(solves):
+    ray, probes = genuine_ray_case("comonotone", 2.0)
+    for nu in probes:
+        solves.clear()
+        plan = w.busemann_exact(ray, nu)
+        assert solves == []
+        lower_bound = plan.lower_bound
+        assert len(solves) == 1
+        assert plan.lower_bound == lower_bound and len(solves) == 1
+
+
+def test_exact_value_of_a_far_measure_needs_no_distance():
+    # W_16 of a Dirac 1e20 from mu_0 overflows; the limiting LP does not,
+    # and its value 0 clears the non-ray rule at any distance. The
+    # distance, and its error, come when the lower bound is read
+    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = w.busemann_exact(ray, w.dirac((0.0, 1e20)))
+        assert plan.value == 0.0
+        with pytest.raises(CostOverflowError):
+            plan.lower_bound
+        # farther out the limiting costs overflow too, and the distance's
+        # error, naming the squared distance, still comes first
+        with pytest.raises(CostOverflowError, match="squared distance"):
+            w.busemann_exact(w.make_dirac_ray((-1e308,), (1.0,)), w.dirac((1e308,)))
 
 
 def far_rounding_case():

@@ -340,6 +340,28 @@ def test_busemann_and_coray_reject_a_crossing_family_as_input(files, capsys):
         assert err.startswith("input error: ") and "the ray family is not a ray" in err
 
 
+def test_busemann_reads_an_overflowing_lower_bound_before_any_output(files, capsys):
+    # the exact value at a Dirac 1e20 off a p = 16 ray is 0, which clears
+    # the non-ray rule at any distance; the printed lower bound W_16
+    # overflows, and reading it is one input error before any output
+    ray = files["dir"] / "far.rays"
+    w.write_ray(w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=16.0), ray)
+    nu = files["dir"] / "far.measure"
+    w.write_measure(w.dirac((0.0, 1e20)), nu)
+    assert main(["busemann", str(ray), str(nu)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "input error: transport cost overflows double precision at p = 16 (atoms 1e+20 "
+        "apart): d**p passes the largest double once atoms lie about 1.84e+19 apart\n"
+    )
+    # the co-ray reads no lower bound: it is the ray from the Dirac along (1, 0)
+    out_ray = files["dir"] / "far.coray.rays"
+    assert main(["coray", str(ray), str(nu), "--out-ray", str(out_ray)]) == 0
+    coray = w.read_ray(out_ray)
+    assert coray.origins.tolist() == [[0.0, 1e20]] and coray.velocities.tolist() == [[1.0, 0.0]]
+
+
 @pytest.mark.parametrize(
     "option", [["--t0", "1"], ["--max-doublings", "24"], ["--out-csv", "curve.csv"]]
 )

@@ -267,26 +267,36 @@ def test_every_family_check_keeps_its_message(build, item, data):
         assert weights.tolist() == [1.0] and not weights.flags.writeable
 
 
-def test_lift_checks_a_plan_against_one_cold_solve(lp_shapes, monkeypatch):
-    # a weighted lift compares the plan with one cold solve of its own
-    # instance: one solve_ot call and one LP, whatever the plan kept
+def test_lift_checks_a_plan_against_one_cold_solve(lp_shapes, solves):
+    # a simplex plan that kept its basis was solved on its own instance, so
+    # it lifts with no solve; the same entries as a public Coupling, which
+    # keeps none, prove themselves against one cold solve (one LP), and a
+    # costlier coupling of the instance fails that comparison
     rng = np.random.default_rng(2)
     mu = w.DiscreteMeasure(rng.normal(size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu = w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.5, 0.3, 0.2])
     plan = w.solve_ot(mu, nu, 2.0)
+    assert plan._basis is not None
+    solves.clear()
     lp_shapes.clear()
-    solves = []
-    solve_ot = paths.solve_ot
-
-    def spy(*args, **kwargs):
-        solves.append(args)
-        return solve_ot(*args, **kwargs)
-
-    monkeypatch.setattr(paths, "solve_ot", spy)
     lift = w.lift_geodesic(plan)
-    assert solves == [(mu, nu, 2.0)]
-    assert lp_shapes == [(4, 3)]
+    assert solves == [] and lp_shapes == []
     assert lift.length == plan.cost
+    public = Coupling(mu, nu, plan.left, plan.right, plan.masses, 2.0)
+    assert public._basis is None
+    twin = w.lift_geodesic(public)
+    assert solves == [(mu, nu, 2.0)] and lp_shapes == [(4, 3)]
+    for a, b in ((twin.starts, lift.starts), (twin.ends, lift.ends), (twin.weights, lift.weights)):
+        assert same_bits(a, b)
+    assert twin.length == lift.length
+    product = Coupling(
+        mu, nu, np.repeat(np.arange(4), 3), np.tile(np.arange(3), 4),
+        np.outer(mu.weights, nu.weights).ravel(), 2.0,
+    )
+    assert product.cost > plan.cost * (1.0 + 1e-6)
+    with pytest.raises(NonOptimalCouplingError):
+        w.lift_geodesic(product)
+    assert len(solves) == 2 and lp_shapes == [(4, 3)] * 2
 
 
 def test_section_endpoints_reproduce_marginals():
