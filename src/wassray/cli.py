@@ -51,7 +51,6 @@ from .coray import DEFAULT_TOL as CORAY_TOL
 from .coray import construct_coray, coray_exact
 from .errors import MeasureFileError
 from .io import read_measure, read_ray, write_measure, write_ray
-from .measures import dirac
 from .ot import solve_ot
 from .paths import lift_geodesic, make_dirac_ray, make_translation_ray, section, validate_ray
 from .verify import SUITE_NAMES, format_report, run_suite

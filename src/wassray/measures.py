@@ -4,6 +4,10 @@ Validation sits at one boundary: the public ``DiscreteMeasure``
 constructor converts and copies its input, and the sections and
 pushforwards the library builds itself skip only that conversion; both
 run the same checks, from one helper.
+
+Positions pool into atoms in one place too: ``_key_owners`` is the one
+grouping by ``_merge_keys``, shared by ``merge_atoms``, ``same_measure``
+and ``paths.glue``.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ def _merge_keys(positions: np.ndarray) -> np.ndarray:
     inf past about 1.8e296, where every coordinate would share the key inf.
     A coordinate whose scaled value overflows is its own key instead, with
     no overflow warning; every other key is the rounded coordinate. The one
-    key function of ``position_key``, ``merge_atoms`` and the schedules'
-    check that a section merges nothing (``paths._kept_plan_lengths``).
+    key function: ``_key_owners`` groups positions by these keys, and
+    ``_distinct_rows`` tests a stack of sections for a shared one.
     """
     # NaN fails the comparison, and rounds to NaN as before
     if not positions.size or _array_max(np.abs(positions)) <= KEY_SAFE:
@@ -82,9 +86,49 @@ def _merge_keys(positions: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(keys), positions, keys)
 
 
-def position_key(coords) -> tuple[float, ...]:
-    """Merge key for a position: its coordinates' ``_merge_keys``."""
-    return tuple(_merge_keys(np.asarray(coords, dtype=float)).tolist())
+def _key_owners(positions: np.ndarray) -> tuple[list[int], dict[tuple[float, ...], int]]:
+    """Group the rows of an (n, d) float64 array into atoms by ``_merge_keys``.
+
+    The one grouping of positions, in one dict pass: returns each row's
+    owner, the first row with all its keys, and a dict from each key to
+    its owner, in input order. Keys compare as floats: -0.0 is 0.0.
+    """
+    first: dict[tuple[float, ...], int] = {}
+    owner = [
+        first.setdefault(tuple(key), k)
+        for k, key in enumerate(_merge_keys(positions).tolist())
+    ]
+    return owner, first
+
+
+def _distinct_rows(positions: np.ndarray) -> np.ndarray:
+    """For a (T, n, d) stack of positions, whether each slice's n rows are n atoms.
+
+    ``_key_owners``' rule, vectorised over the stack (a dict pass per slice
+    would be slower). A NaN key matches not even itself: its slice is False.
+    """
+    keys = _merge_keys(positions)
+    # each row shares every key with itself; another match merges two atoms
+    matches = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3).sum(axis=(1, 2))
+    return matches == positions.shape[1]
+
+
+def _pooled_pair(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray):
+    """Pool two weighted position arrays by one ``_key_owners`` of ``x`` then ``y``.
+
+    None when a key sits on one side only. Else every owner is a row of
+    ``x``; returns ``_key_owners``' result and each side's masses by owner
+    row, which ``bincount`` adds in input order, as a running sum would.
+    """
+    n = len(x)
+    owner, first = _key_owners(np.concatenate((x, y)))
+    in_y = set(owner[n:])
+    # an owner past x is a key x lacks; fewer owners than keys, one y lacks
+    if max(in_y) >= n or len(in_y) != len(first):
+        return None
+    mass_x = np.bincount(owner[:n], weights=wx, minlength=n)
+    mass_y = np.bincount(owner[n:], weights=wy, minlength=n)
+    return owner, first, mass_x, mass_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +242,8 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     Positions sharing a key (``_merge_keys``: MERGE_DECIMALS decimals)
     collapse to a single atom placed at the first occurrence's exact
     coordinates; output order is first-occurrence order, so the result is
-    deterministic. The keys are ``position_key``'s, computed for all rows
-    at once. A flat position array means atoms on the real line, as in
-    ``DiscreteMeasure``.
+    deterministic. The grouping is ``_key_owners``'. A flat position array
+    means atoms on the real line, as in ``DiscreteMeasure``.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim == 1:
@@ -208,11 +251,7 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     weights = np.asarray(weights, dtype=float)
     if len(positions) == 1:  # one row: nothing can coincide
         return positions.copy(), weights.copy()
-    first: dict[tuple[float, ...], int] = {}
-    owner = [
-        first.setdefault(tuple(key), k)
-        for k, key in enumerate(_merge_keys(positions).tolist())
-    ]
+    owner, first = _key_owners(positions)
     if len(first) == len(owner):  # nothing coincides
         return positions.copy(), weights.copy()
     keep = list(first.values())
@@ -224,15 +263,13 @@ def merge_atoms(positions: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
 def same_measure(a: DiscreteMeasure, b: DiscreteMeasure, weight_atol: float = 1e-9) -> bool:
     """Whether two measures agree as measures, up to per-atom weight slack.
 
-    Atoms are matched by position key after pooling coincident atoms on
-    each side, so atom order and coincident-atom splitting do not matter.
+    Both sides' atoms are pooled by one ``_key_owners`` grouping, so atom
+    order and coincident-atom splitting do not matter.
     """
     if a.dim != b.dim:
         return False
-    pa, wa = merge_atoms(a.atoms, a.weights)
-    pb, wb = merge_atoms(b.atoms, b.weights)
-    ka = {position_key(pos): w for pos, w in zip(pa, wa)}
-    kb = {position_key(pos): w for pos, w in zip(pb, wb)}
-    if set(ka) != set(kb):
+    pooled = _pooled_pair(a.atoms, a.weights, b.atoms, b.weights)
+    if pooled is None:
         return False
-    return all(abs(ka[k] - kb[k]) <= weight_atol for k in ka)
+    _, _, wa, wb = pooled  # a row that owns no key has mass 0 on both sides
+    return bool(np.all(np.abs(wa - wb) <= weight_atol))

@@ -248,12 +248,6 @@ class Coupling:
         """Euclidean distance of each entry's atom pair."""
         return _lengths(self.mu.atoms[self.left] - self.nu.atoms[self.right])
 
-    def dense(self) -> np.ndarray:
-        """Entries as a dense (len(mu), len(nu)) matrix."""
-        plan = np.zeros((len(self.mu), len(self.nu)))
-        np.add.at(plan, (self.left, self.right), self.masses)
-        return plan
-
 
 def _checked_coupling(
     mu: DiscreteMeasure,

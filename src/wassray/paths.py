@@ -38,10 +38,10 @@ from .measures import (
     _array_max,
     _array_min,
     _checked_measure,
-    _merge_keys,
+    _distinct_rows,
+    _pooled_pair,
     as_point,
     merge_atoms,
-    position_key,
 )
 from .ot import (
     Coupling,
@@ -92,7 +92,7 @@ def _checked_family(first, second, weights, p, item, arrays, data):
     name a member, the array pair and its coordinates in the messages. The
     public constructors convert and copy their input with
     ``_family_arrays`` first; lifts the library builds from a checked
-    coupling's entries (``_lift_entries``) skip only that conversion.
+    coupling's entries (``lift_geodesic``) skip only that conversion.
     Zero-mass members are dropped; the arrays kept are made read-only in
     place.
     """
@@ -159,7 +159,7 @@ def _checked_lift(starts, ends, weights, p, length, lift=None) -> GeodesicLift:
     """Run every ``GeodesicLift`` check on float64 arrays and freeze them into a lift.
 
     The public constructor converts its input, then calls this with itself
-    as ``lift``; ``_lift_entries`` calls it with no ``lift``.
+    as ``lift``; ``lift_geodesic`` calls it with no ``lift``.
     """
     starts, ends, weights, p = _checked_family(
         starts, ends, weights, p, "segment", "start and end", "segment endpoints"
@@ -180,20 +180,6 @@ def _checked_lift(starts, ends, weights, p, length, lift=None) -> GeodesicLift:
     return lift
 
 
-def _lift_entries(pi: Coupling) -> GeodesicLift:
-    """The segments of a checked coupling's entries, as a lift.
-
-    The same checks as ``GeodesicLift(pi.mu.atoms[pi.left],
-    pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost)``, with the same
-    result bits, skipping only the conversion: the endpoint arrays are
-    fresh float64 gathers, and the lift's weights are the coupling's own
-    read-only ``masses``.
-    """
-    return _checked_lift(
-        pi.mu.atoms[pi.left], pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost
-    )
-
-
 def lift_geodesic(pi: Coupling) -> GeodesicLift:
     """Lift an optimal coupling to its displacement geodesic.
 
@@ -210,7 +196,9 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
     is no worse than it, so it is lifted, as where the simplex's
     certificate is coarser than the costs at high p. A zero-cost coupling
     lifts to constant paths. An off-support d**p that overflows raises
-    ``CostOverflowError`` in that solve.
+    ``CostOverflowError`` in that solve. The lift has the public
+    constructor's checks and bits; its weights are the coupling's own
+    read-only ``masses``.
     """
     if pi._basis is None:
         reference = solve_ot(pi.mu, pi.nu, pi.p)
@@ -218,7 +206,7 @@ def lift_geodesic(pi: Coupling) -> GeodesicLift:
             raise NonOptimalCouplingError(
                 f"coupling cost {pi.cost!r} exceeds the optimal cost {reference.cost!r}"
             )
-    return _lift_entries(pi)
+    return _checked_lift(pi.mu.atoms[pi.left], pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost)
 
 
 def section(lift: GeodesicLift, t) -> DiscreteMeasure:
@@ -314,9 +302,9 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
       atom, they also differ from nu0's: a start with the ray's weights is
       left to ``solve_ot``, whose assignment and identity branches decide
       such instances before the LP;
-    - the target's positions are finite, and no two of them share every
-      ``_merge_keys`` key, so the section is the positions with the ray's
-      weights, byte for byte;
+    - the target's positions are finite and ``_distinct_rows``: no two
+      of them are one atom, so the section is the positions with the
+      ray's weights, byte for byte;
     - no distance from nu0 reaches ``_distance_limit``;
     - a simplex basis passes ``_certified_prefix`` on the target's costs.
       A star needs no test: a single atom's one feasible plan ignores the
@@ -341,12 +329,7 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
     # the run before it, and its own solve warns and raises as before
     with np.errstate(over="ignore", invalid="ignore"):
         positions = ray.origins + np.array(times)[:, None, None] * ray.velocities
-    count = len(times)
-    if len(ray) > 1:
-        keys = _merge_keys(positions)
-        # each row shares every key with itself; another match merges two atoms
-        matches = (keys[:, :, None, :] == keys[:, None, :, :]).all(axis=3).sum(axis=(1, 2))
-        count = _leading(np.isfinite(positions).all(axis=(1, 2)) & (matches == len(ray)))
+    count = _leading(np.isfinite(positions).all(axis=(1, 2)) & _distinct_rows(positions))
     if count:
         m, n = len(nu0), len(ray)
         flat = pairwise_distances(nu0.atoms, positions[:count].reshape(count * n, -1))
@@ -468,12 +451,8 @@ def validate_ray(ray: RayMeasure, time_pairs=()) -> RayValidationReport:
     rel_gaps = []
     speed_residuals = []
     for t1, t2 in pairs:
-        pos1 = ray.positions(t1)
-        pos2 = ray.positions(t2)
-        induced = _segment_cost(pos1, pos2, ray.weights, ray.p)
-        m1 = _checked_measure(*merge_atoms(pos1, ray.weights))
-        m2 = _checked_measure(*merge_atoms(pos2, ray.weights))
-        optimal = wasserstein_distance(m1, m2, ray.p)
+        induced = _segment_cost(ray.positions(t1), ray.positions(t2), ray.weights, ray.p)
+        optimal = wasserstein_distance(ray_section(ray, t1), ray_section(ray, t2), ray.p)
         gap = induced - optimal
         if optimal > 0.0:
             rel = gap / optimal
@@ -508,38 +487,28 @@ def glue(alpha: GeodesicLift, beta: Coupling) -> list[tuple[int, int, float]]:
         raise DimensionMismatchError(
             f"lift has dimension {alpha.dim}, coupling {beta.mu.dim}"
         )
-    groups: dict[tuple[float, ...], list[int]] = {}
-    alpha_mass: dict[tuple[float, ...], float] = {}
-    for i, end in enumerate(alpha.ends):
-        key = position_key(end)
-        groups.setdefault(key, []).append(i)
-        alpha_mass[key] = alpha_mass.get(key, 0.0) + float(alpha.weights[i])
-    beta_rows: dict[tuple[float, ...], dict[int, float]] = {}
-    beta_mass: dict[tuple[float, ...], float] = {}
-    for a, j, m in zip(beta.left, beta.right, beta.masses):
-        key = position_key(beta.mu.atoms[a])
-        row = beta_rows.setdefault(key, {})
-        row[int(j)] = row.get(int(j), 0.0) + float(m)
-        beta_mass[key] = beta_mass.get(key, 0.0) + float(m)
-    if set(groups) != set(beta_rows):
+    pooled = _pooled_pair(alpha.ends, alpha.weights, beta.mu.atoms[beta.left], beta.masses)
+    if pooled is None:
         raise MarginalMismatchError(
             "endpoint marginal of the lift and left marginal of the coupling "
             "sit on different positions"
         )
-    for key, mass in alpha_mass.items():
-        if abs(mass - beta_mass[key]) > GLUE_WEIGHT_ATOL:
-            raise MarginalMismatchError(
-                f"marginal weights differ by {abs(mass - beta_mass[key]):.3e} "
-                f"at position {key}"
-            )
-    joint: list[tuple[int, int, float]] = []
-    for key, members in groups.items():
-        total = beta_mass[key]
-        for i in members:
-            scale = float(alpha.weights[i]) / total
-            for j, m in beta_rows[key].items():
-                mass = scale * m
-                if mass > 0.0:
-                    joint.append((i, j, mass))
-    joint.sort(key=lambda entry: (entry[0], entry[1]))
-    return joint
+    owner, first, alpha_mass, beta_mass = pooled
+    for key, k in first.items():
+        gap = abs(alpha_mass[k] - beta_mass[k])
+        if gap > GLUE_WEIGHT_ATOL:
+            raise MarginalMismatchError(f"marginal weights differ by {gap:.3e} at position {key}")
+    n, width = len(alpha.ends), len(beta.nu)
+    ends = np.array(owner[:n])
+    # beta's (endpoint position, partner) cells, row-major, masses added in entry order
+    cells, cell_of = np.unique(np.multiply(owner[n:], width) + beta.right, return_inverse=True)
+    cell_mass = np.bincount(cell_of, weights=beta.masses)
+    # each segment takes its position's row of cells: sorted by segment, then partner
+    start = np.searchsorted(cells, ends * width)
+    count = np.searchsorted(cells, (ends + 1) * width) - start
+    segments = np.repeat(np.arange(n), count)
+    taken = np.arange(len(segments)) + np.repeat(start - np.cumsum(count) + count, count)
+    mass = (alpha.weights / beta_mass[ends])[segments] * cell_mass[taken]
+    keep = mass > 0.0
+    partners = cells[taken[keep]] % width
+    return list(zip(segments[keep].tolist(), partners.tolist(), mass[keep].tolist()))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray.errors import DimensionMismatchError, EmptyMeasureError
-from wassray.measures import _array_max, _array_min, _merge_keys, merge_atoms, position_key
+from wassray.errors import DimensionMismatchError, EmptyMeasureError, MarginalMismatchError
+from wassray.measures import _array_max, _array_min, _merge_keys, merge_atoms
+from wassray.paths import GLUE_WEIGHT_ATOL
 
 from conftest import coords, same_bits
 
@@ -113,8 +114,16 @@ def test_merge_atoms_reads_flat_positions_as_the_real_line():
     assert positions.tolist() == [[2.0], [3.0]] and weights.tolist() == [0.5, 0.5]
 
 
-def test_position_key_treats_signed_zero_alike():
-    assert position_key(np.array([-0.0])) == position_key(np.array([0.0]))
+def row_key(position) -> tuple[float, ...]:
+    """One row's merge key, from ``_merge_keys`` on that row alone."""
+    return tuple(_merge_keys(np.asarray(position, dtype=float)).tolist())
+
+
+def test_signed_zeros_share_one_key():
+    assert _merge_keys(np.array([-0.0])).tolist() == _merge_keys(np.array([0.0])).tolist()
+    atoms, weights = merge_atoms(np.array([[-0.0, 1.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+    assert same_bits(atoms, np.array([[-0.0, 1.0]])) and weights.tolist() == [1.0]
+    assert w.same_measure(w.dirac((-0.0, 1.0)), w.dirac((0.0, 1.0)), weight_atol=0.0)
 
 
 def test_far_atoms_keep_their_own_keys():
@@ -123,7 +132,7 @@ def test_far_atoms_keep_their_own_keys():
     # weight 1 (with numpy's overflow warning, an error in this suite)
     atoms, weights = merge_atoms(np.array([[1e300], [2e300]]), np.array([0.5, 0.5]))
     assert atoms.tolist() == [[1e300], [2e300]] and weights.tolist() == [0.5, 0.5]
-    assert position_key(np.array([1e300, -2e300])) == (1e300, -2e300)
+    assert _merge_keys(np.array([1e300, -2e300])).tolist() == [1e300, -2e300]
     assert not w.same_measure(w.dirac((1e300,)), w.dirac((2e300,)))
     assert w.same_measure(w.dirac((1e300,)), w.dirac((1e300,)))
     # a far coordinate still pools with its exact copy, next to a near one
@@ -157,11 +166,11 @@ def test_same_measure_ignores_order_and_splitting():
 
 
 def merge_atoms_by_row(positions, weights):
-    """Reference pooling: one ``position_key`` per row, weights summed in order."""
+    """Reference pooling: one ``row_key`` per row, weights summed in order."""
     index_of = {}
     out_pos, out_w = [], []
     for pos, wt in zip(np.asarray(positions, dtype=float), np.asarray(weights, dtype=float)):
-        key = position_key(pos)
+        key = row_key(pos)
         if key in index_of:
             out_w[index_of[key]] += float(wt)
         else:
@@ -202,6 +211,138 @@ def test_merge_atoms_matches_per_row_keys(positions, raw):
     # compared by bits, so -0.0 and 0.0 count as different first-occurrence atoms
     assert same_bits(atoms, ref_atoms)
     assert same_bits(merged, ref_merged)
+
+
+def same_measure_by_row(a, b, weight_atol=1e-9):
+    """Reference verdict: each side pooled by ``merge_atoms_by_row``, atoms matched by ``row_key``."""
+    if a.dim != b.dim:
+        return False
+    ka = {row_key(pos): wt for pos, wt in zip(*merge_atoms_by_row(a.atoms, a.weights))}
+    kb = {row_key(pos): wt for pos, wt in zip(*merge_atoms_by_row(b.atoms, b.weights))}
+    if set(ka) != set(kb):
+        return False
+    return all(abs(ka[k] - kb[k]) <= weight_atol for k in ka)
+
+
+def glue_by_row(alpha, beta):
+    """Reference glue: dicts keyed by ``row_key``, running sums in order, entries sorted."""
+    groups, alpha_mass = {}, {}
+    for i, end in enumerate(alpha.ends):
+        key = row_key(end)
+        groups.setdefault(key, []).append(i)
+        alpha_mass[key] = alpha_mass.get(key, 0.0) + float(alpha.weights[i])
+    beta_rows, beta_mass = {}, {}
+    for a, j, m in zip(beta.left, beta.right, beta.masses):
+        key = row_key(beta.mu.atoms[a])
+        row = beta_rows.setdefault(key, {})
+        row[int(j)] = row.get(int(j), 0.0) + float(m)
+        beta_mass[key] = beta_mass.get(key, 0.0) + float(m)
+    if set(groups) != set(beta_rows):
+        raise MarginalMismatchError(
+            "endpoint marginal of the lift and left marginal of the coupling "
+            "sit on different positions"
+        )
+    for key, mass in alpha_mass.items():
+        if abs(mass - beta_mass[key]) > GLUE_WEIGHT_ATOL:
+            raise MarginalMismatchError(
+                f"marginal weights differ by {abs(mass - beta_mass[key]):.3e} at position {key}"
+            )
+    joint = []
+    for key, members in groups.items():
+        for i in members:
+            scale = float(alpha.weights[i]) / beta_mass[key]
+            for j, m in beta_rows[key].items():
+                if scale * m > 0.0:
+                    joint.append((i, j, scale * m))
+    return sorted(joint, key=lambda entry: entry[:2])
+
+
+# rows with a coordinate past KEY_SAFE, which is its own key; next to it,
+# near coordinates that tie, lie 1e-14 apart or differ in the sign of zero
+far_rows = st.sampled_from(
+    [(1e300, 0.5), (1e300, 0.5 + 1e-14), (-1e300, 0.5), (2e300, -0.0), (2e300, 0.0)]
+)
+glue_rows = st.one_of(tricky_rows, far_rows, st.tuples(coords, coords))
+
+
+@st.composite
+def glue_pairs(draw):
+    """A zero-length lift and a coupling leaving a measure near its endpoint marginal.
+
+    ``beta.mu`` holds every endpoint row, some split into coincident atoms,
+    in shuffled order; sometimes it has an extra row, lacks one, or has one
+    weight 1e-6 off, so each branch of ``glue`` is reached. Each atom sends
+    its mass to one or both partners of its key, which sit beside the key's
+    first row, so entries repeat a (key, partner) pair and no cost overflows.
+    """
+    ends = np.array(draw(st.lists(glue_rows, min_size=1, max_size=6)))
+    n = len(ends)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    alpha = w.GeodesicLift(ends, ends, weights / weights.sum(), 2.0, 0.0)
+    rows, masses = [], []
+    for end, weight in zip(alpha.ends, alpha.weights):
+        if draw(st.booleans()):
+            part = draw(st.floats(0.1, 0.9))
+            rows += [end, end]
+            masses += [weight * part, weight * (1.0 - part)]
+        else:
+            rows.append(end)
+            masses.append(weight)
+    change = draw(st.sampled_from(("none", "none", "extra", "fewer", "weight")))
+    if change == "extra":
+        rows.append(np.array(draw(glue_rows)))
+        masses.append(0.1)
+    elif change == "fewer" and len(rows) > 1:
+        k = draw(st.integers(0, len(rows) - 1))
+        del rows[k], masses[k]
+    elif change == "weight":
+        masses[0] *= 1.0 + 1e-6
+    masses = np.array(masses)
+    if change != "none":
+        masses /= masses.sum()
+    order = draw(st.permutations(range(len(rows))))
+    mu = w.DiscreteMeasure(np.array(rows)[order], masses[order])
+    first_of = {}
+    left, partners, entry_masses = [], [], []
+    for a, (atom, mass) in enumerate(zip(mu.atoms, mu.weights)):
+        g = first_of.setdefault(row_key(atom), len(first_of))
+        sides = draw(st.sampled_from(((0,), (1,), (0, 1))))
+        part = draw(st.floats(0.1, 0.9)) if len(sides) == 2 else 1.0
+        for side, share in zip(sides, (part, 1.0 - part)):
+            left.append(a)
+            partners.append(2 * g + side)
+            entry_masses.append(mass * share)
+    spots = {}
+    for atom in mu.atoms:
+        g = first_of[row_key(atom)]
+        spots.setdefault(2 * g, atom + (0.5, 0.0))
+        spots.setdefault(2 * g + 1, atom + (0.0, -0.5))
+    used, right = np.unique(partners, return_inverse=True)
+    entry_masses = np.array(entry_masses)
+    nu = w.DiscreteMeasure(
+        np.array([spots[k] for k in used.tolist()]), np.bincount(right, weights=entry_masses)
+    )
+    return alpha, w.Coupling(mu, nu, left, right, entry_masses, 2.0)
+
+
+@settings(max_examples=300)
+@given(pair=glue_pairs())
+def test_same_measure_and_glue_match_per_row_keys(pair):
+    alpha, beta = pair
+    ends = w.DiscreteMeasure(alpha.ends, alpha.weights)
+    for atol in (0.0, 1e-9):
+        assert w.same_measure(ends, beta.mu, atol) == same_measure_by_row(ends, beta.mu, atol)
+    try:
+        want = glue_by_row(alpha, beta)
+    except MarginalMismatchError as err:
+        with pytest.raises(MarginalMismatchError) as got:
+            w.glue(alpha, beta)
+        assert str(got.value) == str(err)
+        return
+    joint = w.glue(alpha, beta)
+    # every mass is positive, so == compares the masses bit for bit
+    assert joint == want
+    assert all(type(i) is int and type(j) is int and type(m) is float for i, j, m in joint)
 
 
 @given(

@@ -15,7 +15,8 @@ from wassray.errors import (
     NonOptimalCouplingError,
 )
 from wassray.ot import Coupling, _segment_cost, p_mean
-from wassray.paths import _checked_lift, _lift_entries
+from wassray.measures import _merge_keys
+from wassray.paths import _checked_lift
 
 from conftest import random_measure, same_bits, small_measures, uniform_pairs
 
@@ -191,7 +192,7 @@ def test_library_lift_has_the_bits_of_the_public_constructor(d, p):
     ]
     for left, right in pairs:
         pi = w.solve_ot(left, right, p)
-        fast = _lift_entries(pi)
+        fast = w.lift_geodesic(pi)
         public = w.GeodesicLift(
             pi.mu.atoms[pi.left], pi.nu.atoms[pi.right], pi.masses, pi.p, pi.cost
         )
@@ -488,7 +489,8 @@ def test_glue_identity_pairing_keeps_own_endpoint():
 
 
 def test_glue_projections(rng):
-    from wassray.measures import position_key
+    def row_key(position):
+        return tuple(_merge_keys(position).tolist())
 
     for _ in range(5):
         mu = random_measure(rng, max_atoms=3)
@@ -504,11 +506,11 @@ def test_glue_projections(rng):
         # (endpoint position, partner) projection recovers beta
         recovered: dict[tuple, float] = {}
         for i, j, m in joint:
-            key = (position_key(alpha.ends[i]), j)
+            key = (row_key(alpha.ends[i]), j)
             recovered[key] = recovered.get(key, 0.0) + m
         expected: dict[tuple, float] = {}
         for a, j, m in zip(beta.left, beta.right, beta.masses):
-            key = (position_key(beta.mu.atoms[a]), int(j))
+            key = (row_key(beta.mu.atoms[a]), int(j))
             expected[key] = expected.get(key, 0.0) + float(m)
         assert set(recovered) == set(expected)
         for key in expected:
@@ -519,6 +521,16 @@ def test_glue_rejects_marginal_mismatch():
     alpha = w.lift_geodesic(two_atom_plan())
     beta = w.solve_ot(w.dirac((7.0,)), w.dirac((9.0,)), 2.0)
     with pytest.raises(MarginalMismatchError):
+        w.glue(alpha, beta)
+
+
+def test_glue_rejects_weights_that_differ_at_one_position():
+    # endpoints on beta's positions, with weights 1e-6 off beta's
+    starts, ends, weights = [[0.0], [1.0]], [[2.0], [3.0]], [0.5 + 1e-6, 0.5 - 1e-6]
+    length = _segment_cost(np.array(starts), np.array(ends), np.array(weights), 2.0)
+    alpha = w.GeodesicLift(starts, ends, weights, 2.0, length)
+    beta = w.solve_ot(w.DiscreteMeasure(ends, [0.5, 0.5]), w.dirac((5.0,)), 2.0)
+    with pytest.raises(MarginalMismatchError, match=r"differ by 1\.000e-06 at position \("):
         w.glue(alpha, beta)
 
 
