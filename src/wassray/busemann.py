@@ -232,7 +232,8 @@ def distance_floor(ray: RayMeasure, nu: DiscreteMeasure) -> float:
     atoms y_j. Every atom lies within R = sqrt(d) A of 0, and each step
     from L^ to fl(W) loses no more than its term (u = eps / 2):
 
-    - computing L^ errs by at most (m + n + d + 5) u (L^ + 2R);
+    - computing L^ (the two means, then ``_lengths``' d squares summed in
+      order and its root) errs by at most (m + n + d + 5) u (L^ + 2R);
     - the section pools origins that share a ``_merge_keys`` key at the
       first one's coordinates. Two coordinates rounding to one key at
       1e-12 lie within 1e-12 + 4 u A of each other, so the pooling moves
@@ -260,7 +261,7 @@ def distance_floor(ray: RayMeasure, nu: DiscreteMeasure) -> float:
     if scale > FLOOR_SCALE_MAX:
         return float("nan")
     shift = nu.weights @ nu.atoms - ray.weights @ ray.origins
-    gap = float(shift @ shift) ** 0.5
+    gap = float(_lengths(shift))
     rtol = FLOOR_RTOL + 16 * (nu.dim + len(nu) + len(ray) + 16) * EPS
     slack = nu.dim**0.5 * ((rtol + 8.0 * EPS) * scale + 2.0 * 10.0**-MERGE_DECIMALS)
     return max(gap * (1.0 - rtol) - slack - FLOOR_ATOL, 0.0)

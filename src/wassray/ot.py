@@ -4,12 +4,13 @@ Transport cost is d(x, y)**p with p in (1, 16]; the upper cap keeps d**p
 representable in doubles at desk scale. Past it (atoms about 1.8e19 apart
 at p = 16) a cost overflows to inf, and every path raises
 ``CostOverflowError`` naming p instead of solving on it; the distances
-are checked before they are raised to p, so numpy warns of nothing.
-``solve_ot`` builds that cost matrix on distances from scipy's compiled
-Euclidean kernel ``cdist`` (``pairwise_distances``), for every instance,
-and hands it to ``transport_plan``, which takes any finite real cost
-matrix (the exact Busemann function solves one with negative entries)
-and picks an exact method from the input alone, trying in order:
+are checked before they are raised to p, so numpy warns of nothing. Every
+Euclidean length, a cost matrix's or any other, comes from one kernel,
+scipy's compiled ``cdist`` (``pairwise_distances``), with one set of bits
+at every d. ``solve_ot`` hands its cost matrix to ``transport_plan``,
+which takes any finite real cost matrix (the exact Busemann function
+solves one with negative entries) and picks an exact method from the
+input alone, trying in order:
 
 - a single-atom marginal has one feasible coupling, built directly. Its
   m + n - 1 entries form a star, a spanning tree, so they are its basis;
@@ -132,21 +133,20 @@ def _entry_p_mean(weights, entries, p):
 
 
 def _lengths(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean lengths over the last axis: ``np.linalg.norm(vectors, axis=-1)``, bit for bit."""
-    return np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+    """Euclidean lengths over the last axis: ``pairwise_distances`` to the origin."""
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    return pairwise_distances(flat, np.zeros((1, flat.shape[1]))).reshape(vectors.shape[:-1])
 
 
 def pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix of Euclidean distances between two atom arrays.
+    """Matrix of Euclidean distances between two atom arrays: the package's one length kernel.
 
-    scipy's compiled ``cdist`` kernel, which forms no (m, n, d) difference
-    array: 6 us instead of 56 us for the numpy formula
-    ``sqrt(add.reduce(diff * diff, axis=2))`` at 45 x 45 atoms in d = 3
-    (2 vCPU, Python 3.11, scipy 1.17). The kernel sums the squared
-    coordinate differences one after the other, which is exactly what
-    numpy's ``add.reduce`` does over fewer than 8 terms, so for d <= 7
-    every entry has the bits of the numpy formula (a test pins this); from
-    d = 8 numpy sums pairwise, and only rounding agrees.
+    scipy's compiled ``cdist``, which forms no (m, n, d) difference array:
+    6 us instead of 56 us for a numpy broadcast at 45 x 45 atoms in d = 3
+    (2 vCPU, Python 3.11, scipy 1.17). It sums the squared coordinate
+    differences one after the other (a test pins this order). Every other
+    length is ``_lengths``, the distance to the origin: x - 0 and -x are
+    exact, so ``_lengths(Y - X)`` has the bits of this matrix at every d.
     """
     return cdist(X, Y)
 
@@ -343,12 +343,10 @@ def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses
 def _segment_cost(starts, ends, weights, p) -> float:
     """``p_mean`` of the ``_lengths`` of the segments from ``starts`` to ``ends``: a plan's cost.
 
-    A squared length past the largest double is inf, formed without
-    numpy's overflow warning; ``p_mean``'s check names it.
+    Each length has its pair's cost-matrix bits; one whose square passes
+    the largest double is inf, unwarned, and ``p_mean``'s check names it.
     """
-    with np.errstate(over="ignore"):
-        lengths = _lengths(ends - starts)
-    return p_mean(weights, lengths, p)
+    return p_mean(weights, _lengths(ends - starts), p)
 
 
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:

@@ -766,6 +766,18 @@ def test_a_far_ray_pair_at_p16_is_one_input_error(tmp_path, capsys):
     assert line.startswith("input error: transport cost overflows double precision at p = 16")
 
 
+@pytest.mark.parametrize("command", ["ray-validate", "busemann", "coray"])
+def test_a_ray_faster_than_the_squared_limit_is_one_input_error(tmp_path, capsys, command):
+    # a velocity 1e200 long has a squared length past the largest double:
+    # the ray's speed is inf, with no numpy overflow warning, and raises the
+    # typed error, so stderr is one line
+    (tmp_path / "fast.rays").write_text("rays\ndim 2\np 2\nentries 1\n0.0 0.0 1e200 0.0 1.0\n")
+    (tmp_path / "point.measure").write_text("measure\ndim 2\natoms 1\n3.0 4.0 1.0\n")
+    operands = ["fast.rays"] + (["point.measure"] if command != "ray-validate" else [])
+    line = input_error(capsys, [command] + [str(tmp_path / name) for name in operands])
+    assert line.startswith("input error: ") and "squared distance" in line
+
+
 @pytest.mark.parametrize(
     "command,operands",
     [("ray-validate", ["ray"]), ("busemann", ["ray", "b"]), ("coray", ["ray", "b"])],

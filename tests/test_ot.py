@@ -1389,11 +1389,11 @@ def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
 def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
     # solve_ot reads the entries' d**p from its cost matrix; the public
     # constructor recomputes them from the atoms: the same bits, on every
-    # path, and for a plan kept on a moved target whose costs certify its
-    # basis
+    # path, at every d, and for a plan kept on a moved target whose costs
+    # certify its basis
     kept_any = []
     rng = np.random.default_rng(int(10 * p))
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 8, 16):
         for kind in ("uniform", "weighted", "unequal"):
             scale = (1e-3, 1.0, 1e2)[int(rng.integers(0, 3))]
 
@@ -1408,6 +1408,8 @@ def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
             mu = measure(m)
             nu = measure(m if kind != "unequal" else m + int(rng.integers(1, 3)))
             cold = w.solve_ot(mu, nu, p)
+            public = Coupling(mu, nu, cold.left, cold.right, cold.masses, p)
+            assert same_bits(np.float64(public.cost), np.float64(cold.cost))
             moved = nu.translate(rng.normal(size=d) * 1e-3 * scale)
             plans = [(cold, nu)]
             costs = ot._cost_matrix(mu.atoms, moved.atoms, p)
@@ -1424,17 +1426,26 @@ def test_solver_cost_is_the_entries_cost_bit_for_bit(p):
     assert any(kept_any)  # some plans were kept
 
 
-@pytest.mark.parametrize("shape", [(7, 3), (5, 1), (4, 12), (3, 4, 6, 2), (2, 5, 9, 8)])
+@pytest.mark.parametrize(
+    "shape", [(7, 3), (5, 1), (4, 12), (3, 4, 6, 2), (2, 5, 9, 8), (6, 16), (3, 2, 50)]
+)
 def test_lengths_have_the_bits_of_numpy_norm(shape):
     # segment lengths, pair distances, ray speeds and co-ray movements all
-    # go through ot._lengths: it must be np.linalg.norm over the last axis,
-    # bit for bit, on (k, d) entry arrays and (S, T, K, d) position stacks,
-    # also on a strided view. From d = 8 numpy sums the squares pairwise
+    # go through ot._lengths, and cost matrices through pairwise_distances:
+    # _lengths(Y - X) must have pairwise_distances(X, Y)'s bits, on (k, d)
+    # entry arrays and (S, T, K, d) position stacks, also on a strided
+    # view, at every d. Below d = 8 numpy sums the squares in order too, so
+    # np.linalg.norm has the same bits there; from d = 8 it sums pairwise
     rng = np.random.default_rng(sum(shape))
     for scale in (1e-150, 1e-3, 1.0, 1e150):
-        vectors = rng.normal(size=shape) * scale
-        for view in (vectors, vectors[::-1, ..., ::2]):
-            assert same_bits(ot._lengths(view), np.linalg.norm(view, axis=-1))
+        X, Y = rng.normal(size=(2,) + shape) * scale
+        for x, y in ((X, Y), (X[::-1, ..., ::2], Y[::-1, ..., ::2])):
+            d = x.shape[-1]
+            pairs = pairwise_distances(x.reshape(-1, d), y.reshape(-1, d))
+            lengths = ot._lengths(y - x)
+            assert same_bits(lengths, np.diagonal(pairs).reshape(x.shape[:-1]))
+            if d < 8:
+                assert same_bits(lengths, np.linalg.norm(y - x, axis=-1))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])

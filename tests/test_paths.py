@@ -14,7 +14,7 @@ from wassray.errors import (
     MarginalMismatchError,
     NonOptimalCouplingError,
 )
-from wassray.ot import Coupling, _segment_cost, p_mean
+from wassray.ot import Coupling, _segment_cost, p_mean, pairwise_distances
 from wassray.measures import _merge_keys
 from wassray.paths import _checked_lift
 
@@ -141,13 +141,22 @@ FAR = 1.6e154  # its square passes the largest double
         lambda ray: w.validate_ray(ray, [(0.0, FAR)]),
         lambda ray: w.restrict_to_geodesic(ray, 0.0, FAR),
         lambda ray: w.GeodesicLift([[0.0, 0.0]], [[FAR, 0.0]], [1.0], ray.p, np.inf),
+        lambda ray: w.RayMeasure([[0, 0]], [[1e200, 0]], [1], 2).speed,
+        lambda ray: w.validate_ray(w.RayMeasure([[0, 0]], [[1e200, 0]], [1], 2)),
     ],
-    ids=["Coupling", "validate_ray", "restrict_to_geodesic", "GeodesicLift"],
+    ids=[
+        "Coupling",
+        "validate_ray",
+        "restrict_to_geodesic",
+        "GeodesicLift",
+        "speed",
+        "validate_ray-speed",
+    ],
 )
 def test_a_squared_length_past_the_largest_double_raises_without_a_warning(call):
-    # segments 1.6e154 long at p = 1.5: the segment cost's squared length
-    # is inf, formed without numpy's overflow warning, and the p-mean's
-    # check raises the typed error that names it
+    # segments 1.6e154 long at p = 1.5, or a velocity 1e200 long at p = 2:
+    # the squared length is inf, formed without numpy's overflow warning,
+    # and the p-mean's check raises the typed error that names it
     ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -177,7 +186,7 @@ def lift_fields(lift):
     return (lift.starts, lift.ends, lift.weights, np.float64(lift.length), np.float64(lift.p))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 16.0])
 def test_library_lift_has_the_bits_of_the_public_constructor(d, p):
     # solver plans of every path: weighted LP, uniform assignment, equal
@@ -201,12 +210,12 @@ def test_library_lift_has_the_bits_of_the_public_constructor(d, p):
             assert same_bits(x, y)
         for arr in (fast.starts, fast.ends, fast.weights):
             assert not arr.flags.writeable
-        # the length check's formula is np.linalg.norm's, bit for bit
-        reference = p_mean(fast.weights, np.linalg.norm(fast.ends - fast.starts, axis=1), p)
-        assert same_bits(
-            np.float64(_segment_cost(fast.starts, fast.ends, fast.weights, p)),
-            np.float64(reference),
-        )
+        # the length check's lengths are the cost matrix's entries, and the
+        # lift's length is their cost, bit for bit at every d
+        distances = pairwise_distances(pi.mu.atoms, pi.nu.atoms)[pi.left, pi.right]
+        segments = _segment_cost(fast.starts, fast.ends, fast.weights, p)
+        assert same_bits(np.float64(segments), np.float64(p_mean(fast.weights, distances, p)))
+        assert same_bits(np.float64(fast.length), np.float64(segments))
 
 
 def public_lift(first, second, weights):
@@ -416,6 +425,14 @@ def test_validate_translation_rays_pass(rng):
         v = rng.normal(size=2)
         report = w.validate_ray(w.make_translation_ray(mu0, v))
         assert report.passed
+    # the induced plan's segments and the solved plan's cost matrix take
+    # their lengths from one kernel, so a translation's gaps are exactly 0,
+    # also where d has 8 or more terms to sum
+    for d in (8, 16):
+        for _ in range(5):
+            mu0 = random_measure(rng, max_atoms=6, dim=d)
+            report = w.validate_ray(w.make_translation_ray(mu0, rng.normal(size=d)))
+            assert report.passed and set(report.gaps) == {0.0}
 
 
 def test_validate_crossing_rays_fails_with_positive_gap():
