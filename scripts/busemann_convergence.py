@@ -50,7 +50,7 @@ def main() -> int:
             f"{est.t_final:>10.0f} {est.last_decrement:>15.3e}"
         )
         path = out_dir / f"busemann_{name}.csv"
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,truncation\n")
             for t, v in est.schedule:
                 fh.write(f"{t!r},{v!r}\n")

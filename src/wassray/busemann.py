@@ -312,6 +312,13 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     itself; that solve may also raise ``CostOverflowError``. Either way the
     verdict is the rule's on the solved W_p.
     """
+    plan = _limit_plan(ray, nu)
+    _ray_verdict(plan)
+    return plan
+
+
+def _limit_plan(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
+    """``busemann_exact``'s value and plan, before the non-ray verdict."""
     require_unit_speed(ray, "the Busemann function")
     if nu.dim != ray.dim:
         raise DimensionMismatchError(f"measures live in dimensions {nu.dim} and {ray.dim}")
@@ -331,16 +338,27 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     value = float(np.add.reduce(masses * cost[left, right]))
     for arr in (left, right, masses):
         arr.setflags(write=False)
-    plan = BusemannPlan(value, left, right, masses, ray, nu)
-    # W_p >= 0, so a value that clears the threshold at 0, -1e-9, passes
-    if value < -LOWER_BOUND_ATOL and not _clears(value, distance_floor(ray, nu)):
-        lower_bound = plan.lower_bound
-        if not _clears(value, -lower_bound):
-            raise NotARayError(
-                f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
-                "the ray family is not a ray"
-            )
-    return plan
+    return BusemannPlan(value, left, right, masses, ray, nu)
+
+
+def _ray_verdict(plan: BusemannPlan) -> None:
+    """``busemann_exact``'s non-ray rule on a limit plan: raise ``NotARayError`` if it fires.
+
+    W_p >= 0, so a value that clears the threshold at 0, -1e-9, passes. A
+    lower bound already read decides at once; otherwise the mean bound may
+    pass the family before W_p is solved.
+    """
+    value = plan.value
+    if not value < -LOWER_BOUND_ATOL:
+        return
+    if plan._lower_bound is None and _clears(value, distance_floor(plan.ray, plan.nu)):
+        return
+    lower_bound = plan.lower_bound
+    if not _clears(value, -lower_bound):
+        raise NotARayError(
+            f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
+            "the ray family is not a ray"
+        )
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ from .busemann import (
     DEFAULT_T0,
     DEFAULT_TOL,
     BusemannEstimate,
+    _limit_plan,
+    _ray_verdict,
     busemann_exact,
     busemann_value,
 )
@@ -166,10 +168,13 @@ def _cmd_busemann(args) -> int:
     ray = _read_ray(args)
     nu = read_measure(args.nu)
     if all(opt is None for opt in (args.tol, args.t0, args.max_doublings, args.out_csv)):
-        exact = busemann_exact(ray, nu)
+        exact = _limit_plan(ray, nu)
         # the limit itself: no schedule, so nothing left to decrease. Reading
-        # the lower bound solves it, so its errors come before any output
-        estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
+        # the lower bound solves it, so its errors come before any output,
+        # and the non-ray verdict then decides on it with no mean bound
+        lower_bound = exact.lower_bound
+        _ray_verdict(exact)
+        estimate = BusemannEstimate(exact.value, float("inf"), 0.0, lower_bound, (), True)
     else:
         # the truncation alone can settle on a family that is no ray; the
         # exact solve rejects one (NotARayError) before any output
@@ -189,7 +194,7 @@ def _cmd_busemann(args) -> int:
     print(f"lower_bound {_fmt(estimate.lower_bound)}")
     print(f"converged {'true' if estimate.converged else 'false'}")
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
+        with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("t,value\n")
             for t, v in estimate.schedule:
                 fh.write(f"{_fmt(t)},{_fmt(v)}\n")
@@ -218,7 +223,7 @@ def _cmd_coray(args) -> int:
         write_ray(coray, args.out_ray)
         print(f"wrote {args.out_ray}")
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
+        with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write("t,length,gap\n")
             gaps = ("nan",) + tuple(_fmt(g) for g in result.diagnostics)
             for t, length, gap in zip(result.schedule, result.lengths, gaps):
@@ -236,7 +241,7 @@ def _cmd_verify(args) -> int:
     report = format_report(args.suite, args.seed, results)
     sys.stdout.write(report)
     if args.report:
-        with open(args.report, "w") as fh:
+        with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 

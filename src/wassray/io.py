@@ -21,17 +21,27 @@ Floats are written with repr, the shortest decimal that reads back to the
 identical double, so write-read round trips are value-identical and the
 weight-sum invariant survives serialization exactly. ``#`` starts a
 comment; blank lines are ignored.
+
+Files are UTF-8 text, read and written with ``open`` on a ``str`` or
+``os.PathLike`` path; CRLF line ends read like LF ones. A file is
+read in one pass: its lines are split into tokens, the header and keyed
+lines are checked in order, and every body token becomes a float in one
+list, in file order, so the first token that is no number is the one the
+message names. The table's columns are copied into fresh float64 arrays,
+which the measure and ray checks (``measures._checked_measure``,
+``paths._checked_ray``) then freeze without the public constructors'
+second conversion: the same checks, messages and bits.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 import numpy as np
 
 from .errors import MeasureFileError
-from .measures import DiscreteMeasure
-from .paths import RayMeasure
+from .measures import DiscreteMeasure, _checked_measure
+from .paths import RayMeasure, _checked_ray
 
 MEASURE_HEADER = "measure"
 RAY_HEADER = "rays"
@@ -42,17 +52,24 @@ def _fmt(x: float) -> str:
 
 
 def _token_lines(text: str) -> list[list[str]]:
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body.split())
-    return lines
+    """The whitespace-split tokens of every line, comments cut off and blank lines dropped."""
+    return [tokens for raw in text.splitlines() if (tokens := raw.partition("#")[0].split())]
 
 
-def _floats(tokens: list[str], where: str) -> list[float]:
+def _read_text(path) -> str:
+    with open(os.fspath(path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write_text(path, text: str) -> None:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _floats(lines: list[list[str]], where: str) -> list[float]:
+    """Every token of ``lines`` as a float, in order; the first that is no number is named."""
     try:
-        return [float(tok) for tok in tokens]
+        return [float(tok) for line in lines for tok in line]
     except ValueError as exc:
         raise MeasureFileError(f"non-numeric value in {where}: {exc}") from None
 
@@ -63,7 +80,7 @@ def _keyed_value(line: list[str], key: str):
         kind = "float" if key == "p" else "integer"
         raise MeasureFileError(f"expected '{key} <{kind}>', got {' '.join(line)!r}")
     if key == "p":
-        return _floats(line[1:], "order line")[0]
+        return _floats([line[1:]], "order line")[0]
     try:
         value = int(line[1])
     except ValueError:
@@ -88,7 +105,12 @@ def _read_table(text: str, kind: str, header: str, keys: tuple, item: str, vecto
     ``keys``, ``dim`` first and the row count last; each row holds
     ``vectors`` points of ``dim`` coordinates and a weight. ``kind`` and
     ``item`` name the file and a row in the messages. Returns the keyed
-    values, one (count, dim) array per point of a row, and the weights.
+    values, one fresh (count, dim) array per point of a row, and the
+    weights, all float64 and C-contiguous.
+
+    The rows before the first one of the wrong width become floats in one
+    pass, so a faulty file raises what a row-by-row check would: the first
+    token that is no number, or else the first row of the wrong width.
     """
     lines = _token_lines(text)
     if not lines or lines[0] != [header]:
@@ -101,31 +123,31 @@ def _read_table(text: str, kind: str, header: str, keys: tuple, item: str, vecto
     if len(body) != count:
         raise MeasureFileError(f"expected {count} {item} lines, found {len(body)}")
     width = vectors * dim
-    rows = []
-    for line in body:
-        if len(line) != width + 1:
-            raise MeasureFileError(
-                f"{item} lines need {width} coordinates plus a weight, got {len(line)} values"
-            )
-        rows.append(_floats(line, f"{item} line"))
-    table = np.array(rows).reshape(count, width + 1)
-    return values, [table[:, k * dim : (k + 1) * dim] for k in range(vectors)], table[:, width]
+    wrong = next((k for k, line in enumerate(body) if len(line) != width + 1), count)
+    table = np.array(_floats(body[:wrong], f"{item} line"))
+    if wrong < count:
+        raise MeasureFileError(
+            f"{item} lines need {width} coordinates plus a weight, got {len(body[wrong])} values"
+        )
+    table = table.reshape(count, width + 1)
+    points = [table[:, k * dim : (k + 1) * dim].copy() for k in range(vectors)]
+    return values, points, table[:, width].copy()
 
 
 def parse_measure(text: str) -> DiscreteMeasure:
     _, (atoms,), weights = _read_table(text, "measure", MEASURE_HEADER, ("dim", "atoms"), "atom", 1)
     try:
-        return DiscreteMeasure(atoms, weights)
+        return _checked_measure(atoms, weights)
     except ValueError as exc:
         raise MeasureFileError(f"invalid measure data: {exc}") from None
 
 
 def read_measure(path) -> DiscreteMeasure:
-    return parse_measure(Path(path).read_text())
+    return parse_measure(_read_text(path))
 
 
 def write_measure(measure: DiscreteMeasure, path) -> None:
-    Path(path).write_text(format_measure(measure))
+    _write_text(path, format_measure(measure))
 
 
 def format_ray(ray: RayMeasure) -> str:
@@ -141,14 +163,14 @@ def parse_ray(text: str) -> RayMeasure:
         text, "ray", RAY_HEADER, ("dim", "p", "entries"), "entry", 2
     )
     try:
-        return RayMeasure(origins, velocities, weights, p)
+        return _checked_ray(origins, velocities, weights, p)
     except ValueError as exc:
         raise MeasureFileError(f"invalid ray data: {exc}") from None
 
 
 def read_ray(path) -> RayMeasure:
-    return parse_ray(Path(path).read_text())
+    return parse_ray(_read_text(path))
 
 
 def write_ray(ray: RayMeasure, path) -> None:
-    Path(path).write_text(format_ray(ray))
+    _write_text(path, format_ray(ray))

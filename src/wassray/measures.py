@@ -179,8 +179,8 @@ def _checked_measure(atoms: np.ndarray, weights: np.ndarray, measure=None) -> Di
     The one implementation of the measure checks. The public constructor
     converts and copies its input, then calls this with itself as
     ``measure``; the library calls it directly, with no ``measure``, on
-    arrays it has just built (sections, pushforwards), so those skip only
-    the conversion and the copy. The arrays are made read-only in place.
+    arrays it has just built (sections, pushforwards, files read by
+    ``io``), so those skip only the conversion and the copy. The arrays are made read-only in place.
     """
     if atoms.ndim != 2:
         raise ValueError(f"atoms must form an (n, d) array, got shape {atoms.shape}")

@@ -92,7 +92,8 @@ def _checked_family(first, second, weights, p, item, arrays, data):
     name a member, the array pair and its coordinates in the messages. The
     public constructors convert and copy their input with
     ``_family_arrays`` first; lifts the library builds from a checked
-    coupling's entries (``lift_geodesic``) skip only that conversion.
+    coupling's entries (``lift_geodesic``) and rays read from a file
+    (``io``) skip only that conversion.
     Zero-mass members are dropped; the arrays kept are made read-only in
     place.
     """
@@ -244,14 +245,7 @@ class RayMeasure:
     p: float
 
     def __post_init__(self):
-        origins, velocities, weights, p = _checked_family(
-            *_family_arrays(self.origins, self.velocities, self.weights), self.p,
-            "ray", "origin and velocity", "ray data",
-        )
-        object.__setattr__(self, "origins", origins)
-        object.__setattr__(self, "velocities", velocities)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "p", p)
+        _checked_ray(*_family_arrays(self.origins, self.velocities, self.weights), self.p, self)
 
     @property
     def speed(self) -> float:
@@ -273,6 +267,25 @@ class RayMeasure:
 
     def __len__(self) -> int:
         return self.origins.shape[0]
+
+
+def _checked_ray(origins, velocities, weights, p, ray=None) -> RayMeasure:
+    """Run every ``RayMeasure`` check on float64 arrays and freeze them into a ray.
+
+    The public constructor converts and copies its input, then calls this
+    with itself as ``ray``; ``io`` calls it with no ``ray`` on the fresh
+    arrays it has just read.
+    """
+    origins, velocities, weights, p = _checked_family(
+        origins, velocities, weights, p, "ray", "origin and velocity", "ray data"
+    )
+    if ray is None:
+        ray = object.__new__(RayMeasure)
+    object.__setattr__(ray, "origins", origins)
+    object.__setattr__(ray, "velocities", velocities)
+    object.__setattr__(ray, "weights", weights)
+    object.__setattr__(ray, "p", p)
+    return ray
 
 
 def require_unit_speed(ray: RayMeasure, what: str = "this operation") -> None:

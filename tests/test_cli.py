@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import warnings
 import pytest
 
 import wassray as w
-from wassray import cli
+from wassray import busemann, cli
 from wassray.cli import main
 from wassray.verify import run_suite
 
@@ -246,6 +247,27 @@ def test_busemann_defaults_to_the_exact_value(files, capsys):
     }
 
 
+def test_default_busemann_decides_the_non_ray_rule_on_its_printed_lower_bound(
+    files, capsys, monkeypatch
+):
+    # the value -3 is below -1e-9, so the library's verdict tries the mean
+    # bound before solving W_p; the CLI solves W_p to print it, so the
+    # verdict decides on that and the mean bound is never computed
+    floors = []
+    distance_floor = busemann.distance_floor
+
+    def spy(ray, nu):
+        floors.append(1)
+        return distance_floor(ray, nu)
+
+    monkeypatch.setattr(busemann, "distance_floor", spy)
+    assert main(["busemann", files["ray"], files["b"]]) == 0
+    assert cli_fields(capsys)["value"] == "-3" and floors == []
+    # the truncation path keeps the library's verdict, mean bound first
+    assert main(["busemann", files["ray"], files["b"], "--t0", "1"]) == 0
+    assert float(cli_fields(capsys)["lower_bound"]) == -5.0 and floors == [1]
+
+
 @pytest.mark.parametrize(
     "option", [["--t0", "1"], ["--max-doublings", "24"], ["--out-csv", "curve.csv"]]
 )
@@ -471,6 +493,29 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "a", "a"],
+        ["busemann", "ray", "b", "--out-csv", "curve.csv"],
+        ["--seed", "1", "verify", "ot", "--report", "r.txt"],
+    ],
+)
+def test_every_text_file_is_opened_as_utf8(files, argv):
+    # with the locale's default encoding, Python warns (EncodingWarning)
+    # on every open that names none; here the warning is an error
+    outputs = {"curve.csv": str(files["dir"] / "curve.csv"), "r.txt": str(files["dir"] / "r.txt")}
+    argv = [files.get(arg, outputs.get(arg, arg)) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::EncodingWarning", "-m", "wassray", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONWARNDEFAULTENCODING": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def wassray_cli(*argv):
