@@ -23,7 +23,15 @@ import numpy as np
 
 from .errors import CostOverflowError, DimensionMismatchError, MonotonicityError, NotARayError
 from .measures import MERGE_DECIMALS, DiscreteMeasure, _array_max
-from .ot import EPS, _lengths, solve_ot, transport_plan, wasserstein_distance
+from .ot import (
+    EPS,
+    Coupling,
+    _basis_certified,
+    _lengths,
+    solve_ot,
+    transport_plan,
+    wasserstein_distance,
+)
 from .paths import RayMeasure, _plan_chain, ray_section, require_unit_speed
 
 DEFAULT_T0 = 1.0
@@ -192,7 +200,10 @@ class BusemannPlan:
     ``lower_bound`` is -W_p(nu, mu_0), solved on its first read (or by
     ``busemann_exact``'s non-ray check, when the mean bound leaves the
     verdict open) and kept; a cost that overflows raises
-    ``CostOverflowError`` there, on the read.
+    ``CostOverflowError`` there, on the read. The CLI's default
+    ``busemann`` builds its plan with that W_p solved first, so it is set
+    before the limit, whose entries may then be the W_p plan's own
+    (``_keeps_limit``).
     """
 
     value: float
@@ -317,28 +328,63 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     return plan
 
 
-def _limit_plan(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
-    """``busemann_exact``'s value and plan, before the non-ray verdict."""
+def _limit_plan(
+    ray: RayMeasure, nu: DiscreteMeasure, lower_bound_first: bool = False
+) -> BusemannPlan:
+    """``busemann_exact``'s value and plan, before the non-ray verdict.
+
+    With ``lower_bound_first``, as the CLI's default ``busemann`` prints
+    -W_p(nu, mu_0), that W_p is solved right after the unit-speed and
+    dimension checks and kept as ``lower_bound``, so its errors come first.
+    Its plan couples the same weights as the limit when the section pooled
+    no origins, and ``_keeps_limit`` then tries its basis on the limiting
+    costs; a kept plan is the limit plan, with no second solve.
+    """
     require_unit_speed(ray, "the Busemann function")
     if nu.dim != ray.dim:
         raise DimensionMismatchError(f"measures live in dimensions {nu.dim} and {ray.dim}")
+    start = solve_ot(nu, ray_section(ray, 0.0), ray.p) if lower_bound_first else None
     speeds = _lengths(ray.velocities)
     # |v_j|^(p-2), and 0 for a resting ray, where it may be infinite
     scale = np.power(speeds, ray.p - 2.0, out=np.zeros_like(speeds), where=speeds > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]
         cost = -np.add.reduce(offsets * ray.velocities[None, :, :], axis=2) * scale
-    try:
-        left, right, masses, _ = transport_plan(nu.weights, ray.weights, cost)
-    except CostOverflowError:
-        # costs this far out mostly mean that W_p(nu, mu_0) overflows too;
-        # that error, which names p, comes first
-        wasserstein_distance(nu, ray_section(ray, 0.0), ray.p)
-        raise
+    if start is not None and _keeps_limit(ray, start, cost):
+        left, right, masses = start.left, start.right, start.masses
+    else:
+        try:
+            left, right, masses, _ = transport_plan(nu.weights, ray.weights, cost)
+        except CostOverflowError:
+            # costs this far out mostly mean that W_p(nu, mu_0) overflows too;
+            # that error, which names p, comes first (it already has, when
+            # the lower bound was solved first)
+            if start is None:
+                wasserstein_distance(nu, ray_section(ray, 0.0), ray.p)
+            raise
     value = float(np.add.reduce(masses * cost[left, right]))
     for arr in (left, right, masses):
         arr.setflags(write=False)
-    return BusemannPlan(value, left, right, masses, ray, nu)
+    plan = BusemannPlan(value, left, right, masses, ray, nu)
+    if start is not None:
+        object.__setattr__(plan, "_lower_bound", -start.cost)
+    return plan
+
+
+def _keeps_limit(ray: RayMeasure, start: Coupling, cost: np.ndarray) -> bool:
+    """Whether ``start``, a plan from nu to the time-0 section, is optimal on the limit ``cost``.
+
+    It is when it kept a basis (an LP plan's, or a single atom's star),
+    its section carries the ray's weights byte for byte, so no origins
+    were pooled and column j is ray j, and either side is a single atom,
+    whose one feasible plan ignores the costs, or the basis passes
+    ``_basis_certified``, the simplex's own stop test, on ``cost``. Then
+    the two problems share their marginals and the plan's entries are a
+    certified limit plan.
+    """
+    if start._basis is None or start.nu.weights.tobytes() != ray.weights.tobytes():
+        return False
+    return len(start.mu) == 1 or len(ray) == 1 or _basis_certified(cost, start._basis)
 
 
 def _ray_verdict(plan: BusemannPlan) -> None:

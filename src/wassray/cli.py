@@ -18,9 +18,13 @@ One subcommand per core capability::
 limiting transport problem; the global ``--tol``, or any of ``--t0``,
 ``--max-doublings`` or ``--out-csv`` (busemann) and ``--schedule``,
 ``--test-times`` or ``--out-csv`` (coray), selects the truncation or limit
-construction instead, which keeps the same output keys. The ``busemann``
-truncation runs the exact solve first, so a family that is not a ray
-exits 2 on both paths. The global ``--p`` (default 2) sets the order of
+construction instead, which keeps the same output keys. The default
+``busemann`` solves the W_p(nu, mu_0) it prints as ``lower_bound`` first,
+right after the unit-speed and dimension checks, and keeps that plan as
+the limit plan when its basis is certified on the limiting costs, so a
+translation ray, for one, takes one LP. The ``busemann`` truncation runs
+the exact solve first, so a family that is not a ray exits 2 on both
+paths. The global ``--p`` (default 2) sets the order of
 the commands that read no ray file; a given ``--p`` that differs from a
 ray file's p is an input error.
 
@@ -168,13 +172,13 @@ def _cmd_busemann(args) -> int:
     ray = _read_ray(args)
     nu = read_measure(args.nu)
     if all(opt is None for opt in (args.tol, args.t0, args.max_doublings, args.out_csv)):
-        exact = _limit_plan(ray, nu)
-        # the limit itself: no schedule, so nothing left to decrease. Reading
-        # the lower bound solves it, so its errors come before any output,
-        # and the non-ray verdict then decides on it with no mean bound
-        lower_bound = exact.lower_bound
+        # the limit itself: no schedule, so nothing left to decrease. The
+        # printed lower bound is solved first, so its errors come before any
+        # output, its plan is tried as the limit plan, and the non-ray
+        # verdict decides on it with no mean bound
+        exact = _limit_plan(ray, nu, lower_bound_first=True)
         _ray_verdict(exact)
-        estimate = BusemannEstimate(exact.value, float("inf"), 0.0, lower_bound, (), True)
+        estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
     else:
         # the truncation alone can settle on a family that is no ray; the
         # exact solve rejects one (NotARayError) before any output

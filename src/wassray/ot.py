@@ -37,8 +37,8 @@ input alone, trying in order:
 
 Every call solves its instance from scratch. A plan the simplex returned
 keeps, privately, the basis tree it stopped on, and a single-atom plan its
-star; assignment, identity and user-built plans have none. One place reuses
-such a basis: the schedules (Busemann doubling, the co-ray construction)
+star; assignment, identity and user-built plans have none. Two places reuse
+such a basis. The schedules (Busemann doubling, the co-ray construction)
 couple one measure to section after section of a ray, whose optimal plan
 settles, along one chain of plans from the time-0 section
 (``paths._plan_chain``). From each plan, ``paths._kept_plan_lengths``
@@ -48,7 +48,13 @@ test on every matrix of the stack in one vectorised pass, with the
 simplex's own tree walk (``_hang_tree``) and ``_reduced_costs``, and the
 chain keeps the plan, its lengths ``_entry_p_mean`` as a solved plan's
 cost is, on the leading run of sections it certifies, with no solve for
-them; a star needs no test there, since its plan ignores the costs.
+them; a star needs no test there, since its plan ignores the costs. The
+exact Busemann limit is that chain's member at t = infinity, and the
+CLI's default ``busemann``, which solves the time-0 plan to print its
+cost, tries that plan on the limiting costs (``busemann._keeps_limit``)
+with ``_basis_certified``, the same test on one matrix, which is
+``_solve_lp``'s first stop test; a plan it certifies is the limit plan,
+with no second solve.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -230,7 +236,8 @@ class Coupling:
     # not a field: the rows and columns of the m + n - 1 basis cells (zero
     # masses included) the simplex stopped on, or a single atom's star, which
     # ``solve_ot`` sets on the plans it solves and a schedule's stacked pass
-    # (``paths._kept_plan_lengths``) re-prices on later sections; every other
+    # (``paths._kept_plan_lengths``) re-prices on later sections, as the
+    # CLI's default Busemann limit does on its costs; every other
     # coupling has none, so ``paths.lift_geodesic`` lifts a plan with one
     # without solving its instance again
     _basis = None
@@ -469,7 +476,8 @@ def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     the simplex hangs it, on a (m, n, T) view of the stack, so a cell's T
     costs and a node's T potentials go through the walk as one array each.
     The stack is priced in one vectorised pass with ``_reduced_costs``, so
-    each matrix passes or fails as it would alone.
+    each matrix passes or fails as it would alone; ``_basis_certified`` is
+    the one-matrix form.
     """
     T, m, n = cost_stack.shape
     rows, cols = basis
@@ -478,6 +486,23 @@ def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     tol = _certificate_tolerance(cost_stack)
     holds = (reduced.min(axis=(1, 2)) >= -tol) & (reduced[:, rows, cols].max(axis=1) <= tol)
     return _leading(holds)
+
+
+def _basis_certified(cost_matrix: np.ndarray, basis) -> bool:
+    """Whether the simplex basis ``basis`` is certified on one (m, n) cost matrix.
+
+    ``_certified_prefix``'s test in its one-matrix form, which is
+    ``_solve_lp``'s first stop test: the tree hung from row 0 by
+    ``_hang_tree`` on float costs, then ``_dual_certificate`` with the
+    matrix's ``_certificate_tolerance``. Its verdict is
+    ``_certified_prefix(cost_matrix[None], basis) == 1``, at about half the
+    cost of that stacked pass on a small matrix.
+    """
+    m, n = cost_matrix.shape
+    rows, cols = basis
+    u_v = np.array(_hang_tree(rows, cols, cost_matrix.tolist(), m, n, 0.0)[3])
+    tol = _certificate_tolerance(cost_matrix)
+    return _dual_certificate(cost_matrix, u_v[:m], u_v[m:], rows, cols, tol)[2]
 
 
 def _leading(holds: np.ndarray) -> int:
@@ -505,8 +530,9 @@ def _certificate_tolerance(costs: np.ndarray):
 def _dual_certificate(cost_matrix, u, v, left, right, tol) -> tuple[int, float, bool]:
     """The cell of least reduced cost C + u - v, that cost, and whether they certify the basis.
 
-    The one definition of "certified optimal": the simplex's stop, and the
-    test ``_certified_prefix`` repeats, in a vectorised form, on a
+    The one definition of "certified optimal": the simplex's stop, the
+    test ``_basis_certified`` runs on a kept basis and one matrix, and the
+    one ``_certified_prefix`` repeats, in a vectorised form, on a
     schedule's kept basis at each of its sections. It holds when
     every reduced cost is >= -tol and the reduced cost of every basis cell
     (left, right) is <= tol, with ``tol`` from ``_certificate_tolerance``

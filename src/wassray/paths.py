@@ -15,9 +15,11 @@ The Busemann truncation and the co-ray construction couple one measure to
 section after section of a ray, starting from the time-0 section, and
 both walk that chain with ``_plan_chain``. Its kept runs come from
 ``_kept_plan_lengths``: the leading later sections on which a plan's kept
-basis stays certified, a chunk of them found at once. That is the one
-place a basis is reused; the first section after a run is solved cold,
-as is every other solve.
+basis stays certified, a chunk of them found at once; the first section
+after a run is solved cold. The exact Busemann limit is the chain's
+member at t = infinity, which the CLI's default ``busemann`` takes from
+the time-0 plan when its basis is certified there
+(``busemann._keeps_limit``); every other solve is cold.
 """
 
 from __future__ import annotations

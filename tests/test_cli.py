@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import wassray as w
@@ -11,7 +12,7 @@ from wassray import busemann, cli
 from wassray.cli import main
 from wassray.verify import run_suite
 
-from conftest import step_chain
+from conftest import genuine_ray_case, psd_gradient_ray, step_chain
 
 
 @pytest.fixture
@@ -175,10 +176,13 @@ def test_busemann_exhaustion_exits_4(files, capsys):
     ) == 4
 
 
-def test_busemann_rejects_fast_ray(files):
+def test_busemann_rejects_fast_ray(files, capsys):
     fast = files["dir"] / "fast.rays"
     w.write_ray(w.make_dirac_ray((0.0, 0.0), (2.0, 0.0)), fast)
     assert main(["busemann", str(fast), files["a"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: the Busemann function needs a unit-speed ray, got speed 2.0\n"
 
 
 def test_coray_collinear_converges(files, capsys):
@@ -266,6 +270,90 @@ def test_default_busemann_decides_the_non_ray_rule_on_its_printed_lower_bound(
     # the truncation path keeps the library's verdict, mean bound first
     assert main(["busemann", files["ray"], files["b"], "--t0", "1"]) == 0
     assert float(cli_fields(capsys)["lower_bound"]) == -5.0 and floors == [1]
+
+
+def default_busemann_case(kind):
+    """A ray, a measure and the LPs a default ``wassray busemann`` on them solves."""
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])
+    translation = w.make_translation_ray(mu0, (0.6, 0.8))
+    nu = w.DiscreteMeasure([[3.0, 4.0], [0.0, -1.0]], [0.4, 0.6])
+    if kind == "translation":
+        # the limiting costs are separable, so the time-0 plan is optimal
+        return translation, nu, 1
+    if kind == "comonotone":
+        ray, probes = genuine_ray_case("comonotone", 3.0)
+        return ray, probes[2], 1
+    if kind == "psd-gradient-miss":
+        # the time-0 basis fails the certificate on the limiting costs
+        rng = np.random.default_rng(0)
+        ray = psd_gradient_ray(rng, 3)
+        return ray, w.DiscreteMeasure(rng.normal(size=(3, 2)), [0.2, 0.3, 0.5]), 2
+    if kind == "pooled-origins":
+        # two rays share an origin, so the section has two atoms, not three
+        origins = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        ray = w.RayMeasure(origins, [[1.0, 0.0]] * 3, [0.2, 0.3, 0.5], 2.0)
+        atoms = [[0.0, 1.0], [2.0, 0.0], [1.0, 1.0], [3.0, 3.0]]
+        return ray, w.DiscreteMeasure(atoms, [0.1, 0.2, 0.3, 0.4]), 2
+    return translation, w.dirac((3.0, 4.0)), 0
+
+
+@pytest.mark.parametrize(
+    "kind", ["translation", "comonotone", "psd-gradient-miss", "pooled-origins", "dirac"]
+)
+def test_default_busemann_takes_its_limit_plan_from_the_time0_basis(
+    tmp_path, capsys, lp_shapes, kind
+):
+    # the printed lower bound's plan is the limit plan whenever its basis is
+    # certified on the limiting costs, and no second LP runs. The printed
+    # fields are the library's, whichever plan was kept
+    ray, nu, lps = default_busemann_case(kind)
+    w.write_ray(ray, tmp_path / "r.rays")
+    w.write_measure(nu, tmp_path / "nu.measure")
+    ray, nu = w.read_ray(tmp_path / "r.rays"), w.read_measure(tmp_path / "nu.measure")
+    assert main(["busemann", str(tmp_path / "r.rays"), str(tmp_path / "nu.measure")]) == 0
+    assert len(lp_shapes) == lps
+    fields = cli_fields(capsys)
+    assert fields["value"] == cli._fmt(w.busemann_exact(ray, nu).value)
+    distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
+    assert fields["lower_bound"] == cli._fmt(-distance)
+
+
+def default_busemann_error(tmp_path, capsys, ray, nu):
+    """rc, stdout and stderr of a default ``wassray busemann`` on a ray and a measure."""
+    w.write_ray(ray, tmp_path / "e.rays")
+    w.write_measure(nu, tmp_path / "e.measure")
+    rc = main(["busemann", str(tmp_path / "e.rays"), str(tmp_path / "e.measure")])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_default_busemann_keeps_its_error_order(tmp_path, capsys):
+    # weighted multi-atom measures, so the time-0 solve is an LP with a basis
+    # the limit may keep: the checks, then the W_p solve, then the non-ray
+    # verdict, each error before any output
+    nu = w.DiscreteMeasure([[3.0, 4.0], [0.0, 1.0], [-1.0, 2.0]], [0.2, 0.3, 0.5])
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.4, 0.6])
+    fast = w.RayMeasure(mu0.atoms, [[2.0, 0.0]] * 2, mu0.weights, 2.0)
+    line = "input error: the Busemann function needs a unit-speed ray, got speed 2.0\n"
+    assert default_busemann_error(tmp_path, capsys, fast, nu) == (2, "", line)
+    line = "input error: measures live in dimensions 1 and 2\n"
+    flat = w.DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
+    translation = w.make_translation_ray(mu0, (0.6, 0.8))
+    assert default_busemann_error(tmp_path, capsys, translation, flat) == (2, "", line)
+    line = (
+        "input error: transport cost overflows double precision at p = 16 (atoms 1e+20 "
+        "apart): d**p passes the largest double once atoms lie about 1.84e+19 apart\n"
+    )
+    far = w.DiscreteMeasure([[0.0, 1e20], [1.0, 1e20]], [0.3, 0.7])
+    p16 = w.make_translation_ray(mu0, (1.0, 0.0), p=16.0)
+    assert default_busemann_error(tmp_path, capsys, p16, far) == (2, "", line)
+    line = (
+        "input error: Busemann value -9.0 fell below its lower bound -2.23606797749979; "
+        "the ray family is not a ray\n"
+    )
+    crossing = w.RayMeasure([[0.0], [10.0]], [[1.0], [-1.0]], [0.5, 0.5], 2.0)
+    three = w.DiscreteMeasure([[0.0], [5.0], [10.0]], [0.3, 0.2, 0.5])
+    assert default_busemann_error(tmp_path, capsys, crossing, three) == (2, "", line)
 
 
 @pytest.mark.parametrize(
@@ -358,8 +446,9 @@ def test_busemann_and_coray_reject_a_crossing_family_as_input(files, capsys):
     w.write_measure(w.DiscreteMeasure([[0.0], [10.0]], [0.5, 0.5]), nu)
     for command in ("busemann", "coray"):
         assert main([command, str(crossing), str(nu)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("input error: ") and "the ray family is not a ray" in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ")
+        assert "the ray family is not a ray" in err
 
 
 def test_busemann_reads_an_overflowing_lower_bound_before_any_output(files, capsys):

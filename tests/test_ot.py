@@ -1380,6 +1380,27 @@ def test_a_stack_is_certified_as_matrix_by_matrix(instance, noise, seed, count):
         assert ot._certified_prefix(costs[None], basis) == int(one_by_one[k])
 
 
+@settings(max_examples=200)
+@given(
+    instance=transport_instances(),
+    noise=st.sampled_from((0.0, 1e-3, 0.1, 1.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_the_one_matrix_certificate_is_the_stacked_one(instance, noise, seed):
+    # ``_basis_certified`` is ``_certified_prefix`` on one matrix, in the
+    # simplex's own float form: one definition of "certified". The basis is
+    # solved on a perturbed matrix, which certifies it; the instance's own
+    # costs may, and their negation seldom does, so both verdicts occur
+    a, b, cost_matrix = instance
+    rng = np.random.default_rng(seed)
+    perturbed = cost_matrix + rng.uniform(-noise, noise, cost_matrix.shape) * cost_matrix.std()
+    basis = _solve_lp(a, b, perturbed)[3]
+    assert ot._basis_certified(perturbed, basis)
+    for costs in (perturbed, cost_matrix, -cost_matrix):
+        verdict = ot._basis_certified(costs, basis)
+        assert verdict is (ot._certified_prefix(costs[None], basis) == 1)
+
+
 def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         transport_plan(np.array([0.5, 0.5]), np.array([1.0]), np.zeros((2, 2)))
