@@ -25,8 +25,8 @@ from .errors import CostOverflowError, DimensionMismatchError, MonotonicityError
 from .measures import MERGE_DECIMALS, DiscreteMeasure, _array_max
 from .ot import (
     EPS,
-    Coupling,
     _basis_certified,
+    _kept_basis,
     _lengths,
     solve_ot,
     transport_plan,
@@ -203,7 +203,7 @@ class BusemannPlan:
     ``CostOverflowError`` there, on the read. The CLI's default
     ``busemann`` builds its plan with that W_p solved first, so it is set
     before the limit, whose entries may then be the W_p plan's own
-    (``_keeps_limit``).
+    (``_limit_plan``).
     """
 
     value: float
@@ -337,8 +337,12 @@ def _limit_plan(
     -W_p(nu, mu_0), that W_p is solved right after the unit-speed and
     dimension checks and kept as ``lower_bound``, so its errors come first.
     Its plan couples the same weights as the limit when the section pooled
-    no origins, and ``_keeps_limit`` then tries its basis on the limiting
-    costs; a kept plan is the limit plan, with no second solve.
+    no origins. Where ``ot._kept_basis`` lets its basis stand in for
+    ``transport_plan`` and ``_basis_certified`` certifies that basis on the
+    limiting costs, the W_p plan's entries are the limit plan, with no
+    second solve. A ``nu`` with the ray's weights on more than one atom is
+    never kept: ``transport_plan`` asks the assignment solver there, so
+    the plan is ``busemann_exact``'s.
     """
     require_unit_speed(ray, "the Busemann function")
     if nu.dim != ray.dim:
@@ -350,7 +354,8 @@ def _limit_plan(
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]
         cost = -np.add.reduce(offsets * ray.velocities[None, :, :], axis=2) * scale
-    if start is not None and _keeps_limit(ray, start, cost):
+    basis = None if start is None else _kept_basis(start, ray.weights)
+    if basis is not None and _basis_certified(cost, basis):
         left, right, masses = start.left, start.right, start.masses
     else:
         try:
@@ -369,22 +374,6 @@ def _limit_plan(
     if start is not None:
         object.__setattr__(plan, "_lower_bound", -start.cost)
     return plan
-
-
-def _keeps_limit(ray: RayMeasure, start: Coupling, cost: np.ndarray) -> bool:
-    """Whether ``start``, a plan from nu to the time-0 section, is optimal on the limit ``cost``.
-
-    It is when it kept a basis (an LP plan's, or a single atom's star),
-    its section carries the ray's weights byte for byte, so no origins
-    were pooled and column j is ray j, and either side is a single atom,
-    whose one feasible plan ignores the costs, or the basis passes
-    ``_basis_certified``, the simplex's own stop test, on ``cost``. Then
-    the two problems share their marginals and the plan's entries are a
-    certified limit plan.
-    """
-    if start._basis is None or start.nu.weights.tobytes() != ray.weights.tobytes():
-        return False
-    return len(start.mu) == 1 or len(ray) == 1 or _basis_certified(cost, start._basis)
 
 
 def _ray_verdict(plan: BusemannPlan) -> None:

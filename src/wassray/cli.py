@@ -56,7 +56,7 @@ from .busemann import (
 from .coray import DEFAULT_TOL as CORAY_TOL
 from .coray import construct_coray, coray_exact
 from .errors import MeasureFileError
-from .io import read_measure, read_ray, write_measure, write_ray
+from .io import format_measure, read_measure, read_ray, write_measure, write_ray
 from .ot import solve_ot
 from .paths import lift_geodesic, make_dirac_ray, make_translation_ray, section, validate_ray
 from .verify import SUITE_NAMES, format_report, run_suite
@@ -130,8 +130,6 @@ def _cmd_geodesic_section(args) -> int:
         write_measure(snapshot, args.out)
         print(f"wrote {args.out}")
     else:
-        from .io import format_measure
-
         sys.stdout.write(format_measure(snapshot))
     return EXIT_OK
 
@@ -353,9 +351,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MeasureFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

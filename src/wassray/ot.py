@@ -14,16 +14,14 @@ input alone, trying in order:
 
 - a single-atom marginal has one feasible coupling, built directly. Its
   m + n - 1 entries form a star, a spanning tree, so they are its basis;
-- uniform marginals of equal size (every weight of both measures equal)
-  have a permutation among their optimal plans (Birkhoff-von Neumann), and
-  the Jonker-Volgenant assignment solver finds one exactly;
-- equal marginals, a measure moved a little with its weights unchanged
-  (two sections of one ray, as ray validation compares them): the
-  identity plan, when it costs 0 on a nonnegative matrix with a zero
-  diagonal, or when the assignment solver returns the identity
-  permutation. With positive weights the identity is optimal for (a, a)
-  exactly when it is an optimal assignment, whatever the weights, so this
-  is exact at every p;
+- equal marginals (equal sizes, the same weights on both sides) ask the
+  Jonker-Volgenant assignment solver once. With every weight equal, a
+  permutation is among the optimal plans (Birkhoff-von Neumann), so its
+  answer is the plan. With unequal weights, as between two sections of
+  one ray, its answer is taken only when it is the identity: with
+  positive weights the identity is optimal for (a, a) exactly when it is
+  an optimal assignment, whatever the weights, so this is exact at every
+  p. Any other permutation leaves the instance to the LP;
 - everything else, including weighted measures, unequal sizes and merged
   pushforwards whose weights are no longer equal, is the transportation
   linear program on the complete bipartite graph. A primal transportation
@@ -37,24 +35,27 @@ input alone, trying in order:
 
 Every call solves its instance from scratch. A plan the simplex returned
 keeps, privately, the basis tree it stopped on, and a single-atom plan its
-star; assignment, identity and user-built plans have none. Two places reuse
-such a basis. The schedules (Busemann doubling, the co-ray construction)
-couple one measure to section after section of a ray, whose optimal plan
-settles, along one chain of plans from the time-0 section
-(``paths._plan_chain``). From each plan, ``paths._kept_plan_lengths``
-passes the costs of a chunk of the remaining sections to
-``_certified_prefix`` as one stack. That runs the simplex's own stopping
-test on every matrix of the stack in one vectorised pass, with the
-simplex's own tree walk (``_hang_tree``) and ``_reduced_costs``, and the
-chain keeps the plan, its lengths ``_entry_p_mean`` as a solved plan's
-cost is, on the leading run of sections it certifies, with no solve for
-them; a star needs no test there, since its plan ignores the costs. The
-exact Busemann limit is that chain's member at t = infinity, and the
-CLI's default ``busemann``, which solves the time-0 plan to print its
-cost, tries that plan on the limiting costs (``busemann._keeps_limit``)
-with ``_basis_certified``, the same test on one matrix, which is
-``_solve_lp``'s first stop test; a plan it certifies is the limit plan,
-with no second solve.
+star; assignment, identity and user-built plans have none. One rule,
+``_kept_basis``, says when such a basis may stand in for ``transport_plan``
+on a later instance with the same marginals: only where ``transport_plan``
+would run the LP or build the star, never where it would ask the
+assignment solver. Two places use it. The schedules (Busemann doubling,
+the co-ray construction) couple one measure to section after section of a
+ray, whose optimal plan settles, along one chain of plans from the time-0
+section (``paths._plan_chain``). From each plan,
+``paths._kept_plan_lengths`` passes the costs of a chunk of the remaining
+sections to ``_certified_prefix`` as one stack. That runs the simplex's
+own stopping test on every matrix of the stack in one vectorised pass,
+with the simplex's own tree walk (``_hang_tree``) and ``_reduced_costs``,
+and the chain keeps the plan, its lengths ``_entry_p_mean`` as a solved
+plan's cost is, on the leading run of sections it certifies, with no
+solve for them. The exact Busemann limit is that chain's member at
+t = infinity, and the CLI's default ``busemann``, which solves the time-0
+plan to print its cost, tries that plan on the limiting costs
+(``busemann._limit_plan``) with ``_basis_certified``, the same test on one
+matrix, which is ``_solve_lp``'s first stop test; a plan it certifies is
+the limit plan, with no second solve. Both tests pass a star unseen,
+since a single atom's one feasible plan ignores the costs.
 
 On every path marginals are reproduced to machine precision, the optimal
 value is exact in double arithmetic, and identical inputs give
@@ -359,8 +360,8 @@ def _segment_cost(starts, ends, weights, p) -> float:
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     """Cost-minimal coupling of (mu, nu) for cost d(x, y)**p.
 
-    ``transport_plan`` picks the exact method (single atom, assignment,
-    identity between equal marginals, transportation simplex) on the cost
+    ``transport_plan`` picks the exact method (single atom, assignment
+    between equal marginals, transportation simplex) on the cost
     matrix ``pairwise_distances(mu.atoms, nu.atoms) ** p``, and the entries
     it returns are checked and frozen into the coupling, with the cost
     read from that matrix. The coupling keeps the basis of an LP or
@@ -393,23 +394,24 @@ def transport_plan(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> tup
     is picked from the input alone, in order:
 
     - a single-atom marginal: its one feasible plan, with its star;
-    - equal sizes and every weight of both equal to ``a[0]`` exactly: the
-      optimal permutation from ``linear_sum_assignment``;
-    - ``a`` equal to ``b``: the identity plan (i -> i with mass a[i]),
-      either when no cost is negative and the diagonal is zero (a measure
-      moved onto itself, whose cost 0 nothing beats), or when
-      ``linear_sum_assignment`` returns the identity permutation. With
-      every a[i] > 0 the identity is optimal for (a, a) exactly when some
-      potentials are tight on the whole diagonal, which is also the test
-      of an optimal assignment (Birkhoff-von Neumann): a proof at any p,
-      unlike the simplex's certificate, whose tolerance grows with the
-      largest cost;
-    - the certified transportation simplex ``_solve_lp``.
+    - equal sizes and ``a`` equal to ``b``: one ``linear_sum_assignment``
+      call, whose permutation is the plan when every weight is equal
+      (Birkhoff-von Neumann) or when it is the identity (i -> i with mass
+      a[i]). With every a[i] > 0 the identity is optimal for (a, a)
+      exactly when some potentials are tight on the whole diagonal, which
+      is also the test of an optimal assignment: a proof at any p, unlike
+      the simplex's certificate, whose tolerance grows with the largest
+      cost. A measure moved onto itself (a zero diagonal) needs no rule of
+      its own: the identity is optimal there, and this test takes it when
+      the assignment solver returns it;
+    - everything else, and equal weights whose assignment is not the
+      identity: the certified transportation simplex ``_solve_lp``.
 
-    Weights (``a`` against ``b``) and permutations (the assignment's
-    against the identity) are compared bit for bit. For positive finite
-    weights and intp indices that is value equality: only -0.0 and NaN
-    could tell the two apart, and neither is a weight.
+    ``_kept_basis`` is the rule for when a kept basis stands in for this
+    choice. Weights (``a`` against ``b``) and permutations (the
+    assignment's against the identity) are compared bit for bit. For
+    positive finite weights and intp indices that is value equality: only
+    -0.0 and NaN could tell the two apart, and neither is a weight.
 
     The assignment and identity plans can differ from the LP's only where
     the optimal plan is not unique; at such ties the summed cost still
@@ -419,33 +421,18 @@ def transport_plan(a: np.ndarray, b: np.ndarray, cost_matrix: np.ndarray) -> tup
     m, n = len(a), len(b)
     if cost_matrix.shape != (m, n):
         raise ValueError(f"cost matrix has shape {cost_matrix.shape}, weights give {(m, n)}")
-    lowest = _array_min(cost_matrix)
     # _array_min and _array_max return NaN if any entry is NaN (their
     # contract), so the comparison fails on NaN and inf alike
-    if not (-np.inf < lowest and _array_max(cost_matrix) < np.inf):
+    if not (-np.inf < _array_min(cost_matrix) and _array_max(cost_matrix) < np.inf):
         raise CostOverflowError("transport cost matrix has an infinite or NaN entry")
     if (single := _single_atom_plan(a, b)) is not None:
         return single
-    w = a[0]
-    # min == w == max: the truth value of all(a == w), NaN included, since
-    # _array_min and _array_max return NaN if any entry is NaN
-    if (
-        m == n
-        and _array_min(a) == w == _array_max(a)
-        and _array_min(b) == w == _array_max(b)
-    ):
-        left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
-        return left, right, a[left], None
     # bytes compare as values here: the weights are finite and positive, so
     # no -0.0 or NaN, and the index arrays below are both intp
     if m == n and a.tobytes() == b.tobytes():
-        identity = np.arange(n, dtype=np.intp)
-        # a measure moved onto itself costs 0, which nothing beats on
-        # nonnegative costs; else the identity must be an optimal assignment
-        if (lowest >= 0.0 and not np.diagonal(cost_matrix).any()) or (
-            linear_sum_assignment(cost_matrix)[1].tobytes() == identity.tobytes()
-        ):
-            return identity, identity, a.copy(), None
+        left, right = linear_sum_assignment(cost_matrix)  # rows 0..n-1: lexicographic
+        if _array_min(a) == _array_max(a) or right.tobytes() == left.tobytes():
+            return left, right, a[left], None
     return _solve_lp(a, b, cost_matrix)
 
 
@@ -466,6 +453,28 @@ def _single_atom_plan(a: np.ndarray, b: np.ndarray):
     return left, right, masses, (left, right)
 
 
+def _kept_basis(plan: Coupling, weights: np.ndarray):
+    """The basis ``plan`` kept, if it may stand in for ``transport_plan`` from ``plan.mu``; else None.
+
+    ``weights`` are the target weights of the later instance (a ray's).
+    The basis stands in only where ``transport_plan`` would run the LP or
+    build a star, so it is None when the plan kept none (assignment,
+    identity and user-built plans), when the plan's target weights are
+    not ``weights`` byte for byte (its section pooled atoms), or when both
+    sides have more than one atom and equal weights, which
+    ``transport_plan`` gives the assignment solver. The new costs must
+    still certify it (``_certified_prefix``, ``_basis_certified``).
+    """
+    basis = plan._basis
+    target = weights.tobytes()
+    if basis is None or plan.nu.weights.tobytes() != target:
+        return None
+    # equal bytes are equal lengths, so past one atom both sides are
+    if len(weights) > 1 and plan.mu.weights.tobytes() == target:
+        return None
+    return basis
+
+
 def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     """How many leading matrices of a (T, m, n) cost stack the simplex basis ``basis`` certifies.
 
@@ -477,9 +486,12 @@ def _certified_prefix(cost_stack: np.ndarray, basis) -> int:
     costs and a node's T potentials go through the walk as one array each.
     The stack is priced in one vectorised pass with ``_reduced_costs``, so
     each matrix passes or fails as it would alone; ``_basis_certified`` is
-    the one-matrix form.
+    the one-matrix form. A star (m or n is 1) is certified on all T
+    matrices unseen: a single atom's one feasible plan ignores the costs.
     """
     T, m, n = cost_stack.shape
+    if m == 1 or n == 1:
+        return T
     rows, cols = basis
     u_v = np.array(_hang_tree(rows, cols, cost_stack.transpose(1, 2, 0), m, n, np.zeros(T))[3])
     reduced = _reduced_costs(cost_stack, u_v[:m].T[:, :, None], u_v[m:].T[:, None, :])
@@ -496,9 +508,12 @@ def _basis_certified(cost_matrix: np.ndarray, basis) -> bool:
     ``_hang_tree`` on float costs, then ``_dual_certificate`` with the
     matrix's ``_certificate_tolerance``. Its verdict is
     ``_certified_prefix(cost_matrix[None], basis) == 1``, at about half the
-    cost of that stacked pass on a small matrix.
+    cost of that stacked pass on a small matrix; a star is certified
+    unseen, as there.
     """
     m, n = cost_matrix.shape
+    if m == 1 or n == 1:
+        return True
     rows, cols = basis
     u_v = np.array(_hang_tree(rows, cols, cost_matrix.tolist(), m, n, 0.0)[3])
     tol = _certificate_tolerance(cost_matrix)

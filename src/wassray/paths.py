@@ -16,10 +16,10 @@ section after section of a ray, starting from the time-0 section, and
 both walk that chain with ``_plan_chain``. Its kept runs come from
 ``_kept_plan_lengths``: the leading later sections on which a plan's kept
 basis stays certified, a chunk of them found at once; the first section
-after a run is solved cold. The exact Busemann limit is the chain's
-member at t = infinity, which the CLI's default ``busemann`` takes from
-the time-0 plan when its basis is certified there
-(``busemann._keeps_limit``); every other solve is cold.
+after a run is solved cold. Whether a plan's basis may be kept at all is
+``ot._kept_basis``, the one rule, which the CLI's default ``busemann``
+follows too when it takes the exact Busemann limit (the chain's member
+at t = infinity) from the time-0 plan; every other solve is cold.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .ot import (
     _certified_prefix,
     _distance_limit,
     _entry_p_mean,
+    _kept_basis,
     _leading,
     _lengths,
     _segment_cost,
@@ -312,18 +313,16 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
     ``ray_section(ray, t)``, are a certified optimal plan on ``plan``'s
     basis, found for all of them at once:
 
-    - the plan has a basis, a simplex plan's or a single-atom plan's star,
-      and its section's weights are the ray's; unless a side has a single
-      atom, they also differ from nu0's: a start with the ray's weights is
-      left to ``solve_ot``, whose assignment and identity branches decide
-      such instances before the LP;
+    - ``ot._kept_basis`` returns the plan's basis for the ray's weights:
+      a simplex plan's or a single-atom plan's star, on a section with the
+      ray's weights, and never where ``solve_ot`` would ask the assignment
+      solver (nu0 with the ray's weights, past a single atom);
     - the target's positions are finite and ``_distinct_rows``: no two
       of them are one atom, so the section is the positions with the
       ray's weights, byte for byte;
     - no distance from nu0 reaches ``_distance_limit``;
-    - a simplex basis passes ``_certified_prefix`` on the target's costs.
-      A star needs no test: a single atom's one feasible plan ignores the
-      costs.
+    - the basis passes ``_certified_prefix`` on the target's costs, which
+      passes a star unseen.
 
     The first target that fails one of these ends the run; ``_plan_chain``
     solves it cold, so it meets every branch and error of ``solve_ot``.
@@ -333,13 +332,10 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
     Returns the run's lengths and its targets' positions,
     (count, len(ray), d), or ``([], None)`` for an empty run.
     """
-    if not times or plan._basis is None:
+    basis = _kept_basis(plan, ray.weights)
+    if not times or basis is None:
         return [], None
     nu0, p = plan.mu, ray.p
-    weights = ray.weights.tobytes()
-    star = len(nu0) == 1 or len(ray) == 1
-    if plan.nu.weights.tobytes() != weights or (not star and nu0.weights.tobytes() == weights):
-        return [], None
     # every target's ``RayMeasure.positions`` at once; a non-finite one ends
     # the run before it, and its own solve warns and raises as before
     with np.errstate(over="ignore", invalid="ignore"):
@@ -352,8 +348,7 @@ def _kept_plan_lengths(ray: RayMeasure, plan: Coupling, times):
         # NaN and inf fail the comparison, so a non-finite target ends the run
         count = _leading(distances.max(axis=(1, 2)) < _distance_limit(p))
         costs = distances[:count] ** p
-        if not star:
-            count = _certified_prefix(costs, plan._basis)
+        count = _certified_prefix(costs, basis)
     if not count:
         return [], None
     return _entry_p_mean(plan.masses, costs[:count, plan.left, plan.right], p), positions[:count]
@@ -394,7 +389,7 @@ def make_dirac_ray(origin, velocity, p=2.0) -> RayMeasure:
     """Single-ray family: the point embedding of an ambient ray."""
     o = as_point(origin)
     v = as_point(velocity)
-    if float(np.linalg.norm(v)) == 0.0:
+    if not v.any():
         raise ValueError("a ray needs a nonzero velocity")
     return RayMeasure(o[None, :], v[None, :], np.ones(1), p)
 
@@ -406,7 +401,7 @@ def make_translation_ray(mu0: DiscreteMeasure, velocity, p=2.0) -> RayMeasure:
     optimal, so this always yields a genuine ray (validate_ray confirms).
     """
     v = as_point(velocity)
-    if float(np.linalg.norm(v)) == 0.0:
+    if not v.any():
         raise ValueError("a ray needs a nonzero velocity")
     if v.size != mu0.dim:
         raise DimensionMismatchError(

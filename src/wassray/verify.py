@@ -36,7 +36,7 @@ from .coray import (
     viscosity_check,
 )
 from .measures import DiscreteMeasure, dirac, same_measure, uniform_measure
-from .ot import brute_force_ot, solve_ot, tail_mass_bound_check, wasserstein_distance
+from .ot import _lengths, brute_force_ot, solve_ot, tail_mass_bound_check, wasserstein_distance
 from .paths import (
     RayMeasure,
     glue,
@@ -203,7 +203,7 @@ def ray_checks(seed: int) -> list[CheckResult]:
     for _ in range(5):
         mu0 = _random_measure(rng, max_atoms=4)
         v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
+        v /= _lengths(v)
         report = validate_ray(make_translation_ray(mu0, v, p=2.0))
         translation_ok = translation_ok and report.passed
         worst = max(worst, max(report.relative_gaps), max(report.speed_residuals))
@@ -285,7 +285,7 @@ def ray_checks(seed: int) -> list[CheckResult]:
 
     mu0 = _random_measure(rng, max_atoms=3)
     v = rng.normal(size=2)
-    v /= np.linalg.norm(v)
+    v /= _lengths(v)
     ray = make_translation_ray(mu0, v, p=2.0)
     piece = restrict_to_geodesic(ray, 1.0, 3.0)
     endpoint_cost = wasserstein_distance(section(piece, 0.0), section(piece, piece.length), 2.0)

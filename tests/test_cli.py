@@ -12,7 +12,7 @@ from wassray import busemann, cli
 from wassray.cli import main
 from wassray.verify import run_suite
 
-from conftest import genuine_ray_case, psd_gradient_ray, step_chain
+from conftest import genuine_ray_case, psd_gradient_ray, same_bits, step_chain
 
 
 @pytest.fixture
@@ -316,6 +316,33 @@ def test_default_busemann_takes_its_limit_plan_from_the_time0_basis(
     assert fields["value"] == cli._fmt(w.busemann_exact(ray, nu).value)
     distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
     assert fields["lower_bound"] == cli._fmt(-distance)
+
+
+def equal_weight_limit_case(rng, kind, k):
+    """A genuine k-ray ray and a k-atom measure that carries the ray's weights."""
+    if kind == "translation":
+        weights = rng.random(k) + 0.1
+        mu0 = w.DiscreteMeasure(rng.normal(size=(k, 2)), weights / weights.sum())
+        v = rng.normal(size=2)
+        p = float(rng.choice([1.5, 2.0, 2.5]))
+        ray = w.make_translation_ray(mu0, v / float(np.sqrt(v @ v)), p=p)
+    else:
+        ray = psd_gradient_ray(rng, k)
+    return ray, w.DiscreteMeasure(rng.normal(size=(k, 2)), ray.weights)
+
+
+def test_default_busemann_limit_plan_is_the_library_s_on_equal_weights():
+    # with nu carrying the ray's weights, transport_plan asks the assignment
+    # solver before any LP, so the time-0 basis may not stand in for it: the
+    # CLI's plan is busemann_exact's, entry for entry and bit for bit
+    rng = np.random.default_rng(1)
+    for k in range(60):
+        ray, nu = equal_weight_limit_case(rng, ("translation", "psd")[k % 2], 3 + k % 4)
+        kept = busemann._limit_plan(ray, nu, lower_bound_first=True)
+        exact = w.busemann_exact(ray, nu)
+        for field in ("left", "right", "masses"):
+            assert same_bits(getattr(kept, field), getattr(exact, field))
+        assert kept.value.hex() == exact.value.hex()
 
 
 def default_busemann_error(tmp_path, capsys, ray, nu):

@@ -674,13 +674,26 @@ def test_certified_warm_plan_keeps_its_entries_and_passes_the_public_constructor
 
 
 def test_measure_onto_itself_takes_the_identity(lp_shapes):
-    # weighted, so not the assignment path; the identity costs exactly 0
+    # weighted: the assignment solver returns the identity, which costs exactly 0
     mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]], [0.2, 0.5, 0.3])
     plan = w.solve_ot(mu, mu, 3.0)
     assert lp_shapes == []
     assert plan.left.tolist() == plan.right.tolist() == [0, 1, 2]
     assert same_bits(plan.masses, mu.weights)
     assert plan.cost == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 16.0])
+def test_weighted_measure_with_a_repeated_atom_onto_itself_costs_nothing(p):
+    # atoms 0 and 2 coincide, so the cost matrix ties at 0 off the diagonal
+    # too; the assignment solver decides the tie
+    mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [-1.0, 0.5]], [0.1, 0.4, 0.3, 0.2])
+    plan = w.solve_ot(mu, mu, p)
+    assert plan.cost == 0.0
+    for index in (plan.left, plan.right):
+        sums = np.bincount(index, weights=plan.masses, minlength=len(mu))
+        assert np.max(np.abs(sums - mu.weights)) <= 1e-9
+    assert w.lift_geodesic(plan).length == 0.0
 
 
 def test_identity_needs_nonnegative_costs():
@@ -732,9 +745,11 @@ def test_equal_marginal_plan_has_the_bits_of_the_lp(n, d, p, scale, seed):
 def certified_identity(a, cost_matrix):
     """The identity rule ``transport_plan`` used before it asked the assignment solver.
 
-    A zero diagonal on nonnegative costs, or Bellman-Ford's certificate on
-    the identity when its bound, 2 ``_certificate_tolerance`` in summed cost,
-    is at most ``COST_RTOL`` of the identity's own summed cost.
+    A zero diagonal on nonnegative costs (a shortcut that is gone: the
+    assignment solver now decides those instances too), or Bellman-Ford's
+    certificate on the identity when its bound, 2 ``_certificate_tolerance``
+    in summed cost, is at most ``COST_RTOL`` of the identity's own summed
+    cost.
     """
     identity = np.arange(len(a))
     diagonal = np.diagonal(cost_matrix)
@@ -748,7 +763,7 @@ def certified_identity(a, cost_matrix):
 @given(**MOVED_COPIES)
 def test_every_certified_identity_is_still_taken(n, d, p, scale, seed):
     # about one instance in six passes the old rule; each is decided
-    # before the LP, by the assignment solver or the zero-cost rule
+    # before the LP, by the assignment solver
     a, cost_matrix = moved_copy(n, d, p, scale, seed)
     if certified_identity(a, cost_matrix):
         with mock.patch.object(ot, "_solve_lp", side_effect=AssertionError("reached the LP")):
@@ -770,7 +785,11 @@ def test_identity_costs_no_more_than_the_lp_plan(n, d, p, scale, seed):
 
 
 def array_equal_plan(a, b, cost_matrix):
-    """``transport_plan`` past its uniform branch, with its former ``np.array_equal`` tests."""
+    """``transport_plan``'s former equal-marginal branch, with its ``np.array_equal`` tests.
+
+    Past the former uniform branch, and with the zero-diagonal shortcut
+    that the assignment solver's decision has since replaced.
+    """
     m, n = len(a), len(b)
     if m == n and np.array_equal(a, b):
         identity = np.arange(n, dtype=np.intp)
@@ -1399,6 +1418,53 @@ def test_the_one_matrix_certificate_is_the_stacked_one(instance, noise, seed):
     for costs in (perturbed, cost_matrix, -cost_matrix):
         verdict = ot._basis_certified(costs, basis)
         assert verdict is (ot._certified_prefix(costs[None], basis) == 1)
+
+
+def kept_basis_cases():
+    """(plan, weights, kept) for ``ot._kept_basis``: one case per rule, and a kept LP basis."""
+    weighted = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.3, 0.7])
+    uniform = w.uniform_measure([[0.0, 1.0], [2.0, 0.0]])
+    # an assignment plan keeps no basis
+    yield w.solve_ot(uniform, uniform.translate((1.0, 0.0)), 2.0), uniform.weights, False
+    # two of three rays share an origin: the section pooled them, so its
+    # LP basis has two columns where the ray has three
+    ray = w.RayMeasure([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0]] * 3, [0.2, 0.3, 0.5], 2.0)
+    pooled = w.solve_ot(weighted, w.ray_section(ray, 0.0), 2.0)
+    assert pooled._basis is not None
+    yield pooled, ray.weights, False
+    # a single atom's star, also against a single atom of equal weight
+    star = w.solve_ot(w.dirac((0.0, 0.0)), weighted, 2.0)
+    yield star, weighted.weights, True
+    yield w.solve_ot(w.dirac((0.0, 0.0)), w.dirac((1.0, 1.0)), 2.0), np.ones(1), True
+    # equal weights on two atoms each: the assignment solver declines the
+    # crossing identity, so the LP solves it, but transport_plan would ask
+    # the assignment solver first
+    crossed = w.DiscreteMeasure([[2.0, 2.0], [0.0, 1.0]], [0.3, 0.7])
+    equal = w.solve_ot(weighted, crossed, 2.0)
+    assert equal._basis is not None
+    yield equal, weighted.weights, False
+    # an LP plan between different weights of the ray's
+    lp = w.solve_ot(weighted, w.ray_section(ray, 1.0), 2.0)
+    yield lp, w.ray_section(ray, 1.0).weights, True
+
+
+@pytest.mark.parametrize(
+    "case", range(6), ids=["no-basis", "pooled", "star", "dirac-pair", "equal-weights", "lp"]
+)
+def test_kept_basis_stands_in_only_where_transport_plan_would_run_the_lp_or_a_star(case):
+    plan, weights, kept = list(kept_basis_cases())[case]
+    basis = ot._kept_basis(plan, weights)
+    assert (basis is plan._basis) if kept else (basis is None)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 1), (1, 1)])
+def test_a_star_is_certified_on_any_costs(shape):
+    # a single atom's one feasible plan ignores the costs
+    a, b = np.full(shape[0], 1.0 / shape[0]), np.full(shape[1], 1.0 / shape[1])
+    basis = transport_plan(a, b, np.zeros(shape))[3]
+    costs = np.random.default_rng(0).normal(size=(5, *shape))
+    assert ot._certified_prefix(costs, basis) == 5
+    assert ot._basis_certified(-costs[0], basis)
 
 
 def test_transport_plan_rejects_a_cost_matrix_of_the_wrong_shape():

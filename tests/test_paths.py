@@ -413,6 +413,15 @@ def test_make_translation_ray_speed_is_velocity_norm():
         w.make_translation_ray(mu0, (0.0,))
 
 
+def test_a_velocity_whose_squared_length_underflows_is_nonzero():
+    # (1e-200)**2 underflows to 0, so a length test would take it for a
+    # resting ray; the constructors test the coordinates instead
+    v = (1e-200, 0.0)
+    assert w.make_dirac_ray((0.0, 0.0), v).velocities.tolist() == [list(v)]
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    assert w.make_translation_ray(mu0, v).velocities.tolist() == [list(v)] * 2
+
+
 def test_validate_dirac_ray_passes():
     report = w.validate_ray(w.make_dirac_ray((0.0, 0.0), (1.0, 0.0)))
     assert report.passed
