@@ -12,17 +12,22 @@ from it. ``busemann_value`` keeps the truncation as an independent
 oracle: it doubles t until the decrement stalls, returns an explicit
 upper bound bracketed by [lower_bound, value], and records the full
 schedule so callers can judge the truncation themselves.
+
+``BusemannPlan`` is frozen by ``measures._frozen``, the one writer of the
+frozen value types, and its ``lower_bound`` is a
+``functools.cached_property``, which ``_limit_plan`` may prime.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CostOverflowError, DimensionMismatchError, MonotonicityError, NotARayError
-from .measures import MERGE_DECIMALS, DiscreteMeasure, _array_max
+from .measures import MERGE_DECIMALS, DiscreteMeasure, _array_max, _frozen
 from .ot import (
     EPS,
     _basis_certified,
@@ -197,13 +202,14 @@ class BusemannPlan:
     ``left``/``right``/``masses`` are the positive entries of an optimal
     plan of the limiting transport problem: mass ``masses[k]`` of nu's atom
     ``left[k]`` goes to the ray ``right[k]`` of the family.
-    ``lower_bound`` is -W_p(nu, mu_0), solved on its first read (or by
-    ``busemann_exact``'s non-ray check, when the mean bound leaves the
-    verdict open) and kept; a cost that overflows raises
-    ``CostOverflowError`` there, on the read. The CLI's default
-    ``busemann`` builds its plan with that W_p solved first, so it is set
-    before the limit, whose entries may then be the W_p plan's own
-    (``_limit_plan``).
+    ``lower_bound`` is -W_p(nu, mu_0), a ``functools.cached_property``:
+    solved on its first read (or by ``busemann_exact``'s non-ray check,
+    when the mean bound leaves the verdict open) and cached; a cost that
+    overflows raises ``CostOverflowError`` there, on every read until one
+    succeeds. The CLI's default ``busemann`` builds its plan with that W_p
+    solved first, so ``_limit_plan`` primes the cache among the fields it
+    hands ``_frozen``, and the limit's entries may then be the W_p plan's
+    own.
     """
 
     value: float
@@ -212,15 +218,10 @@ class BusemannPlan:
     masses: np.ndarray
     ray: RayMeasure
     nu: DiscreteMeasure
-    # not a field: the lower bound once solved
-    _lower_bound = None
 
-    @property
+    @functools.cached_property
     def lower_bound(self) -> float:
-        if self._lower_bound is None:
-            distance = wasserstein_distance(self.nu, ray_section(self.ray, 0.0), self.ray.p)
-            object.__setattr__(self, "_lower_bound", -distance)
-        return self._lower_bound
+        return -wasserstein_distance(self.nu, ray_section(self.ray, 0.0), self.ray.p)
 
 
 def distance_floor(ray: RayMeasure, nu: DiscreteMeasure) -> float:
@@ -335,7 +336,7 @@ def _limit_plan(
 
     With ``lower_bound_first``, as the CLI's default ``busemann`` prints
     -W_p(nu, mu_0), that W_p is solved right after the unit-speed and
-    dimension checks and kept as ``lower_bound``, so its errors come first.
+    dimension checks and primed as ``lower_bound``, so its errors come first.
     Its plan couples the same weights as the limit when the section pooled
     no origins. Where ``ot._kept_basis`` lets its basis stand in for
     ``transport_plan`` and ``_basis_certified`` certifies that basis on the
@@ -370,23 +371,23 @@ def _limit_plan(
     value = float(np.add.reduce(masses * cost[left, right]))
     for arr in (left, right, masses):
         arr.setflags(write=False)
-    plan = BusemannPlan(value, left, right, masses, ray, nu)
+    fields = {"value": value, "left": left, "right": right, "masses": masses, "ray": ray, "nu": nu}
     if start is not None:
-        object.__setattr__(plan, "_lower_bound", -start.cost)
-    return plan
+        fields["lower_bound"] = -start.cost
+    return _frozen(None, BusemannPlan, fields)
 
 
 def _ray_verdict(plan: BusemannPlan) -> None:
     """``busemann_exact``'s non-ray rule on a limit plan: raise ``NotARayError`` if it fires.
 
     W_p >= 0, so a value that clears the threshold at 0, -1e-9, passes. A
-    lower bound already read decides at once; otherwise the mean bound may
-    pass the family before W_p is solved.
+    lower bound already in the plan's cache decides at once; otherwise the
+    mean bound may pass the family before W_p is solved.
     """
     value = plan.value
     if not value < -LOWER_BOUND_ATOL:
         return
-    if plan._lower_bound is None and _clears(value, distance_floor(plan.ray, plan.nu)):
+    if "lower_bound" not in vars(plan) and _clears(value, distance_floor(plan.ray, plan.nu)):
         return
     lower_bound = plan.lower_bound
     if not _clears(value, -lower_bound):

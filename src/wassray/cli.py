@@ -69,7 +69,8 @@ EXIT_NO_CONVERGENCE = 4
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    """``x`` to 12 significant digits; a negative zero prints as 0 (adding 0.0 makes it +0.0)."""
+    return f"{float(x) + 0.0:.12g}"
 
 
 def _vector(text: str):

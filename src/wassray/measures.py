@@ -5,6 +5,13 @@ constructor converts and copies its input, and the sections and
 pushforwards the library builds itself skip only that conversion; both
 run the same checks, from one helper.
 
+Every frozen value type of the package (measures, couplings, geodesic
+lifts, ray measures, Busemann plans) is written by one helper too,
+``_frozen``: the checked fields go into the instance in one update, past
+the frozen ``__setattr__``. Values derived from such an object, a ray's
+speed and a Busemann plan's lower bound, are ``functools.cached_property``
+values, kept in the same instance dict on their first read.
+
 Positions pool into atoms in one place too: ``_key_owners`` is the one
 grouping by ``_merge_keys``, shared by ``merge_atoms``, ``same_measure``
 and ``paths.glue``.
@@ -180,7 +187,8 @@ def _checked_measure(atoms: np.ndarray, weights: np.ndarray, measure=None) -> Di
     converts and copies its input, then calls this with itself as
     ``measure``; the library calls it directly, with no ``measure``, on
     arrays it has just built (sections, pushforwards, files read by
-    ``io``), so those skip only the conversion and the copy. The arrays are made read-only in place.
+    ``io``), so those skip only the conversion and the copy. The arrays
+    are made read-only in place, and ``_frozen`` writes them.
     """
     if atoms.ndim != 2:
         raise ValueError(f"atoms must form an (n, d) array, got shape {atoms.shape}")
@@ -212,11 +220,23 @@ def _checked_measure(atoms: np.ndarray, weights: np.ndarray, measure=None) -> Di
         raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
     atoms.setflags(write=False)
     weights.setflags(write=False)
-    if measure is None:
-        measure = object.__new__(DiscreteMeasure)
-    object.__setattr__(measure, "atoms", atoms)
-    object.__setattr__(measure, "weights", weights)
-    return measure
+    return _frozen(measure, DiscreteMeasure, {"atoms": atoms, "weights": weights})
+
+
+def _frozen(obj, cls, fields: dict):
+    """Write ``fields`` into the frozen dataclass instance ``obj``, a new ``cls`` when None.
+
+    The one writer of the frozen value types (measures, couplings, lifts,
+    rays, Busemann plans): one ``__dict__`` update, past the frozen
+    ``__setattr__``, and no ``__init__`` when it allocates. None of them
+    has ``__slots__``, so a ``functools.cached_property`` value can be
+    primed here under its name. The caller has already checked the values
+    and made its arrays read-only.
+    """
+    if obj is None:
+        obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def dirac(point) -> DiscreteMeasure:

@@ -62,8 +62,10 @@ value is exact in double arithmetic, and identical inputs give
 bit-identical plans. Validation sits at one boundary: the public
 ``Coupling`` constructor converts and copies its input, and the plans
 ``solve_ot`` builds itself skip only that conversion; both run the same
-checks, from one helper. Entropic or otherwise approximate solvers would
-poison every downstream geometry check, so none is offered.
+checks, from one helper, and ``measures._frozen`` writes the checked
+fields, as it writes every frozen value type. Entropic or otherwise
+approximate solvers would poison every downstream geometry check, so none
+is offered.
 
 ``brute_force_ot`` is the independent oracle: an exhaustive minimum over
 permutation matchings, valid for equal-size uniform marginals, sharing no
@@ -87,7 +89,7 @@ from .errors import (
     InvalidExponentError,
     TransportSolveError,
 )
-from .measures import DiscreteMeasure, _array_max, _array_min
+from .measures import DiscreteMeasure, _array_max, _array_min, _frozen
 
 P_MIN = 1.0
 P_MAX = 16.0
@@ -236,7 +238,8 @@ class Coupling:
     cost: float | None = None
     # not a field: the rows and columns of the m + n - 1 basis cells (zero
     # masses included) the simplex stopped on, or a single atom's star, which
-    # ``solve_ot`` sets on the plans it solves and a schedule's stacked pass
+    # ``solve_ot`` writes with ``_frozen``, the one writer, on the plans it
+    # solves and a schedule's stacked pass
     # (``paths._kept_plan_lengths``) re-prices on later sections, as the
     # CLI's default Busemann limit does on its costs; every other
     # coupling has none, so ``paths.lift_geodesic`` lifts a plan with one
@@ -277,7 +280,7 @@ def _checked_coupling(
     ``coupling``; ``solve_ot`` calls it directly, with no ``coupling``, on
     the entries it has just built, so solver plans skip only the
     conversion, the copy and the repeated exponent check. The arrays are
-    made read-only in place.
+    made read-only in place, and ``_frozen`` writes the fields.
 
     The cost is derived from the entries by ``_segment_cost``, or, when
     ``solve_ot`` passes the matrix ``cost_matrix`` of d**p it solved on,
@@ -306,16 +309,11 @@ def _checked_coupling(
             raise ValueError(f"stored cost {cost!r} does not match recomputed cost {derived!r}")
     for arr in (left, right, masses):
         arr.setflags(write=False)
-    if coupling is None:
-        coupling = object.__new__(Coupling)
-        object.__setattr__(coupling, "mu", mu)
-        object.__setattr__(coupling, "nu", nu)
-    object.__setattr__(coupling, "left", left)
-    object.__setattr__(coupling, "right", right)
-    object.__setattr__(coupling, "masses", masses)
-    object.__setattr__(coupling, "p", p)
-    object.__setattr__(coupling, "cost", cost)
-    return coupling
+    return _frozen(
+        coupling,
+        Coupling,
+        {"mu": mu, "nu": nu, "left": left, "right": right, "masses": masses, "p": p, "cost": cost},
+    )
 
 
 def _check_entries(mu: DiscreteMeasure, nu: DiscreteMeasure, left, right, masses) -> None:
@@ -375,7 +373,7 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> Coupling:
     left, right, masses, basis = transport_plan(mu.weights, nu.weights, cost_matrix)
     plan = _checked_coupling(mu, nu, left, right, masses, p, cost_matrix=cost_matrix)
     if basis is not None:
-        object.__setattr__(plan, "_basis", basis)
+        _frozen(plan, Coupling, {"_basis": basis})
     return plan
 
 

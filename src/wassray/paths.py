@@ -9,8 +9,10 @@ extends to a curve on the whole half-line.
 
 A ray measure is the half-line analogue: a weighted family of straight
 ambient rays. Its sections form a curve of measures whose speed is the
-p-mean of the per-ray speeds; whether that curve is a genuine ray (every
-induced pair coupling optimal) is exactly what ``validate_ray`` samples.
+p-mean of the per-ray speeds, computed on the first read of
+``RayMeasure.speed`` and cached there; whether that curve is a genuine
+ray (every induced pair coupling optimal) is exactly what
+``validate_ray`` samples.
 The Busemann truncation and the co-ray construction couple one measure to
 section after section of a ray, starting from the time-0 section, and
 both walk that chain with ``_plan_chain``. Its kept runs come from
@@ -20,10 +22,14 @@ after a run is solved cold. Whether a plan's basis may be kept at all is
 ``ot._kept_basis``, the one rule, which the CLI's default ``busemann``
 follows too when it takes the exact Busemann limit (the chain's member
 at t = infinity) from the time-0 plan; every other solve is cold.
+
+Lifts and rays are frozen by ``measures._frozen``, the one writer of the
+frozen value types, from ``_checked_lift`` and ``_checked_ray``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,7 @@ from .measures import (
     _array_min,
     _checked_measure,
     _distinct_rows,
+    _frozen,
     _pooled_pair,
     as_point,
     merge_atoms,
@@ -163,7 +170,8 @@ def _checked_lift(starts, ends, weights, p, length, lift=None) -> GeodesicLift:
     """Run every ``GeodesicLift`` check on float64 arrays and freeze them into a lift.
 
     The public constructor converts its input, then calls this with itself
-    as ``lift``; ``lift_geodesic`` calls it with no ``lift``.
+    as ``lift``; ``lift_geodesic`` calls it with no ``lift``. ``_frozen``
+    writes the fields.
     """
     starts, ends, weights, p = _checked_family(
         starts, ends, weights, p, "segment", "start and end", "segment endpoints"
@@ -174,14 +182,8 @@ def _checked_lift(starts, ends, weights, p, length, lift=None) -> GeodesicLift:
         raise ValueError(
             f"length {length!r} does not equal the endpoint transport cost {cost!r}"
         )
-    if lift is None:
-        lift = object.__new__(GeodesicLift)
-    object.__setattr__(lift, "starts", starts)
-    object.__setattr__(lift, "ends", ends)
-    object.__setattr__(lift, "weights", weights)
-    object.__setattr__(lift, "p", p)
-    object.__setattr__(lift, "length", length)
-    return lift
+    fields = {"starts": starts, "ends": ends, "weights": weights, "p": p, "length": length}
+    return _frozen(lift, GeodesicLift, fields)
 
 
 def lift_geodesic(pi: Coupling) -> GeodesicLift:
@@ -237,9 +239,11 @@ def section(lift: GeodesicLift, t) -> DiscreteMeasure:
 class RayMeasure:
     """Weighted family of straight ambient rays with a common order p.
 
-    ``speed`` is (sum of w |v|**p) ** (1/p); when every induced pair
-    coupling is optimal, the sections trace a ray of measures with exactly
-    that speed. Zero-mass rays are dropped on construction.
+    ``speed`` is (sum of w |v|**p) ** (1/p), computed on its first read
+    and cached (a ``CostOverflowError`` there is raised again on the next
+    read, not cached); when every induced pair coupling is optimal, the
+    sections trace a ray of measures with exactly that speed. Zero-mass
+    rays are dropped on construction.
     """
 
     origins: np.ndarray
@@ -250,7 +254,7 @@ class RayMeasure:
     def __post_init__(self):
         _checked_ray(*_family_arrays(self.origins, self.velocities, self.weights), self.p, self)
 
-    @property
+    @functools.cached_property
     def speed(self) -> float:
         return p_mean(self.weights, _lengths(self.velocities), self.p)
 
@@ -277,18 +281,13 @@ def _checked_ray(origins, velocities, weights, p, ray=None) -> RayMeasure:
 
     The public constructor converts and copies its input, then calls this
     with itself as ``ray``; ``io`` calls it with no ``ray`` on the fresh
-    arrays it has just read.
+    arrays it has just read. ``_frozen`` writes the fields.
     """
     origins, velocities, weights, p = _checked_family(
         origins, velocities, weights, p, "ray", "origin and velocity", "ray data"
     )
-    if ray is None:
-        ray = object.__new__(RayMeasure)
-    object.__setattr__(ray, "origins", origins)
-    object.__setattr__(ray, "velocities", velocities)
-    object.__setattr__(ray, "weights", weights)
-    object.__setattr__(ray, "p", p)
-    return ray
+    fields = {"origins": origins, "velocities": velocities, "weights": weights, "p": p}
+    return _frozen(ray, RayMeasure, fields)
 
 
 def require_unit_speed(ray: RayMeasure, what: str = "this operation") -> None:

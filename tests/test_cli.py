@@ -272,6 +272,28 @@ def test_default_busemann_decides_the_non_ray_rule_on_its_printed_lower_bound(
     assert float(cli_fields(capsys)["lower_bound"]) == -5.0 and floors == [1]
 
 
+def test_a_negative_zero_prints_as_0(tmp_path, capsys):
+    # nu is the ray's own time-0 section: the lower bound is -W_p = -0.0
+    assert cli._fmt(-0.0) == "0" and cli._fmt(0.0) == "0" and cli._fmt(-1e-300) == "-1e-300"
+    w3 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])
+    w.write_measure(w3, tmp_path / "w3.measure")
+    rays = str(tmp_path / "t.rays")
+    args = ["--measure", str(tmp_path / "w3.measure"), "--velocity", "0.6,0.8", "--out", rays]
+    assert main(["ray-new", "translation", *args]) == 0
+    capsys.readouterr()
+    assert main(["busemann", rays, str(tmp_path / "w3.measure")]) == 0
+    assert "lower_bound 0" in capsys.readouterr().out.splitlines()
+
+
+def test_the_primed_lower_bound_is_read_with_no_solve(solves):
+    ray, nu, _ = default_busemann_case("translation")
+    plan = busemann._limit_plan(ray, nu, lower_bound_first=True)
+    assert len(solves) == 1 and "lower_bound" in vars(plan)
+    distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
+    solves.clear()
+    assert plan.lower_bound.hex() == (-distance).hex() and solves == []
+
+
 def default_busemann_case(kind):
     """A ray, a measure and the LPs a default ``wassray busemann`` on them solves."""
     mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])

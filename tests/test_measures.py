@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
+from wassray import busemann
 from wassray.errors import DimensionMismatchError, EmptyMeasureError, MarginalMismatchError
 from wassray.measures import _array_max, _array_min, _merge_keys, merge_atoms
 from wassray.paths import GLUE_WEIGHT_ATOL
@@ -401,3 +404,59 @@ def test_array_min_and_max_equal_the_reductions(x):
         for form in (helper, lambda empty: reduction.reduce(empty, axis=None)):
             with pytest.raises(ValueError):
                 form(x[:0])
+
+
+def weighted_pair():
+    """Weighted measures whose plan is an LP with a kept basis."""
+    mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])
+    return mu, w.DiscreteMeasure([[3.0, 4.0], [0.0, -1.0]], [0.4, 0.6])
+
+
+def translation_ray():
+    return w.make_translation_ray(weighted_pair()[0], (0.6, 0.8))
+
+
+def read_back_ray(tmp_path):
+    w.write_ray(translation_ray(), tmp_path / "r.rays")
+    return w.read_ray(tmp_path / "r.rays")
+
+
+FROZEN_VALUES = {
+    "DiscreteMeasure": lambda _: w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.25, 0.75]),
+    "ray_section": lambda _: w.ray_section(translation_ray(), 1.5),
+    "Coupling": lambda _: w.Coupling(w.dirac((0.0,)), w.dirac((1.0,)), [0], [0], [1.0], 2.0),
+    "solve_ot": lambda _: w.solve_ot(*weighted_pair(), 2.0),
+    "GeodesicLift": lambda _: w.GeodesicLift(
+        [[0.0], [1.0]], [[2.0], [3.0]], [0.5, 0.5], 2.0, 2.0
+    ),
+    "lift_geodesic": lambda _: w.lift_geodesic(w.solve_ot(*weighted_pair(), 2.0)),
+    "RayMeasure": lambda _: w.RayMeasure(
+        [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]] * 2, [0.5, 0.5], 2.0
+    ),
+    "read_ray": read_back_ray,
+    "busemann_exact": lambda _: w.busemann_exact(translation_ray(), weighted_pair()[1]),
+    # the CLI's plan, with its lower bound primed among the frozen fields
+    "_limit_plan": lambda _: busemann._limit_plan(
+        translation_ray(), weighted_pair()[1], lower_bound_first=True
+    ),
+}
+
+
+@pytest.mark.parametrize("build", FROZEN_VALUES.values(), ids=FROZEN_VALUES.keys())
+def test_every_value_type_is_frozen_with_read_only_arrays(tmp_path, build):
+    value = build(tmp_path)
+    arrays = 0
+    for field in dataclasses.fields(value):
+        item = getattr(value, field.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, item)
+        if isinstance(item, np.ndarray):
+            arrays += 1
+            assert not item.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                item[...] = 0
+    assert arrays >= 2
+    # no other name can be set either, a cached derived value included
+    for name in ("speed", "lower_bound", "_basis", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)

@@ -134,6 +134,13 @@ def test_overflowing_lengths_raise_before_the_power():
 FAR = 1.6e154  # its square passes the largest double
 
 
+def read_speed_twice(ray):
+    """Read ``ray.speed`` twice; the first read must raise, and errors are not cached."""
+    with pytest.raises(CostOverflowError, match="squared distance"):
+        ray.speed
+    return ray.speed
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -141,7 +148,7 @@ FAR = 1.6e154  # its square passes the largest double
         lambda ray: w.validate_ray(ray, [(0.0, FAR)]),
         lambda ray: w.restrict_to_geodesic(ray, 0.0, FAR),
         lambda ray: w.GeodesicLift([[0.0, 0.0]], [[FAR, 0.0]], [1.0], ray.p, np.inf),
-        lambda ray: w.RayMeasure([[0, 0]], [[1e200, 0]], [1], 2).speed,
+        lambda ray: read_speed_twice(w.RayMeasure([[0, 0]], [[1e200, 0]], [1], 2)),
         lambda ray: w.validate_ray(w.RayMeasure([[0, 0]], [[1e200, 0]], [1], 2)),
     ],
     ids=[
@@ -403,6 +410,26 @@ def test_make_dirac_ray_speeds():
     assert w.make_dirac_ray((0.0, 0.0), (0.0, 2.0)).speed == 2.0
     with pytest.raises(ValueError):
         w.make_dirac_ray((0.0, 0.0), (0.0, 0.0))
+
+
+def test_speed_is_computed_once_per_ray(monkeypatch):
+    means = []
+
+    def spy(*args):
+        means.append(args)
+        return p_mean(*args)
+
+    monkeypatch.setattr(paths, "p_mean", spy)
+    rays = [
+        w.RayMeasure([[0.0, 0.0], [1.0, 0.0]], [[0.3, 0.4], [1.0, 2.0]], [0.25, 0.75], 1.5),
+        w.RayMeasure([[0.0], [2.0], [5.0]], [[1.0], [-2.0], [0.5]], [0.5, 0.2, 0.3], 3.0),
+    ]
+    for k, ray in enumerate(rays, start=1):
+        first = ray.speed
+        assert ray.speed is first and ray.speed is first
+        assert len(means) == k
+        want = p_mean(ray.weights, paths._lengths(ray.velocities), ray.p)
+        assert first.hex() == want.hex()
 
 
 def test_make_translation_ray_speed_is_velocity_norm():
