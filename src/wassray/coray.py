@@ -60,6 +60,19 @@ DEFAULT_CHECK_TOL = 1e-3
 DEFAULT_CHECK_TIMES = (0.0, 1.0, 2.0, 4.0)
 
 
+def _test_times(test_times) -> tuple[float, ...]:
+    """The evaluation times of ``construct_coray`` and ``subray_uniqueness_check``, checked.
+
+    ``DEFAULT_TEST_TIMES`` when None; else a nonempty sequence of
+    nonnegative finite times, as floats, or ``ValueError`` naming them.
+    """
+    times = tuple(float(t) for t in (DEFAULT_TEST_TIMES if test_times is None else test_times))
+    # written so that NaN fails the comparisons too
+    if not times or not all(0.0 <= t < np.inf for t in times):
+        raise ValueError(f"test times must be nonnegative and finite, got {times}")
+    return times
+
+
 @dataclass(frozen=True)
 class CorayResult:
     """Outcome of the co-ray limit construction.
@@ -126,9 +139,6 @@ def construct_coray(
     """
     require_unit_speed(mu, "the co-ray construction")
     schedule = tuple(float(t) for t in (DEFAULT_SCHEDULE if schedule is None else schedule))
-    test_times = tuple(
-        float(t) for t in (DEFAULT_TEST_TIMES if test_times is None else test_times)
-    )
     tol = float(tol)
     if len(schedule) < 2:
         raise ValueError("the target schedule needs at least two entries")
@@ -137,8 +147,7 @@ def construct_coray(
         raise ValueError(f"schedule entries must be positive and finite, got {schedule}")
     if not all(a < b for a, b in zip(schedule, schedule[1:])):
         raise ValueError("the target schedule must be strictly increasing")
-    if not test_times or not all(0.0 <= t < np.inf for t in test_times):
-        raise ValueError(f"test times must be nonnegative and finite, got {test_times}")
+    test_times = _test_times(test_times)
     if not tol > 0.0:
         raise ValueError(f"convergence tolerance tol must be positive, got {tol}")
     plan = solve_ot(nu0, ray_section(mu, 0.0), mu.p)
@@ -404,11 +413,7 @@ def subray_uniqueness_check(
     # written so that NaN fails the comparisons too
     if not 0.0 < tau < np.inf:
         raise ValueError(f"the subray shift tau must be positive and finite, got {tau}")
-    times = tuple(
-        float(t) for t in (DEFAULT_TEST_TIMES if test_times is None else test_times)
-    )
-    if not all(0.0 <= t < np.inf for t in times):
-        raise ValueError(f"test times must be nonnegative and finite, got {times}")
+    times = _test_times(test_times)
     rebuilt = coray_exact(mu, ray_section(coray, tau))
     gaps = tuple(
         wasserstein_distance(ray_section(rebuilt, t), ray_section(coray, t + tau), mu.p)

@@ -28,9 +28,9 @@ read in one pass: its lines are split into tokens, the header and keyed
 lines are checked in order, and every body token becomes a float in one
 list, in file order, so the first token that is no number is the one the
 message names. The table's columns are copied into fresh float64 arrays,
-which the measure and ray checks (``measures._checked_measure``,
-``paths._checked_ray``) then freeze without the public constructors'
-second conversion: the same checks, messages and bits.
+which ``measures._checked_measure`` and ``paths._checked_ray`` then freeze
+without the public constructors' second conversion: the same checks (both
+``measures._checked_weighted``'s), messages and bits.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Validation sits at one boundary: the public ``DiscreteMeasure``
 constructor converts and copies its input, and the sections and
 pushforwards the library builds itself skip only that conversion; both
-run the same checks, from one helper.
+run the same checks, ``_checked_weighted``'s: the one helper, tolerance
+(``WEIGHT_SUM_TOL``) and message set of every weighted point family, a
+measure's atoms and a lift's segments or a ray family's rays in ``paths``.
 
 Every frozen value type of the package (measures, couplings, geodesic
 lifts, ray measures, Busemann plans) is written by one helper too,
@@ -183,44 +185,66 @@ class DiscreteMeasure:
 def _checked_measure(atoms: np.ndarray, weights: np.ndarray, measure=None) -> DiscreteMeasure:
     """Run every ``DiscreteMeasure`` check on float64 arrays and freeze them into a measure.
 
-    The one implementation of the measure checks. The public constructor
-    converts and copies its input, then calls this with itself as
-    ``measure``; the library calls it directly, with no ``measure``, on
-    arrays it has just built (sections, pushforwards, files read by
-    ``io``), so those skip only the conversion and the copy. The arrays
-    are made read-only in place, and ``_frozen`` writes them.
+    The public constructor converts and copies its input, then calls this
+    with itself as ``measure``; the library calls it directly, with no
+    ``measure``, on arrays it has just built (sections, pushforwards, files
+    read by ``io``), so those skip only the conversion and the copy. The
+    checks are ``_checked_weighted``'s, and ``_frozen`` writes the arrays.
     """
-    if atoms.ndim != 2:
-        raise ValueError(f"atoms must form an (n, d) array, got shape {atoms.shape}")
-    if atoms.shape[0] == 0:
-        raise EmptyMeasureError("a discrete measure needs at least one atom")
-    if atoms.shape[1] == 0:
+    atoms, _, weights = _checked_weighted(atoms, None, weights, "atom", "discrete measure")
+    return _frozen(measure, DiscreteMeasure, {"atoms": atoms, "weights": weights})
+
+
+def _checked_weighted(first, second, weights: np.ndarray, item: str, family: str):
+    """Check the float64 (n, d) arrays of a weighted point family and their (n,) weights.
+
+    The one implementation of the checks every weighted point family runs.
+    ``first`` holds a measure's atoms, with ``second`` None, or a geodesic
+    lift's starts or a ray family's origins, with ``second`` the ends or
+    velocities (``paths._checked_family`` has checked that the two share
+    one shape). In order: the (n, d) shape, at least one row, d >= 1, one
+    weight per row, finite coordinates, finite and then nonnegative
+    weights, and the weight sum within ``WEIGHT_SUM_TOL``. Rows of zero
+    mass are dropped from both arrays. ``item`` and ``family`` name a row
+    and the family in the messages. Returns the kept ``first``, ``second``
+    and weights, made read-only in place.
+    """
+    if first.ndim != 2:
+        raise ValueError(f"{item}s must form an (n, d) array, got shape {first.shape}")
+    n, d = first.shape
+    if n == 0:
+        raise EmptyMeasureError(f"a {family} needs at least one {item}")
+    if d == 0:
         raise ValueError("ambient dimension must be at least 1")
-    if weights.shape != (atoms.shape[0],):
-        raise ValueError(
-            f"got {atoms.shape[0]} atoms but weight array of shape {weights.shape}"
-        )
+    if weights.shape != (n,):
+        raise ValueError(f"got {n} {item}s but weight array of shape {weights.shape}")
     # _array_min and _array_max return NaN if any entry is NaN (their
     # contract), so these comparisons fail on NaN and inf alike
-    if not (-np.inf < _array_min(atoms) and _array_max(atoms) < np.inf):
-        raise ValueError("atom coordinates must be finite")
+    if not (-np.inf < _array_min(first) and _array_max(first) < np.inf) or not (
+        second is None or -np.inf < _array_min(second) and _array_max(second) < np.inf
+    ):
+        raise ValueError(f"{item} coordinates must be finite")
     low = _array_min(weights)
     if not (-np.inf < low and _array_max(weights) < np.inf):
-        raise ValueError("weights must be finite")
+        raise ValueError(f"{item} weights must be finite")
     if low < 0.0:
-        raise ValueError("weights must be nonnegative")
+        raise ValueError(f"{item} weights must be nonnegative")
     if low == 0.0:
         keep = weights > 0.0
-        atoms = atoms[keep]
+        first = first[keep]
+        if second is not None:
+            second = second[keep]
         weights = weights[keep]
-        if atoms.shape[0] == 0:
-            raise EmptyMeasureError("every atom has zero mass")
+        if weights.shape[0] == 0:
+            raise EmptyMeasureError(f"every {item} has zero mass")
     total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-    atoms.setflags(write=False)
+        raise ValueError(f"{item} weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+    first.setflags(write=False)
+    if second is not None:
+        second.setflags(write=False)
     weights.setflags(write=False)
-    return _frozen(measure, DiscreteMeasure, {"atoms": atoms, "weights": weights})
+    return first, second, weights
 
 
 def _frozen(obj, cls, fields: dict):

@@ -85,7 +85,6 @@ from scipy.spatial.distance import cdist
 from .errors import (
     CostOverflowError,
     DimensionMismatchError,
-    EmptyMeasureError,
     InvalidExponentError,
     TransportSolveError,
 )
@@ -201,8 +200,6 @@ def _cost_overflow(what: str, p: float) -> CostOverflowError:
 
 def _check_instance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:
     p = check_exponent(p)
-    if len(mu) == 0 or len(nu) == 0:
-        raise EmptyMeasureError("transport needs nonempty measures")
     if mu.dim != nu.dim:
         raise DimensionMismatchError(
             f"measures live in dimensions {mu.dim} and {nu.dim}"

@@ -23,8 +23,9 @@ after a run is solved cold. Whether a plan's basis may be kept at all is
 follows too when it takes the exact Busemann limit (the chain's member
 at t = infinity) from the time-0 plan; every other solve is cold.
 
-Lifts and rays are frozen by ``measures._frozen``, the one writer of the
-frozen value types, from ``_checked_lift`` and ``_checked_ray``.
+Lifts and rays are checked by ``measures._checked_weighted``, as measures
+are, through ``_checked_family``, and frozen by ``measures._frozen`` in
+``_checked_lift`` and ``_checked_ray``.
 """
 
 from __future__ import annotations
@@ -36,16 +37,14 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyMeasureError,
     MarginalMismatchError,
     NonOptimalCouplingError,
     UnitSpeedError,
 )
 from .measures import (
     DiscreteMeasure,
-    _array_max,
-    _array_min,
     _checked_measure,
+    _checked_weighted,
     _distinct_rows,
     _frozen,
     _pooled_pair,
@@ -94,52 +93,21 @@ def _family_arrays(first, second, weights):
     return np.atleast_2d(first), np.atleast_2d(second), weights
 
 
-def _checked_family(first, second, weights, p, item, arrays, data):
+def _checked_family(first, second, weights, p, item, arrays):
     """Check and freeze the float64 arrays of a segment or ray family.
 
-    The one implementation of the checks ``GeodesicLift`` and
-    ``RayMeasure`` share, in their order; ``item``, ``arrays`` and ``data``
-    name a member, the array pair and its coordinates in the messages. The
-    public constructors convert and copy their input with
-    ``_family_arrays`` first; lifts the library builds from a checked
+    What a measure lacks: the array pair sharing one shape, named by
+    ``arrays``, and ``check_exponent``. Every other check, and the drop of
+    zero-mass members, is ``measures._checked_weighted``'s, with ``item``
+    naming a member. The public constructors convert and copy their input
+    with ``_family_arrays`` first; lifts the library builds from a checked
     coupling's entries (``lift_geodesic``) and rays read from a file
     (``io``) skip only that conversion.
-    Zero-mass members are dropped; the arrays kept are made read-only in
-    place.
     """
     if first.shape != second.shape:
         raise ValueError(f"{arrays} arrays must have the same shape")
-    if first.ndim != 2:
-        raise ValueError(f"{item}s must form an (n, d) array pair, got shape {first.shape}")
-    if first.shape[0] == 0:
-        raise EmptyMeasureError(f"a {item} family needs at least one {item}")
-    if first.shape[1] == 0:
-        raise ValueError("ambient dimension must be at least 1")
-    if weights.shape != (first.shape[0],):
-        raise ValueError(f"one weight per {item} required")
-    # _array_min and _array_max return NaN if any entry is NaN (their
-    # contract), so these comparisons fail on NaN and inf alike
-    if not (
-        -np.inf < _array_min(first)
-        and _array_max(first) < np.inf
-        and -np.inf < _array_min(second)
-        and _array_max(second) < np.inf
-    ):
-        raise ValueError(f"{data} must be finite")
-    low = _array_min(weights)
-    if not (0.0 <= low and _array_max(weights) < np.inf):
-        raise ValueError(f"{item} weights must be finite and nonnegative")
-    if low == 0.0:
-        keep = weights > 0.0
-        first, second, weights = first[keep], second[keep], weights[keep]
-        if first.shape[0] == 0:
-            raise EmptyMeasureError(f"every {item} has zero mass")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"{item} weights must sum to 1")
-    p = check_exponent(p)
-    for arr in (first, second, weights):
-        arr.setflags(write=False)
-    return first, second, weights, p
+    first, second, weights = _checked_weighted(first, second, weights, item, f"{item} family")
+    return first, second, weights, check_exponent(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +142,7 @@ def _checked_lift(starts, ends, weights, p, length, lift=None) -> GeodesicLift:
     writes the fields.
     """
     starts, ends, weights, p = _checked_family(
-        starts, ends, weights, p, "segment", "start and end", "segment endpoints"
+        starts, ends, weights, p, "segment", "start and end"
     )
     length = float(length)
     cost = _segment_cost(starts, ends, weights, p)
@@ -284,7 +252,7 @@ def _checked_ray(origins, velocities, weights, p, ray=None) -> RayMeasure:
     arrays it has just read. ``_frozen`` writes the fields.
     """
     origins, velocities, weights, p = _checked_family(
-        origins, velocities, weights, p, "ray", "origin and velocity", "ray data"
+        origins, velocities, weights, p, "ray", "origin and velocity"
     )
     fields = {"origins": origins, "velocities": velocities, "weights": weights, "p": p}
     return _frozen(ray, RayMeasure, fields)
@@ -384,12 +352,18 @@ def _plan_chain(ray: RayMeasure, nu0: DiscreteMeasure, plan: Coupling, times):
             k += 1
 
 
-def make_dirac_ray(origin, velocity, p=2.0) -> RayMeasure:
-    """Single-ray family: the point embedding of an ambient ray."""
-    o = as_point(origin)
+def _velocity(velocity) -> np.ndarray:
+    """A ray builder's velocity: ``as_point``'s finite vector, and nonzero."""
     v = as_point(velocity)
     if not v.any():
         raise ValueError("a ray needs a nonzero velocity")
+    return v
+
+
+def make_dirac_ray(origin, velocity, p=2.0) -> RayMeasure:
+    """Single-ray family: the point embedding of an ambient ray."""
+    o = as_point(origin)
+    v = _velocity(velocity)
     return RayMeasure(o[None, :], v[None, :], np.ones(1), p)
 
 
@@ -399,9 +373,7 @@ def make_translation_ray(mu0: DiscreteMeasure, velocity, p=2.0) -> RayMeasure:
     The sections are translates of mu0, and translation couplings are
     optimal, so this always yields a genuine ray (validate_ray confirms).
     """
-    v = as_point(velocity)
-    if not v.any():
-        raise ValueError("a ray needs a nonzero velocity")
+    v = _velocity(velocity)
     if v.size != mu0.dim:
         raise DimensionMismatchError(
             f"velocity has dimension {v.size}, measure has {mu0.dim}"
@@ -410,15 +382,21 @@ def make_translation_ray(mu0: DiscreteMeasure, velocity, p=2.0) -> RayMeasure:
     return RayMeasure(mu0.atoms, velocities, mu0.weights, p)
 
 
+def _time_pair(t1, t2) -> tuple[float, float]:
+    """Two ray times as floats, checked: 0 <= t1 < t2 < inf, which NaN fails."""
+    t1, t2 = float(t1), float(t2)
+    if not 0.0 <= t1 < t2 < np.inf:
+        raise ValueError(f"time pairs need 0 <= t1 < t2 < inf, got ({t1}, {t2})")
+    return t1, t2
+
+
 def restrict_to_geodesic(ray: RayMeasure, t1, t2) -> GeodesicLift:
     """The segment family of a ray between two times, as a geodesic lift.
 
     For a validated ray this is a genuine lift: its endpoint coupling is
     optimal and its length is (t2 - t1) times the ray speed.
     """
-    t1, t2 = float(t1), float(t2)
-    if not 0.0 <= t1 < t2 < np.inf:
-        raise ValueError(f"need 0 <= t1 < t2 < inf, got ({t1}, {t2})")
+    t1, t2 = _time_pair(t1, t2)
     starts = ray.positions(t1)
     ends = ray.positions(t2)
     length = _segment_cost(starts, ends, ray.weights, ray.p)
@@ -449,12 +427,7 @@ def validate_ray(ray: RayMeasure, time_pairs=()) -> RayValidationReport:
     ray property demands a zero gap and section distance (t2 - t1) * speed.
     Default pairs are used in addition to any caller-supplied ones.
     """
-    pairs = DEFAULT_VALIDATION_PAIRS + tuple(
-        (float(t1), float(t2)) for t1, t2 in time_pairs
-    )
-    for t1, t2 in pairs:
-        if not 0.0 <= t1 < t2 < np.inf:
-            raise ValueError(f"time pairs need 0 <= t1 < t2 < inf, got ({t1}, {t2})")
+    pairs = DEFAULT_VALIDATION_PAIRS + tuple(_time_pair(t1, t2) for t1, t2 in time_pairs)
     k = ray.speed
     gaps = []
     rel_gaps = []

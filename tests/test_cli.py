@@ -923,17 +923,14 @@ def test_non_finite_file_values_are_one_input_error(tmp_path, capsys, where):
     atom, weight = (str(tmp_path / f"{kind}-{where}.measure") for kind in ("atom", "weight"))
     data, ray_weight = (str(tmp_path / f"{kind}-{where}.rays") for kind in ("data", "weight"))
     coordinates = "invalid measure data: atom coordinates must be finite"
-    weights = "invalid measure data: weights must be finite"
+    weights = "invalid measure data: atom weights must be finite"
     for message, argv in [
         (coordinates, ["dist", atom, good_measure]),
         (weights, ["dist", good_measure, weight]),
         (coordinates, ["busemann", good_rays, atom]),
         (weights, ["busemann", good_rays, weight]),
-        ("invalid ray data: ray data must be finite", ["busemann", data, good_measure]),
-        (
-            "invalid ray data: ray weights must be finite and nonnegative",
-            ["busemann", ray_weight, good_measure],
-        ),
+        ("invalid ray data: ray coordinates must be finite", ["busemann", data, good_measure]),
+        ("invalid ray data: ray weights must be finite", ["busemann", ray_weight, good_measure]),
     ]:
         assert input_error(capsys, argv) == f"input error: {message}"
 

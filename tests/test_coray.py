@@ -703,6 +703,11 @@ def test_nan_and_infinite_check_times_fail_by_name(line_ray):
             lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=1.0, test_times=(0.0, nan)),
             "test times",
         ),
+        # no test time at all: once an unnamed "max() arg is an empty sequence"
+        (
+            lambda: w.subray_uniqueness_check(line_ray, line_ray, tau=1.0, test_times=()),
+            "test times",
+        ),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

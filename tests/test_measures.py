@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import wassray as w
 from wassray import busemann
 from wassray.errors import DimensionMismatchError, EmptyMeasureError, MarginalMismatchError
 from wassray.measures import _array_max, _array_min, _merge_keys, merge_atoms
-from wassray.paths import GLUE_WEIGHT_ATOL
+from wassray.paths import GLUE_WEIGHT_ATOL, _checked_lift
 
 from conftest import coords, same_bits
 
@@ -460,3 +461,48 @@ def test_every_value_type_is_frozen_with_read_only_arrays(tmp_path, build):
     for name in ("speed", "lower_bound", "_basis", "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, 0.0)
+
+
+POINTS = [[0.0, 0.0], [1.0, 2.0]]
+
+
+def read_back_measure(tmp_path, weights):
+    rows = [" ".join(map(repr, point + [x])) for point, x in zip(POINTS, weights)]
+    (tmp_path / "w.measure").write_text("\n".join(["measure", "dim 2", "atoms 2"] + rows) + "\n")
+    return w.read_measure(tmp_path / "w.measure")
+
+
+def read_back_rays(tmp_path, weights):
+    rows = [" ".join(map(repr, point * 2 + [x])) for point, x in zip(POINTS, weights)]
+    header = ["rays", "dim 2", "p 2.0", "entries 2"]
+    (tmp_path / "w.rays").write_text("\n".join(header + rows) + "\n")
+    return w.read_ray(tmp_path / "w.rays")
+
+
+def library_lift(_, weights):
+    points = np.array(POINTS)
+    return _checked_lift(points, points.copy(), np.array(weights), 2.0, 0.0)
+
+
+# every path into the one weighted-family check, each with two members
+WEIGHTED_FAMILIES = {
+    "DiscreteMeasure": ("atom", lambda _, wts: w.DiscreteMeasure(POINTS, wts)),
+    "read_measure": ("atom", read_back_measure),
+    "GeodesicLift": ("segment", lambda _, wts: w.GeodesicLift(POINTS, POINTS, wts, 2.0, 0.0)),
+    "_checked_lift": ("segment", library_lift),
+    "RayMeasure": ("ray", lambda _, wts: w.RayMeasure(POINTS, POINTS, wts, 2.0)),
+    "read_ray": ("ray", read_back_rays),
+}
+
+
+@pytest.mark.parametrize("item, build", WEIGHTED_FAMILIES.values(), ids=WEIGHTED_FAMILIES.keys())
+def test_every_weighted_family_checks_its_sum_against_one_tolerance(tmp_path, item, build):
+    # a sum 2e-12 off is rejected with one message, naming the tolerance
+    # and the sum (after the file readers' prefix); 5e-13 off is accepted
+    far = [0.5, 0.5 + 2e-12]
+    total = float(np.array(far).sum())
+    message = f"{item} weights must sum to 1 within 1e-12, got {total!r}"
+    with pytest.raises(ValueError, match=f"(^|: ){re.escape(message)}$"):
+        build(tmp_path, far)
+    near = [0.5, 0.5 + 5e-13]
+    assert build(tmp_path, near).weights.tolist() == near

@@ -239,43 +239,50 @@ def public_rays(first, second, weights):
 
 
 BAD_FAMILIES = [
-    ([[0.0], [np.nan]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
-    ([[np.nan], [0.0]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
-    ([[-np.inf], [0.0]], [[0.0], [0.0]], [0.5, 0.5], "{data} must be finite"),
-    ([[0.0], [0.0]], [[np.inf], [0.0]], [0.5, 0.5], "{data} must be finite"),
-    ([[0.0], [0.0]], [[0.0], [-np.inf]], [0.5, 0.5], "{data} must be finite"),
-    ([[0.0], [1.0]], [[0.0], [1.0]], [-0.5, 1.5], "{item} weights must be finite and nonnegative"),
-    ([[0.0], [1.0]], [[0.0], [1.0]], [np.nan, 1.0], "{item} weights must be finite and nonnegative"),
-    ([[0.0], [1.0]], [[0.0], [1.0]], [np.inf, 1.0], "{item} weights must be finite and nonnegative"),
-    ([[0.0], [1.0]], [[0.0], [1.0]], [-np.inf, 1.0], "{item} weights must be finite and nonnegative"),
-    ([[0.0], [1.0]], [[0.0], [1.0]], [1.0, np.nan], "{item} weights must be finite and nonnegative"),
-    ([[0.0], [1.0]], [[0.0], [1.0]], [0.5, 0.6], "{item} weights must sum to 1"),
+    ([[0.0], [np.nan]], [[0.0], [0.0]], [0.5, 0.5], "{item} coordinates must be finite"),
+    ([[np.nan], [0.0]], [[0.0], [0.0]], [0.5, 0.5], "{item} coordinates must be finite"),
+    ([[-np.inf], [0.0]], [[0.0], [0.0]], [0.5, 0.5], "{item} coordinates must be finite"),
+    ([[0.0], [0.0]], [[np.inf], [0.0]], [0.5, 0.5], "{item} coordinates must be finite"),
+    ([[0.0], [0.0]], [[0.0], [-np.inf]], [0.5, 0.5], "{item} coordinates must be finite"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [-0.5, 1.5], "{item} weights must be nonnegative"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [np.nan, 1.0], "{item} weights must be finite"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [np.inf, 1.0], "{item} weights must be finite"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [-np.inf, 1.0], "{item} weights must be finite"),
+    ([[0.0], [1.0]], [[0.0], [1.0]], [1.0, np.nan], "{item} weights must be finite"),
+    (
+        [[0.0], [1.0]],
+        [[0.0], [1.0]],
+        [0.5, 0.6],
+        "{item} weights must sum to 1 within 1e-12, got 1.1",
+    ),
     ([[0.0], [1.0]], [[0.0], [1.0]], [0.0, 0.0], "every {item} has zero mass"),
+    (
+        [[0.0], [1.0]],
+        [[0.0], [1.0]],
+        [1.0, 0.0, 0.0],
+        "got 2 {item}s but weight array of shape (3,)",
+    ),
     # a nonempty 3-D pair, once reported as "a nonempty (n, d) array pair"
     (
         np.ones((2, 2, 2)),
         np.ones((2, 2, 2)),
         [0.5, 0.5],
-        "{item}s must form an (n, d) array pair, got shape (2, 2, 2)",
+        "{item}s must form an (n, d) array, got shape (2, 2, 2)",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, item, data",
-    [
-        (public_lift, "segment", "segment endpoints"),
-        (library_lift, "segment", "segment endpoints"),
-        (public_rays, "ray", "ray data"),
-    ],
+    "build, item",
+    [(public_lift, "segment"), (library_lift, "segment"), (public_rays, "ray")],
 )
-def test_every_family_check_keeps_its_message(build, item, data):
+def test_every_family_check_keeps_its_message(build, item):
     # the same messages on the public and the library path, with no numpy
     # warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for first, second, weights, message in BAD_FAMILIES:
-            message = message.format(item=item, data=data)
+            message = message.format(item=item)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(first, second, weights)
         # zero-mass members are dropped, not rejected
