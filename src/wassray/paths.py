@@ -382,11 +382,18 @@ def make_translation_ray(mu0: DiscreteMeasure, velocity, p=2.0) -> RayMeasure:
     return RayMeasure(mu0.atoms, velocities, mu0.weights, p)
 
 
-def _time_pair(t1, t2) -> tuple[float, float]:
-    """Two ray times as floats, checked: 0 <= t1 < t2 < inf, which NaN fails."""
-    t1, t2 = float(t1), float(t2)
+def _time_pair(pair) -> tuple[float, float]:
+    """A pair of ray times as floats, checked: two of them, 0 <= t1 < t2 < inf, which NaN fails.
+
+    Anything else, an entry that is not two numbers included, raises the
+    one ``ValueError``, naming the entry.
+    """
+    try:
+        shown = t1, t2 = tuple(float(t) for t in pair)
+    except (TypeError, ValueError):
+        shown, t1, t2 = pair, np.nan, np.nan
     if not 0.0 <= t1 < t2 < np.inf:
-        raise ValueError(f"time pairs need 0 <= t1 < t2 < inf, got ({t1}, {t2})")
+        raise ValueError(f"time pairs need 0 <= t1 < t2 < inf, got {shown}")
     return t1, t2
 
 
@@ -396,7 +403,7 @@ def restrict_to_geodesic(ray: RayMeasure, t1, t2) -> GeodesicLift:
     For a validated ray this is a genuine lift: its endpoint coupling is
     optimal and its length is (t2 - t1) times the ray speed.
     """
-    t1, t2 = _time_pair(t1, t2)
+    t1, t2 = _time_pair((t1, t2))
     starts = ray.positions(t1)
     ends = ray.positions(t2)
     length = _segment_cost(starts, ends, ray.weights, ray.p)
@@ -427,7 +434,7 @@ def validate_ray(ray: RayMeasure, time_pairs=()) -> RayValidationReport:
     ray property demands a zero gap and section distance (t2 - t1) * speed.
     Default pairs are used in addition to any caller-supplied ones.
     """
-    pairs = DEFAULT_VALIDATION_PAIRS + tuple(_time_pair(t1, t2) for t1, t2 in time_pairs)
+    pairs = DEFAULT_VALIDATION_PAIRS + tuple(_time_pair(pair) for pair in time_pairs)
     k = ray.speed
     gaps = []
     rel_gaps = []

@@ -375,6 +375,11 @@ def test_nan_and_infinite_times_fail_by_name():
         (lambda: w.restrict_to_geodesic(ray, nan, 1.0), "need 0 <= t1 < t2 < inf, got (nan, 1.0)"),
         (lambda: w.validate_ray(ray, [(0.0, inf)]), "time pairs need 0 <= t1 < t2 < inf"),
         (lambda: w.validate_ray(ray, [(nan, 1.0)]), "time pairs need 0 <= t1 < t2 < inf"),
+        (
+            lambda: w.validate_ray(ray, [(0.0, 1.0, 2.0)]),
+            "time pairs need 0 <= t1 < t2 < inf, got (0.0, 1.0, 2.0)",
+        ),
+        (lambda: w.validate_ray(ray, [1.0]), "time pairs need 0 <= t1 < t2 < inf, got 1.0"),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
