@@ -174,7 +174,7 @@ def _cmd_busemann(args) -> int:
         # the limit itself: no schedule, so nothing left to decrease. The
         # printed lower bound is solved first, so its errors come before any
         # output, its plan is tried as the limit plan, and the non-ray
-        # verdict decides on it with no mean bound
+        # verdict decides on it with no second solve
         exact = _limit_plan(ray, nu, lower_bound_first=True)
         _ray_verdict(exact)
         estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
@@ -212,8 +212,8 @@ def _cmd_coray(args) -> int:
         # exact: no schedule steps, nothing left to move
         coray, steps, diagnostic, converged = coray_exact(ray, nu0), 0, 0.0, True
     else:
-        schedule = _vector(args.schedule) if args.schedule else None
-        test_times = _vector(args.test_times) if args.test_times else None
+        schedule = None if args.schedule is None else _vector(args.schedule)
+        test_times = None if args.test_times is None else _vector(args.test_times)
         tol = args.tol if args.tol is not None else CORAY_TOL
         result = construct_coray(ray, nu0, schedule=schedule, test_times=test_times, tol=tol)
         coray, steps = result.ray, len(result.schedule)

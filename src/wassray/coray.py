@@ -42,12 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .busemann import busemann_exact
-from .measures import DiscreteMeasure, _array_max
+from .measures import DiscreteMeasure
 from .ot import (
     Coupling,
-    _check_distances,
     _checked_coupling,
     _lengths,
+    p_mean,
     solve_ot,
     wasserstein_distance,
 )
@@ -256,11 +256,9 @@ def _movements(starts, ends, lengths, masses, times: np.ndarray, p: float) -> li
     The K pairs start at ``starts`` (K, d) and carry ``masses`` (K,); in
     plan s they end at ``ends[s]`` (S, K, d), on a geodesic of cost
     ``lengths[s]``. The pairs' distances at each of ``times`` are
-    ``ot._lengths``, as lift lengths are, checked by ``_check_distances``
-    before any power. The bound from plan s to plan s + 1 is the largest
-    over ``times`` of the pairs' p-mean distance: each row summed along a
-    C-contiguous axis as ``p_mean``'s 1-D sum, and the 1/p root of the
-    largest sum taken on a Python float, since x ** (1/p) rises with x.
+    ``ot._lengths``, as lift lengths are. The bound from plan s to plan
+    s + 1 is the largest over ``times`` of the pairs' ``p_mean`` distance,
+    taken on the ((S - 1) T, K) stack of distances.
     Returns S - 1 floats, all 0.0 when ``times`` is empty.
     """
     if not len(times) or len(ends) == 1:
@@ -268,9 +266,9 @@ def _movements(starts, ends, lengths, masses, times: np.ndarray, p: float) -> li
     positions = _positions(starts, ends, lengths, times)
     gap = positions[:-1] - positions[1:]
     distances = _lengths(gap)
-    _check_distances(_array_max(distances), p)
-    sums = np.add.reduce(masses * distances**p, axis=2)
-    return [s ** (1.0 / p) for s in sums.max(axis=1).tolist()]
+    roots = p_mean(masses, distances.reshape(-1, distances.shape[-1]), p)
+    per_step = len(times)
+    return [max(roots[k : k + per_step]) for k in range(0, len(roots), per_step)]
 
 
 def _positions(starts: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray):
@@ -305,11 +303,10 @@ def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:
     schedule and no convergence flag. The Lipschitz bound needs ``mu`` to
     be a ray, which is not checked: ``NotARayError`` comes only from
     ``busemann_exact``'s non-ray guard, the value against -W_p(nu0, mu_0),
-    which solves that distance only when the mean bound
-    (``busemann.distance_floor``) leaves the verdict open. The crossing
-    family (origins 0 and 10, velocities 1 and -1) passes it from the
-    Dirac at 0.5, though it fails ``validate_ray``. ROADMAP item 7 is the
-    exact ray certificate.
+    which solves that distance only when the value is below -1e-9. The
+    crossing family (origins 0 and 10, velocities 1 and -1) passes it from
+    the Dirac at 0.5, though it fails ``validate_ray``. ROADMAP item 7 is
+    the exact ray certificate.
     """
     plan = busemann_exact(mu, nu0)
     return RayMeasure(

@@ -88,7 +88,7 @@ from .errors import (
     InvalidExponentError,
     TransportSolveError,
 )
-from .measures import DiscreteMeasure, _array_max, _array_min, _frozen
+from .measures import WEIGHT_SUM_TOL, DiscreteMeasure, _array_max, _array_min, _frozen
 
 P_MIN = 1.0
 P_MAX = 16.0
@@ -114,14 +114,16 @@ def check_exponent(p) -> float:
     return p
 
 
-def p_mean(weights, lengths, p) -> float:
-    """Weighted p-mean (sum of w * l**p) ** (1/p) of nonnegative lengths.
+def p_mean(weights, lengths, p):
+    """Weighted p-mean (sum of w * l**p) ** (1/p) of nonnegative lengths, or of a stack's rows.
 
-    Transport costs, geodesic lengths and ray speeds are all
-    ``_entry_p_mean`` of lengths**p, as a solved plan's cost is of its
+    Transport costs, geodesic lengths, ray speeds and co-ray movements are
+    all ``_entry_p_mean`` of lengths**p, as a solved plan's cost is of its
     entries' d**p, so values that must agree are computed bit-identically.
-    The largest length goes through ``_check_distances`` first, so a
-    length whose p-th power overflows raises ``CostOverflowError``.
+    A 1-D ``lengths`` gives a float; a (T, k) stack gives a list of T
+    floats, each with its row's bits as a vector. The largest length goes
+    through ``_check_distances`` first, so a length whose p-th power
+    overflows raises ``CostOverflowError``.
     """
     _check_distances(_array_max(lengths), p)
     return _entry_p_mean(weights, lengths**p, p)
@@ -221,8 +223,11 @@ class Coupling:
     The constructor converts and copies its input, checks that each entry
     array is one-dimensional, then runs every check (entry lengths, index
     ranges, finite positive masses, marginals, cost) in
-    ``_checked_coupling``. Plans built by ``solve_ot`` run the same checks
-    without the conversion, and read the entries' d**p from the cost
+    ``_checked_coupling``. Last, the masses must sum to 1 within
+    ``measures.WEIGHT_SUM_TOL``, as a lift's segment weights must: marginals
+    each within 1e-9 can miss that. Plans built by ``solve_ot`` run the
+    same checks but this last one, which their validated marginals make
+    good, without the conversion, and read the entries' d**p from the cost
     matrix they were solved on instead of recomputing the distances.
     """
 
@@ -251,6 +256,9 @@ class Coupling:
         if not left.ndim == right.ndim == masses.ndim == 1:
             raise ValueError("entry arrays must be one-dimensional")
         _checked_coupling(self.mu, self.nu, left, right, masses, p, self.cost, self)
+        total = float(masses.sum())
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"entry masses must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
 
     def pair_distances(self) -> np.ndarray:
         """Euclidean distance of each entry's atom pair."""

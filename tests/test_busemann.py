@@ -247,9 +247,10 @@ def verdict(monkeypatch, solves):
     The rule fires when the value falls below -W - 1e-9 max(1, W) for the
     solved W = ``wasserstein_distance(nu, ray_section(ray, 0), p)``. A spy
     records each limiting LP's value, with ``busemann_exact``'s own
-    expression, so a rejected family's value is known too. A returned
-    plan's lower bound must have -W's bits. Returns whether the family
-    was rejected and whether ``busemann_exact`` solved W_p to decide.
+    expression, so a rejected family's value is known too. ``busemann_exact``
+    must solve W_p exactly when that value is below -1e-9, and a returned
+    plan's lower bound must have -W's bits. Returns whether the family was
+    rejected and whether ``busemann_exact`` solved W_p to decide.
     """
     values = []
     transport_plan = busemann.transport_plan
@@ -268,6 +269,7 @@ def verdict(monkeypatch, solves):
         except NotARayError:
             plan = None
         solved = len(solves) > before
+        assert solved == (values[-1] < -busemann.LOWER_BOUND_ATOL)
         distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
         fires = values[-1] < -distance - busemann.LOWER_BOUND_ATOL * max(1.0, distance)
         assert (plan is None) == fires
@@ -280,27 +282,28 @@ def verdict(monkeypatch, solves):
 
 
 @pytest.mark.parametrize("kind, p", GENUINE_RAY_KINDS)
-def test_mean_bound_keeps_the_verdict_on_genuine_rays(kind, p, verdict):
-    # the mean bound settles the probes with no solve. The section at 3 has
-    # value -3 = -W_p, while its mean moves less than 3 unless every ray is
-    # parallel, so it meets the rule on the solved distance
+def test_non_ray_rule_on_genuine_rays(kind, p, verdict):
+    # no probe is rejected; mu_0 has value 0 and passes with no solve, and
+    # the section at 3 has value -3 = -W_p, on the threshold's edge, which
+    # it meets on the solved distance
     ray, probes = genuine_ray_case(kind, p)
-    for nu in [*probes, w.ray_section(ray, 0.0)]:
-        assert verdict(ray, nu) == (False, False)
+    for nu in probes:
+        assert not verdict(ray, nu)[0]
+    assert verdict(ray, w.ray_section(ray, 0.0)) == (False, False)
     assert verdict(ray, w.ray_section(ray, 3.0)) == (False, True)
 
 
-def test_mean_bound_keeps_the_verdict_on_the_crossing_family(verdict):
-    # origins 0 and 10, velocities +-1: rejected from mu_0 (value -10, both
-    # bounds 0); from the Dirac at 0.5 the value -5 is below -L = -4.5 but
-    # not below -W_2 = -6.73, so the family passes there on the solve
+def test_non_ray_rule_on_the_crossing_family(verdict):
+    # origins 0 and 10, velocities +-1: rejected from mu_0 (value -10,
+    # W_2 = 0); from the Dirac at 0.5 the value -5 is not below
+    # -W_2 = -6.73, so the family passes there on the solve
     crossing = w.RayMeasure([[0.0], [10.0]], [[1.0], [-1.0]], [0.5, 0.5], 2.0)
     assert verdict(crossing, w.ray_section(crossing, 0.0)) == (True, True)
     assert verdict(crossing, w.dirac((0.5,))) == (False, True)
     assert w.busemann_exact(crossing, w.dirac((0.5,))).value == -5.0
 
 
-def test_mean_bound_keeps_the_verdict_on_random_families(verdict):
+def test_non_ray_rule_on_random_families(verdict):
     # 800 random families of 2-4 rays in d <= 2, half of them rejected, at
     # their time-0 and time-1 sections and at a random measure
     rng = np.random.default_rng(7)
@@ -323,7 +326,7 @@ def test_mean_bound_keeps_the_verdict_on_random_families(verdict):
     assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) > 300
 
 
-def test_mean_bound_keeps_the_verdict_with_coincident_origins(verdict):
+def test_non_ray_rule_with_coincident_origins(verdict):
     # two rays share an origin, and two more sit 3e-13 apart, which the
     # time-0 section pools at the first one's coordinates
     weights = np.full(4, 0.25)
@@ -338,27 +341,31 @@ def test_mean_bound_keeps_the_verdict_with_coincident_origins(verdict):
     assert outcomes[0] == (True, True) and (False, False) in outcomes
 
 
-def test_mean_bound_keeps_the_verdict_where_it_equals_the_distance(verdict):
-    # nu is mu_0 moved by 5 v along a translation ray: L = W_2 = 5 and the
-    # value is -5, on the threshold's edge, and still no solve is needed
+def test_non_ray_rule_where_the_value_is_minus_the_distance(verdict):
+    # nu is mu_0 moved by 5 v along a translation ray: W_2 = 5 and the
+    # value is -5, on the threshold's edge, which it meets on the solve
     mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 3.0], [-2.0, 1.0]], [0.2, 0.3, 0.5])
     v = np.array([0.6, 0.8])
     ray = w.make_translation_ray(mu0, v)
     nu = mu0.translate(5.0 * v)
-    assert verdict(ray, nu) == (False, False)
+    assert verdict(ray, nu) == (False, True)
     assert w.busemann_exact(ray, nu).value == pytest.approx(-5.0, abs=1e-12)
-    assert busemann.distance_floor(ray, nu) == pytest.approx(5.0, rel=1e-9)
 
 
 def test_exact_value_solves_its_lower_bound_on_first_read(solves):
+    # busemann_exact solves W_p only for a value below -1e-9; otherwise the
+    # first read of the lower bound solves it. Either way it is solved once
     ray, probes = genuine_ray_case("comonotone", 2.0)
-    for nu in probes:
+    below = []
+    for nu in [*probes, w.ray_section(ray, 0.0), w.ray_section(ray, 3.0)]:
         solves.clear()
         plan = w.busemann_exact(ray, nu)
-        assert solves == []
+        below.append(plan.value < -busemann.LOWER_BOUND_ATOL)
+        assert len(solves) == below[-1]
         lower_bound = plan.lower_bound
         assert len(solves) == 1
         assert plan.lower_bound == lower_bound and len(solves) == 1
+    assert True in below and False in below
 
 
 def test_exact_value_of_a_far_measure_needs_no_distance():
@@ -376,6 +383,15 @@ def test_exact_value_of_a_far_measure_needs_no_distance():
         # error, naming the squared distance, still comes first
         with pytest.raises(CostOverflowError, match="squared distance"):
             w.busemann_exact(w.make_dirac_ray((-1e308,), (1.0,)), w.dirac((1e308,)))
+
+
+def test_exact_value_below_zero_raises_where_the_distance_overflows():
+    # the value -1e20 is decided on W_16 of a Dirac 1e20 from mu_0, whose
+    # cost overflows, as ``wassray busemann`` on the same inputs does
+    ray = w.make_dirac_ray((0.0, 0.0), (1.0, 0.0), p=16.0)
+    with pytest.raises(CostOverflowError, match="p = 16"):
+        w.busemann_exact(ray, w.dirac((1e20, 0.0)))
+    assert w.busemann_exact(ray, w.dirac((-1e20, 0.0))).value == 1e20
 
 
 def far_rounding_case():

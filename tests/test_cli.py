@@ -220,11 +220,14 @@ def test_coray_non_convergence_exits_4(files):
         (["coray", "--test-times", "-1"], "test times"),
         (["--tol", "nan", "coray", "--schedule", "2,4"], "tolerance tol"),
         (["--tol", "-1", "coray", "--schedule", "2,4"], "tolerance tol"),
+        (["coray", "--schedule", ""], "schedule needs at least two entries"),
+        (["coray", "--test-times", ""], "test times must be nonnegative and finite, got ()"),
     ],
 )
 def test_coray_construction_rejects_bad_times_and_tol_by_name(files, capsys, option, named):
     # NaN and inf used to reach the sections (or, for tol, run every step
-    # and exit 4); now one input error names the parameter, with no warning
+    # and exit 4), and an empty list ran the defaults; now one input error
+    # names the parameter, with no warning
     split = option.index("coray") + 1
     argv = option[:split] + [files["ray"], files["a"]] + option[split:]
     with warnings.catch_warnings():
@@ -252,24 +255,20 @@ def test_busemann_defaults_to_the_exact_value(files, capsys):
 
 
 def test_default_busemann_decides_the_non_ray_rule_on_its_printed_lower_bound(
-    files, capsys, monkeypatch
+    files, capsys, solves
 ):
-    # the value -3 is below -1e-9, so the library's verdict tries the mean
-    # bound before solving W_p; the CLI solves W_p to print it, so the
-    # verdict decides on that and the mean bound is never computed
-    floors = []
-    distance_floor = busemann.distance_floor
-
-    def spy(ray, nu):
-        floors.append(1)
-        return distance_floor(ray, nu)
-
-    monkeypatch.setattr(busemann, "distance_floor", spy)
+    # the value -3 is below -1e-9, so the library's verdict solves W_p; the
+    # CLI solves W_p first to print it, and the verdict decides on that
+    # with no second solve
     assert main(["busemann", files["ray"], files["b"]]) == 0
-    assert cli_fields(capsys)["value"] == "-3" and floors == []
-    # the truncation path keeps the library's verdict, mean bound first
+    assert cli_fields(capsys)["value"] == "-3" and len(solves) == 1
+    # the truncation path keeps the library's verdict, which solves W_p,
+    # and the truncation solves it again as its lower bound
+    solves.clear()
     assert main(["busemann", files["ray"], files["b"], "--t0", "1"]) == 0
-    assert float(cli_fields(capsys)["lower_bound"]) == -5.0 and floors == [1]
+    assert float(cli_fields(capsys)["lower_bound"]) == -5.0
+    to_mu0 = [args for args in solves if args[1].atoms.tolist() == [[0.0, 0.0]]]
+    assert len(to_mu0) == 2
 
 
 def test_a_negative_zero_prints_as_0(tmp_path, capsys):

@@ -164,6 +164,17 @@ def test_coupling_reports_a_bad_index_before_a_bad_mass(left, bad):
         Coupling(mu, nu, left, [0, 1], [0.5, bad], 2.0)
 
 
+def test_coupling_rejects_masses_that_no_lift_takes():
+    # each row is within 1e-9 of its marginal, but a lift's segment weights
+    # must sum to 1 within 1e-12, so the constructor rejects the sum
+    mu = w.uniform_measure([[0.0], [1.0]])
+    nu = w.uniform_measure([[0.0], [2.0]])
+    with pytest.raises(ValueError, match=r"sum to 1 within 1e-12, got 1\.0000000004"):
+        Coupling(mu, nu, [0, 1], [0, 1], [0.5 + 4e-10, 0.5], 2.0)
+    near = Coupling(mu, nu, [0, 1], [0, 1], [0.5 + 5e-13, 0.5], 2.0)
+    assert w.lift_geodesic(near).weights.tolist() == near.masses.tolist()
+
+
 def test_coupling_rejects_unequal_entry_lengths():
     mu, nu = two_atom_instance()
     with pytest.raises(ValueError, match="equal length"):
