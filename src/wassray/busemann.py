@@ -6,16 +6,18 @@ W_p(nu, mu_t) - t is non-increasing in t and bounded below by
 exists and every finite-t value is an upper bound for it.
 
 For a ray family in R^d the limit is itself one linear transport problem,
-which ``busemann_exact`` solves with a certified plan; the CLI uses it by
-default, and ``lipschitz_check`` and the co-ray checks read their values
-from it. ``busemann_value`` keeps the truncation as an independent
-oracle: it doubles t until the decrement stalls, returns an explicit
-upper bound bracketed by [lower_bound, value], and records the full
-schedule so callers can judge the truncation themselves.
+which ``busemann_exact`` solves with a certified plan. It is the one exact
+path: the CLI's default ``busemann``, ``coray_exact``, ``lipschitz_check``
+and the co-ray checks all read their values from it. ``busemann_value``
+keeps the truncation as an independent oracle: it doubles t until the
+decrement stalls, returns an explicit upper bound bracketed by
+[lower_bound, value], and records the full schedule so callers can judge
+the truncation themselves.
 
 ``BusemannPlan`` is frozen by ``measures._frozen``, the one writer of the
 frozen value types, and its ``lower_bound`` is a
-``functools.cached_property``, which ``_limit_plan`` may prime.
+``functools.cached_property``, which ``busemann_exact`` primes when it
+solved W_p(nu, mu_0) first.
 """
 
 from __future__ import annotations
@@ -197,13 +199,13 @@ class BusemannPlan:
     ``left``/``right``/``masses`` are the positive entries of an optimal
     plan of the limiting transport problem: mass ``masses[k]`` of nu's atom
     ``left[k]`` goes to the ray ``right[k]`` of the family.
-    ``lower_bound`` is -W_p(nu, mu_0), a ``functools.cached_property``:
-    solved on its first read (by ``busemann_exact``'s non-ray check when
-    the value is below -1e-9) and cached; a cost that overflows raises
-    ``CostOverflowError`` there, on every read until one succeeds. The
-    CLI's default ``busemann`` builds its plan with that W_p solved first,
-    so ``_limit_plan`` primes the cache among the fields it hands
-    ``_frozen``, and the limit's entries may then be the W_p plan's own.
+    ``lower_bound`` is -W_p(nu, mu_0), a ``functools.cached_property``.
+    ``busemann_exact`` primes it when both sides have more than one atom,
+    since it solves that W_p first there, and the limit's entries may then
+    be the W_p plan's own. Otherwise it is solved on its first read (by
+    ``busemann_exact``'s non-ray check when the value is below -1e-9) and
+    cached; a cost that overflows raises ``CostOverflowError`` there, on
+    every read until one succeeds.
     """
 
     value: float
@@ -241,39 +243,28 @@ def busemann_exact(ray: RayMeasure, nu: DiscreteMeasure) -> BusemannPlan:
     schedule, far section or convergence flag is involved; the truncation
     ``busemann_value`` is the independent oracle.
 
+    With more than one atom on both sides the limit may need the simplex,
+    and only there can a plan of W_p(nu, mu_0) save it. So there that W_p
+    is solved first, right after the unit-speed and dimension checks, and
+    primed as ``lower_bound``, and its errors come first. Its plan couples
+    the same weights as the limit when the section pooled no origins; where
+    ``ot._kept_basis`` lets its basis stand in for ``transport_plan`` and
+    ``_basis_certified`` certifies that basis on the limiting costs, its
+    entries are the limit plan, with no second solve. With one atom on
+    either side the limit is the one feasible plan, solved first.
+
     Raises ``NotARayError`` (a ``MonotonicityError`` and a ``ValueError``)
     when the value falls below -W_p(nu, mu_0) by more than
     1e-9 max(1, W_p(nu, mu_0)): the triangle inequality forbids it for a
     genuine ray, and the plan is certified, so the family is not one.
-    W_p >= 0, so a value of at least -1e-9 passes with no solve; any other
-    value reads ``BusemannPlan.lower_bound`` and meets the rule on the
+    W_p >= 0, so a value of at least -1e-9 passes whatever the distance; any
+    other value reads ``BusemannPlan.lower_bound`` and meets the rule on the
     solved W_p, and that solve may also raise ``CostOverflowError``.
-    """
-    plan = _limit_plan(ray, nu)
-    _ray_verdict(plan)
-    return plan
-
-
-def _limit_plan(
-    ray: RayMeasure, nu: DiscreteMeasure, lower_bound_first: bool = False
-) -> BusemannPlan:
-    """``busemann_exact``'s value and plan, before the non-ray verdict.
-
-    With ``lower_bound_first``, as the CLI's default ``busemann`` prints
-    -W_p(nu, mu_0), that W_p is solved right after the unit-speed and
-    dimension checks and primed as ``lower_bound``, so its errors come first.
-    Its plan couples the same weights as the limit when the section pooled
-    no origins. Where ``ot._kept_basis`` lets its basis stand in for
-    ``transport_plan`` and ``_basis_certified`` certifies that basis on the
-    limiting costs, the W_p plan's entries are the limit plan, with no
-    second solve. A ``nu`` with the ray's weights on more than one atom is
-    never kept: ``transport_plan`` asks the assignment solver there, so
-    the plan is ``busemann_exact``'s.
     """
     require_unit_speed(ray, "the Busemann function")
     if nu.dim != ray.dim:
         raise DimensionMismatchError(f"measures live in dimensions {nu.dim} and {ray.dim}")
-    start = solve_ot(nu, ray_section(ray, 0.0), ray.p) if lower_bound_first else None
+    start = solve_ot(nu, ray_section(ray, 0.0), ray.p) if len(nu) > 1 and len(ray) > 1 else None
     speeds = _lengths(ray.velocities)
     # |v_j|^(p-2), and 0 for a resting ray, where it may be infinite
     scale = np.power(speeds, ray.p - 2.0, out=np.zeros_like(speeds), where=speeds > 0.0)
@@ -299,25 +290,15 @@ def _limit_plan(
     fields = {"value": value, "left": left, "right": right, "masses": masses, "ray": ray, "nu": nu}
     if start is not None:
         fields["lower_bound"] = -start.cost
-    return _frozen(None, BusemannPlan, fields)
-
-
-def _ray_verdict(plan: BusemannPlan) -> None:
-    """``busemann_exact``'s non-ray rule on a limit plan: raise ``NotARayError`` if it fires.
-
-    W_p >= 0, so a value that clears the threshold at 0, -1e-9, passes.
-    Any other value is compared with -W_p - 1e-9 max(1, W_p), on the lower
-    bound in the plan's cache or, with none there, solved now.
-    """
-    value = plan.value
-    if not value < -LOWER_BOUND_ATOL:
-        return
-    lower_bound = plan.lower_bound
-    if not value >= lower_bound - LOWER_BOUND_ATOL * max(1.0, -lower_bound):
-        raise NotARayError(
-            f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
-            "the ray family is not a ray"
-        )
+    plan = _frozen(None, BusemannPlan, fields)
+    if value < -LOWER_BOUND_ATOL:
+        lower_bound = plan.lower_bound
+        if not value >= lower_bound - LOWER_BOUND_ATOL * max(1.0, -lower_bound):
+            raise NotARayError(
+                f"Busemann value {value!r} fell below its lower bound {lower_bound!r}; "
+                "the ray family is not a ray"
+            )
+    return plan
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,12 @@ One subcommand per core capability::
 limiting transport problem; the global ``--tol``, or any of ``--t0``,
 ``--max-doublings`` or ``--out-csv`` (busemann) and ``--schedule``,
 ``--test-times`` or ``--out-csv`` (coray), selects the truncation or limit
-construction instead, which keeps the same output keys. The default
-``busemann`` solves the W_p(nu, mu_0) it prints as ``lower_bound`` first,
-right after the unit-speed and dimension checks, and keeps that plan as
-the limit plan when its basis is certified on the limiting costs, so a
-translation ray, for one, takes one LP. The ``busemann`` truncation runs
-the exact solve first, so a family that is not a ray exits 2 on both
-paths. The global ``--p`` (default 2) sets the order of
-the commands that read no ray file; a given ``--p`` that differs from a
-ray file's p is an input error.
+construction instead, which keeps the same output keys. Both exact
+commands take their plan from ``busemann_exact``, so they agree. The
+``busemann`` truncation runs the exact solve first, so a family that is
+not a ray exits 2 on both paths. The global ``--p`` (default 2) sets the
+order of the commands that read no ray file; a given ``--p`` that differs
+from a ray file's p is an input error.
 
 Exit codes: 0 success, 1 a verification check failed, 2 input or parse
 error, 3 solver error, 4 non-convergence. Numeric output uses 12
@@ -48,8 +45,6 @@ from .busemann import (
     DEFAULT_T0,
     DEFAULT_TOL,
     BusemannEstimate,
-    _limit_plan,
-    _ray_verdict,
     busemann_exact,
     busemann_value,
 )
@@ -171,12 +166,8 @@ def _cmd_busemann(args) -> int:
     ray = _read_ray(args)
     nu = read_measure(args.nu)
     if all(opt is None for opt in (args.tol, args.t0, args.max_doublings, args.out_csv)):
-        # the limit itself: no schedule, so nothing left to decrease. The
-        # printed lower bound is solved first, so its errors come before any
-        # output, its plan is tried as the limit plan, and the non-ray
-        # verdict decides on it with no second solve
-        exact = _limit_plan(ray, nu, lower_bound_first=True)
-        _ray_verdict(exact)
+        # the limit itself: no schedule, so nothing left to decrease
+        exact = busemann_exact(ray, nu)
         estimate = BusemannEstimate(exact.value, float("inf"), 0.0, exact.lower_bound, (), True)
     else:
         # the truncation alone can settle on a family that is no ray; the

@@ -303,10 +303,11 @@ def coray_exact(mu: RayMeasure, nu0: DiscreteMeasure) -> RayMeasure:
     schedule and no convergence flag. The Lipschitz bound needs ``mu`` to
     be a ray, which is not checked: ``NotARayError`` comes only from
     ``busemann_exact``'s non-ray guard, the value against -W_p(nu0, mu_0),
-    which solves that distance only when the value is below -1e-9. The
-    crossing family (origins 0 and 10, velocities 1 and -1) passes it from
-    the Dirac at 0.5, though it fails ``validate_ray``. ROADMAP item 7 is
-    the exact ray certificate.
+    which needs that distance only when the value is below -1e-9 (it is
+    solved first anyway when both sides have more than one atom, and its
+    plan may then be the limit plan). The crossing family (origins 0 and
+    10, velocities 1 and -1) passes it from the Dirac at 0.5, though it
+    fails ``validate_ray``. ROADMAP item 7 is the exact ray certificate.
     """
     plan = busemann_exact(mu, nu0)
     return RayMeasure(

@@ -50,9 +50,9 @@ with the simplex's own tree walk (``_hang_tree``) and ``_reduced_costs``,
 and the chain keeps the plan, its lengths ``_entry_p_mean`` as a solved
 plan's cost is, on the leading run of sections it certifies, with no
 solve for them. The exact Busemann limit is that chain's member at
-t = infinity, and the CLI's default ``busemann``, which solves the time-0
-plan to print its cost, tries that plan on the limiting costs
-(``busemann._limit_plan``) with ``_basis_certified``, the same test on one
+t = infinity, and ``busemann.busemann_exact``, which solves the time-0
+plan first when both sides have more than one atom, tries that plan on
+the limiting costs with ``_basis_certified``, the same test on one
 matrix, which is ``_solve_lp``'s first stop test; a plan it certifies is
 the limit plan, with no second solve. Both tests pass a star unseen,
 since a single atom's one feasible plan ignores the costs.
@@ -242,8 +242,8 @@ class Coupling:
     # masses included) the simplex stopped on, or a single atom's star, which
     # ``solve_ot`` writes with ``_frozen``, the one writer, on the plans it
     # solves and a schedule's stacked pass
-    # (``paths._kept_plan_lengths``) re-prices on later sections, as the
-    # CLI's default Busemann limit does on its costs; every other
+    # (``paths._kept_plan_lengths``) re-prices on later sections, as
+    # ``busemann_exact`` does on the limiting costs; every other
     # coupling has none, so ``paths.lift_geodesic`` lifts a plan with one
     # without solving its instance again
     _basis = None

@@ -19,9 +19,9 @@ both walk that chain with ``_plan_chain``. Its kept runs come from
 ``_kept_plan_lengths``: the leading later sections on which a plan's kept
 basis stays certified, a chunk of them found at once; the first section
 after a run is solved cold. Whether a plan's basis may be kept at all is
-``ot._kept_basis``, the one rule, which the CLI's default ``busemann``
-follows too when it takes the exact Busemann limit (the chain's member
-at t = infinity) from the time-0 plan; every other solve is cold.
+``ot._kept_basis``, the one rule, which ``busemann_exact`` follows too
+when it takes the exact Busemann limit (the chain's member at
+t = infinity) from the time-0 plan; every other solve is cold.
 
 Lifts and rays are checked by ``measures._checked_weighted``, as measures
 are, through ``_checked_family``, and frozen by ``measures._frozen`` in
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .measures import (
     DiscreteMeasure,
+    _array_max,
     _checked_measure,
     _checked_weighted,
     _distinct_rows,
@@ -224,7 +225,17 @@ class RayMeasure:
 
     @functools.cached_property
     def speed(self) -> float:
-        return p_mean(self.weights, _lengths(self.velocities), self.p)
+        speed = p_mean(self.weights, _lengths(self.velocities), self.p)
+        top = _array_max(np.abs(self.velocities))
+        # squares of coordinates below 2**-485, or a p-th-power sum below
+        # 2**-969, leave the normal range and lose bits; those speeds are
+        # taken on the velocities scaled by a power of two, which is exact,
+        # and scaled back. Every other speed keeps its bits
+        if 0.0 < top and (top < 2.0**-485 or speed < 2.0 ** (-969.0 / self.p)):
+            shift = -int(np.frexp(top)[1])
+            scaled = _lengths(np.ldexp(self.velocities, shift))
+            speed = float(np.ldexp(p_mean(self.weights, scaled, self.p), -shift))
+        return speed
 
     @property
     def dim(self) -> int:

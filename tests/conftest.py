@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import wassray as w
 from wassray import busemann, coray, ot, paths
@@ -34,6 +35,30 @@ def weighted_translation_setup():
     mu0 = w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(4, 2)), [0.1, 0.2, 0.3, 0.4])
     nu = w.DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(5, 2)), [0.3, 0.1, 0.25, 0.15, 0.2])
     return mu0, nu, np.array([0.6, 0.8])
+
+
+def weighted_translation_case():
+    """A weighted 3-atom mu_0, its translation ray along (0.6, 0.8), and a weighted 2-atom nu.
+
+    nu's plan to any section is an LP with a kept basis, and the limiting
+    costs are separable, so the time-0 plan is optimal in the limit too.
+    """
+    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])
+    nu = w.DiscreteMeasure([[3.0, 4.0], [0.0, -1.0]], [0.4, 0.6])
+    return mu0, w.make_translation_ray(mu0, (0.6, 0.8)), nu
+
+
+def limit_costs(ray, nu):
+    """The limiting costs C_ij = -|v_j|^(p-2) <x_i - o_j, v_j>, 0 for a resting ray.
+
+    Built here apart from the library, in its order of operations, so the
+    matrix has the bits of the one ``busemann_exact`` solves.
+    """
+    speeds = cdist(ray.velocities, np.zeros((1, ray.dim)))[:, 0]
+    moving = speeds > 0.0
+    scale = np.where(moving, speeds, 1.0) ** (ray.p - 2.0) * moving
+    offsets = nu.atoms[:, None, :] - ray.origins[None, :, :]
+    return -np.add.reduce(offsets * ray.velocities[None, :, :], axis=2) * scale
 
 
 def schedule_step(ray, nu0, plan, t):
@@ -157,6 +182,11 @@ def uniform_pairs(draw, max_atoms=5, max_dim=3):
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal dtype, shape and bytes: -0.0 and 0.0 differ, NaN equals itself."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def line_ray():
+    return w.make_dirac_ray((0.0, 0.0), (1.0, 0.0))
 
 
 @pytest.fixture

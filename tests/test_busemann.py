@@ -8,23 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray import busemann, paths
+from wassray import busemann, ot, paths
 from wassray.errors import CostOverflowError, MonotonicityError, NotARayError, UnitSpeedError
 from wassray.ot import _segment_cost
 
 from conftest import (
     GENUINE_RAY_KINDS,
     genuine_ray_case,
+    limit_costs,
     random_measure,
     step_chain,
     unit_speed,
+    weighted_translation_case,
     weighted_translation_setup,
 )
-
-
-@pytest.fixture
-def line_ray():
-    return w.make_dirac_ray((0.0, 0.0), (1.0, 0.0))
 
 
 def test_along_ray_value_is_minus_one_at_every_time(line_ray):
@@ -240,41 +237,41 @@ def test_exact_value_rejects_non_rays_and_bad_input(line_ray):
         w.busemann_exact(line_ray, w.dirac((0.0,)))
 
 
+def limit_value(ray, nu):
+    """The Busemann limit of ``ray`` at ``nu``: a cold ``ot.transport_plan`` on ``limit_costs``."""
+    cost = limit_costs(ray, nu)
+    left, right, masses, _ = ot.transport_plan(nu.weights, ray.weights, cost)
+    return float(masses @ cost[left, right])
+
+
 @pytest.fixture
-def verdict(monkeypatch, solves):
+def verdict(solves):
     """``busemann_exact``'s verdict at (ray, nu), asserted to be the non-ray rule's on W_p(nu, mu_0).
 
     The rule fires when the value falls below -W - 1e-9 max(1, W) for the
-    solved W = ``wasserstein_distance(nu, ray_section(ray, 0), p)``. A spy
-    records each limiting LP's value, with ``busemann_exact``'s own
-    expression, so a rejected family's value is known too. ``busemann_exact``
-    must solve W_p exactly when that value is below -1e-9, and a returned
-    plan's lower bound must have -W's bits. Returns whether the family was
-    rejected and whether ``busemann_exact`` solved W_p to decide.
+    solved W = ``wasserstein_distance(nu, ray_section(ray, 0), p)``, with
+    the value from ``limit_value``'s independent solve, so a rejected
+    family's value is known too. ``busemann_exact`` must solve W_p exactly
+    when both sides have more than one atom or that value is below -1e-9,
+    and a returned plan's value must match it to rounding and its lower
+    bound have -W's bits. Returns whether the family was rejected and
+    whether ``busemann_exact`` solved W_p.
     """
-    values = []
-    transport_plan = busemann.transport_plan
-
-    def spy(a, b, cost):
-        left, right, masses, basis = transport_plan(a, b, cost)
-        values.append(float(np.add.reduce(masses * cost[left, right])))
-        return left, right, masses, basis
-
-    monkeypatch.setattr(busemann, "transport_plan", spy)
 
     def check(ray, nu):
+        value = limit_value(ray, nu)
         before = len(solves)
         try:
             plan = w.busemann_exact(ray, nu)
         except NotARayError:
             plan = None
         solved = len(solves) > before
-        assert solved == (values[-1] < -busemann.LOWER_BOUND_ATOL)
+        assert solved == (value < -busemann.LOWER_BOUND_ATOL or (len(nu) > 1 and len(ray) > 1))
         distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
-        fires = values[-1] < -distance - busemann.LOWER_BOUND_ATOL * max(1.0, distance)
+        fires = value < -distance - busemann.LOWER_BOUND_ATOL * max(1.0, distance)
         assert (plan is None) == fires
         if plan is not None:
-            assert plan.value == values[-1]
+            assert plan.value == pytest.approx(value, rel=1e-12, abs=1e-12)
             assert np.float64(plan.lower_bound).tobytes() == np.float64(-distance).tobytes()
         return fires, solved
 
@@ -283,13 +280,15 @@ def verdict(monkeypatch, solves):
 
 @pytest.mark.parametrize("kind, p", GENUINE_RAY_KINDS)
 def test_non_ray_rule_on_genuine_rays(kind, p, verdict):
-    # no probe is rejected; mu_0 has value 0 and passes with no solve, and
-    # the section at 3 has value -3 = -W_p, on the threshold's edge, which
-    # it meets on the solved distance
+    # no probe is rejected; the one-atom probe has a positive value and
+    # passes with no solve. mu_0 has value 0 and the section at 3 has value
+    # -3 = -W_p, on the threshold's edge; both have three atoms, so W_p is
+    # solved first, and the section at 3 meets the rule on it
     ray, probes = genuine_ray_case(kind, p)
     for nu in probes:
         assert not verdict(ray, nu)[0]
-    assert verdict(ray, w.ray_section(ray, 0.0)) == (False, False)
+    assert verdict(ray, probes[0]) == (False, False)
+    assert verdict(ray, w.ray_section(ray, 0.0)) == (False, True)
     assert verdict(ray, w.ray_section(ray, 3.0)) == (False, True)
 
 
@@ -321,9 +320,11 @@ def test_non_ray_rule_on_random_families(verdict):
             random_measure(rng, max_atoms=3, dim=d),
         ):
             outcomes[verdict(ray, nu)] += 1
-    # a rejection always solves; passes come both ways
+    # a rejection always solves; passes come both ways, and a pass with no
+    # solve needs a one-atom measure (about a third of the random ones)
     assert outcomes[True, False] == 0
-    assert min(outcomes[True, True], outcomes[False, True], outcomes[False, False]) > 300
+    assert min(outcomes[True, True], outcomes[False, True]) > 300
+    assert outcomes[False, False] > 100
 
 
 def test_non_ray_rule_with_coincident_origins(verdict):
@@ -353,19 +354,36 @@ def test_non_ray_rule_where_the_value_is_minus_the_distance(verdict):
 
 
 def test_exact_value_solves_its_lower_bound_on_first_read(solves):
-    # busemann_exact solves W_p only for a value below -1e-9; otherwise the
+    # busemann_exact solves W_p first when nu has more than one atom, as
+    # the 3-ray family does, and for a value below -1e-9; otherwise the
     # first read of the lower bound solves it. Either way it is solved once
     ray, probes = genuine_ray_case("comonotone", 2.0)
-    below = []
+    first = []
     for nu in [*probes, w.ray_section(ray, 0.0), w.ray_section(ray, 3.0)]:
         solves.clear()
         plan = w.busemann_exact(ray, nu)
-        below.append(plan.value < -busemann.LOWER_BOUND_ATOL)
-        assert len(solves) == below[-1]
+        first.append(len(nu) > 1 or plan.value < -busemann.LOWER_BOUND_ATOL)
+        assert len(solves) == first[-1] and ("lower_bound" in vars(plan)) == first[-1]
         lower_bound = plan.lower_bound
         assert len(solves) == 1
         assert plan.lower_bound == lower_bound and len(solves) == 1
-    assert True in below and False in below
+    assert True in first and False in first
+
+
+@pytest.mark.parametrize("atom, value", [((3.0, 4.0), -0.76), ((-3.0, -4.0), 3.24)])
+def test_exact_value_takes_the_distance_s_plan_as_its_limit_plan(lp_shapes, atom, value):
+    # both sides have more than one atom, so W_p is solved first; its basis
+    # is certified on the translation ray's separable limiting costs, so
+    # that one LP gives the value, b = <mean(mu0) - mean(nu), v>, and the
+    # primed lower bound, whatever the value's sign
+    _, ray, nu = weighted_translation_case()
+    nu = w.DiscreteMeasure([atom, [0.0, -1.0]], nu.weights)
+    plan = w.busemann_exact(ray, nu)
+    assert plan.value == pytest.approx(value, abs=1e-12) and len(lp_shapes) == 1
+    assert "lower_bound" in vars(plan)
+    lower_bound = plan.lower_bound
+    assert len(lp_shapes) == 1
+    assert lower_bound == -w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
 
 
 def test_exact_value_of_a_far_measure_needs_no_distance():

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 import wassray as w
-from wassray import busemann, cli
+from wassray import cli, ot
 from wassray.cli import main
 from wassray.verify import run_suite
 
-from conftest import genuine_ray_case, psd_gradient_ray, same_bits, step_chain
+from conftest import (
+    genuine_ray_case,
+    limit_costs,
+    psd_gradient_ray,
+    same_bits,
+    step_chain,
+    weighted_translation_case,
+)
 
 
 @pytest.fixture
@@ -67,7 +74,7 @@ def test_couple_prints_plan(files, capsys):
 
 def test_parse_failure_exits_2(files, capsys):
     bad = files["dir"] / "bad.measure"
-    bad.write_text("measure\ndim 1\natoms 2\n0.0 1.0\n")
+    bad.write_text("measure\ndim 1\natoms 2\n0.0 1.0\n", encoding="utf-8")
     assert main(["dist", str(bad), files["a"]]) == 2
 
 
@@ -162,7 +169,7 @@ def test_busemann_along_ray(files, capsys):
     assert main(["busemann", files["ray"], str(nu), "--out-csv", str(csv)]) == 0
     out = capsys.readouterr().out
     assert "value -1" in out
-    rows = csv.read_text().splitlines()
+    rows = csv.read_text(encoding="utf-8").splitlines()
     assert rows[0] == "t,value"
     values = [float(r.split(",")[1]) for r in rows[1:]]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
@@ -201,7 +208,7 @@ def test_coray_collinear_converges(files, capsys):
     assert code == 0
     built = w.read_ray(out_ray)
     assert built.speed == pytest.approx(1.0, abs=1e-12)
-    assert out_csv.read_text().splitlines()[0] == "t,length,gap"
+    assert out_csv.read_text(encoding="utf-8").splitlines()[0] == "t,length,gap"
 
 
 def test_coray_non_convergence_exits_4(files):
@@ -286,7 +293,7 @@ def test_a_negative_zero_prints_as_0(tmp_path, capsys):
 
 def test_the_primed_lower_bound_is_read_with_no_solve(solves):
     ray, nu, _ = default_busemann_case("translation")
-    plan = busemann._limit_plan(ray, nu, lower_bound_first=True)
+    plan = w.busemann_exact(ray, nu)
     assert len(solves) == 1 and "lower_bound" in vars(plan)
     distance = w.wasserstein_distance(nu, w.ray_section(ray, 0.0), ray.p)
     solves.clear()
@@ -295,9 +302,7 @@ def test_the_primed_lower_bound_is_read_with_no_solve(solves):
 
 def default_busemann_case(kind):
     """A ray, a measure and the LPs a default ``wassray busemann`` on them solves."""
-    mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])
-    translation = w.make_translation_ray(mu0, (0.6, 0.8))
-    nu = w.DiscreteMeasure([[3.0, 4.0], [0.0, -1.0]], [0.4, 0.6])
+    _, translation, nu = weighted_translation_case()
     if kind == "translation":
         # the limiting costs are separable, so the time-0 plan is optimal
         return translation, nu, 1
@@ -354,16 +359,18 @@ def equal_weight_limit_case(rng, kind, k):
 
 def test_default_busemann_limit_plan_is_the_library_s_on_equal_weights():
     # with nu carrying the ray's weights, transport_plan asks the assignment
-    # solver before any LP, so the time-0 basis may not stand in for it: the
-    # CLI's plan is busemann_exact's, entry for entry and bit for bit
+    # solver before any LP, so the time-0 basis may not stand in for it:
+    # busemann_exact's plan, which the CLI prints, is a cold transport_plan's
+    # on the limiting costs, entry for entry and bit for bit
     rng = np.random.default_rng(1)
     for k in range(60):
         ray, nu = equal_weight_limit_case(rng, ("translation", "psd")[k % 2], 3 + k % 4)
-        kept = busemann._limit_plan(ray, nu, lower_bound_first=True)
         exact = w.busemann_exact(ray, nu)
-        for field in ("left", "right", "masses"):
-            assert same_bits(getattr(kept, field), getattr(exact, field))
-        assert kept.value.hex() == exact.value.hex()
+        cost = limit_costs(ray, nu)
+        cold = ot.transport_plan(nu.weights, ray.weights, cost)
+        for field, entries in zip(("left", "right", "masses"), cold):
+            assert same_bits(getattr(exact, field), entries)
+        assert exact.value.hex() == float(np.add.reduce(cold[2] * cost[cold[0], cold[1]])).hex()
 
 
 def default_busemann_error(tmp_path, capsys, ray, nu):
@@ -434,7 +441,7 @@ def test_the_truncation_csv_holds_its_header_and_a_row_per_step(files, capsys):
     fields = cli_fields(capsys)
     assert fields["converged"] == "true"
     assert float(fields["value"]) == pytest.approx(-3.0, abs=1e-4)
-    rows = csv.read_text().splitlines()
+    rows = csv.read_text(encoding="utf-8").splitlines()
     steps = int(float(fields["t_final"])).bit_length()
     assert rows[0] == "t,value" and len(rows) == steps + 1 >= 3
     assert [row.split(",")[0] for row in rows[1:]] == [str(2**j) for j in range(steps)]
@@ -483,7 +490,7 @@ def test_a_global_tol_selects_the_coray_construction(files, capsys):
     argv = ["coray", files["ray"], files["b"], "--schedule", schedule, "--out-ray", str(out_ray)]
     assert main(["--tol", "1e-3", *argv]) == 0
     assert cli_fields(capsys)["converged"] == "true"
-    assert out_ray.read_text().splitlines()[0] == "rays"
+    assert out_ray.read_text(encoding="utf-8").splitlines()[0] == "rays"
     assert w.read_ray(out_ray).speed == pytest.approx(1.0, abs=1e-12)
 
 
@@ -626,7 +633,7 @@ def test_module_entry_point(files):
     proc = subprocess.run(
         [sys.executable, "-m", "wassray", "dist", files["a"], files["b"]],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
@@ -648,7 +655,7 @@ def test_every_text_file_is_opened_as_utf8(files, argv):
     proc = subprocess.run(
         [sys.executable, "-W", "error::EncodingWarning", "-m", "wassray", *argv],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env={**os.environ, "PYTHONWARNDEFAULTENCODING": "1"},
     )
     assert proc.returncode == 0, proc.stderr
@@ -658,7 +665,7 @@ def test_every_text_file_is_opened_as_utf8(files, argv):
 def wassray_cli(*argv):
     """Run ``python -m wassray`` on the arguments; its stdout, after checking it exited 0."""
     proc = subprocess.run(
-        [sys.executable, "-m", "wassray", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "wassray", *argv], capture_output=True, encoding="utf-8"
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -675,10 +682,12 @@ def test_coray_steps_keep_the_bits_of_the_warm_solve_chain(tmp_path):
     # of the step chain, one target at a time (``step_chain``); both
     # files hold repr floats
     (tmp_path / "chain-mu0.measure").write_text(
-        "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n"
+        "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n",
+        encoding="utf-8",
     )
     (tmp_path / "chain-start.measure").write_text(
-        "measure\ndim 2\natoms 3\n-5.2 -8.7 0.45\n10.7 -9.6 0.38\n-10.9 15.7 0.17\n"
+        "measure\ndim 2\natoms 3\n-5.2 -8.7 0.45\n10.7 -9.6 0.38\n-10.9 15.7 0.17\n",
+        encoding="utf-8",
     )
     rays, built = str(tmp_path / "chain.rays"), tmp_path / "built.rays"
     wassray_cli(
@@ -726,7 +735,7 @@ def test_dirac_truncation_keeps_the_values_of_the_warm_solve_chain(tmp_path):
             break
         previous = value
     assert len(rows) == 22
-    assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
 
 
 def test_forest_plans_keep_their_simplex_basis_along_a_schedule(tmp_path):
@@ -740,10 +749,12 @@ def test_forest_plans_keep_their_simplex_basis_along_a_schedule(tmp_path):
     mu0, nu, rays = (str(tmp_path / name) for name in ("mu0.measure", "nu.measure", "t.rays"))
     (tmp_path / "mu0.measure").write_text(
         "measure\ndim 2\natoms 4\n0.001 0.299 0.1\n-0.274 -0.891 0.2\n-0.455 -0.992 0.3\n"
-        "0.06 1.34 0.4\n"
+        "0.06 1.34 0.4\n",
+        encoding="utf-8",
     )
     (tmp_path / "nu.measure").write_text(
-        "measure\ndim 2\natoms 3\n-0.492 -0.62 0.5\n0.49 0.357 0.3\n0.105 -0.93 0.2\n"
+        "measure\ndim 2\natoms 3\n-0.492 -0.62 0.5\n0.49 0.357 0.3\n0.105 -0.93 0.2\n",
+        encoding="utf-8",
     )
     wassray_cli("ray-new", "translation", "--measure", mu0, "--velocity", "1,0", "--out", rays)
     lines = wassray_cli("busemann", rays, nu, "--t0", "1").splitlines()
@@ -766,8 +777,14 @@ def test_a_weighted_geodesic_section_lifts_its_plan_after_a_cold_solve(tmp_path)
     # W_2 = sqrt(0.3 * 4 + 0.2 * 9 + 0.5 * 4) = sqrt(5), and at half of it
     # every entry has moved half its way
     mu, nu = str(tmp_path / "pair-mu.measure"), str(tmp_path / "pair-nu.measure")
-    (tmp_path / "pair-mu.measure").write_text("measure\ndim 1\natoms 2\n0.0 0.5\n1.0 0.5\n")
-    (tmp_path / "pair-nu.measure").write_text("measure\ndim 1\natoms 2\n2.0 0.3\n3.0 0.7\n")
+    (tmp_path / "pair-mu.measure").write_text(
+        "measure\ndim 1\natoms 2\n0.0 0.5\n1.0 0.5\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "pair-nu.measure").write_text(
+        "measure\ndim 1\natoms 2\n2.0 0.3\n3.0 0.7\n",
+        encoding="utf-8",
+    )
     lines = wassray_cli("couple", mu, nu).splitlines()
     assert "cost 2.2360679775" in lines and "entries 3" in lines
     lines = wassray_cli("geodesic-section", mu, nu, repr(5**0.5 / 2)).splitlines()
@@ -788,7 +805,7 @@ def test_busemann_truncation_takes_only_finite_doubling_times(files, capsys):
 
 def coray_gaps(csv):
     """The gap column of a co-ray ``--out-csv`` file, under its header, as text."""
-    rows = csv.read_text().splitlines()
+    rows = csv.read_text(encoding="utf-8").splitlines()
     assert rows[0] == "t,length,gap"
     return [row.split(",")[2] for row in rows[1:]]
 
@@ -805,10 +822,12 @@ def test_coray_construction_from_a_weighted_start(tmp_path, capsys):
     # the start's atoms, an upper bound on the section movement, and it
     # halves with each doubling of the target time
     (tmp_path / "mu0.measure").write_text(
-        "measure\ndim 2\natoms 3\n0.0 0.0 0.2\n1.0 0.5 0.3\n-0.5 1.5 0.5\n"
+        "measure\ndim 2\natoms 3\n0.0 0.0 0.2\n1.0 0.5 0.3\n-0.5 1.5 0.5\n",
+        encoding="utf-8",
     )
     (tmp_path / "start.measure").write_text(
-        "measure\ndim 2\natoms 2\n0.3 -0.4 0.6\n-1.0 0.8 0.4\n"
+        "measure\ndim 2\natoms 2\n0.3 -0.4 0.6\n-1.0 0.8 0.4\n",
+        encoding="utf-8",
     )
     rays, gaps = str(tmp_path / "t.rays"), tmp_path / "gaps.csv"
     assert main([
@@ -829,10 +848,12 @@ def test_coray_construction_from_a_weighted_start(tmp_path, capsys):
     # plan changes along the schedule: its time-0 section is the start at
     # every step, so with test time 0 alone every gap is exactly 0
     (tmp_path / "far-mu0.measure").write_text(
-        "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n"
+        "measure\ndim 2\natoms 4\n9.6 -0.1 0.25\n-4.7 -3.0 0.35\n-0.5 -5.5 0.1\n10.8 1.3 0.3\n",
+        encoding="utf-8",
     )
     (tmp_path / "far-start.measure").write_text(
-        "measure\ndim 2\natoms 3\n-5.2 -8.7 0.45\n10.7 -9.6 0.38\n-10.9 15.7 0.17\n"
+        "measure\ndim 2\natoms 3\n-5.2 -8.7 0.45\n10.7 -9.6 0.38\n-10.9 15.7 0.17\n",
+        encoding="utf-8",
     )
     rays, time0 = str(tmp_path / "t16.rays"), tmp_path / "time0.csv"
     assert main([
@@ -855,11 +876,13 @@ def test_coray_construction_at_p8_halves_its_gaps(tmp_path):
     # here and stalled at 1.6e-3
     (tmp_path / "mu0-line.measure").write_text(
         "measure\ndim 1\natoms 6\n0.242 0.147\n0.442 0.255\n-0.968 0.066\n0.351 0.346\n"
-        "0.82 0.054\n-0.728 0.132\n"
+        "0.82 0.054\n-0.728 0.132\n",
+        encoding="utf-8",
     )
     (tmp_path / "start-line.measure").write_text(
         "measure\ndim 1\natoms 7\n0.567 0.157\n0.569 0.075\n-0.833 0.122\n0.23 0.105\n"
-        "-0.377 0.179\n-0.26 0.144\n0.988 0.218\n"
+        "-0.377 0.179\n-0.26 0.144\n0.988 0.218\n",
+        encoding="utf-8",
     )
     rays, gaps = str(tmp_path / "t8.rays"), tmp_path / "gaps8.csv"
     assert main([
@@ -889,8 +912,11 @@ def input_error(capsys, argv):
 def test_an_empty_ray_family_is_one_input_error_that_names_it(tmp_path, capsys, command):
     # a ray file with no entry lines is a family without members: it once
     # read as one ray in R^0 and was reported as a dimension error
-    (tmp_path / "empty.rays").write_text("rays\ndim 2\np 2\nentries 0\n")
-    (tmp_path / "point.measure").write_text("measure\ndim 2\natoms 1\n3.0 4.0 1.0\n")
+    (tmp_path / "empty.rays").write_text("rays\ndim 2\np 2\nentries 0\n", encoding="utf-8")
+    (tmp_path / "point.measure").write_text(
+        "measure\ndim 2\natoms 1\n3.0 4.0 1.0\n",
+        encoding="utf-8",
+    )
     argv = [command, str(tmp_path / "empty.rays"), str(tmp_path / "point.measure")]
     line = input_error(capsys, argv)
     assert re.match(r"input error: .*a ray family needs at least one ray", line)
@@ -917,7 +943,7 @@ def test_non_finite_file_values_are_one_input_error(tmp_path, capsys, where):
     # argmin and argmax, which stop at the first NaN, so the position of
     # the bad value must not matter
     for name, text in NON_FINITE_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     good_measure, good_rays = str(tmp_path / "good.measure"), str(tmp_path / "good.rays")
     atom, weight = (str(tmp_path / f"{kind}-{where}.measure") for kind in ("atom", "weight"))
     data, ray_weight = (str(tmp_path / f"{kind}-{where}.rays") for kind in ("data", "weight"))
@@ -950,8 +976,14 @@ def test_a_ray_faster_than_the_squared_limit_is_one_input_error(tmp_path, capsys
     # a velocity 1e200 long has a squared length past the largest double:
     # the ray's speed is inf, with no numpy overflow warning, and raises the
     # typed error, so stderr is one line
-    (tmp_path / "fast.rays").write_text("rays\ndim 2\np 2\nentries 1\n0.0 0.0 1e200 0.0 1.0\n")
-    (tmp_path / "point.measure").write_text("measure\ndim 2\natoms 1\n3.0 4.0 1.0\n")
+    (tmp_path / "fast.rays").write_text(
+        "rays\ndim 2\np 2\nentries 1\n0.0 0.0 1e200 0.0 1.0\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "point.measure").write_text(
+        "measure\ndim 2\natoms 1\n3.0 4.0 1.0\n",
+        encoding="utf-8",
+    )
     operands = ["fast.rays"] + (["point.measure"] if command != "ray-validate" else [])
     line = input_error(capsys, [command] + [str(tmp_path / name) for name in operands])
     assert line.startswith("input error: ") and "squared distance" in line

@@ -27,11 +27,6 @@ LONG_SCHEDULE = tuple(2.0**n for n in range(1, 21))
 
 
 @pytest.fixture(scope="module")
-def line_ray():
-    return w.make_dirac_ray((0.0, 0.0), (1.0, 0.0))
-
-
-@pytest.fixture(scope="module")
 def parallel(line_ray):
     return w.construct_coray(line_ray, w.dirac((0.0, 1.0)))
 

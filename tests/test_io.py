@@ -117,7 +117,7 @@ def test_parse_rejects_truncated_ray_file():
 
 def test_read_rejects_rays_in_dimension_zero(tmp_path):
     path = tmp_path / "flat.rays"
-    path.write_text("rays\ndim 0\np 2\nentries 1\n1.0\n")
+    path.write_text("rays\ndim 0\np 2\nentries 1\n1.0\n", encoding="utf-8")
     with pytest.raises(MeasureFileError, match="ambient dimension must be at least 1"):
         read_ray(path)
 
@@ -125,7 +125,7 @@ def test_read_rejects_rays_in_dimension_zero(tmp_path):
 def test_read_rejects_an_empty_ray_family(tmp_path):
     # no entry lines is a family without members, not one member in R^0
     path = tmp_path / "empty.rays"
-    path.write_text("rays\ndim 2\np 2\nentries 0\n")
+    path.write_text("rays\ndim 2\np 2\nentries 0\n", encoding="utf-8")
     with pytest.raises(MeasureFileError, match="a ray family needs at least one ray"):
         read_ray(path)
 

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassray as w
-from wassray import busemann
 from wassray.errors import DimensionMismatchError, EmptyMeasureError, MarginalMismatchError
 from wassray.measures import _array_max, _array_min, _merge_keys, merge_atoms
 from wassray.paths import GLUE_WEIGHT_ATOL, _checked_lift
 
-from conftest import coords, same_bits
+from conftest import coords, same_bits, weighted_translation_case
 
 
 def test_weights_must_sum_to_one():
@@ -407,39 +406,39 @@ def test_array_min_and_max_equal_the_reductions(x):
                 form(x[:0])
 
 
-def weighted_pair():
-    """Weighted measures whose plan is an LP with a kept basis."""
-    mu = w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0], [-1.0, 1.0]], [0.2, 0.3, 0.5])
-    return mu, w.DiscreteMeasure([[3.0, 4.0], [0.0, -1.0]], [0.4, 0.6])
-
-
-def translation_ray():
-    return w.make_translation_ray(weighted_pair()[0], (0.6, 0.8))
+def weighted_plan():
+    """An LP plan with a kept basis."""
+    mu0, _, nu = weighted_translation_case()
+    return w.solve_ot(mu0, nu, 2.0)
 
 
 def read_back_ray(tmp_path):
-    w.write_ray(translation_ray(), tmp_path / "r.rays")
+    w.write_ray(weighted_translation_case()[1], tmp_path / "r.rays")
     return w.read_ray(tmp_path / "r.rays")
+
+
+def primed_busemann_plan(_):
+    """``busemann_exact``'s plan, with its lower bound primed among the frozen fields."""
+    _, ray, nu = weighted_translation_case()
+    plan = w.busemann_exact(ray, nu)
+    assert "lower_bound" in vars(plan)
+    return plan
 
 
 FROZEN_VALUES = {
     "DiscreteMeasure": lambda _: w.DiscreteMeasure([[0.0, 0.0], [1.0, 2.0]], [0.25, 0.75]),
-    "ray_section": lambda _: w.ray_section(translation_ray(), 1.5),
+    "ray_section": lambda _: w.ray_section(weighted_translation_case()[1], 1.5),
     "Coupling": lambda _: w.Coupling(w.dirac((0.0,)), w.dirac((1.0,)), [0], [0], [1.0], 2.0),
-    "solve_ot": lambda _: w.solve_ot(*weighted_pair(), 2.0),
+    "solve_ot": lambda _: weighted_plan(),
     "GeodesicLift": lambda _: w.GeodesicLift(
         [[0.0], [1.0]], [[2.0], [3.0]], [0.5, 0.5], 2.0, 2.0
     ),
-    "lift_geodesic": lambda _: w.lift_geodesic(w.solve_ot(*weighted_pair(), 2.0)),
+    "lift_geodesic": lambda _: w.lift_geodesic(weighted_plan()),
     "RayMeasure": lambda _: w.RayMeasure(
         [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]] * 2, [0.5, 0.5], 2.0
     ),
     "read_ray": read_back_ray,
-    "busemann_exact": lambda _: w.busemann_exact(translation_ray(), weighted_pair()[1]),
-    # the CLI's plan, with its lower bound primed among the frozen fields
-    "_limit_plan": lambda _: busemann._limit_plan(
-        translation_ray(), weighted_pair()[1], lower_bound_first=True
-    ),
+    "busemann_exact": primed_busemann_plan,
 }
 
 
@@ -468,14 +467,15 @@ POINTS = [[0.0, 0.0], [1.0, 2.0]]
 
 def read_back_measure(tmp_path, weights):
     rows = [" ".join(map(repr, point + [x])) for point, x in zip(POINTS, weights)]
-    (tmp_path / "w.measure").write_text("\n".join(["measure", "dim 2", "atoms 2"] + rows) + "\n")
+    text = "\n".join(["measure", "dim 2", "atoms 2"] + rows) + "\n"
+    (tmp_path / "w.measure").write_text(text, encoding="utf-8")
     return w.read_measure(tmp_path / "w.measure")
 
 
 def read_back_rays(tmp_path, weights):
     rows = [" ".join(map(repr, point * 2 + [x])) for point, x in zip(POINTS, weights)]
     header = ["rays", "dim 2", "p 2.0", "entries 2"]
-    (tmp_path / "w.rays").write_text("\n".join(header + rows) + "\n")
+    (tmp_path / "w.rays").write_text("\n".join(header + rows) + "\n", encoding="utf-8")
     return w.read_ray(tmp_path / "w.rays")
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -459,6 +460,30 @@ def test_a_velocity_whose_squared_length_underflows_is_nonzero():
     assert w.make_dirac_ray((0.0, 0.0), v).velocities.tolist() == [list(v)]
     mu0 = w.DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
     assert w.make_translation_ray(mu0, v).velocities.tolist() == [list(v)] * 2
+
+
+@pytest.mark.parametrize(
+    "velocity, p",
+    [
+        ((1e-200, 0.0), 2.0),
+        ((1e-25, 0.0), 16.0),
+        ((1e-160, 1e-160), 2.0),
+        ((1e-160, 0.0), 1.5),
+        ((3e-20, 0.0), 16.0),
+    ],
+)
+def test_a_tiny_velocity_gets_its_speed(velocity, p):
+    # the squares of the coordinates, or the p-th power of the length, leave
+    # the normal range; the speed of one ray is its velocity's length, which
+    # math.hypot takes without forming the squares
+    speed = w.make_dirac_ray((0.0, 0.0), velocity, p=p).speed
+    assert speed == pytest.approx(math.hypot(*velocity), rel=1e-15, abs=0.0)
+    # a family far below the normal range has its speed at unit scale, 2**-600 times
+    origins = [[0.0, 0.0], [1.0, 0.0]]
+    velocities = np.array([[0.3, 0.4], [1.0, 2.0]])
+    unit = w.RayMeasure(origins, velocities, [0.25, 0.75], p).speed
+    tiny = w.RayMeasure(origins, velocities * 2.0**-600, [0.25, 0.75], p).speed
+    assert tiny == pytest.approx(unit * 2.0**-600, rel=1e-15, abs=0.0)
 
 
 def test_validate_dirac_ray_passes():
