@@ -417,8 +417,13 @@ def read_back_ray(tmp_path):
     return w.read_ray(tmp_path / "r.rays")
 
 
-def primed_busemann_plan(_):
-    """``busemann_exact``'s plan, with its lower bound primed among the frozen fields."""
+def dirac_busemann_plan(_):
+    """``busemann_exact``'s plan at a one-atom nu: the limit is solved without W_p first."""
+    return w.busemann_exact(weighted_translation_case()[1], w.dirac((3.0, 4.0)))
+
+
+def primed_limit_plan(_):
+    """The limit plan taken from W_p's kept basis, its lower bound primed among the frozen fields."""
     _, ray, nu = weighted_translation_case()
     plan = w.busemann_exact(ray, nu)
     assert "lower_bound" in vars(plan)
@@ -438,7 +443,8 @@ FROZEN_VALUES = {
         [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]] * 2, [0.5, 0.5], 2.0
     ),
     "read_ray": read_back_ray,
-    "busemann_exact": primed_busemann_plan,
+    "busemann_exact": dirac_busemann_plan,
+    "_limit_plan": primed_limit_plan,
 }
 
 
